@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 Covers exactly the primitives the retrieval model needs: a little linear
-algebra, pointwise nonlinearities, valid-mode 2d convolution, cosine
-similarity, smoothed softmax, rank-weighted pooling, and the masked maxima
-used by the ranking loss.  ``backward()`` on a scalar accumulates into
-``.grad`` of every tensor that requires gradients; ``grad_check`` validates
-any scalar loss against central finite differences.
+algebra, pointwise nonlinearities, im2col patches for valid-mode
+convolution, row-wise cosine similarity, smoothed softmax, rank-weighted
+pooling, and the masked maxima used by the ranking loss.  ``backward()``
+on a scalar accumulates into ``.grad`` of every tensor that requires
+gradients; ``grad_check`` validates any scalar loss against central finite
+differences.
 
 All math is float64.  Broadcasting is supported only as far as the listed
 operations need it (bias rows, per-row scaling, scalar division).
@@ -374,20 +375,6 @@ def offdiag_max(x: Tensor, axis: int) -> Tensor:
     return _make(out_data, (x,), vjp)
 
 
-def avg_pool_spatial(x: Tensor) -> Tensor:
-    """Mean over the two leading spatial axes of an (H, W, C) tensor."""
-    if x.data.ndim != 3:
-        raise ShapeError("avg_pool_spatial expects (H, W, C), got %r" % (x.data.shape,))
-    h, w, _ = x.data.shape
-
-    def vjp(g):
-        if not x.requires_grad:
-            return (None,)
-        return (np.broadcast_to(g / (h * w), x.data.shape).copy(),)
-
-    return _make(x.data.mean(axis=(0, 1)), (x,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -412,83 +399,10 @@ def conv_patches(x: np.ndarray, kh: int, kw: int, stride: int):
     return patches, (ho, wo)
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = None) -> Tensor:
-    """Valid-mode 2d cross-correlation.
-
-    x: (H, W, Cin), kernel: (kh, kw, Cin, Cout), bias: (Cout,) optional.
-    Output (Ho, Wo, Cout) with Ho = (H - kh) // stride + 1.
-    """
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise ShapeError("conv2d expects x (H,W,C) and kernel (kh,kw,Cin,Cout)")
-    kh, kw, cin, cout = kernel.data.shape
-    if cin != x.data.shape[2]:
-        raise ShapeError(
-            "conv2d channel mismatch: input has %d, kernel expects %d"
-            % (x.data.shape[2], cin)
-        )
-    patches, (ho, wo) = conv_patches(x.data, kh, kw, stride)
-    kmat = kernel.data.reshape(-1, cout)
-    out2d = patches @ kmat
-    if bias is not None:
-        out2d = out2d + bias.data
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-
-    def vjp(g):
-        g2d = g.reshape(ho * wo, cout)
-        gx = gk = gb = None
-        if x.requires_grad:
-            gpatch = g2d @ kmat.T
-            gx = np.zeros_like(x.data)
-            for i in range(ho):
-                for j in range(wo):
-                    win = gpatch[i * wo + j].reshape(kh, kw, cin)
-                    gx[i * stride:i * stride + kh, j * stride:j * stride + kw, :] += win
-        if kernel.requires_grad:
-            gk = (patches.T @ g2d).reshape(kernel.data.shape)
-        if bias is not None and bias.requires_grad:
-            gb = g2d.sum(axis=0)
-        return (gx, gk) if bias is None else (gx, gk, gb)
-
-    return _make(out2d.reshape(ho, wo, cout), parents, vjp)
-
-
 # ---------------------------------------------------------------------------
 # similarity and attention primitives
 
 _DEGENERATE_NORM = 1e-12
-
-
-def cosine(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine similarity of two rank-1 tensors.
-
-    If either norm falls below 1e-12 the value is 0 with zero gradient,
-    which keeps downstream training finite on degenerate inputs.
-    """
-    if u.data.ndim != 1 or v.data.ndim != 1 or u.data.shape != v.data.shape:
-        raise ShapeError("cosine expects two equal-length vectors")
-    nu = float(np.sqrt(u.data @ u.data))
-    nv = float(np.sqrt(v.data @ v.data))
-    if nu < _DEGENERATE_NORM or nv < _DEGENERATE_NORM:
-        def vjp_zero(g):
-            return (
-                np.zeros_like(u.data) if u.requires_grad else None,
-                np.zeros_like(v.data) if v.requires_grad else None,
-            )
-
-        return _make(0.0, (u, v), vjp_zero)
-    c = float(np.clip((u.data @ v.data) / (nu * nv), -1.0, 1.0))
-
-    def vjp(g):
-        g = float(g)
-        gu = gv = None
-        if u.requires_grad:
-            gu = g * (v.data / (nu * nv) - c * u.data / (nu * nu))
-        if v.requires_grad:
-            gv = g * (u.data / (nu * nv) - c * v.data / (nv * nv))
-        return gu, gv
-
-    return _make(c, (u, v), vjp)
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,18 +38,6 @@ def _emit(doc: dict, pretty_text: str | None = None, pretty: bool = False):
         print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("SSHNET_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("SSHNET_THREADS must be an integer, got %r" % env)
-    return 1
-
-
 def _model_for(dims, choice: str):
     """Pick the model preset matching the dataset geometry."""
     if choice in ("small", "full"):
@@ -78,8 +65,6 @@ def _apply_model_flags(cfg, args):
         over["use_vsem"] = False
     if getattr(args, "no_vspm", False):
         over["use_vspm"] = False
-    if getattr(args, "per_group_gpo", False):
-        over["per_group_gpo"] = True
     return replace(cfg, **over) if over else cfg
 
 
@@ -146,63 +131,56 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _embed_tables(bundles, texts, ckpt, mode, threads):
+def _checkpoint(ckpt, mode):
+    """Parameters, config, dims and resolved mode of a saved model."""
     params, cfg, dims, meta = model.load_checkpoint(ckpt)
     if mode == "auto":
         mode = meta.get("mode", "region")
-    table = model.embed_dataset(bundles, texts, params, cfg, dims,
-                                mode=mode, threads=threads)
-    return table, mode
+    return params, cfg, dims, mode
+
+
+def _similarity(bundles, texts, params, cfg, dims, mode):
+    table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=mode)
+    sim = retrieval.similarity_matrix(table.image_embs, table.text_embs)
+    return sim, table.image_index
+
+
+def _ensemble_report(bundles, texts, ckpt_a, ckpt_b):
+    sim_a, image_index = _similarity(bundles, texts,
+                                     *_checkpoint(ckpt_a, "auto"))
+    sim_b, _ = _similarity(bundles, texts, *_checkpoint(ckpt_b, "auto"))
+    return retrieval.ensemble_eval(sim_a, sim_b, image_index)
 
 
 def cmd_eval(args) -> int:
     bundles, texts, manifest = _load(args.data)
-    threads = _resolve_threads(args.threads)
     ckpt = Path(args.ckpt) if args.ckpt else None
     if ckpt is not None and (ckpt / "hybrid.json").exists():
-        table_r, _ = _embed_tables(bundles, texts, ckpt / "region", "region",
-                                   threads)
-        table_g, _ = _embed_tables(bundles, texts, ckpt / "grid", "grid",
-                                   threads)
-        sim_a = retrieval.similarity_matrix(table_r.image_embs,
-                                            table_r.text_embs, threads)
-        sim_b = retrieval.similarity_matrix(table_g.image_embs,
-                                            table_g.text_embs, threads)
-        report = retrieval.ensemble_eval(sim_a, sim_b, table_r.image_index)
+        report = _ensemble_report(bundles, texts, ckpt / "region",
+                                  ckpt / "grid")
     else:
         if ckpt is not None:
-            table, mode = _embed_tables(bundles, texts, ckpt, args.mode,
-                                        threads)
+            params, model_cfg, dims, mode = _checkpoint(ckpt, args.mode)
         else:
             # untrained evaluation: seed-initialised parameters
-            model_cfg = _apply_model_flags(
-                _model_for(manifest.dims, args.dims), args)
-            params = model.init_params(model_cfg, manifest.dims, args.seed)
+            dims = manifest.dims
+            model_cfg = _apply_model_flags(_model_for(dims, args.dims), args)
+            params = model.init_params(model_cfg, dims, args.seed)
             mode = "region" if args.mode == "auto" else args.mode
-            table = model.embed_dataset(bundles, texts, params, model_cfg,
-                                        manifest.dims, mode=mode,
-                                        threads=threads)
-        sim = retrieval.similarity_matrix(table.image_embs, table.text_embs,
-                                          threads)
-        if args.folds > 1:
-            report = retrieval.fivefold_eval(sim, table.image_index,
+        sim, image_index = _similarity(bundles, texts, params, model_cfg,
+                                       dims, mode)
+        if args.folds != 1:
+            report = retrieval.fivefold_eval(sim, image_index,
                                              folds=args.folds, mode=mode)
         else:
-            report = retrieval.evaluate(sim, table.image_index, mode=mode)
+            report = retrieval.evaluate(sim, image_index, mode=mode)
     _emit(report.to_dict(), report.table(), args.pretty)
     return 0
 
 
 def cmd_ensemble_eval(args) -> int:
     bundles, texts, _ = _load(args.data)
-    threads = _resolve_threads(args.threads)
-    table_a, _ = _embed_tables(bundles, texts, args.ckpt_a, "auto", threads)
-    table_b, _ = _embed_tables(bundles, texts, args.ckpt_b, "auto", threads)
-    sim_a = retrieval.similarity_matrix(table_a.image_embs, table_a.text_embs,
-                                        threads)
-    sim_b = retrieval.similarity_matrix(table_b.image_embs, table_b.text_embs,
-                                        threads)
-    report = retrieval.ensemble_eval(sim_a, sim_b, table_a.image_index)
+    report = _ensemble_report(bundles, texts, args.ckpt_a, args.ckpt_b)
     _emit(report.to_dict(), report.table(), args.pretty)
     return 0
 
@@ -214,17 +192,20 @@ def _unit_rows(rng, n, d):
 
 def cmd_bench(args) -> int:
     dims, model_cfg = preset(args.dims)
-    threads = _resolve_threads(args.threads)
+    # these counts shape the generated inputs before bench_kpps sees them
+    for flag in ("images", "queries", "recompute_queries"):
+        if getattr(args, flag) < 1:
+            raise ConfigError("--%s must be >= 1, got %d"
+                              % (flag.replace("_", "-"), getattr(args, flag)))
     rng = np.random.default_rng(args.seed)
     table = _unit_rows(rng, args.images, model_cfg.embed_dim)
     queries = _unit_rows(rng, args.queries, model_cfg.embed_dim)
-    doc = {"dims": args.dims, "images": args.images, "threads": threads,
-           "trials": args.trials}
+    doc = {"dims": args.dims, "images": args.images, "trials": args.trials}
     results = {}
     if args.mode in ("precomputed", "both"):
         results["precomputed"] = retrieval.bench_kpps(
             table, queries, "precomputed", top_k=args.top_k,
-            trials=args.trials, threads=threads)
+            trials=args.trials)
     if args.mode in ("recompute", "both"):
         pool = featureio.random_bundles(dims, args.pool, args.seed + 1)
         prepared = [model.prepare_image(b, dims, model_cfg) for b in pool]
@@ -232,8 +213,7 @@ def cmd_bench(args) -> int:
             model.init_params(model_cfg, dims, args.seed), model_cfg, prepared)
         results["recompute"] = retrieval.bench_kpps(
             table, queries[:args.recompute_queries], "recompute",
-            recompute=setup, top_k=args.top_k, trials=args.trials,
-            threads=threads)
+            recompute=setup, top_k=args.top_k, trials=args.trials)
     doc.update({k: v.to_dict() for k, v in results.items()})
     if len(results) == 2:
         doc["speedup"] = (results["precomputed"].kpps
@@ -301,7 +281,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--embed-dim", type=int)
     sp.add_argument("--no-vsem", action="store_true")
     sp.add_argument("--no-vspm", action="store_true")
-    sp.add_argument("--per-group-gpo", action="store_true")
 
     sp = add("eval", cmd_eval, help="evaluate retrieval recall")
     sp.add_argument("--data", required=True)
@@ -311,7 +290,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--dims", choices=["auto", "small", "full"],
                     default="auto")
     sp.add_argument("--folds", type=int, default=1)
-    sp.add_argument("--threads", type=int)
     sp.add_argument("--salience", choices=["sigmoid", "softmax"])
     sp.add_argument("--attn-smooth", type=float)
     sp.add_argument("--embed-dim", type=int)
@@ -324,7 +302,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--ckpt-a", required=True)
     sp.add_argument("--ckpt-b", required=True)
-    sp.add_argument("--threads", type=int)
     sp.add_argument("--pretty", action="store_true")
 
     sp = add("bench", cmd_bench, help="measure retrieval throughput")
@@ -337,7 +314,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--pool", type=int, default=32)
     sp.add_argument("--top-k", type=int, default=10)
     sp.add_argument("--trials", type=int, default=5)
-    sp.add_argument("--threads", type=int)
 
     sp = add("gradcheck", cmd_gradcheck,
              help="finite-difference check of the full loss")

@@ -6,9 +6,20 @@ space), ``small`` is the desk-scale variant every test runs at.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import dataclass, asdict, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
+
+
+def _check_keys(cls, d, what: str) -> dict:
+    """Reject a non-object or any key that is not a field of ``cls``."""
+    if not isinstance(d, dict):
+        raise FormatError("%s must be a JSON object, got %r" % (what, type(d).__name__))
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise FormatError("%s has unknown keys: %s" % (what, ", ".join(unknown)))
+    return d
 
 
 @dataclass(frozen=True)
@@ -37,7 +48,13 @@ class DimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DimConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
+        out = {}
+        for k, v in _check_keys(cls, d, "dims").items():
+            try:
+                out[k] = int(v)
+            except (TypeError, ValueError):
+                raise FormatError("dims.%s must be an integer, got %r" % (k, v))
+        return cls(**out)
 
 
 @dataclass(frozen=True)
@@ -55,7 +72,6 @@ class ModelConfig:
     gpo_size: int = 64           # learned pooling table length (max set size)
     use_vsem: bool = True        # segmentation-guided semantic branch
     use_vspm: bool = True        # position-aware spatial branch
-    per_group_gpo: bool = False  # pool the three row groups separately
 
     def validate(self, dims: DimConfig):
         if self.salience_mode not in ("sigmoid", "softmax"):
@@ -65,8 +81,9 @@ class ModelConfig:
             raise ConfigError(
                 "pos_channels must satisfy pos_channels <= C_s / 4 "
                 "(%d > %d / 4)" % (self.pos_channels, dims.C_s))
-        if self.attn_smooth < 0:
-            raise ConfigError("attn_smooth must be non-negative")
+        if not (math.isfinite(self.attn_smooth) and self.attn_smooth >= 0):
+            raise ConfigError("attn_smooth must be finite and non-negative, got %r"
+                              % (self.attn_smooth,))
         if self.conv_kh > dims.H_I or self.conv_kw > dims.W_I:
             raise ConfigError("refinement kernel exceeds the segmentation map")
         for field in ("embed_dim", "pos_dim", "pos_channels", "conv_kh",
@@ -79,7 +96,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        if isinstance(d, dict) and "per_group_gpo" in d:
+            # Older checkpoints store this removed pooling switch; only its
+            # off value describes the model this version builds.
+            d = dict(d)
+            if d.pop("per_group_gpo") is not False:
+                raise FormatError("model.per_group_gpo pooling is not supported")
+        return cls(**_check_keys(cls, d, "model"))
 
 
 FULL_DIMS = DimConfig()

@@ -35,7 +35,6 @@ class EmbedParams:
     text_fc_b: Tensor          # (D,)
     gpo_visual: Tensor         # (gpo_size,)
     gpo_text: Tensor           # (gpo_size,)
-    gpo_groups: tuple | None = None   # optional per-group tables
 
     def named(self, prefix="embed"):
         out = {
@@ -48,9 +47,6 @@ class EmbedParams:
         if self.ss_fc_w is not None:
             out[prefix + ".ss_fc_w"] = self.ss_fc_w
             out[prefix + ".ss_fc_b"] = self.ss_fc_b
-        if self.gpo_groups is not None:
-            for i, t in enumerate(self.gpo_groups):
-                out["%s.gpo_group%d" % (prefix, i)] = t
         return out
 
 
@@ -69,10 +65,6 @@ def init_embed_params(cfg: ModelConfig, dims: DimConfig, rng) -> EmbedParams:
     nb = n_ss_branches(cfg)
     ss_w = lin(d, d * nb) if nb else None
     ss_b = Tensor(np.zeros(d), requires_grad=True) if nb else None
-    groups = None
-    if cfg.per_group_gpo:
-        groups = tuple(Tensor(np.ones(cfg.gpo_size), requires_grad=True)
-                       for _ in range(2 + (1 if nb else 0)))
     return EmbedParams(
         img_proj=lin(d, dims.D_l),
         ss_fc_w=ss_w,
@@ -81,7 +73,6 @@ def init_embed_params(cfg: ModelConfig, dims: DimConfig, rng) -> EmbedParams:
         text_fc_b=Tensor(np.zeros(d), requires_grad=True),
         gpo_visual=Tensor(np.ones(cfg.gpo_size), requires_grad=True),
         gpo_text=Tensor(np.ones(cfg.gpo_size), requires_grad=True),
-        gpo_groups=groups,
     )
 
 
@@ -166,15 +157,7 @@ def fuse_visual(regions: Tensor, vsem_out: VsemOutput | None,
         ss_in = parts[0] if len(parts) == 1 else ag.concat(parts, axis=1)
         groups.append(ag.matmul(ss_in, ag.transpose(p.ss_fc_w)) + p.ss_fc_b)
     groups.append(ag.reshape(seg_embed, (1, cfg.embed_dim)))
-
-    if cfg.per_group_gpo:
-        pooled_rows = [gpo_pool(g, t) for g, t in zip(groups, p.gpo_groups)]
-        pooled = ag.stack(pooled_rows)
-        pooled = ag.sort_pool(pooled, Tensor(np.full(len(pooled_rows),
-                                                     1.0 / len(pooled_rows))))
-    else:
-        pooled = gpo_pool(ag.concat(groups, axis=0), p.gpo_visual)
-    return ag.l2_normalize(pooled)
+    return ag.l2_normalize(gpo_pool(ag.concat(groups, axis=0), p.gpo_visual))
 
 
 def embed_text(word_feats: Tensor, p: EmbedParams) -> Tensor:

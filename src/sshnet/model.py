@@ -2,8 +2,8 @@
 
 ``prepare_image`` hoists everything that never changes during training out
 of the per-step graph: the pooled segmentation vector, and the im2col
-patches of the position stack (the refinement convolution reduces to one
-matmul against them, bitwise equal to running conv2d directly).
+patches of the position stack (the refinement convolution is one matmul
+against them).
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .config import DimConfig, ModelConfig
 from .errors import ConfigError, FormatError
 from .featureio import FeatureBundle, TextFeatureSet, read_tensor, write_tensor
 
-MODES = ("region", "grid", "hybrid")
+MODES = ("region", "grid")
 
 
 @dataclass
@@ -104,19 +104,17 @@ def prepare_text(texts: TextFeatureSet) -> list[PreparedText]:
 
 def visual_forward(img: PreparedImage, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Unit-norm joint embedding of one prepared image."""
-    seg_embed = vsem.seg_embed_from_pooled(img.pooled_seg, params.vsem)
     vsem_out = None
     if cfg.use_vsem:
-        projected = vsem.project_regions(img.regions, params.vsem)
-        alphas = vsem.salience_weights(seg_embed, img.regions, params.vsem,
-                                       cfg.salience_mode, projected=projected)
-        enhanced = vsem.semantic_fuse(alphas, img.regions, seg_embed,
-                                      params.vsem, projected=projected)
-        vsem_out = vsem.VsemOutput(seg_embed, alphas, enhanced)
+        vsem_out = vsem.vsem_forward(img.regions, img.pooled_seg, params.vsem,
+                                     cfg.salience_mode)
+        seg_embed = vsem_out.seg_embed
+    else:
+        seg_embed = vsem.seg_embed_from_pooled(img.pooled_seg, params.vsem)
     vspm_out = None
     if cfg.use_vspm:
         vspm_out = vspm.vspm_forward(img.regions, img.pos_patches, params.vspm,
-                                     cfg, prepared_hw=img.pos_hw)
+                                     cfg, img.pos_hw)
     return embedder.fuse_visual(img.regions, vsem_out, vspm_out, seg_embed,
                                 params.embed, cfg)
 
@@ -140,42 +138,17 @@ class EmbeddingTable:
 
 
 def embed_dataset(bundles: list[FeatureBundle], texts: TextFeatureSet,
-                  params, cfg: ModelConfig, dims: DimConfig,
-                  mode: str = "region", threads: int = 1):
-    """Embed every image and sentence; deterministic given the parameters.
-
-    mode 'region' and 'grid' return one EmbeddingTable; 'hybrid' expects
-    ``params``/``cfg`` to be (region, grid) pairs and returns a dict of two
-    tables for rank-level fusion downstream.
-    """
-    if mode == "hybrid":
-        p_r, p_g = params
-        c_r, c_g = cfg if isinstance(cfg, tuple) else (cfg, cfg)
-        return {
-            "region": embed_dataset(bundles, texts, p_r, c_r, dims, "region", threads),
-            "grid": embed_dataset(bundles, texts, p_g, c_g, dims, "grid", threads),
-        }
-    if mode not in ("region", "grid"):
+                  params: ModelParams, cfg: ModelConfig, dims: DimConfig,
+                  mode: str = "region") -> EmbeddingTable:
+    """Embed every image and sentence; deterministic given the parameters."""
+    if mode not in MODES:
         raise ConfigError("mode must be one of %r, got %r" % (MODES, mode))
 
     prepped = [prepare_image(b, dims, cfg, mode) for b in bundles]
     txts = prepare_text(texts)
-
-    def img_vec(pi):
-        return visual_forward(pi, params, cfg).data
-
-    def txt_vec(pt):
-        return text_forward(pt, params, cfg).data
-
     with ag.no_grad():
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                img_rows = list(ex.map(img_vec, prepped))
-                txt_rows = list(ex.map(txt_vec, txts))
-        else:
-            img_rows = [img_vec(pi) for pi in prepped]
-            txt_rows = [txt_vec(pt) for pt in txts]
+        img_rows = [visual_forward(pi, params, cfg).data for pi in prepped]
+        txt_rows = [text_forward(pt, params, cfg).data for pt in txts]
 
     return EmbeddingTable(
         image_embs=np.stack(img_rows),

@@ -66,11 +66,6 @@ def seg_embed_from_pooled(pooled: Tensor, p: VsemParams) -> Tensor:
     return ag.matmul(p.seg_fc_w, pooled) + p.seg_fc_b
 
 
-def pool_segmentation(seg_feat: Tensor, p: VsemParams) -> Tensor:
-    """Average-pool an (H, W, C_s) map and project it to the joint space."""
-    return seg_embed_from_pooled(ag.avg_pool_spatial(seg_feat), p)
-
-
 def project_regions(regions: Tensor, p: VsemParams) -> Tensor:
     return ag.matmul(regions, ag.transpose(p.region_proj))
 
@@ -112,17 +107,9 @@ def semantic_fuse(alphas: Tensor, regions: Tensor, seg_embed: Tensor,
     return ag.matmul(fused, ag.transpose(p.fuse_proj))
 
 
-def vsem_forward(regions: Tensor, seg_feat_or_pooled: Tensor, p: VsemParams,
+def vsem_forward(regions: Tensor, pooled: Tensor, p: VsemParams,
                  mode: str = "sigmoid") -> VsemOutput:
-    """Full semantic branch for one image.
-
-    ``seg_feat_or_pooled`` is either the raw (H, W, C_s) map or an already
-    pooled (C_s,) vector; pooling is average so both routes agree exactly.
-    """
-    if seg_feat_or_pooled.ndim == 3:
-        pooled = ag.avg_pool_spatial(seg_feat_or_pooled)
-    else:
-        pooled = seg_feat_or_pooled
+    """Full semantic branch for one image, from the pooled (C_s,) vector."""
     seg_embed = seg_embed_from_pooled(pooled, p)
     projected = project_regions(regions, p)
     alphas = salience_weights(seg_embed, regions, p, mode, projected=projected)

@@ -95,17 +95,9 @@ def build_position_tensor(seg_map: np.ndarray, d: int, num_categories: int) -> n
     return out
 
 
-def refine_positions(pos_tensor: Tensor, p: VspmParams, stride: int) -> Tensor:
-    """Strided valid convolution of the position stack (no nonlinearity)."""
-    return ag.conv2d(pos_tensor, p.conv_kernel, stride, bias=p.conv_bias)
-
-
 def refine_from_patches(patches: Tensor, p: VspmParams, out_hw: tuple[int, int]) -> Tensor:
-    """Same refinement from precomputed im2col patches of the position stack.
-
-    Bitwise-identical to refine_positions because conv2d itself reduces to
-    this matmul; caching the patches just skips rebuilding them per call.
-    """
+    """Strided valid convolution of the position stack (no nonlinearity),
+    run as one matmul over its precomputed im2col patches."""
     kh, kw, cin, cout = p.conv_kernel.shape
     kmat = ag.reshape(p.conv_kernel, (kh * kw * cin, cout))
     out2d = ag.matmul(patches, kmat) + p.conv_bias
@@ -144,17 +136,11 @@ def spatial_combine(context: Tensor, regions: Tensor, p: VspmParams,
     return ag.matmul(context + queries, ag.transpose(p.combine_proj))
 
 
-def vspm_forward(regions: Tensor, pos_input: Tensor, p: VspmParams,
-                 cfg: ModelConfig, prepared_hw: tuple[int, int] | None = None) -> VspmOutput:
-    """Full spatial branch for one image.
-
-    ``pos_input`` is either the (H, W, d + 1) position stack or, when
-    ``prepared_hw`` is given, its precomputed im2col patch matrix.
-    """
-    if prepared_hw is None:
-        refined = refine_positions(pos_input, p, cfg.conv_stride)
-    else:
-        refined = refine_from_patches(pos_input, p, prepared_hw)
+def vspm_forward(regions: Tensor, patches: Tensor, p: VspmParams,
+                 cfg: ModelConfig, patches_hw: tuple[int, int]) -> VspmOutput:
+    """Full spatial branch for one image, from the im2col patches of its
+    position stack and their (Hp, Wp) output grid."""
+    refined = refine_from_patches(patches, p, patches_hw)
     queries = project_queries(regions, p)
     betas, context = spatial_attention(regions, refined, p, cfg.attn_smooth,
                                        queries=queries)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sshnet import autograd as ag
+from sshnet import vspm
 from sshnet.autograd import Tensor
 from sshnet.errors import ConfigError, GradCheckError, ShapeError
 
@@ -110,6 +111,16 @@ def test_matmul_shape_error():
         ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
+def refine_via_patches(x, k, stride, bias=None):
+    """The model's convolution: one matmul over the im2col patches."""
+    kh, kw, cin, cout = k.shape
+    p = vspm.VspmParams(conv_kernel=Tensor(k),
+                        conv_bias=Tensor(np.zeros(cout) if bias is None else bias),
+                        query_proj=None, combine_proj=None)
+    patches, hw = ag.conv_patches(x, kh, kw, stride)
+    return vspm.refine_from_patches(Tensor(patches), p, hw).data
+
+
 def test_conv2d_bitwise_equals_oracle_on_small_ints():
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -120,7 +131,7 @@ def test_conv2d_bitwise_equals_oracle_on_small_ints():
         stride = int(rng.integers(1, 4))
         x = rng.integers(-3, 4, size=(h, w, cin)).astype(np.float64)
         k = rng.integers(-3, 4, size=(kh, kw, cin, cout)).astype(np.float64)
-        got = ag.conv2d(Tensor(x), Tensor(k), stride).data
+        got = refine_via_patches(x, k, stride)
         assert np.array_equal(got, conv2d_oracle(x, k, stride))
 
 
@@ -128,7 +139,7 @@ def test_conv2d_random_float_matches_oracle():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 6, 2))
     k = rng.normal(size=(3, 3, 2, 1))
-    got = ag.conv2d(Tensor(x), Tensor(k), 3).data
+    got = refine_via_patches(x, k, 3)
     np.testing.assert_allclose(got, conv2d_oracle(x, k, 3), rtol=1e-12, atol=1e-12)
 
 
@@ -137,34 +148,47 @@ def test_conv2d_one_by_one_identity_kernel():
     x = rng.normal(size=(5, 4, 3))
     k = np.zeros((1, 1, 3, 3))
     k[0, 0] = np.eye(3)
-    out = ag.conv2d(Tensor(x), Tensor(k), 1).data
+    out = refine_via_patches(x, k, 1)
     np.testing.assert_array_equal(out, x)
 
 
 def test_conv2d_zero_kernel_bias_only():
-    x = Tensor(np.random.default_rng(4).normal(size=(4, 4, 2)))
-    k = Tensor(np.zeros((2, 2, 2, 3)))
-    b = Tensor(np.array([1.0, -2.0, 0.5]))
-    out = ag.conv2d(x, k, 2, bias=b).data
-    assert np.array_equal(out, np.broadcast_to(b.data, out.shape))
+    x = np.random.default_rng(4).normal(size=(4, 4, 2))
+    k = np.zeros((2, 2, 2, 3))
+    b = np.array([1.0, -2.0, 0.5])
+    out = refine_via_patches(x, k, 2, bias=b)
+    assert np.array_equal(out, np.broadcast_to(b, out.shape))
 
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeError):
-        ag.conv2d(Tensor(np.ones((4, 4, 2))), Tensor(np.ones((2, 2, 3, 1))), 1)
+        refine_via_patches(np.ones((4, 4, 2)), np.ones((2, 2, 3, 1)), 1)
+
+
+def cosine_oracle(u, v):
+    """Scalar cosine; 0 when either norm is below 1e-12."""
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < 1e-12 or nv < 1e-12:
+        return 0.0
+    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
+
+
+def cosine(u, v):
+    """cosine_rows on one-row inputs, as a scalar tensor."""
+    return ag.reshape(ag.cosine_rows(ag.reshape(u, (1, -1)), ag.reshape(v, (1, -1))), ())
 
 
 def test_cosine_frozen_values():
-    assert ag.cosine(Tensor([1.0, 2.0]), Tensor([2.0, 1.0])).item() == pytest.approx(0.8, abs=1e-15)
+    assert cosine(Tensor([1.0, 2.0]), Tensor([2.0, 1.0])).item() == pytest.approx(0.8, abs=1e-15)
     u = Tensor(np.random.default_rng(5).normal(size=7))
-    assert ag.cosine(u, u).item() == pytest.approx(1.0, abs=1e-12)
-    assert ag.cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
+    assert cosine(u, u).item() == pytest.approx(1.0, abs=1e-12)
+    assert cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
 
 
 def test_cosine_degenerate_zero_vector():
     u = Tensor(np.zeros(4), requires_grad=True)
     v = Tensor(np.ones(4), requires_grad=True)
-    c = ag.cosine(u, v)
+    c = cosine(u, v)
     assert c.item() == 0.0
     c.backward()
     assert np.array_equal(u.grad, np.zeros(4))
@@ -177,10 +201,11 @@ def test_cosine_scale_invariance_and_bounds(seed, scale):
     rng = np.random.default_rng(seed)
     u = rng.normal(size=6)
     v = rng.normal(size=6)
-    c1 = ag.cosine(Tensor(u), Tensor(v)).item()
-    c2 = ag.cosine(Tensor(scale * u), Tensor(v)).item()
+    c1 = cosine(Tensor(u), Tensor(v)).item()
+    c2 = cosine(Tensor(scale * u), Tensor(v)).item()
     assert -1.0 <= c1 <= 1.0
     assert c1 == pytest.approx(c2, abs=1e-9)
+    assert c1 == pytest.approx(cosine_oracle(u, v), abs=1e-12)
 
 
 def test_cosine_rows_matches_scalar_cosine():
@@ -190,8 +215,7 @@ def test_cosine_rows_matches_scalar_cosine():
     got = ag.cosine_rows(Tensor(a), Tensor(b)).data
     for i in range(4):
         for j in range(3):
-            want = ag.cosine(Tensor(a[i]), Tensor(b[j])).item()
-            assert got[i, j] == pytest.approx(want, abs=1e-12)
+            assert got[i, j] == pytest.approx(cosine_oracle(a[i], b[j]), abs=1e-12)
 
 
 def test_cosine_rows_degenerate_row():
@@ -273,12 +297,6 @@ def test_l2_normalize_unit_norm():
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_avg_pool_spatial_value():
-    x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-    out = ag.avg_pool_spatial(Tensor(x)).data
-    np.testing.assert_allclose(out, x.mean(axis=(0, 1)), rtol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # backward: every primitive against finite differences across random seeds
 
@@ -320,17 +338,18 @@ PRIMITIVE_BUILDERS = {
     "concat": _builder([(2, 3), (4, 3)], lambda ps: ag.concat(ps, axis=0), (6, 3)),
     "stack": _builder([(4,), (4,)], lambda ps: ag.stack(ps), (2, 4)),
     "diag": _builder([(4, 4)], lambda ps: ag.diag(ps[0]), (4,)),
-    "avg_pool": _builder([(3, 4, 2)], lambda ps: ag.avg_pool_spatial(ps[0]), (2,)),
-    "conv2d": _builder([(5, 5, 2), (2, 2, 2, 3), (3,)],
-                       lambda ps: ag.conv2d(ps[0], ps[1], 2, bias=ps[2]), (2, 2, 3)),
-    "cosine": _builder([(6,), (6,)], lambda ps: ag.cosine(ps[0], ps[1])),
+    "conv2d": _builder([(4, 8), (2, 2, 2, 3), (3,)],
+                       lambda ps: vspm.refine_from_patches(
+                           ps[0], vspm.VspmParams(ps[1], ps[2], None, None), (2, 2)),
+                       (2, 2, 3)),
+    "cosine": _builder([(6,), (6,)], lambda ps: cosine(ps[0], ps[1])),
     "cosine_rows": _builder([(3, 5), (4, 5)], lambda ps: ag.cosine_rows(ps[0], ps[1]), (3, 4)),
     "smoothed_softmax": _builder([(3, 5)], lambda ps: ag.smoothed_softmax(ps[0], 2.5), (3, 5)),
     "l2_normalize": _builder([(6,)], lambda ps: ag.l2_normalize(ps[0]), (6,)),
     "sort_pool": _builder(None, lambda ps: ag.sort_pool(ps[0], ps[1]), (3,),
                           param_fn=lambda rng: [_rand(rng, (5, 3)),
                                                 Tensor(rng.uniform(0.1, 1.0, size=5), requires_grad=True)]),
-    "sigmoid_of_cosine": _builder([(4,), (4,)], lambda ps: ag.sigmoid(ag.cosine(ps[0], ps[1]) * 0.5)),
+    "sigmoid_of_cosine": _builder([(4,), (4,)], lambda ps: ag.sigmoid(cosine(ps[0], ps[1]) * 0.5)),
 }
 
 

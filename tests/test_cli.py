@@ -1,10 +1,14 @@
 """End-to-end command-line behaviour, run in-process."""
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sshnet.cli import main
 
@@ -114,15 +118,20 @@ def test_eval_small_fold_rejected(ds, ckpt, capsys):
     assert code == 1 and "candidates" in err
 
 
-def test_eval_threads_env_fallback(ds, ckpt, capsys, monkeypatch):
-    _, base, _ = run(capsys, "eval", "--data", str(ds), "--ckpt", str(ckpt))
-    monkeypatch.setenv("SSHNET_THREADS", "3")
-    _, threaded, _ = run(capsys, "eval", "--data", str(ds), "--ckpt",
-                         str(ckpt))
-    assert base == threaded
-    monkeypatch.setenv("SSHNET_THREADS", "lots")
-    code, _, err = run(capsys, "eval", "--data", str(ds), "--ckpt", str(ckpt))
-    assert code == 1 and "SSHNET_THREADS" in err
+@pytest.mark.parametrize("folds", ["0", "-2"])
+def test_eval_rejects_nonpositive_folds(ds, capsys, folds):
+    code, _, err = run(capsys, "eval", "--data", str(ds), "--folds=" + folds)
+    assert code == 1 and "folds" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_attn_smooth_rejected(ds, tmp_path, capsys, value):
+    flag = "--attn-smooth=" + value
+    code, _, err = run(capsys, "eval", "--data", str(ds), flag)
+    assert code == 1 and "attn_smooth" in err
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out",
+                       str(tmp_path / "c"), "--epochs", "1", flag)
+    assert code == 1 and "attn_smooth" in err
 
 
 def test_hybrid_train_and_eval(ds, tmp_path, capsys):
@@ -133,6 +142,9 @@ def test_hybrid_train_and_eval(ds, tmp_path, capsys):
     assert (out / "hybrid.json").exists()
     report = run_json(capsys, "eval", "--data", str(ds), "--ckpt", str(out))
     assert report["mode"] == "hybrid"
+    assert report == run_json(capsys, "ensemble-eval", "--data", str(ds),
+                              "--ckpt-a", str(out / "region"),
+                              "--ckpt-b", str(out / "grid"))
 
 
 def test_ensemble_eval_self_pair_matches_single(ds, ckpt, capsys):
@@ -151,6 +163,24 @@ def test_bench_small_quick(capsys):
     assert doc["recompute"]["kpps"] > 0
     assert doc["speedup"] == pytest.approx(
         doc["precomputed"]["kpps"] / doc["recompute"]["kpps"])
+
+
+BENCH_SMALL = ("bench", "--dims", "small", "--pool", "2", "--images", "16",
+               "--queries", "8", "--recompute-queries", "4", "--trials", "1")
+
+
+@pytest.mark.parametrize("arg, match", [
+    ("--queries=0", "--queries"),
+    ("--recompute-queries=0", "--recompute-queries"),
+    ("--images=0", "--images"),
+    ("--trials=0", "trials"),
+    ("--top-k=0", "top_k"),
+    ("--top-k=-3", "top_k"),
+], ids=["queries-0", "recompute-queries-0", "images-0", "trials-0", "top-k-0",
+        "top-k-negative"])
+def test_bench_rejects_empty_or_meaningless_counts(capsys, arg, match):
+    code, out, err = run(capsys, *BENCH_SMALL, arg)
+    assert code == 1 and match in err and out == ""
 
 
 def test_gradcheck_sampled_passes(capsys):
@@ -190,3 +220,40 @@ def test_validation_error_exits_one(ds, tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "train", "--help")[0] == 0
+
+
+BENCH_COUNTS = ("--queries", "--recompute-queries", "--images", "--trials",
+                "--top-k")
+
+
+def _boundary_argv(ds, out):
+    bench = st.tuples(*[st.integers(-3, 12) for _ in BENCH_COUNTS]).map(
+        lambda vals: ["bench", "--dims", "small", "--pool", "2"]
+        + ["%s=%d" % kv for kv in zip(BENCH_COUNTS, vals)])
+    folds = st.integers(-3, 13).map(
+        lambda n: ["eval", "--data", str(ds), "--folds=%d" % n])
+    smooth = st.tuples(
+        st.sampled_from([["eval"], ["train", "--out", str(out), "--epochs", "1",
+                                    "--batch-size", "8"]]),
+        st.floats(allow_nan=True, allow_infinity=True)).map(
+        lambda cx: cx[0] + ["--data", str(ds), "--attn-smooth=%r" % cx[1]])
+    return st.one_of(bench, folds, smooth)
+
+
+@pytest.mark.filterwarnings("ignore::sshnet.errors.BenchmarkWarning")
+def test_boundary_values_exit_cleanly(ds, tmp_path_factory):
+    """Counts, folds and smoothing at and past their limits end in a
+    documented exit code, never an uncaught exception."""
+    out = tmp_path_factory.mktemp("boundary") / "ckpt"
+
+    @given(_boundary_argv(ds, out))
+    @settings(max_examples=25, deadline=None)
+    def check(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+
+    check()

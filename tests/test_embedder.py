@@ -1,4 +1,6 @@
 """Embedder and model assembly tests."""
+import json
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -9,7 +11,7 @@ from sshnet import autograd as ag
 from sshnet import embedder, featureio, model, vsem, vspm
 from sshnet.autograd import Tensor
 from sshnet.config import SMALL_DIMS, SMALL_MODEL
-from sshnet.errors import ConfigError
+from sshnet.errors import ConfigError, FormatError
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +127,12 @@ def test_prepared_path_equals_raw_composition(data, params):
     fast = model.visual_forward(pi, params, SMALL_MODEL)
 
     regions = Tensor(b.region_feats)
-    vs = vsem.vsem_forward(regions, Tensor(b.seg_feat), params.vsem,
-                           SMALL_MODEL.salience_mode)
+    vs = vsem.vsem_forward(regions, Tensor(b.seg_feat.mean(axis=(0, 1))),
+                           params.vsem, SMALL_MODEL.salience_mode)
     pos = vspm.build_position_tensor(b.seg_map, SMALL_MODEL.pos_dim, SMALL_DIMS.C_s)
-    vp = vspm.vspm_forward(regions, Tensor(pos), params.vspm, SMALL_MODEL)
+    patches, hw = ag.conv_patches(pos, SMALL_MODEL.conv_kh, SMALL_MODEL.conv_kw,
+                                  SMALL_MODEL.conv_stride)
+    vp = vspm.vspm_forward(regions, Tensor(patches), params.vspm, SMALL_MODEL, hw)
     slow = embedder.fuse_visual(regions, vs, vp, vs.seg_embed, params.embed,
                                 SMALL_MODEL)
     assert np.array_equal(fast.data, slow.data)
@@ -147,16 +151,6 @@ def test_branch_toggles_change_row_count(data):
         sizes = {n for n, _ in embedder._INTERP_CACHE}
         expect = 2 * SMALL_DIMS.K + 1 if embedder.n_ss_branches(cfg) else SMALL_DIMS.K + 1
         assert expect in sizes
-
-
-def test_per_group_pooling_variant(data):
-    bundles, _, _ = data
-    cfg = replace(SMALL_MODEL, per_group_gpo=True)
-    p = model.init_params(cfg, SMALL_DIMS, seed=5)
-    pi = model.prepare_image(bundles[0], SMALL_DIMS, cfg)
-    emb = model.visual_forward(pi, p, cfg)
-    assert np.linalg.norm(emb.data) == pytest.approx(1.0, abs=1e-9)
-    assert len(p.embed.gpo_groups) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +197,6 @@ def test_embed_dataset_shapes_and_modes(data, params):
     assert grid.mode == "grid"
     assert not np.array_equal(grid.image_embs, table.image_embs)
 
-    both = model.embed_dataset(bundles, texts, (params, params),
-                               (SMALL_MODEL, SMALL_MODEL), SMALL_DIMS, mode="hybrid")
-    assert set(both) == {"region", "grid"}
-    assert np.array_equal(both["region"].image_embs, table.image_embs)
-
-
-def test_embed_dataset_thread_partitioning_bitwise_equal(data, params):
-    bundles, texts, _ = data
-    t1 = model.embed_dataset(bundles, texts, params, SMALL_MODEL, SMALL_DIMS, threads=1)
-    t4 = model.embed_dataset(bundles, texts, params, SMALL_MODEL, SMALL_DIMS, threads=4)
-    assert np.array_equal(t1.image_embs, t4.image_embs)
-    assert np.array_equal(t1.text_embs, t4.text_embs)
-
 
 def test_embed_dataset_rejects_bad_mode(data, params):
     bundles, texts, _ = data
@@ -248,9 +229,43 @@ def test_checkpoint_rejects_mismatched_tensor_list(tmp_path, params):
     doc = (tmp_path / "ck" / "checkpoint.json").read_text()
     (tmp_path / "ck" / "checkpoint.json").write_text(
         doc.replace('"vsem.seg_fc_w",\n', ""))
-    from sshnet.errors import FormatError
     with pytest.raises(FormatError):
         model.load_checkpoint(tmp_path / "ck")
+
+
+def _edit_checkpoint(ck, section, **keys):
+    doc = json.loads((ck / "checkpoint.json").read_text())
+    doc[section].update(keys)
+    (ck / "checkpoint.json").write_text(json.dumps(doc))
+
+
+def test_checkpoint_with_legacy_per_group_key_loads_bitwise(tmp_path, data, params):
+    """Checkpoints written while per-group pooling existed store the switch."""
+    bundles, texts, _ = data
+    ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
+    _edit_checkpoint(ck, "model", per_group_gpo=False)
+    loaded, cfg, dims, _ = model.load_checkpoint(ck)
+    assert cfg == SMALL_MODEL
+    t1 = model.embed_dataset(bundles, texts, params, SMALL_MODEL, SMALL_DIMS)
+    t2 = model.embed_dataset(bundles, texts, loaded, cfg, dims)
+    assert np.array_equal(t1.image_embs, t2.image_embs)
+    assert np.array_equal(t1.text_embs, t2.text_embs)
+
+    _edit_checkpoint(ck, "model", per_group_gpo=True)
+    with pytest.raises(FormatError, match="per_group_gpo"):
+        model.load_checkpoint(ck)
+
+
+@pytest.mark.parametrize("section, keys, match", [
+    ("model", {"gpo_heads": 2}, "unknown keys: gpo_heads"),
+    ("dims", {"Z": 3, "A": 1}, "unknown keys: A, Z"),
+    ("dims", {"K": "six"}, "dims.K"),
+], ids=["model-unknown-key", "dims-unknown-keys", "dims-not-integer"])
+def test_checkpoint_rejects_bad_config_keys(tmp_path, params, section, keys, match):
+    ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
+    _edit_checkpoint(ck, section, **keys)
+    with pytest.raises(FormatError, match=match):
+        model.load_checkpoint(ck)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Feature ingestion tests: file format, manifests, planted synthetic data."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,15 @@ def test_manifest_rejects_count_mismatch(tmp_path):
         '"num_images": 2', '"num_images": 3')
     (tmp_path / "manifest.json").write_text(text)
     with pytest.raises(FormatError, match="num_images"):
+        fio.load_dataset(tmp_path / "manifest.json")
+
+
+def test_manifest_rejects_unknown_dims_key(tmp_path):
+    fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["dims"]["depth"] = 3
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="unknown keys: depth"):
         fio.load_dataset(tmp_path / "manifest.json")
 
 

@@ -37,6 +37,11 @@ def vsem_oracle(regions, seg_feat, p, mode):
     return seg, alphas, fused @ p.fuse_proj.data.T
 
 
+def pool(seg_feat):
+    """The pooled (C_s,) input the branch takes; vsem_oracle pools the raw map."""
+    return Tensor(seg_feat.mean(axis=(0, 1)))
+
+
 @pytest.fixture
 def setup():
     rng = np.random.default_rng(21)
@@ -49,7 +54,7 @@ def setup():
 @pytest.mark.parametrize("mode", ["sigmoid", "softmax"])
 def test_forward_matches_oracle(setup, mode):
     p, regions, seg_feat = setup
-    out = vsem.vsem_forward(Tensor(regions), Tensor(seg_feat), p, mode)
+    out = vsem.vsem_forward(Tensor(regions), pool(seg_feat), p, mode)
     seg, alphas, enhanced = vsem_oracle(regions, seg_feat, p, mode)
     np.testing.assert_allclose(out.seg_embed.data, seg, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(out.alphas.data, alphas, rtol=1e-12, atol=1e-12)
@@ -59,22 +64,14 @@ def test_forward_matches_oracle(setup, mode):
 def test_forward_equals_sequenced_ops(setup):
     """The pipeline must agree exactly with running the ops one by one."""
     p, regions, seg_feat = setup
-    rt, st_ = Tensor(regions), Tensor(seg_feat)
-    out = vsem.vsem_forward(rt, st_, p, "sigmoid")
-    seg = vsem.pool_segmentation(st_, p)
+    rt, pooled = Tensor(regions), pool(seg_feat)
+    out = vsem.vsem_forward(rt, pooled, p, "sigmoid")
+    seg = vsem.seg_embed_from_pooled(pooled, p)
     alphas = vsem.salience_weights(seg, rt, p, "sigmoid")
     enhanced = vsem.semantic_fuse(alphas, rt, seg, p)
     assert np.array_equal(out.seg_embed.data, seg.data)
     assert np.array_equal(out.alphas.data, alphas.data)
     assert np.array_equal(out.enhanced.data, enhanced.data)
-
-
-def test_pool_segmentation_accepts_pooled_vector(setup):
-    p, regions, seg_feat = setup
-    full = vsem.vsem_forward(Tensor(regions), Tensor(seg_feat), p, "sigmoid")
-    pooled = Tensor(seg_feat.mean(axis=(0, 1)))
-    via_pooled = vsem.vsem_forward(Tensor(regions), pooled, p, "sigmoid")
-    assert np.array_equal(full.enhanced.data, via_pooled.enhanced.data)
 
 
 def test_salience_frozen_value_at_parallel_vectors():
@@ -101,7 +98,7 @@ def test_salience_sigmoid_open_interval_bounds():
     for _ in range(50):
         seg_feat = rng.normal(size=(SMALL_DIMS.seg_h, SMALL_DIMS.seg_w, SMALL_DIMS.C_s))
         regions = rng.normal(size=(20, SMALL_DIMS.D_l))
-        out = vsem.vsem_forward(Tensor(regions), Tensor(seg_feat), p, "sigmoid")
+        out = vsem.vsem_forward(Tensor(regions), pool(seg_feat), p, "sigmoid")
         assert np.all(out.alphas.data > lo)
         assert np.all(out.alphas.data < hi)
 
@@ -112,21 +109,21 @@ def test_salience_softmax_sums_to_one():
     for _ in range(20):
         seg_feat = rng.normal(size=(SMALL_DIMS.seg_h, SMALL_DIMS.seg_w, SMALL_DIMS.C_s))
         regions = rng.normal(size=(SMALL_DIMS.K, SMALL_DIMS.D_l))
-        out = vsem.vsem_forward(Tensor(regions), Tensor(seg_feat), p, "softmax")
+        out = vsem.vsem_forward(Tensor(regions), pool(seg_feat), p, "softmax")
         assert out.alphas.data.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_salience_rejects_unknown_mode(setup):
     p, regions, seg_feat = setup
     with pytest.raises(ConfigError):
-        vsem.vsem_forward(Tensor(regions), Tensor(seg_feat), p, "relu")
+        vsem.vsem_forward(Tensor(regions), pool(seg_feat), p, "relu")
 
 
 def test_permutation_equivariance(setup):
     p, regions, seg_feat = setup
     perm = np.random.default_rng(1).permutation(SMALL_DIMS.K)
-    out = vsem.vsem_forward(Tensor(regions), Tensor(seg_feat), p, "sigmoid")
-    out_p = vsem.vsem_forward(Tensor(regions[perm]), Tensor(seg_feat), p, "sigmoid")
+    out = vsem.vsem_forward(Tensor(regions), pool(seg_feat), p, "sigmoid")
+    out_p = vsem.vsem_forward(Tensor(regions[perm]), pool(seg_feat), p, "sigmoid")
     np.testing.assert_allclose(out_p.alphas.data, out.alphas.data[perm], atol=1e-12)
     np.testing.assert_allclose(out_p.enhanced.data, out.enhanced.data[perm], atol=1e-12)
 
@@ -137,11 +134,11 @@ def test_gradients_match_finite_differences(mode):
     cfg = SMALL_MODEL
     p = vsem.init_vsem_params(cfg, SMALL_DIMS, rng)
     regions = Tensor(rng.normal(size=(4, SMALL_DIMS.D_l)))
-    seg_feat = Tensor(rng.normal(size=(SMALL_DIMS.seg_h, SMALL_DIMS.seg_w, SMALL_DIMS.C_s)))
+    pooled = pool(rng.normal(size=(SMALL_DIMS.seg_h, SMALL_DIMS.seg_w, SMALL_DIMS.C_s)))
     w = Tensor(rng.normal(size=(4, cfg.embed_dim)))
 
     def loss():
-        out = vsem.vsem_forward(regions, seg_feat, p, mode)
+        out = vsem.vsem_forward(regions, pooled, p, mode)
         return (out.enhanced * w).sum() + (out.alphas * Tensor(np.ones(4))).sum()
 
     report = ag.grad_check(loss, p.named(), eps=1e-5, tol=1e-4, sample=40)

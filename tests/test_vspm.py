@@ -11,6 +11,7 @@ from sshnet import vspm
 from sshnet.autograd import Tensor
 from sshnet.config import SMALL_DIMS, SMALL_MODEL
 from sshnet.errors import DataValidationError
+from test_autograd import conv2d_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -83,31 +84,50 @@ def setup():
     return p, regions, pos
 
 
+def im2col(pos, cfg=SMALL_MODEL):
+    """(patches, (Hp, Wp)) of a position stack, as prepare_image builds them."""
+    patches, hw = ag.conv_patches(pos, cfg.conv_kh, cfg.conv_kw, cfg.conv_stride)
+    return Tensor(patches), hw
+
+
+def forward(regions, pos, p, cfg=SMALL_MODEL):
+    patches, hw = im2col(pos, cfg)
+    return vspm.vspm_forward(Tensor(regions), patches, p, cfg, hw)
+
+
 def test_refine_positions_shape_and_linearity(setup):
     p, _, pos = setup
-    refined = vspm.refine_positions(Tensor(pos), p, SMALL_MODEL.conv_stride)
+    patches, hw = im2col(pos)
+    refined = vspm.refine_from_patches(patches, p, hw)
     assert refined.shape == (4, 4, SMALL_MODEL.pos_channels)
     # conv with zero kernel leaves only the bias
     zero = vspm.VspmParams(
         conv_kernel=Tensor(np.zeros_like(p.conv_kernel.data)),
         conv_bias=p.conv_bias, query_proj=p.query_proj, combine_proj=p.combine_proj)
-    out = vspm.refine_positions(Tensor(pos), zero, SMALL_MODEL.conv_stride)
+    out = vspm.refine_from_patches(patches, zero, hw)
     np.testing.assert_array_equal(out.data,
                                   np.broadcast_to(p.conv_bias.data, out.shape))
 
 
 def test_refine_from_patches_bitwise_equal(setup):
+    """Dyadic inputs make every product and partial sum exact, so the
+    matmul over patches must equal the nested-loop oracle bit for bit."""
     p, _, pos = setup
-    via_conv = vspm.refine_positions(Tensor(pos), p, SMALL_MODEL.conv_stride)
-    patches, hw = ag.conv_patches(pos, SMALL_MODEL.conv_kh, SMALL_MODEL.conv_kw,
-                                  SMALL_MODEL.conv_stride)
-    via_pat = vspm.refine_from_patches(Tensor(patches), p, hw)
-    assert np.array_equal(via_conv.data, via_pat.data)
+    rng = np.random.default_rng(78)
+    pos_q = np.round(pos * 1024.0) / 1024.0
+    kernel = rng.integers(-3, 4, size=p.conv_kernel.shape).astype(np.float64)
+    bias = rng.integers(-3, 4, size=p.conv_bias.shape).astype(np.float64)
+    q = vspm.VspmParams(conv_kernel=Tensor(kernel), conv_bias=Tensor(bias),
+                        query_proj=p.query_proj, combine_proj=p.combine_proj)
+    patches, hw = im2col(pos_q)
+    got = vspm.refine_from_patches(patches, q, hw).data
+    want = conv2d_oracle(pos_q, kernel, SMALL_MODEL.conv_stride, bias)
+    assert np.array_equal(got, want)
 
 
 def test_attention_rows_sum_to_one(setup):
     p, regions, pos = setup
-    out = vspm.vspm_forward(Tensor(regions), Tensor(pos), p, SMALL_MODEL)
+    out = forward(regions, pos, p)
     np.testing.assert_allclose(out.betas.data.sum(axis=1), 1.0, atol=1e-9)
     assert out.betas.data.shape == (SMALL_DIMS.K, 16)
     assert out.spatial.shape == (SMALL_DIMS.K, SMALL_MODEL.embed_dim)
@@ -117,7 +137,7 @@ def test_attention_lambda_zero_exactly_uniform(setup):
     p, regions, pos = setup
     from dataclasses import replace
     cfg = replace(SMALL_MODEL, attn_smooth=0.0)
-    out = vspm.vspm_forward(Tensor(regions), Tensor(pos), p, cfg)
+    out = forward(regions, pos, p, cfg)
     m = out.betas.data.shape[1]
     assert np.all(out.betas.data == 1.0 / m)
 
@@ -150,8 +170,8 @@ def test_attention_peak_monotone_in_smoothing(seed):
 def test_permutation_equivariance(setup):
     p, regions, pos = setup
     perm = np.random.default_rng(9).permutation(SMALL_DIMS.K)
-    out = vspm.vspm_forward(Tensor(regions), Tensor(pos), p, SMALL_MODEL)
-    out_p = vspm.vspm_forward(Tensor(regions[perm]), Tensor(pos), p, SMALL_MODEL)
+    out = forward(regions, pos, p)
+    out_p = forward(regions[perm], pos, p)
     np.testing.assert_allclose(out_p.betas.data, out.betas.data[perm], atol=1e-12)
     np.testing.assert_allclose(out_p.spatial.data, out.spatial.data[perm], atol=1e-12)
 
@@ -159,7 +179,7 @@ def test_permutation_equivariance(setup):
 def test_forward_matches_straight_line_oracle(setup):
     p, regions, pos = setup
     cfg = SMALL_MODEL
-    out = vspm.vspm_forward(Tensor(regions), Tensor(pos), p, cfg)
+    out = forward(regions, pos, p, cfg)
 
     # independent recomputation
     kh, kw, cin, cout = p.conv_kernel.data.shape
@@ -191,11 +211,11 @@ def test_forward_matches_straight_line_oracle(setup):
 
 def test_gradients_match_finite_differences(setup):
     p, regions, pos = setup
-    rt, post = Tensor(regions[:4]), Tensor(pos)
+    rt, (patches, hw) = Tensor(regions[:4]), im2col(pos)
     w = Tensor(np.random.default_rng(13).normal(size=(4, SMALL_MODEL.embed_dim)))
 
     def loss():
-        out = vspm.vspm_forward(rt, post, p, SMALL_MODEL)
+        out = vspm.vspm_forward(rt, patches, p, SMALL_MODEL, hw)
         return (out.spatial * w).sum()
 
     report = ag.grad_check(loss, p.named(), eps=1e-5, tol=1e-4, sample=40)
