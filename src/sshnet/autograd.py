@@ -4,8 +4,9 @@ Covers exactly the primitives the retrieval model needs: a little linear
 algebra, pointwise nonlinearities, im2col patches for valid-mode
 convolution, row-wise cosine similarity, smoothed softmax, rank-weighted
 pooling, and the masked maxima used by the ranking loss.  ``backward()``
-on a scalar accumulates into ``.grad`` of every tensor that requires
-gradients; ``grad_check`` validates any scalar loss against central finite
+on a scalar accumulates into ``.grad`` of every leaf that requires
+gradients and leaves ``.grad`` of intermediate nodes at None;
+``grad_check`` validates any scalar loss against central finite
 differences.
 
 All math is float64.  Broadcasting is supported only as far as the listed
@@ -76,6 +77,14 @@ class Tensor:
         return _make(t.data.sum(), (t,), vjp)
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into ``.grad`` of every leaf.
+
+        A leaf's ``.grad`` is its own C-contiguous array: the first
+        gradient that reaches it is copied (VJPs hand out views and shared
+        arrays), later ones are added to it, also across calls.  An
+        intermediate node's ``.grad`` is released (set to None) as soon as
+        its VJP has run.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar, got shape %r" % (self.shape,))
         self.grad = np.ones_like(self.data)
@@ -86,8 +95,10 @@ class Tensor:
                 if g is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                    parent.grad = g.copy()
+                else:
+                    parent.grad += g
+            node.grad = None
 
     # operator sugar; scalars and arrays are wrapped as constants
     def __add__(self, other):
@@ -241,6 +252,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(ad @ bd, (a, b), vjp)
 
 
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """``x @ w.T`` for rows x (n, d_in) and a weight w (d_out, d_in).
+
+    The weight gradient is formed as ``g.T @ x``, so it comes out
+    C-contiguous in the weight's own layout.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2:
+        raise ShapeError("linear expects rank-2 x and w, got %d and %d" % (xd.ndim, wd.ndim))
+    if xd.shape[1] != wd.shape[1]:
+        raise ShapeError("linear input widths differ: %r vs %r" % (xd.shape, wd.shape))
+
+    def vjp(g):
+        return (g @ wd if x.requires_grad else None,
+                g.T @ xd if w.requires_grad else None)
+
+    return _make(xd @ wd.T, (x, w), vjp)
+
+
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
 
@@ -282,16 +312,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         return (g.reshape(x.data.shape) if x.requires_grad else None,)
 
     return _make(x.data.reshape(shape), (x,), vjp)
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError("transpose expects a rank-2 tensor")
-
-    def vjp(g):
-        return (g.T if x.requires_grad else None,)
-
-    return _make(x.data.T, (x,), vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

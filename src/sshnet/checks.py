@@ -64,7 +64,7 @@ def full_loss_grad_check(dims: DimConfig = GRADCHECK_DIMS,
     def loss():
         iv = ag.stack([model.visual_forward(p, params, cfg) for p in prepped])
         tv = ag.stack([model.text_forward(t, params, cfg) for t in txts])
-        sim = ag.matmul(iv, ag.transpose(tv))
+        sim = ag.linear(iv, tv)
         return objective.triplet_loss(sim, margin)
 
     named = params.named()

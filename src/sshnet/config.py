@@ -22,6 +22,22 @@ def _check_keys(cls, d, what: str) -> dict:
     return d
 
 
+# JSON types accepted per annotated field type; a bool is never an int.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _check_types(cls, d: dict, what: str) -> dict:
+    """Reject any value whose JSON type does not fit its field."""
+    for f in fields(cls):
+        if f.name not in d:
+            continue
+        v = d[f.name]
+        if (not isinstance(v, _JSON_TYPES[f.type])
+                or (isinstance(v, bool) and f.type != "bool")):
+            raise FormatError("%s.%s must be %s, got %r" % (what, f.name, f.type, v))
+    return d
+
+
 @dataclass(frozen=True)
 class DimConfig:
     """Shape of one dataset: feature counts and spatial extents."""
@@ -102,7 +118,7 @@ class ModelConfig:
             d = dict(d)
             if d.pop("per_group_gpo") is not False:
                 raise FormatError("model.per_group_gpo pooling is not supported")
-        return cls(**_check_keys(cls, d, "model"))
+        return cls(**_check_types(cls, _check_keys(cls, d, "model"), "model"))
 
 
 FULL_DIMS = DimConfig()

@@ -142,7 +142,7 @@ def fuse_visual(regions: Tensor, vsem_out: VsemOutput | None,
     Returns the unit-norm image embedding.  Branch toggles drop their rows
     from the semantic-spatial FC input; the segmentation row stays.
     """
-    proj = ag.matmul(regions, ag.transpose(p.img_proj))
+    proj = ag.linear(regions, p.img_proj)
     groups = [proj]
     parts = []
     if cfg.use_vsem:
@@ -155,12 +155,12 @@ def fuse_visual(regions: Tensor, vsem_out: VsemOutput | None,
         parts.append(vspm_out.spatial)
     if parts:
         ss_in = parts[0] if len(parts) == 1 else ag.concat(parts, axis=1)
-        groups.append(ag.matmul(ss_in, ag.transpose(p.ss_fc_w)) + p.ss_fc_b)
+        groups.append(ag.linear(ss_in, p.ss_fc_w) + p.ss_fc_b)
     groups.append(ag.reshape(seg_embed, (1, cfg.embed_dim)))
     return ag.l2_normalize(gpo_pool(ag.concat(groups, axis=0), p.gpo_visual))
 
 
 def embed_text(word_feats: Tensor, p: EmbedParams) -> Tensor:
     """FC each word into the joint space, pool, normalise."""
-    h = ag.matmul(word_feats, ag.transpose(p.text_fc_w)) + p.text_fc_b
+    h = ag.linear(word_feats, p.text_fc_w) + p.text_fc_b
     return ag.l2_normalize(gpo_pool(h, p.gpo_text))

@@ -177,11 +177,17 @@ def load_manifest(path) -> Manifest:
     return Manifest.from_json(Path(path).read_text())
 
 
+IMAGE_KEYS = ("id", "region_feats", "grid_feats", "seg_feat", "seg_map")
+SENTENCE_KEYS = ("id", "image_index", "word_feats")
+
+
 def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Manifest]:
     """Load and validate every tensor referenced by a manifest.
 
-    Raises DataValidationError naming the offending item on any shape,
-    finiteness or category-range violation.
+    Raises FormatError naming the record and key when a record lacks one
+    of ``IMAGE_KEYS`` / ``SENTENCE_KEYS``, and DataValidationError naming
+    the offending item on any shape, finiteness or category-range
+    violation.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
@@ -195,8 +201,17 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
             raise DataValidationError("%s: missing tensor file %s" % (item_id, rel))
         return read_tensor(p)
 
+    def _require_keys(rec, kind, pos, keys):
+        if not isinstance(rec, dict):
+            raise FormatError("manifest %s %d is not an object" % (kind, pos))
+        for key in keys:
+            if key not in rec:
+                raise FormatError("manifest %s %s is missing key %r"
+                                  % (kind, rec.get("id", "#%d" % pos), key))
+
     bundles = []
-    for rec in manifest.images:
+    for pos, rec in enumerate(manifest.images):
+        _require_keys(rec, "image", pos, IMAGE_KEYS)
         iid = rec["id"]
         regions = _load(rec["region_feats"], iid).astype(np.float64)
         grid = _load(rec["grid_feats"], iid).astype(np.float64)
@@ -227,7 +242,8 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
         bundles.append(FeatureBundle(iid, regions, grid, seg_feat, seg_map))
 
     word_feats, image_index, sentence_ids = [], [], []
-    for rec in manifest.sentences:
+    for pos, rec in enumerate(manifest.sentences):
+        _require_keys(rec, "sentence", pos, SENTENCE_KEYS)
         sid = rec["id"]
         idx = int(rec["image_index"])
         if not 0 <= idx < len(bundles):

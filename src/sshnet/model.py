@@ -8,6 +8,7 @@ against them).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,14 +165,33 @@ def embed_dataset(bundles: list[FeatureBundle], texts: TextFeatureSet,
 # checkpoints
 
 
+def _write_atomic(path: Path, write, payload) -> None:
+    """``write(tmp, payload)`` to a sibling temp file, then rename it onto
+    ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp, payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(out_dir, params: ModelParams, cfg: ModelConfig,
                     dims: DimConfig, meta: dict | None = None) -> Path:
-    """One tensor file per parameter plus a JSON description."""
+    """One tensor file per parameter plus a JSON description.
+
+    Every file is written to a temp file and renamed into place, and
+    ``checkpoint.json`` is removed first and written last, so an
+    interrupted save leaves no ``checkpoint.json`` describing tensors it
+    did not finish.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    doc_path = out_dir / "checkpoint.json"
+    doc_path.unlink(missing_ok=True)
     named = params.named()
     for name, t in named.items():
-        write_tensor(out_dir / (name + ".3sht"), t.data)
+        _write_atomic(out_dir / (name + ".3sht"), write_tensor, t.data)
     doc = {
         "format_version": 1,
         "model": cfg.to_dict(),
@@ -179,7 +199,7 @@ def save_checkpoint(out_dir, params: ModelParams, cfg: ModelConfig,
         "tensors": sorted(named),
         "meta": meta or {},
     }
-    (out_dir / "checkpoint.json").write_text(json.dumps(doc, indent=2) + "\n")
+    _write_atomic(doc_path, Path.write_text, json.dumps(doc, indent=2) + "\n")
     return out_dir
 
 

@@ -8,6 +8,7 @@ negative is always a true negative.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -36,6 +37,24 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
+
+    def validate(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError("lr must be finite and > 0, got %r" % (self.lr,))
+        for name in ("weight_decay", "margin"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError("%s must be finite and >= 0, got %r" % (name, value))
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError("%s must lie in [0, 1), got %r" % (name, value))
+        if not self.adam_eps > 0:
+            raise ConfigError("adam_eps must be > 0, got %r" % (self.adam_eps,))
+        if self.batch_size < 2:
+            raise ConfigError("batch_size must be >= 2 for in-batch negatives")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -76,31 +95,47 @@ class AdamWState:
         self.v: dict[str, np.ndarray] = {}
 
 
+# Elements per AdamW chunk: small enough that the update's temporaries stay
+# in cache, large enough that the per-chunk Python overhead is negligible.
+_ADAMW_CHUNK = 1 << 15
+
+
 def adamw_step(named: dict[str, Tensor], state: AdamWState, cfg: TrainConfig) -> None:
     """One decoupled-weight-decay Adam update over named parameters.
 
     Parameters with no accumulated gradient are still decayed.  A NaN or
-    Inf gradient aborts with the parameter path in the message.
+    Inf gradient aborts with the parameter path in the message.  The
+    update runs over flat chunks of ``_ADAMW_CHUNK`` elements, each with
+    the same elementwise expressions as the whole-array update, so the
+    result is bitwise equal to it; every parameter is rebound to a fresh
+    C-contiguous array.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
     for name, p in named.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(g).all():
+        grad = p.grad if p.grad is not None else np.zeros(p.data.shape)
+        if not np.isfinite(grad).all():
             raise TrainingError("non-finite gradient in %s" % (name,))
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
-        p.data = p.data - cfg.lr * update - cfg.lr * cfg.weight_decay * p.data
+        if name not in state.m:
+            state.m[name] = np.zeros(p.data.shape)
+            state.v[name] = np.zeros(p.data.shape)
+        m_all = state.m[name].reshape(-1)
+        v_all = state.v[name].reshape(-1)
+        g_all = grad.reshape(-1)
+        p_all = p.data.reshape(-1)
+        out = np.empty(p_all.shape)
+        for lo in range(0, p_all.size, _ADAMW_CHUNK):
+            s = slice(lo, lo + _ADAMW_CHUNK)
+            g, m, v, w = g_all[s], m_all[s], v_all[s], p_all[s]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+            out[s] = w - cfg.lr * update - cfg.lr * cfg.weight_decay * w
+        p.data = out.reshape(p.data.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +169,7 @@ def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
     by epoch modulo its caption count.  ``epoch_callback(epoch, mean_loss,
     params)`` may return True to stop early.
     """
-    if cfg.batch_size < 2:
-        raise ConfigError("batch_size must be >= 2 for in-batch negatives")
-    if cfg.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
+    cfg.validate()
     model_cfg.validate(dims)
     n_images = len(bundles)
     if n_images < 2:
@@ -173,7 +205,7 @@ def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
                 c = caps[int(i)]
                 txt_embs.append(model_mod.text_forward(
                     txts[c[epoch % len(c)]], params, model_cfg))
-            sim = ag.matmul(ag.stack(img_embs), ag.transpose(ag.stack(txt_embs)))
+            sim = ag.linear(ag.stack(img_embs), ag.stack(txt_embs))
             loss = triplet_loss(sim, cfg.margin)
             params.zero_grad()
             loss.backward()

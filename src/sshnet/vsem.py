@@ -67,7 +67,7 @@ def seg_embed_from_pooled(pooled: Tensor, p: VsemParams) -> Tensor:
 
 
 def project_regions(regions: Tensor, p: VsemParams) -> Tensor:
-    return ag.matmul(regions, ag.transpose(p.region_proj))
+    return ag.linear(regions, p.region_proj)
 
 
 def salience_weights(seg_embed: Tensor, regions: Tensor, p: VsemParams,
@@ -102,9 +102,9 @@ def semantic_fuse(alphas: Tensor, regions: Tensor, seg_embed: Tensor,
     if projected is None:
         projected = project_regions(regions, p)
     weighted = ag.mul(ag.reshape(alphas, (alphas.shape[0], 1)), projected)
-    gate = ag.tanh(ag.matmul(weighted, ag.transpose(p.gate_proj)))
+    gate = ag.tanh(ag.linear(weighted, p.gate_proj))
     fused = ag.mul(gate, weighted) + seg_embed
-    return ag.matmul(fused, ag.transpose(p.fuse_proj))
+    return ag.linear(fused, p.fuse_proj)
 
 
 def vsem_forward(regions: Tensor, pooled: Tensor, p: VsemParams,

@@ -105,7 +105,7 @@ def refine_from_patches(patches: Tensor, p: VspmParams, out_hw: tuple[int, int])
 
 
 def project_queries(regions: Tensor, p: VspmParams) -> Tensor:
-    return ag.matmul(regions, ag.transpose(p.query_proj))
+    return ag.linear(regions, p.query_proj)
 
 
 def spatial_attention(regions: Tensor, refined: Tensor, p: VspmParams,
@@ -133,7 +133,7 @@ def spatial_combine(context: Tensor, regions: Tensor, p: VspmParams,
     """Lift context + projected region into the joint space."""
     if queries is None:
         queries = project_queries(regions, p)
-    return ag.matmul(context + queries, ag.transpose(p.combine_proj))
+    return ag.linear(context + queries, p.combine_proj)
 
 
 def vspm_forward(regions: Tensor, patches: Tensor, p: VspmParams,

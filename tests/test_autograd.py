@@ -111,6 +111,18 @@ def test_matmul_shape_error():
         ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
+def test_linear_bitwise_equals_oracle_on_small_ints():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n, d_in, d_out = rng.integers(1, 6, size=3)
+        x = rng.integers(-5, 6, size=(n, d_in)).astype(np.float64)
+        w = rng.integers(-5, 6, size=(d_out, d_in)).astype(np.float64)
+        got = ag.linear(Tensor(x), Tensor(w)).data
+        assert np.array_equal(got, matmul_oracle(x, w.T))
+    with pytest.raises(ShapeError):
+        ag.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+
+
 def refine_via_patches(x, k, stride, bias=None):
     """The model's convolution: one matmul over the im2col patches."""
     kh, kw, cin, cout = k.shape
@@ -334,7 +346,7 @@ PRIMITIVE_BUILDERS = {
                      param_fn=lambda rng: [Tensor(np.where(rng.normal(size=7) > 0, 1.0, -1.0)
                                                   + 0.2 * rng.normal(size=7), requires_grad=True)]),
     "reshape": _builder([(2, 6)], lambda ps: ag.reshape(ps[0], (3, 4)), (3, 4)),
-    "transpose": _builder([(2, 5)], lambda ps: ag.transpose(ps[0]), (5, 2)),
+    "linear": _builder([(3, 4), (2, 4)], lambda ps: ag.linear(ps[0], ps[1]), (3, 2)),
     "concat": _builder([(2, 3), (4, 3)], lambda ps: ag.concat(ps, axis=0), (6, 3)),
     "stack": _builder([(4,), (4,)], lambda ps: ag.stack(ps), (2, 4)),
     "diag": _builder([(4, 4)], lambda ps: ag.diag(ps[0]), (4,)),
@@ -375,6 +387,22 @@ def test_grad_accumulates_when_tensor_reused():
     y = (x * x).sum()
     y.backward()
     np.testing.assert_allclose(x.grad, [6.0])
+
+
+def test_backward_gives_each_leaf_its_own_gradient():
+    """add hands the same array to both parents; the leaves must not share it."""
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    mid = a + b
+    mid.sum().backward()
+    assert a.grad is not b.grad
+    assert a.grad.flags["C_CONTIGUOUS"] and b.grad.flags["C_CONTIGUOUS"]
+    a.grad += 5.0
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    assert mid.grad is None
+    x = Tensor([1.5, -2.0], requires_grad=True)
+    (x + x).sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
 def test_backward_accumulates_across_calls():

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,17 @@ def test_nonfinite_attn_smooth_rejected(ds, tmp_path, capsys, value):
     assert code == 1 and "attn_smooth" in err
 
 
+@pytest.mark.parametrize("flag, field", [
+    ("--lr=-1", "lr"), ("--lr=nan", "lr"), ("--weight-decay=-0.5", "weight_decay"),
+    ("--margin=inf", "margin"),
+])
+def test_train_rejects_bad_optimiser_flags(ds, tmp_path, capsys, flag, field):
+    code, _, err = run(capsys, "train", "--data", str(ds), "--out",
+                       str(tmp_path / "c"), "--epochs", "1", flag)
+    assert code == 1 and field in err
+    assert not (tmp_path / "c" / "checkpoint.json").exists()
+
+
 def test_hybrid_train_and_eval(ds, tmp_path, capsys):
     out = tmp_path / "hy"
     doc = run_json(capsys, "train", "--data", str(ds), "--out", str(out),
@@ -237,17 +249,23 @@ def _boundary_argv(ds, out):
                                     "--batch-size", "8"]]),
         st.floats(allow_nan=True, allow_infinity=True)).map(
         lambda cx: cx[0] + ["--data", str(ds), "--attn-smooth=%r" % cx[1]])
-    return st.one_of(bench, folds, smooth)
+    train_floats = st.tuples(
+        st.sampled_from(["--lr", "--weight-decay", "--margin"]),
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]))).map(
+        lambda fx: ["train", "--data", str(ds), "--out", str(out), "--epochs", "1",
+                    "--batch-size", "8", "%s=%r" % fx])
+    return st.one_of(bench, folds, smooth, train_floats)
 
 
 @pytest.mark.filterwarnings("ignore::sshnet.errors.BenchmarkWarning")
 def test_boundary_values_exit_cleanly(ds, tmp_path_factory):
-    """Counts, folds and smoothing at and past their limits end in a
-    documented exit code, never an uncaught exception."""
+    """Counts, folds, smoothing and optimiser floats at and past their
+    limits end in a documented exit code, never an uncaught exception."""
     out = tmp_path_factory.mktemp("boundary") / "ckpt"
 
     @given(_boundary_argv(ds, out))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def check(argv):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \

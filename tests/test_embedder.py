@@ -223,6 +223,30 @@ def test_checkpoint_roundtrip(tmp_path, data, params):
     assert np.array_equal(t1.image_embs, t2.image_embs)
 
 
+def test_interrupted_checkpoint_save_leaves_no_checkpoint_json(tmp_path, params,
+                                                              monkeypatch):
+    ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
+    calls = []
+    real_write = model.write_tensor
+
+    def failing_write(path, array):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real_write(path, array)
+
+    monkeypatch.setattr(model, "write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        model.save_checkpoint(ck, params, SMALL_MODEL, SMALL_DIMS)
+    assert not (ck / "checkpoint.json").exists()
+    assert not list(ck.glob("*.tmp"))
+    monkeypatch.undo()
+    model.save_checkpoint(ck, params, SMALL_MODEL, SMALL_DIMS)
+    loaded, _, _, _ = model.load_checkpoint(ck)
+    for name, t in params.named().items():
+        assert np.array_equal(t.data, loaded.named()[name].data), name
+
+
 def test_checkpoint_rejects_mismatched_tensor_list(tmp_path, params):
     model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
     (tmp_path / "ck" / "vsem.seg_fc_w.3sht").unlink()
@@ -260,7 +284,14 @@ def test_checkpoint_with_legacy_per_group_key_loads_bitwise(tmp_path, data, para
     ("model", {"gpo_heads": 2}, "unknown keys: gpo_heads"),
     ("dims", {"Z": 3, "A": 1}, "unknown keys: A, Z"),
     ("dims", {"K": "six"}, "dims.K"),
-], ids=["model-unknown-key", "dims-unknown-keys", "dims-not-integer"])
+    ("model", {"embed_dim": "x"}, "model.embed_dim must be int"),
+    ("model", {"embed_dim": True}, "model.embed_dim must be int"),
+    ("model", {"attn_smooth": "4"}, "model.attn_smooth must be float"),
+    ("model", {"salience_mode": 3}, "model.salience_mode must be str"),
+    ("model", {"use_vsem": 1}, "model.use_vsem must be bool"),
+], ids=["model-unknown-key", "dims-unknown-keys", "dims-not-integer",
+        "model-int-is-str", "model-int-is-bool", "model-float-is-str",
+        "model-str-is-int", "model-bool-is-int"])
 def test_checkpoint_rejects_bad_config_keys(tmp_path, params, section, keys, match):
     ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
     _edit_checkpoint(ck, section, **keys)

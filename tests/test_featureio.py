@@ -289,3 +289,16 @@ def test_planted_latent_recoverable_sentence_to_image(tmp_path):
         hits += int(np.argmax(scores) == gt)
     recall1 = 100.0 * hits / len(texts.word_feats)
     assert recall1 >= 90.0, recall1
+
+
+@pytest.mark.parametrize("section, key", [
+    ("images", k) for k in fio.IMAGE_KEYS] + [("sentences", k) for k in fio.SENTENCE_KEYS])
+def test_load_rejects_record_missing_key(tmp_path, section, key):
+    fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    rec = doc[section][1]
+    rid = rec["id"] if key != "id" else "#1"
+    del rec[key]
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="%s is missing key '%s'" % (rid, key)):
+        fio.load_dataset(tmp_path / "manifest.json")

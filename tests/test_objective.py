@@ -145,6 +145,40 @@ def test_adamw_pure_weight_decay():
                                rtol=0, atol=1e-15)
 
 
+def _adamw_unchunked(w, m, v, g, t, cfg):
+    """The whole-array update, expression by expression."""
+    m = m * cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v = v * cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    update = (m / (1.0 - cfg.beta1 ** t)) / (np.sqrt(v / (1.0 - cfg.beta2 ** t))
+                                             + cfg.adam_eps)
+    return w - cfg.lr * update - cfg.lr * cfg.weight_decay * w, m, v
+
+
+@pytest.mark.parametrize("layout", ["multi-chunk", "f-ordered"])
+def test_adamw_chunked_update_bitwise_equals_whole_array(layout):
+    rng = np.random.default_rng(41)
+    if layout == "multi-chunk":
+        w0 = rng.normal(size=(3, objective._ADAMW_CHUNK // 2 + 7))
+    else:
+        w0 = rng.normal(size=(40, 30)).T
+    assert w0.size > objective._ADAMW_CHUNK or not w0.flags["C_CONTIGUOUS"]
+    cfg = TrainConfig(lr=0.01, weight_decay=0.05)
+    p = Tensor(w0, requires_grad=True)
+    state = AdamWState()
+    want, m, v = w0.copy(), np.zeros(w0.shape), np.zeros(w0.shape)
+    for t in (1, 2, 3):
+        g = rng.normal(size=w0.shape)
+        p.grad = g.T.copy().T if layout == "f-ordered" else g
+        adamw_step({"w": p}, state, cfg)
+        want, m, v = _adamw_unchunked(want, m, v, g, t, cfg)
+        assert np.array_equal(p.data, want)
+        assert p.data.flags["C_CONTIGUOUS"]
+        assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+    assert not np.array_equal(state.m["w"], np.zeros(w0.shape))
+
+
 def test_adamw_rejects_nonfinite_gradient():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([np.nan])
@@ -216,6 +250,22 @@ def test_training_rejects_bad_configs(data):
                         _small_train_cfg(epochs=0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+    ("weight_decay", -1e-4), ("weight_decay", math.nan),
+    ("margin", -0.2), ("margin", -math.inf),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", math.nan),
+    ("adam_eps", 0.0), ("adam_eps", -1e-8),
+])
+def test_train_config_rejects_bad_optimiser_values(data, field, value):
+    bundles, texts, _ = data
+    cfg = _small_train_cfg(**{field: value})
+    with pytest.raises(ConfigError, match=field):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=field):
+        objective.train(bundles, texts, SMALL_DIMS, SMALL_MODEL, cfg)
+
+
 def test_training_rejects_captionless_image(data):
     bundles, texts, _ = data
     clipped = featureio.TextFeatureSet(texts.word_feats[:-3],
@@ -255,7 +305,7 @@ def test_full_batch_gradients_match_finite_differences(data):
     def loss():
         iv = ag.stack([model.visual_forward(p, params, cfg) for p in prepped])
         tv = ag.stack([model.text_forward(t, params, cfg) for t in txts])
-        return triplet_loss(ag.matmul(iv, ag.transpose(tv)), 0.2)
+        return triplet_loss(ag.linear(iv, tv), 0.2)
 
     report = ag.grad_check(loss, params.named(), eps=1e-5, tol=1e-4, sample=20)
     assert report.passed, report
