@@ -9,8 +9,11 @@ gradients and leaves ``.grad`` of intermediate nodes at None;
 ``grad_check`` validates any scalar loss against central finite
 differences.
 
-All math is float64.  Broadcasting is supported only as far as the listed
-operations need it (bias rows, per-row scaling, scalar division).
+Ops that act on sets take a batch of them as the first axis (``matmul``,
+``cosine_rows``, ``sort_pool``, ``l2_normalize``), and ``linear`` runs all
+rows of (..., d_in) as one GEMM.  All math is float64.  Broadcasting is
+supported only as far as the listed operations need it (bias rows,
+per-row scaling, scalar division).
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, GradCheckError, ShapeError
 
@@ -218,57 +222,42 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for operands of rank 1 or 2."""
+    """Batched matrix product: (B, M, K) x (B, K, N) -> (B, M, N)."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ShapeError("matmul supports rank 1 or 2 operands, got %d and %d" % (ad.ndim, bd.ndim))
-    if ad.shape[-1] != bd.shape[0]:
-        raise ShapeError(
-            "matmul inner dimensions differ: %r vs %r" % (ad.shape, bd.shape)
-        )
+    if ad.ndim != 3 or bd.ndim != 3:
+        raise ShapeError("matmul expects rank-3 operands, got %d and %d" % (ad.ndim, bd.ndim))
+    if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
+        raise ShapeError("matmul shapes differ: %r vs %r" % (ad.shape, bd.shape))
 
     def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            if ad.ndim == 2 and bd.ndim == 2:
-                ga = g @ bd.T
-            elif ad.ndim == 2 and bd.ndim == 1:
-                ga = np.outer(g, bd)
-            elif ad.ndim == 1 and bd.ndim == 2:
-                ga = bd @ g
-            else:
-                ga = g * bd
-        if b.requires_grad:
-            if ad.ndim == 2 and bd.ndim == 2:
-                gb = ad.T @ g
-            elif ad.ndim == 2 and bd.ndim == 1:
-                gb = ad.T @ g
-            elif ad.ndim == 1 and bd.ndim == 2:
-                gb = np.outer(ad, g)
-            else:
-                gb = g * ad
-        return ga, gb
+        return (g @ bd.transpose(0, 2, 1) if a.requires_grad else None,
+                ad.transpose(0, 2, 1) @ g if b.requires_grad else None)
 
     return _make(ad @ bd, (a, b), vjp)
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """``x @ w.T`` for rows x (n, d_in) and a weight w (d_out, d_in).
+    """``x @ w.T`` for rows x (..., d_in) and a weight w (d_out, d_in).
 
-    The weight gradient is formed as ``g.T @ x``, so it comes out
-    C-contiguous in the weight's own layout.
+    The leading axes of x are flattened into one GEMM over all rows.  The
+    weight gradient is formed as ``g.T @ x`` over those rows, so it comes
+    out C-contiguous in the weight's own layout.
     """
     xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2:
-        raise ShapeError("linear expects rank-2 x and w, got %d and %d" % (xd.ndim, wd.ndim))
-    if xd.shape[1] != wd.shape[1]:
+    if xd.ndim < 2 or wd.ndim != 2:
+        raise ShapeError("linear expects x of rank >= 2 and a rank-2 w, got %d and %d"
+                         % (xd.ndim, wd.ndim))
+    if xd.shape[-1] != wd.shape[1]:
         raise ShapeError("linear input widths differ: %r vs %r" % (xd.shape, wd.shape))
+    x2 = xd.reshape(-1, wd.shape[1])
+    out_shape = xd.shape[:-1] + (wd.shape[0],)
 
     def vjp(g):
-        return (g @ wd if x.requires_grad else None,
-                g.T @ xd if w.requires_grad else None)
+        g2 = g.reshape(-1, wd.shape[0])
+        return ((g2 @ wd).reshape(xd.shape) if x.requires_grad else None,
+                g2.T @ x2 if w.requires_grad else None)
 
-    return _make(xd @ wd.T, (x, w), vjp)
+    return _make((x2 @ wd.T).reshape(out_shape), (x, w), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +322,20 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=axis), parts, vjp)
 
 
-def stack(rows: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors of equal length into a matrix."""
-    rows = tuple(rows)
-    for r in rows:
-        if r.data.ndim != 1:
-            raise ShapeError("stack expects rank-1 tensors")
+def take_rows(x: Tensor, idx) -> Tensor:
+    """Rows ``x[idx]`` of x (n, ...); the gradient scatter-adds back."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError("take_rows expects a 1-D index array")
 
     def vjp(g):
-        return tuple(g[i] if r.requires_grad else None for i, r in enumerate(rows))
+        if not x.requires_grad:
+            return (None,)
+        gx = np.zeros(x.data.shape)
+        np.add.at(gx, idx, g)
+        return (gx,)
 
-    return _make(np.stack([r.data for r in rows]), rows, vjp)
+    return _make(x.data[idx], (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +394,8 @@ def conv_patches(x: np.ndarray, kh: int, kw: int, stride: int):
     """im2col for valid-mode convolution; returns (patches, (ho, wo)).
 
     patches[r] is the flattened (kh, kw, c) window for output position r in
-    row-major order.
+    row-major order.  A strided window view plus one copy: the values are
+    the input's own, so the result is exact.
     """
     h, w, c = x.shape
     if kh > h or kw > w:
@@ -411,12 +404,10 @@ def conv_patches(x: np.ndarray, kh: int, kw: int, stride: int):
         raise ShapeError("stride must be >= 1")
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    patches = np.empty((ho * wo, kh * kw * c), dtype=np.float64)
-    for i in range(ho):
-        for j in range(wo):
-            win = x[i * stride:i * stride + kh, j * stride:j * stride + kw, :]
-            patches[i * wo + j] = win.ravel()
-    return patches, (ho, wo)
+    win = sliding_window_view(x, (kh, kw), axis=(0, 1))[::stride, ::stride]
+    # (ho, wo, c, kh, kw) -> (ho, wo, kh, kw, c) rows
+    patches = win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, kh * kw * c)
+    return np.ascontiguousarray(patches, dtype=np.float64), (ho, wo)
 
 
 # ---------------------------------------------------------------------------
@@ -425,31 +416,39 @@ def conv_patches(x: np.ndarray, kh: int, kw: int, stride: int):
 _DEGENERATE_NORM = 1e-12
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of matching rows of (B, D) x and y, one BLAS dot per row."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosine similarities between rows: (K, C) x (M, C) -> (K, M).
+    """Batched pairwise cosines between rows: (B, K, C) x (B, M, C) -> (B, K, M).
 
     Rows with norm below 1e-12 yield zero similarity and zero gradient.
     """
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
-        raise ShapeError("cosine_rows expects (K, C) and (M, C)")
-    na = np.sqrt((a.data * a.data).sum(axis=1))
-    nb = np.sqrt((b.data * b.data).sum(axis=1))
+    ad, bd = a.data, b.data
+    if (ad.ndim != 3 or bd.ndim != 3 or ad.shape[0] != bd.shape[0]
+            or ad.shape[2] != bd.shape[2]):
+        raise ShapeError("cosine_rows expects (B, K, C) and (B, M, C), got %r and %r"
+                         % (ad.shape, bd.shape))
+    na = np.sqrt((ad * ad).sum(axis=2))
+    nb = np.sqrt((bd * bd).sum(axis=2))
     ma = na >= _DEGENERATE_NORM
     mb = nb >= _DEGENERATE_NORM
-    sa = np.where(ma, na, 1.0)
-    sb = np.where(mb, nb, 1.0)
-    an = np.where(ma[:, None], a.data / sa[:, None], 0.0)
-    bn = np.where(mb[:, None], b.data / sb[:, None], 0.0)
-    c = np.clip(an @ bn.T, -1.0, 1.0)
+    sa = np.where(ma, na, 1.0)[..., None]
+    sb = np.where(mb, nb, 1.0)[..., None]
+    an = np.where(ma[..., None], ad / sa, 0.0)
+    bn = np.where(mb[..., None], bd / sb, 0.0)
+    c = np.clip(an @ bn.transpose(0, 2, 1), -1.0, 1.0)
 
     def vjp(g):
         ga = gb = None
         gc = g * c
         if a.requires_grad:
-            ga = (g @ bn - gc.sum(axis=1, keepdims=True) * an) / sa[:, None]
+            ga = (g @ bn - gc.sum(axis=2)[..., None] * an) / sa
             ga[~ma] = 0.0
         if b.requires_grad:
-            gb = (g.T @ an - gc.sum(axis=0)[:, None] * bn) / sb[:, None]
+            gb = (g.transpose(0, 2, 1) @ an - gc.sum(axis=1)[..., None] * bn) / sb
             gb[~mb] = 0.0
         return ga, gb
 
@@ -478,42 +477,45 @@ def smoothed_softmax(c: Tensor, lam: float) -> Tensor:
 
 
 def l2_normalize(x: Tensor) -> Tensor:
-    """x / max(||x||, 1e-12) for a rank-1 tensor."""
-    if x.data.ndim != 1:
-        raise ShapeError("l2_normalize expects a rank-1 tensor")
-    norm = max(float(np.sqrt(x.data @ x.data)), _DEGENERATE_NORM)
-    out_data = x.data / norm
+    """Each row of x (B, D) divided by max(||row||, 1e-12)."""
+    xd = x.data
+    if xd.ndim != 2:
+        raise ShapeError("l2_normalize expects (B, D) rows, got %r" % (xd.shape,))
+    norm = np.maximum(np.sqrt(_row_dots(xd, xd)), _DEGENERATE_NORM)[:, None]
+    out_data = xd / norm
 
     def vjp(g):
         if not x.requires_grad:
             return (None,)
-        return ((g - (g @ out_data) * out_data) / norm,)
+        return ((g - _row_dots(g, out_data)[:, None] * out_data) / norm,)
 
     return _make(out_data, (x,), vjp)
 
 
 def sort_pool(rows: Tensor, weights: Tensor) -> Tensor:
-    """Rank-weighted pooling: sort each column descending, dot with weights.
+    """Rank-weighted pooling of each set: sort each column descending along
+    axis 1, dot with the weights.
 
-    rows: (n, D), weights: (n,) -> (D,).  Ties keep original row order, so
-    the permutation (and the subgradient) is deterministic.
+    rows: (B, n, D), weights: (n,) shared by the B sets -> (B, D).  Ties
+    keep original row order, so the permutation (and the subgradient) is
+    deterministic.
     """
-    if rows.data.ndim != 2 or weights.data.ndim != 1:
-        raise ShapeError("sort_pool expects rows (n, D) and weights (n,)")
-    n, _ = rows.data.shape
-    if weights.data.shape[0] != n:
-        raise ShapeError("weights length %d != row count %d" % (weights.data.shape[0], n))
-    idx = np.argsort(-rows.data, axis=0, kind="stable")
-    srt = np.take_along_axis(rows.data, idx, axis=0)
-    out_data = weights.data @ srt
+    rd, wd = rows.data, weights.data
+    if rd.ndim != 3 or wd.ndim != 1:
+        raise ShapeError("sort_pool expects rows (B, n, D) and weights (n,)")
+    if wd.shape[0] != rd.shape[1]:
+        raise ShapeError("weights length %d != set size %d" % (wd.shape[0], rd.shape[1]))
+    idx = np.argsort(-rd, axis=1, kind="stable")
+    srt = np.take_along_axis(rd, idx, axis=1)
+    out_data = wd @ srt
 
     def vjp(g):
         gr = gw = None
         if rows.requires_grad:
-            gr = np.zeros_like(rows.data)
-            np.put_along_axis(gr, idx, np.outer(weights.data, g), axis=0)
+            gr = np.zeros(rd.shape)
+            np.put_along_axis(gr, idx, wd[None, :, None] * g[:, None, :], axis=1)
         if weights.requires_grad:
-            gw = srt @ g
+            gw = (srt @ g[:, :, None])[:, :, 0].sum(axis=0)
         return gr, gw
 
     return _make(out_data, (rows, weights), vjp)

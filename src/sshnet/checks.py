@@ -62,9 +62,8 @@ def full_loss_grad_check(dims: DimConfig = GRADCHECK_DIMS,
     txts = model.prepare_text(texts)
 
     def loss():
-        iv = ag.stack([model.visual_forward(p, params, cfg) for p in prepped])
-        tv = ag.stack([model.text_forward(t, params, cfg) for t in txts])
-        sim = ag.linear(iv, tv)
+        sim = ag.linear(model.visual_forward(prepped, params, cfg),
+                        model.text_forward(txts, params, cfg))
         return objective.triplet_loss(sim, margin)
 
     named = params.named()
@@ -98,8 +97,8 @@ def _check_salience_bounds(rng):
     lo = 1.0 / (1.0 + math.exp(1.0 / math.sqrt(d)))
     hi = 1.0 / (1.0 + math.exp(-1.0 / math.sqrt(d)))
     for _ in range(100):
-        regions = Tensor(rng.standard_normal((dims.K, dims.D_l)))
-        pooled = Tensor(rng.standard_normal(dims.C_s))
+        regions = Tensor(rng.standard_normal((1, dims.K, dims.D_l)))
+        pooled = Tensor(rng.standard_normal((1, dims.C_s)))
         a = vsem.vsem_forward(regions, pooled, params, "sigmoid").alphas.data
         if not ((a > lo).all() and (a < hi).all()):
             raise SshnetError("sigmoid salience left its open interval")
@@ -111,31 +110,32 @@ def _check_salience_bounds(rng):
 def _check_spatial_attention(rng):
     dims, cfg = SMALL_DIMS, SMALL_MODEL
     params = vspm.init_vspm_params(cfg, dims, rng)
-    regions = Tensor(rng.standard_normal((dims.K, dims.D_l)))
-    refined = Tensor(rng.standard_normal((5, cfg.pos_channels)))
-    betas, _ = vspm.spatial_attention(regions, refined, params, cfg.attn_smooth)
-    if np.abs(betas.data.sum(axis=1) - 1.0).max() > 1e-9:
+    queries = vspm.project_queries(
+        Tensor(rng.standard_normal((1, dims.K, dims.D_l))), params)
+    refined = Tensor(rng.standard_normal((1, 5, cfg.pos_channels)))
+    betas, _ = vspm.spatial_attention(queries, refined, cfg.attn_smooth)
+    if np.abs(betas.data.sum(axis=2) - 1.0).max() > 1e-9:
         raise SshnetError("attention rows do not sum to 1")
-    betas0, _ = vspm.spatial_attention(regions, refined, params, 0.0)
-    if not (betas0.data == 1.0 / refined.shape[0]).all():
+    betas0, _ = vspm.spatial_attention(queries, refined, 0.0)
+    if not (betas0.data == 1.0 / refined.shape[1]).all():
         raise SshnetError("zero smoothing is not exactly uniform")
     row = rng.standard_normal(cfg.pos_channels)
-    same = Tensor(np.tile(row, (6, 1)))
-    _, ctx = vspm.spatial_attention(regions, same, params, cfg.attn_smooth)
+    same = Tensor(np.tile(row, (1, 6, 1)))
+    _, ctx = vspm.spatial_attention(queries, same, cfg.attn_smooth)
     if np.abs(ctx.data - row).max() > 1e-12:
         raise SshnetError("identical position rows must return that row")
 
 
 def _check_pooling_endpoints(rng):
-    rows = Tensor(rng.standard_normal((5, 3)))
+    rows = Tensor(rng.standard_normal((1, 5, 3)))
     uniform = Tensor(np.ones(8))
     got = embedder.gpo_pool(rows, uniform).data
-    if np.abs(got - rows.data.mean(axis=0)).max() > 1e-12:
+    if np.abs(got - rows.data.mean(axis=1)).max() > 1e-12:
         raise SshnetError("uniform pooling table must average")
     head = np.zeros(8)
     head[0] = 1.0
     got = embedder.gpo_pool(rows, Tensor(head)).data
-    if np.abs(got - rows.data.max(axis=0)).max() > 1e-12:
+    if np.abs(got - rows.data.max(axis=1)).max() > 1e-12:
         raise SshnetError("head-weighted pooling table must take the max")
 
 

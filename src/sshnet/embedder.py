@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -117,16 +118,17 @@ def resolve_pool_weights(table: Tensor, n: int) -> Tensor:
         raise ConfigError("cannot pool an empty set")
     if n == 1:
         return Tensor(np.ones(1))
-    raw = ag.matmul(Tensor(_interp_matrix(n, table_len)), table)
+    raw = ag.linear(ag.reshape(table, (1, table_len)),
+                    Tensor(_interp_matrix(n, table_len)))
     total = raw.sum()
     if abs(float(total.data)) < 1e-9:
         raise ConfigError("pooling weights sum to ~0; table is degenerate")
-    return ag.div(raw, total)
+    return ag.reshape(ag.div(raw, total), (n,))
 
 
 def gpo_pool(rows: Tensor, table: Tensor) -> Tensor:
-    """Rank-weighted pooling of (n, D) rows into a (D,) vector."""
-    weights = resolve_pool_weights(table, rows.shape[0])
+    """Rank-weighted pooling of B sets of n rows, (B, n, D) -> (B, D)."""
+    weights = resolve_pool_weights(table, rows.shape[1])
     return ag.sort_pool(rows, weights)
 
 
@@ -139,8 +141,10 @@ def fuse_visual(regions: Tensor, vsem_out: VsemOutput | None,
                 p: EmbedParams, cfg: ModelConfig) -> Tensor:
     """Pool {projected regions} + {semantic-spatial rows} + {seg embedding}.
 
-    Returns the unit-norm image embedding.  Branch toggles drop their rows
-    from the semantic-spatial FC input; the segmentation row stays.
+    regions (B, K, D_l) and seg_embed (B, D) give the (B, D) unit-norm
+    image embeddings; each image pools its own (2K + 1, D) set.  Branch
+    toggles drop their rows from the semantic-spatial FC input; the
+    segmentation row stays.
     """
     proj = ag.linear(regions, p.img_proj)
     groups = [proj]
@@ -154,13 +158,29 @@ def fuse_visual(regions: Tensor, vsem_out: VsemOutput | None,
             raise ConfigError("use_vspm is on but no spatial output was given")
         parts.append(vspm_out.spatial)
     if parts:
-        ss_in = parts[0] if len(parts) == 1 else ag.concat(parts, axis=1)
+        ss_in = parts[0] if len(parts) == 1 else ag.concat(parts, axis=2)
         groups.append(ag.linear(ss_in, p.ss_fc_w) + p.ss_fc_b)
-    groups.append(ag.reshape(seg_embed, (1, cfg.embed_dim)))
-    return ag.l2_normalize(gpo_pool(ag.concat(groups, axis=0), p.gpo_visual))
+    groups.append(ag.reshape(seg_embed, (seg_embed.shape[0], 1, cfg.embed_dim)))
+    return ag.l2_normalize(gpo_pool(ag.concat(groups, axis=1), p.gpo_visual))
 
 
-def embed_text(word_feats: Tensor, p: EmbedParams) -> Tensor:
-    """FC each word into the joint space, pool, normalise."""
-    h = ag.linear(word_feats, p.text_fc_w) + p.text_fc_b
-    return ag.l2_normalize(gpo_pool(h, p.gpo_text))
+def embed_text(word_feats: Sequence[Tensor], p: EmbedParams) -> Tensor:
+    """FC every word into the joint space, pool each sentence, normalise.
+
+    word_feats holds S sentences of (n_i, word_dim) rows; the result is
+    (S, D) unit rows, row i for sentence i.  All words go through one FC;
+    sentences of equal length are pooled together as one (b, n, D) set
+    batch with that length's weights, and a row gather restores the input
+    order.  Length buckets are exact: no padding, no fill values.
+    """
+    lengths = np.array([w.shape[0] for w in word_feats])
+    order = np.argsort(lengths, kind="stable")
+    words = ag.concat([word_feats[i] for i in order], axis=0)
+    h = ag.linear(words, p.text_fc_w) + p.text_fc_b
+    sizes, counts = np.unique(lengths, return_counts=True)
+    pooled, lo = [], 0
+    for n, b in zip(sizes.tolist(), counts.tolist()):
+        rows = ag.take_rows(h, np.arange(lo, lo + n * b))
+        pooled.append(gpo_pool(ag.reshape(rows, (b, n, h.shape[1])), p.gpo_text))
+        lo += n * b
+    return ag.l2_normalize(ag.take_rows(ag.concat(pooled, axis=0), np.argsort(order)))

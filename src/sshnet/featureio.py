@@ -150,10 +150,17 @@ class Manifest:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise FormatError("manifest is not valid JSON: %s" % (e,)) from e
+        if not isinstance(doc, dict):
+            raise FormatError("manifest must be a JSON object, got %s"
+                              % (type(doc).__name__,))
         for key in ("format_version", "dataset", "dims", "images", "sentences",
                     "num_images", "num_sentences"):
             if key not in doc:
                 raise FormatError("manifest missing field %r" % (key,))
+        for key in ("images", "sentences"):
+            if not isinstance(doc[key], list):
+                raise FormatError("manifest %s must be a list, got %s"
+                                  % (key, type(doc[key]).__name__))
         if doc["format_version"] != FORMAT_VERSION:
             raise FormatError("manifest format_version %r unsupported"
                               % (doc["format_version"],))
@@ -174,7 +181,11 @@ def save_manifest(path, manifest: Manifest) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    return Manifest.from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise FormatError("manifest is not valid UTF-8: %s" % (e,)) from e
+    return Manifest.from_json(text)
 
 
 IMAGE_KEYS = ("id", "region_feats", "grid_feats", "seg_feat", "seg_map")
@@ -184,10 +195,11 @@ SENTENCE_KEYS = ("id", "image_index", "word_feats")
 def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Manifest]:
     """Load and validate every tensor referenced by a manifest.
 
-    Raises FormatError naming the record and key when a record lacks one
-    of ``IMAGE_KEYS`` / ``SENTENCE_KEYS``, and DataValidationError naming
-    the offending item on any shape, finiteness or category-range
-    violation.
+    Raises FormatError naming the record when it lacks one of
+    ``IMAGE_KEYS`` / ``SENTENCE_KEYS`` (naming the key), names a tensor
+    file with anything but a string, or gives a non-integer
+    ``image_index``, and DataValidationError naming the offending item on
+    any shape, finiteness or category-range violation.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
@@ -196,6 +208,9 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
     dims.validate()
 
     def _load(rel, item_id):
+        if not isinstance(rel, str) or "\0" in rel:
+            raise FormatError("%s: tensor file name must be a string, got %r"
+                              % (item_id, rel))
         p = root / rel
         if not p.exists():
             raise DataValidationError("%s: missing tensor file %s" % (item_id, rel))
@@ -245,7 +260,10 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
     for pos, rec in enumerate(manifest.sentences):
         _require_keys(rec, "sentence", pos, SENTENCE_KEYS)
         sid = rec["id"]
-        idx = int(rec["image_index"])
+        idx = rec["image_index"]
+        if not isinstance(idx, int) or isinstance(idx, bool):
+            raise FormatError("manifest sentence %s: image_index must be an integer, "
+                              "got %r" % (sid, idx))
         if not 0 <= idx < len(bundles):
             raise DataValidationError("%s: image_index %d outside [0, %d)"
                                       % (sid, idx, len(bundles)))

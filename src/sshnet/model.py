@@ -1,9 +1,10 @@
-"""Model assembly: parameters, prepared inputs, whole-image forwards.
+"""Model assembly: parameters, prepared inputs, batch-major forwards.
 
 ``prepare_image`` hoists everything that never changes during training out
 of the per-step graph: the pooled segmentation vector, and the im2col
 patches of the position stack (the refinement convolution is one matmul
-against them).
+against them).  ``visual_forward`` and ``text_forward`` embed a whole
+batch on one tape, with the batch as the first axis of every tensor.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -103,29 +105,48 @@ def prepare_text(texts: TextFeatureSet) -> list[PreparedText]:
 # forwards
 
 
-def visual_forward(img: PreparedImage, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Unit-norm joint embedding of one prepared image."""
+def visual_forward(imgs: Sequence[PreparedImage], params: ModelParams,
+                   cfg: ModelConfig) -> Tensor:
+    """Unit-norm joint embeddings (B, D) of B prepared images, row i for
+    image i, from one tape over the whole batch.
+
+    The batch's regions, pooled segmentation vectors and position patches
+    are stacked, so every projection runs as one GEMM over all B * K rows.
+    A row can differ from the same image embedded in another batch by a
+    few ULPs (BLAS kernels depend on the row count), within 1e-12; the
+    same batch always gives the same bytes.
+    """
+    regions = Tensor(np.stack([img.regions.data for img in imgs]))
+    pooled = Tensor(np.stack([img.pooled_seg.data for img in imgs]))
     vsem_out = None
     if cfg.use_vsem:
-        vsem_out = vsem.vsem_forward(img.regions, img.pooled_seg, params.vsem,
-                                     cfg.salience_mode)
+        vsem_out = vsem.vsem_forward(regions, pooled, params.vsem, cfg.salience_mode)
         seg_embed = vsem_out.seg_embed
     else:
-        seg_embed = vsem.seg_embed_from_pooled(img.pooled_seg, params.vsem)
+        seg_embed = vsem.seg_embed_from_pooled(pooled, params.vsem)
     vspm_out = None
     if cfg.use_vspm:
-        vspm_out = vspm.vspm_forward(img.regions, img.pos_patches, params.vspm,
-                                     cfg, img.pos_hw)
-    return embedder.fuse_visual(img.regions, vsem_out, vspm_out, seg_embed,
+        patches = Tensor(np.stack([img.pos_patches.data for img in imgs]))
+        vspm_out = vspm.vspm_forward(regions, patches, params.vspm, cfg, imgs[0].pos_hw)
+    return embedder.fuse_visual(regions, vsem_out, vspm_out, seg_embed,
                                 params.embed, cfg)
 
 
-def text_forward(txt: PreparedText, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    return embedder.embed_text(txt.words, params.embed)
+def text_forward(txts: Sequence[PreparedText], params: ModelParams,
+                 cfg: ModelConfig) -> Tensor:
+    """Unit-norm joint embeddings (S, D) of S sentences, row i for
+    sentence i, from one tape; the same ULP note as ``visual_forward``."""
+    return embedder.embed_text([t.words for t in txts], params.embed)
 
 
 # ---------------------------------------------------------------------------
 # batch embedding
+
+
+# Images (and sentences) per embedding chunk: large enough that each
+# projection is a GEMM over hundreds of rows, small enough that the
+# chunk's (chunk * K, D) temporaries stay a few MB at the full preset.
+_EMBED_CHUNK = 8
 
 
 @dataclass
@@ -141,21 +162,29 @@ class EmbeddingTable:
 def embed_dataset(bundles: list[FeatureBundle], texts: TextFeatureSet,
                   params: ModelParams, cfg: ModelConfig, dims: DimConfig,
                   mode: str = "region") -> EmbeddingTable:
-    """Embed every image and sentence; deterministic given the parameters."""
+    """Embed every image and sentence in chunks of ``_EMBED_CHUNK``.
+
+    Deterministic given the parameters: the same inputs give the same
+    bytes, and every row is within 1e-12 of embedding its item alone.
+    """
     if mode not in MODES:
         raise ConfigError("mode must be one of %r, got %r" % (MODES, mode))
-
-    prepped = [prepare_image(b, dims, cfg, mode) for b in bundles]
+    if not bundles or not texts.word_feats:
+        raise ConfigError("embed_dataset needs at least one image and one sentence")
     txts = prepare_text(texts)
+    img_rows, txt_rows = [], []
     with ag.no_grad():
-        img_rows = [visual_forward(pi, params, cfg).data for pi in prepped]
-        txt_rows = [text_forward(pt, params, cfg).data for pt in txts]
+        for lo in range(0, len(bundles), _EMBED_CHUNK):
+            chunk = [prepare_image(b, dims, cfg, mode) for b in bundles[lo:lo + _EMBED_CHUNK]]
+            img_rows.append(visual_forward(chunk, params, cfg).data)
+        for lo in range(0, len(txts), _EMBED_CHUNK):
+            txt_rows.append(text_forward(txts[lo:lo + _EMBED_CHUNK], params, cfg).data)
 
     return EmbeddingTable(
-        image_embs=np.stack(img_rows),
-        text_embs=np.stack(txt_rows),
+        image_embs=np.concatenate(img_rows),
+        text_embs=np.concatenate(txt_rows),
         image_index=np.asarray([t.image_index for t in txts], dtype=np.int64),
-        image_ids=[p.image_id for p in prepped],
+        image_ids=[b.image_id for b in bundles],
         sentence_ids=[t.sentence_id for t in txts],
         mode=mode,
     )
@@ -208,15 +237,31 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, ModelConfig, DimConfig, dict
     doc_path = ckpt_dir / "checkpoint.json"
     if not doc_path.exists():
         raise FormatError("no checkpoint.json under %s" % (ckpt_dir,))
-    doc = json.loads(doc_path.read_text())
+    try:
+        doc = json.loads(doc_path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise FormatError("%s is not valid JSON: %s" % (doc_path, e)) from e
+    if not isinstance(doc, dict):
+        raise FormatError("%s must be a JSON object, got %s"
+                          % (doc_path, type(doc).__name__))
     if doc.get("format_version") != 1:
         raise FormatError("checkpoint format_version %r unsupported"
                           % (doc.get("format_version"),))
+    for key in ("model", "dims", "tensors"):
+        if key not in doc:
+            raise FormatError("checkpoint is missing key %r" % (key,))
+    tensors = doc["tensors"]
+    if not (isinstance(tensors, list) and all(isinstance(t, str) for t in tensors)):
+        raise FormatError("checkpoint tensors must be a list of names, got %r"
+                          % (tensors,))
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise FormatError("checkpoint meta must be a JSON object, got %r" % (meta,))
     cfg = ModelConfig.from_dict(doc["model"])
     dims = DimConfig.from_dict(doc["dims"])
     params = init_params(cfg, dims, seed=0)
     named = params.named()
-    if sorted(named) != sorted(doc["tensors"]):
+    if sorted(named) != sorted(tensors):
         raise FormatError("checkpoint tensor list does not match model config")
     for name, t in named.items():
         arr = read_tensor(ckpt_dir / (name + ".3sht"))
@@ -225,4 +270,4 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, ModelConfig, DimConfig, dict
                               % (name, arr.shape, t.data.shape))
         t.data = arr.astype(np.float64)
         t.grad = None
-    return params, cfg, dims, doc.get("meta", {})
+    return params, cfg, dims, meta

@@ -198,19 +198,18 @@ def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
             batch = order[lo:lo + cfg.batch_size]
             if batch.shape[0] < 2:
                 continue  # a single leftover pair has no in-batch negative
-            img_embs = [model_mod.visual_forward(prepped[i], params, model_cfg)
-                        for i in batch]
-            txt_embs = []
-            for i in batch:
-                c = caps[int(i)]
-                txt_embs.append(model_mod.text_forward(
-                    txts[c[epoch % len(c)]], params, model_cfg))
-            sim = ag.linear(ag.stack(img_embs), ag.stack(txt_embs))
-            loss = triplet_loss(sim, cfg.margin)
             params.zero_grad()
+            img_embs = model_mod.visual_forward([prepped[i] for i in batch],
+                                                params, model_cfg)
+            txt_embs = model_mod.text_forward(
+                [txts[caps[i][epoch % len(caps[i])]] for i in batch], params, model_cfg)
+            loss = triplet_loss(ag.linear(img_embs, txt_embs), cfg.margin)
             loss.backward()
-            adamw_step(named, state, cfg)
             total_loss += float(loss.data)
+            # the step's tape holds every batch activation: free it before
+            # the update and the next step's forward
+            del img_embs, txt_embs, loss
+            adamw_step(named, state, cfg)
             total_pairs += int(batch.shape[0])
         mean_loss = total_loss / max(total_pairs, 1)
         loss_curve.append(mean_loss)

@@ -305,7 +305,7 @@ def bench_kpps(table, queries, mode: str = "precomputed", *,
 
         def answer(qi):
             emb = model_mod.visual_forward(
-                prepared[qi % len(prepared)], params, cfg).data
+                [prepared[qi % len(prepared)]], params, cfg).data[0]
             scores = table @ queries[qi]
             scores[qi % table.shape[0]] = emb @ queries[qi]
             return np.argpartition(-scores, k - 1)[:k]

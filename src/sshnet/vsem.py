@@ -5,7 +5,8 @@ space; each region is weighted by a squashed cosine between its projection
 and that segmentation embedding, then gated and conditionally fused with
 it.  The cosine is divided by sqrt(embed_dim) before squashing, which in
 sigmoid mode pins every salience weight strictly inside
-(sigmoid(-1/sqrt(D)), sigmoid(1/sqrt(D))).
+(sigmoid(-1/sqrt(D)), sigmoid(1/sqrt(D))).  Every function takes a batch
+of images as the first axis.
 """
 from __future__ import annotations
 
@@ -40,9 +41,9 @@ class VsemParams:
 
 @dataclass
 class VsemOutput:
-    seg_embed: Tensor     # (D,)   pooled segmentation embedding
-    alphas: Tensor        # (K,)   per-region salience weights
-    enhanced: Tensor      # (K, D) semantically enhanced region rows
+    seg_embed: Tensor     # (B, D)    pooled segmentation embeddings
+    alphas: Tensor        # (B, K)    per-region salience weights
+    enhanced: Tensor      # (B, K, D) semantically enhanced region rows
 
 
 def init_vsem_params(cfg: ModelConfig, dims: DimConfig, rng) -> VsemParams:
@@ -63,24 +64,25 @@ def init_vsem_params(cfg: ModelConfig, dims: DimConfig, rng) -> VsemParams:
 
 
 def seg_embed_from_pooled(pooled: Tensor, p: VsemParams) -> Tensor:
-    return ag.matmul(p.seg_fc_w, pooled) + p.seg_fc_b
+    """(B, C_s) pooled segmentation vectors -> (B, D) embeddings."""
+    return ag.linear(pooled, p.seg_fc_w) + p.seg_fc_b
 
 
 def project_regions(regions: Tensor, p: VsemParams) -> Tensor:
+    """(B, K, D_l) regions -> (B, K, D), one GEMM over all B*K rows."""
     return ag.linear(regions, p.region_proj)
 
 
-def salience_weights(seg_embed: Tensor, regions: Tensor, p: VsemParams,
-                     mode: str = "sigmoid", projected: Tensor | None = None) -> Tensor:
+def salience_weights(seg_embed: Tensor, projected: Tensor,
+                     mode: str = "sigmoid") -> Tensor:
     """Per-region salience from scaled region/segmentation cosines.
 
+    seg_embed (B, D) and projected regions (B, K, D) give (B, K) weights.
     sigmoid mode squashes each scaled cosine independently; softmax mode
-    normalises them across regions with smoothing factor 1.
+    normalises them across an image's regions with smoothing factor 1.
     """
-    if projected is None:
-        projected = project_regions(regions, p)
-    d = seg_embed.shape[0]
-    cos = ag.cosine_rows(ag.reshape(seg_embed, (1, d)), projected)
+    b, d = seg_embed.shape
+    cos = ag.cosine_rows(ag.reshape(seg_embed, (b, 1, d)), projected)
     scaled = cos * (1.0 / math.sqrt(d))
     if mode == "sigmoid":
         out = ag.sigmoid(scaled)
@@ -89,29 +91,29 @@ def salience_weights(seg_embed: Tensor, regions: Tensor, p: VsemParams,
     else:
         raise ConfigError("salience mode must be 'sigmoid' or 'softmax', got %r"
                           % (mode,))
-    return ag.reshape(out, (projected.shape[0],))
+    return ag.reshape(out, projected.shape[:2])
 
 
-def semantic_fuse(alphas: Tensor, regions: Tensor, seg_embed: Tensor,
-                  p: VsemParams, projected: Tensor | None = None) -> Tensor:
+def semantic_fuse(alphas: Tensor, projected: Tensor, seg_embed: Tensor,
+                  p: VsemParams) -> Tensor:
     """Weight, gate and conditionally fuse regions with the segmentation.
 
     rows_i = fuse_proj @ (tanh(gate_proj @ (a_i r_i)) * (a_i r_i) + seg)
-    where r_i is the projected region.
+    where r_i is the projected region; (B, K, D) in and out.
     """
-    if projected is None:
-        projected = project_regions(regions, p)
-    weighted = ag.mul(ag.reshape(alphas, (alphas.shape[0], 1)), projected)
+    b, k, d = projected.shape
+    weighted = ag.mul(ag.reshape(alphas, (b, k, 1)), projected)
     gate = ag.tanh(ag.linear(weighted, p.gate_proj))
-    fused = ag.mul(gate, weighted) + seg_embed
+    fused = ag.mul(gate, weighted) + ag.reshape(seg_embed, (b, 1, d))
     return ag.linear(fused, p.fuse_proj)
 
 
 def vsem_forward(regions: Tensor, pooled: Tensor, p: VsemParams,
                  mode: str = "sigmoid") -> VsemOutput:
-    """Full semantic branch for one image, from the pooled (C_s,) vector."""
+    """Full semantic branch for a batch: regions (B, K, D_l) and pooled
+    (B, C_s) segmentation vectors."""
     seg_embed = seg_embed_from_pooled(pooled, p)
     projected = project_regions(regions, p)
-    alphas = salience_weights(seg_embed, regions, p, mode, projected=projected)
-    enhanced = semantic_fuse(alphas, regions, seg_embed, p, projected=projected)
+    alphas = salience_weights(seg_embed, projected, mode)
+    enhanced = semantic_fuse(alphas, projected, seg_embed, p)
     return VsemOutput(seg_embed=seg_embed, alphas=alphas, enhanced=enhanced)

@@ -5,10 +5,12 @@ row-major index plus one normalised category channel; a strided valid
 convolution (no nonlinearity) condenses that stack into a small grid of
 refined position vectors.  Regions attend over the refined grid with a
 smoothed softmax of cosines and the attended context is recombined with
-the projected region.
+the projected region.  Every function past the position stack takes a
+batch of images as the first axis.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +40,9 @@ class VspmParams:
 
 @dataclass
 class VspmOutput:
-    refined: Tensor    # (Hp, Wp, pos_channels) refined position grid
-    betas: Tensor      # (K, Hp * Wp) attention rows
-    spatial: Tensor    # (K, D) spatially enhanced region rows
+    refined: Tensor    # (B, Hp, Wp, pos_channels) refined position grids
+    betas: Tensor      # (B, K, Hp * Wp) attention rows
+    spatial: Tensor    # (B, K, D) spatially enhanced region rows
 
 
 def init_vspm_params(cfg: ModelConfig, dims: DimConfig, rng) -> VspmParams:
@@ -68,13 +70,20 @@ def positional_encode(p: int, d: int) -> np.ndarray:
     return np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
 
 
+@functools.lru_cache(maxsize=None)
 def positional_encode_grid(h: int, w: int, d: int) -> np.ndarray:
-    """(h, w, d) stack of positional codes, pixel index row-major from 1."""
+    """(h, w, d) stack of positional codes, pixel index row-major from 1.
+
+    Computed once per (h, w, d) and returned read-only: every image of a
+    dataset shares one grid.
+    """
     p = np.arange(1, h * w + 1, dtype=np.float64)[:, None]
     j = np.arange(1, d + 1, dtype=np.float64)[None, :]
     angle = p / np.power(10000.0, j / d)
     flat = np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
-    return flat.reshape(h, w, d)
+    grid = flat.reshape(h, w, d)
+    grid.flags.writeable = False
+    return grid
 
 
 def build_position_tensor(seg_map: np.ndarray, d: int, num_categories: int) -> np.ndarray:
@@ -96,53 +105,50 @@ def build_position_tensor(seg_map: np.ndarray, d: int, num_categories: int) -> n
 
 
 def refine_from_patches(patches: Tensor, p: VspmParams, out_hw: tuple[int, int]) -> Tensor:
-    """Strided valid convolution of the position stack (no nonlinearity),
-    run as one matmul over its precomputed im2col patches."""
+    """Strided valid convolution of each position stack (no nonlinearity),
+    run as one matmul over the batch's precomputed im2col patches.
+
+    patches (B, Hp * Wp, kh * kw * cin) -> refined grids (B, Hp, Wp, cout).
+    """
     kh, kw, cin, cout = p.conv_kernel.shape
-    kmat = ag.reshape(p.conv_kernel, (kh * kw * cin, cout))
-    out2d = ag.matmul(patches, kmat) + p.conv_bias
-    return ag.reshape(out2d, (out_hw[0], out_hw[1], cout))
+    b, n, f = patches.shape
+    kmat = ag.reshape(p.conv_kernel, (1, kh * kw * cin, cout))
+    out = ag.matmul(ag.reshape(patches, (1, b * n, f)), kmat) + p.conv_bias
+    return ag.reshape(out, (b, out_hw[0], out_hw[1], cout))
 
 
 def project_queries(regions: Tensor, p: VspmParams) -> Tensor:
+    """(B, K, D_l) regions -> (B, K, pos_channels) attention queries."""
     return ag.linear(regions, p.query_proj)
 
 
-def spatial_attention(regions: Tensor, refined: Tensor, p: VspmParams,
-                      smooth: float, queries: Tensor | None = None):
-    """Attend each region over the refined position grid.
+def spatial_attention(queries: Tensor, refined: Tensor, smooth: float):
+    """Attend each region's query over its image's refined position grid.
 
-    Returns (betas, context): betas rows are smoothed softmaxes of region
-    and position cosines, context rows are beta-weighted position sums.
+    queries (B, K, c) and refined grids (B, ..., c) give (betas, context):
+    betas (B, K, P) are smoothed softmaxes of query and position cosines,
+    context (B, K, c) rows are beta-weighted position sums.
     """
-    if refined.ndim == 3:
-        hp, wp, c = refined.shape
-        flat = ag.reshape(refined, (hp * wp, c))
-    else:
-        flat = refined
-    if queries is None:
-        queries = project_queries(regions, p)
+    b, c = refined.shape[0], refined.shape[-1]
+    flat = ag.reshape(refined, (b, -1, c))
     cos = ag.cosine_rows(queries, flat)
     betas = ag.smoothed_softmax(cos, smooth)
     context = ag.matmul(betas, flat)
     return betas, context
 
 
-def spatial_combine(context: Tensor, regions: Tensor, p: VspmParams,
-                    queries: Tensor | None = None) -> Tensor:
+def spatial_combine(context: Tensor, queries: Tensor, p: VspmParams) -> Tensor:
     """Lift context + projected region into the joint space."""
-    if queries is None:
-        queries = project_queries(regions, p)
     return ag.linear(context + queries, p.combine_proj)
 
 
 def vspm_forward(regions: Tensor, patches: Tensor, p: VspmParams,
                  cfg: ModelConfig, patches_hw: tuple[int, int]) -> VspmOutput:
-    """Full spatial branch for one image, from the im2col patches of its
-    position stack and their (Hp, Wp) output grid."""
+    """Full spatial branch for a batch: regions (B, K, D_l), the im2col
+    patches (B, Hp * Wp, F) of each position stack and their (Hp, Wp)
+    output grid."""
     refined = refine_from_patches(patches, p, patches_hw)
     queries = project_queries(regions, p)
-    betas, context = spatial_attention(regions, refined, p, cfg.attn_smooth,
-                                       queries=queries)
-    spatial = spatial_combine(context, regions, p, queries=queries)
+    betas, context = spatial_attention(queries, refined, cfg.attn_smooth)
+    spatial = spatial_combine(context, queries, p)
     return VspmOutput(refined=refined, betas=betas, spatial=spatial)

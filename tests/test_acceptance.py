@@ -54,8 +54,8 @@ def test_salience_bounds():
     worst_margin = np.inf
     worst_sum = 0.0
     for draw in range(1000):
-        regions = Tensor(rng.standard_normal((dims.K, dims.D_l)))
-        pooled = Tensor(rng.standard_normal(dims.C_s))
+        regions = Tensor(rng.standard_normal((1, dims.K, dims.D_l)))
+        pooled = Tensor(rng.standard_normal((1, dims.C_s)))
         a = vsem.vsem_forward(regions, pooled, params, "sigmoid").alphas.data
         worst_margin = min(worst_margin, (a - lo).min(), (hi - a).min())
         s = vsem.vsem_forward(regions, pooled, params, "softmax").alphas.data
@@ -75,22 +75,25 @@ def test_spatial_attention_rows():
     rng = np.random.default_rng(103)
     params = vspm.init_vspm_params(cfg, dims, rng)
     worst_sum = 0.0
-    for _ in range(200):
-        regions = Tensor(rng.standard_normal((dims.K, dims.D_l)))
-        refined = Tensor(rng.standard_normal((int(rng.integers(2, 9)),
-                                              cfg.pos_channels)))
-        betas, _ = vspm.spatial_attention(regions, refined, params,
-                                          cfg.attn_smooth)
-        worst_sum = max(worst_sum, np.abs(betas.data.sum(axis=1) - 1.0).max())
+    def queries(regions):
+        return vspm.project_queries(Tensor(regions), params)
 
-    regions = Tensor(rng.standard_normal((dims.K, dims.D_l)))
-    refined = Tensor(rng.standard_normal((6, cfg.pos_channels)))
-    betas0, _ = vspm.spatial_attention(regions, refined, params, 0.0)
+    for _ in range(200):
+        regions = rng.standard_normal((1, dims.K, dims.D_l))
+        refined = Tensor(rng.standard_normal((1, int(rng.integers(2, 9)),
+                                              cfg.pos_channels)))
+        betas, _ = vspm.spatial_attention(queries(regions), refined,
+                                          cfg.attn_smooth)
+        worst_sum = max(worst_sum, np.abs(betas.data.sum(axis=2) - 1.0).max())
+
+    regions = rng.standard_normal((1, dims.K, dims.D_l))
+    refined = Tensor(rng.standard_normal((1, 6, cfg.pos_channels)))
+    betas0, _ = vspm.spatial_attention(queries(regions), refined, 0.0)
     uniform_exact = (betas0.data == 1.0 / 6.0).all()
 
     row = rng.standard_normal(cfg.pos_channels)
-    _, ctx = vspm.spatial_attention(regions, Tensor(np.tile(row, (5, 1))),
-                                    params, cfg.attn_smooth)
+    _, ctx = vspm.spatial_attention(queries(regions), Tensor(np.tile(row, (1, 5, 1))),
+                                    cfg.attn_smooth)
     collapse_err = np.abs(ctx.data - row).max()
 
     ok = worst_sum <= 1e-9 and uniform_exact and collapse_err <= 1e-12

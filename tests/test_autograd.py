@@ -84,31 +84,37 @@ def fd_check(build, params, eps=1e-6, tol=1e-6):
 
 
 def test_matmul_identity():
-    a = Tensor(np.eye(2))
-    b = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    a = Tensor(np.stack([np.eye(2), 2.0 * np.eye(2)]))
+    b = Tensor([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]])
     out = ag.matmul(a, b)
-    assert np.array_equal(out.data, b.data)
+    assert np.array_equal(out.data, b.data * np.array([1.0, 2.0])[:, None, None])
 
 
 def test_matmul_vector_case():
-    out = ag.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-    assert out.data.shape == (1, 1)
-    assert out.data[0, 0] == 11.0
+    out = ag.matmul(Tensor([[[1.0, 2.0]]]), Tensor([[[3.0], [4.0]]]))
+    assert out.data.shape == (1, 1, 1)
+    assert out.data[0, 0, 0] == 11.0
 
 
 def test_matmul_bitwise_equals_oracle_on_small_ints():
     rng = np.random.default_rng(0)
     for _ in range(20):
         m, k, n = rng.integers(1, 6, size=3)
-        a = rng.integers(-5, 6, size=(m, k)).astype(np.float64)
-        b = rng.integers(-5, 6, size=(k, n)).astype(np.float64)
+        bsz = int(rng.integers(1, 4))
+        a = rng.integers(-5, 6, size=(bsz, m, k)).astype(np.float64)
+        b = rng.integers(-5, 6, size=(bsz, k, n)).astype(np.float64)
         got = ag.matmul(Tensor(a), Tensor(b)).data
-        assert np.array_equal(got, matmul_oracle(a, b))
+        for i in range(bsz):
+            assert np.array_equal(got[i], matmul_oracle(a[i], b[i]))
 
 
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
-        ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        ag.matmul(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((1, 2, 3))))
+    with pytest.raises(ShapeError):      # batch sizes differ
+        ag.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((1, 3, 2))))
+    with pytest.raises(ShapeError):      # rank 2 is not the batch form
+        ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
 
 def test_linear_bitwise_equals_oracle_on_small_ints():
@@ -123,6 +129,44 @@ def test_linear_bitwise_equals_oracle_on_small_ints():
         ag.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
 
+def test_linear_flattens_leading_axes():
+    """(B, K, d_in) rows run as one (B * K, d_in) GEMM, values unchanged."""
+    rng = np.random.default_rng(14)
+    x = rng.integers(-5, 6, size=(3, 4, 5)).astype(np.float64)
+    w = rng.integers(-5, 6, size=(2, 5)).astype(np.float64)
+    got = ag.linear(Tensor(x), Tensor(w)).data
+    assert got.shape == (3, 4, 2)
+    for i in range(3):
+        assert np.array_equal(got[i], matmul_oracle(x[i], w.T))
+
+
+def conv_patches_oracle(x, kh, kw, stride):
+    """Window-by-window im2col: row i * wo + j is window (i, j) raveled."""
+    h, w, c = x.shape
+    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+    patches = np.empty((ho * wo, kh * kw * c))
+    for i in range(ho):
+        for j in range(wo):
+            patches[i * wo + j] = x[i * stride:i * stride + kh,
+                                    j * stride:j * stride + kw, :].ravel()
+    return patches, (ho, wo)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_conv_patches_bitwise_equals_loop_oracle(seed):
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(1, 9, size=2)
+    kh, kw = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
+    stride = int(rng.integers(1, 4))
+    x = rng.normal(size=(h, w, int(rng.integers(1, 4))))
+    got, hw = ag.conv_patches(x, kh, kw, stride)
+    want, want_hw = conv_patches_oracle(x, kh, kw, stride)
+    assert hw == want_hw
+    assert got.flags["C_CONTIGUOUS"] and got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
 def refine_via_patches(x, k, stride, bias=None):
     """The model's convolution: one matmul over the im2col patches."""
     kh, kw, cin, cout = k.shape
@@ -130,7 +174,7 @@ def refine_via_patches(x, k, stride, bias=None):
                         conv_bias=Tensor(np.zeros(cout) if bias is None else bias),
                         query_proj=None, combine_proj=None)
     patches, hw = ag.conv_patches(x, kh, kw, stride)
-    return vspm.refine_from_patches(Tensor(patches), p, hw).data
+    return vspm.refine_from_patches(Tensor(patches[None]), p, hw).data[0]
 
 
 def test_conv2d_bitwise_equals_oracle_on_small_ints():
@@ -186,8 +230,8 @@ def cosine_oracle(u, v):
 
 
 def cosine(u, v):
-    """cosine_rows on one-row inputs, as a scalar tensor."""
-    return ag.reshape(ag.cosine_rows(ag.reshape(u, (1, -1)), ag.reshape(v, (1, -1))), ())
+    """cosine_rows on a batch of one one-row input, as a scalar tensor."""
+    return ag.reshape(ag.cosine_rows(ag.reshape(u, (1, 1, -1)), ag.reshape(v, (1, 1, -1))), ())
 
 
 def test_cosine_frozen_values():
@@ -222,23 +266,28 @@ def test_cosine_scale_invariance_and_bounds(seed, scale):
 
 def test_cosine_rows_matches_scalar_cosine():
     rng = np.random.default_rng(6)
-    a = rng.normal(size=(4, 5))
-    b = rng.normal(size=(3, 5))
+    a = rng.normal(size=(2, 4, 5))
+    b = rng.normal(size=(2, 3, 5))
     got = ag.cosine_rows(Tensor(a), Tensor(b)).data
-    for i in range(4):
-        for j in range(3):
-            assert got[i, j] == pytest.approx(cosine_oracle(a[i], b[j]), abs=1e-12)
+    assert got.shape == (2, 4, 3)
+    for s in range(2):
+        for i in range(4):
+            for j in range(3):
+                want = cosine_oracle(a[s, i], b[s, j])
+                assert got[s, i, j] == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ShapeError):      # each set pairs with its own set
+        ag.cosine_rows(Tensor(a), Tensor(b[:1]))
 
 
 def test_cosine_rows_degenerate_row():
-    a = np.zeros((2, 3))
-    a[1] = [1.0, 0.0, 0.0]
+    a = np.zeros((1, 2, 3))
+    a[0, 1] = [1.0, 0.0, 0.0]
     t = Tensor(a, requires_grad=True)
-    b = Tensor(np.eye(3))
+    b = Tensor(np.eye(3)[None])
     out = ag.cosine_rows(t, b)
-    assert np.array_equal(out.data[0], np.zeros(3))
+    assert np.array_equal(out.data[0, 0], np.zeros(3))
     out.sum().backward()
-    assert np.array_equal(t.grad[0], np.zeros(3))
+    assert np.array_equal(t.grad[0, 0], np.zeros(3))
 
 
 def test_smoothed_softmax_frozen_case():
@@ -283,18 +332,18 @@ def test_smoothed_softmax_peak_monotone_in_lambda(seed):
 
 def test_sort_pool_uniform_weights_is_mean():
     rng = np.random.default_rng(8)
-    rows = rng.normal(size=(5, 4))
+    rows = rng.normal(size=(2, 5, 4))
     out = ag.sort_pool(Tensor(rows), Tensor(np.full(5, 0.2))).data
-    np.testing.assert_allclose(out, rows.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(out, rows.mean(axis=1), rtol=1e-12)
 
 
 def test_sort_pool_onehot_top_weight_is_max():
     rng = np.random.default_rng(9)
-    rows = rng.normal(size=(6, 3))
+    rows = rng.normal(size=(3, 6, 3))
     w = np.zeros(6)
     w[0] = 1.0
     out = ag.sort_pool(Tensor(rows), Tensor(w)).data
-    np.testing.assert_array_equal(out, rows.max(axis=0))
+    np.testing.assert_array_equal(out, rows.max(axis=1))
 
 
 def test_offdiag_max_values():
@@ -304,9 +353,19 @@ def test_offdiag_max_values():
 
 
 def test_l2_normalize_unit_norm():
-    v = Tensor(np.random.default_rng(10).normal(size=9))
+    v = Tensor(np.random.default_rng(10).normal(size=(3, 9)))
     out = ag.l2_normalize(v).data
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+    zero = ag.l2_normalize(Tensor(np.zeros((1, 4)))).data
+    assert np.array_equal(zero, np.zeros((1, 4)))
+
+
+def test_take_rows_gathers_and_scatters_back():
+    x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    out = ag.take_rows(x, [3, 0, 3])
+    np.testing.assert_array_equal(out.data, x.data[[3, 0, 3]])
+    out.sum().backward()
+    np.testing.assert_array_equal(x.grad, [[1.0] * 3, [0.0] * 3, [0.0] * 3, [2.0] * 3])
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +397,8 @@ PRIMITIVE_BUILDERS = {
     "div": _builder(None, lambda ps: ag.div(ps[0], ps[1]), (3, 4),
                     param_fn=lambda rng: [_rand(rng, (3, 4)),
                                           Tensor(rng.uniform(1.0, 2.0, size=(3, 4)), requires_grad=True)]),
-    "matmul": _builder([(3, 4), (4, 2)], lambda ps: ag.matmul(ps[0], ps[1]), (3, 2)),
-    "matvec": _builder([(3, 4), (4,)], lambda ps: ag.matmul(ps[0], ps[1]), (3,)),
+    "matmul": _builder([(2, 3, 4), (2, 4, 2)], lambda ps: ag.matmul(ps[0], ps[1]), (2, 3, 2)),
+    "matvec": _builder([(2, 3, 4), (2, 4, 1)], lambda ps: ag.matmul(ps[0], ps[1]), (2, 3, 1)),
     "tanh": _builder([(5,)], lambda ps: ag.tanh(ps[0]), (5,)),
     "sigmoid": _builder([(5,)], lambda ps: ag.sigmoid(ps[0]), (5,)),
     "relu": _builder(None, lambda ps: ag.relu(ps[0]), (7,),
@@ -347,19 +406,21 @@ PRIMITIVE_BUILDERS = {
                                                   + 0.2 * rng.normal(size=7), requires_grad=True)]),
     "reshape": _builder([(2, 6)], lambda ps: ag.reshape(ps[0], (3, 4)), (3, 4)),
     "linear": _builder([(3, 4), (2, 4)], lambda ps: ag.linear(ps[0], ps[1]), (3, 2)),
+    "linear_batched": _builder([(2, 3, 4), (2, 4)], lambda ps: ag.linear(ps[0], ps[1]), (2, 3, 2)),
     "concat": _builder([(2, 3), (4, 3)], lambda ps: ag.concat(ps, axis=0), (6, 3)),
-    "stack": _builder([(4,), (4,)], lambda ps: ag.stack(ps), (2, 4)),
+    "take_rows": _builder([(5, 3)], lambda ps: ag.take_rows(ps[0], [4, 0, 4, 2]), (4, 3)),
     "diag": _builder([(4, 4)], lambda ps: ag.diag(ps[0]), (4,)),
-    "conv2d": _builder([(4, 8), (2, 2, 2, 3), (3,)],
+    "conv2d": _builder([(2, 4, 8), (2, 2, 2, 3), (3,)],
                        lambda ps: vspm.refine_from_patches(
                            ps[0], vspm.VspmParams(ps[1], ps[2], None, None), (2, 2)),
-                       (2, 2, 3)),
+                       (2, 2, 2, 3)),
     "cosine": _builder([(6,), (6,)], lambda ps: cosine(ps[0], ps[1])),
-    "cosine_rows": _builder([(3, 5), (4, 5)], lambda ps: ag.cosine_rows(ps[0], ps[1]), (3, 4)),
+    "cosine_rows": _builder([(2, 3, 5), (2, 4, 5)], lambda ps: ag.cosine_rows(ps[0], ps[1]),
+                            (2, 3, 4)),
     "smoothed_softmax": _builder([(3, 5)], lambda ps: ag.smoothed_softmax(ps[0], 2.5), (3, 5)),
-    "l2_normalize": _builder([(6,)], lambda ps: ag.l2_normalize(ps[0]), (6,)),
-    "sort_pool": _builder(None, lambda ps: ag.sort_pool(ps[0], ps[1]), (3,),
-                          param_fn=lambda rng: [_rand(rng, (5, 3)),
+    "l2_normalize": _builder([(3, 6)], lambda ps: ag.l2_normalize(ps[0]), (3, 6)),
+    "sort_pool": _builder(None, lambda ps: ag.sort_pool(ps[0], ps[1]), (2, 3),
+                          param_fn=lambda rng: [_rand(rng, (2, 5, 3)),
                                                 Tensor(rng.uniform(0.1, 1.0, size=5), requires_grad=True)]),
     "sigmoid_of_cosine": _builder([(4,), (4,)], lambda ps: ag.sigmoid(cosine(ps[0], ps[1]) * 0.5)),
 }

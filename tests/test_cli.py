@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -273,5 +274,105 @@ def test_boundary_values_exit_cleanly(ds, tmp_path_factory):
             code = main(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+
+    check()
+
+
+def test_bad_checkpoint_or_manifest_exits_one_without_traceback(ds, ckpt, tmp_path, capsys):
+    bad_ck = tmp_path / "ck"
+    shutil.copytree(ckpt, bad_ck)
+    (bad_ck / "checkpoint.json").write_text('{"format_version": 1, "model": {')
+    code, out, err = run(capsys, "eval", "--data", str(ds), "--ckpt", str(bad_ck))
+    assert code == 1 and out == "" and "not valid JSON" in err
+    assert "Traceback" not in err
+    bad_ds = tmp_path / "ds"
+    shutil.copytree(ds, bad_ds)
+    doc = json.loads((bad_ds / "manifest.json").read_text())
+    doc["sentences"][0]["image_index"] = "zero"
+    (bad_ds / "manifest.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--data", str(bad_ds), "--ckpt", str(ckpt))
+    assert code == 1 and "image_index" in err and "Traceback" not in err
+
+
+# Values a mutation puts in place of a JSON value: every JSON type, and
+# numbers that are out of range but small, so no mutant can ask for a huge
+# allocation.
+RETYPED = ["x", "", 1.5, -1, 0, 2, None, True, False, [], [1, "a"], {}, {"k": 1}]
+
+
+def _json_paths(value, prefix=()):
+    """Every key path into a JSON document, parents before children."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutate(root, target, action):
+    """Apply one mutation to a copied dataset/checkpoint tree."""
+    path = root / target
+    kind, arg = action
+    if kind == "truncate":
+        raw = path.read_bytes()
+        path.write_bytes(raw[:int(len(raw) * arg)])
+        return
+    doc = json.loads(path.read_text())
+    *parents, last = arg[0]
+    node = doc
+    for key in parents:
+        node = node[key]
+    if kind == "delete":
+        del node[last]
+    else:
+        node[last] = arg[1]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mutated_inputs_exit_cleanly(ds, ckpt, tmp_path_factory):
+    """Manifests and checkpoints with deleted keys, retyped values or
+    truncated files end eval and train in 0, 1 or 2, never a traceback."""
+    base = tmp_path_factory.mktemp("mutants")
+    shutil.copytree(ds, base / "ds")
+    shutil.copytree(ckpt, base / "ck")
+    docs = {"ds/manifest.json": json.loads((ds / "manifest.json").read_text()),
+            "ck/checkpoint.json": json.loads((ckpt / "checkpoint.json").read_text())}
+    targets = {name: sorted(_json_paths(doc), key=str) for name, doc in docs.items()}
+    tensor_files = ["ds/" + docs["ds/manifest.json"]["images"][0]["seg_map"],
+                    "ds/" + docs["ds/manifest.json"]["sentences"][0]["word_feats"],
+                    "ck/vsem.region_proj.3sht"]
+
+    def json_mutation(name):
+        return st.tuples(st.just(name), st.one_of(
+            st.tuples(st.just("delete"), st.tuples(st.sampled_from(targets[name]))),
+            st.tuples(st.just("retype"), st.tuples(st.sampled_from(targets[name]),
+                                                   st.sampled_from(RETYPED)))))
+
+    truncation = st.tuples(st.sampled_from(list(docs) + tensor_files),
+                           st.tuples(st.just("truncate"), st.floats(0.0, 0.99)))
+    mutation = st.one_of(json_mutation("ds/manifest.json"),
+                         json_mutation("ck/checkpoint.json"), truncation)
+    counter = iter(range(10**6))
+
+    @given(mutation, st.sampled_from(["eval", "train"]))
+    @settings(max_examples=60, deadline=None)
+    def check(mut, command):
+        root = base / ("m%d" % next(counter))
+        shutil.copytree(base / "ds", root / "ds")
+        shutil.copytree(base / "ck", root / "ck")
+        _mutate(root, *mut)
+        if command == "eval":
+            argv = ["eval", "--data", str(root / "ds"), "--ckpt", str(root / "ck")]
+        else:
+            argv = ["train", "--data", str(root / "ds"), "--out", str(root / "out"),
+                    "--epochs", "1", "--batch-size", "8"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (mut, argv, code)
+        assert "Traceback" not in err.getvalue(), mut
+        shutil.rmtree(root)
 
     check()

@@ -42,30 +42,30 @@ def test_resolve_weights_sum_to_one(seed, n):
 
 def test_gpo_uniform_table_is_mean_pooling_above_table_length():
     rng = np.random.default_rng(6)
-    rows = rng.normal(size=(73, 5))
+    rows = rng.normal(size=(2, 73, 5))
     out = embedder.gpo_pool(Tensor(rows), Tensor(np.ones(64)))
-    np.testing.assert_allclose(out.data, rows.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(out.data, rows.mean(axis=1), rtol=1e-12)
 
 
 def test_gpo_uniform_table_is_mean_pooling():
     rng = np.random.default_rng(3)
-    rows = rng.normal(size=(9, 5))
+    rows = rng.normal(size=(2, 9, 5))
     out = embedder.gpo_pool(Tensor(rows), Tensor(np.ones(32)))
-    np.testing.assert_allclose(out.data, rows.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(out.data, rows.mean(axis=1), rtol=1e-12)
 
 
 def test_gpo_onehot_head_is_max_pooling():
     rng = np.random.default_rng(4)
-    rows = rng.normal(size=(7, 5))
+    rows = rng.normal(size=(2, 7, 5))
     table = np.zeros(32)
     table[0] = 1.0
     out = embedder.gpo_pool(Tensor(rows), Tensor(table))
-    np.testing.assert_allclose(out.data, rows.max(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(out.data, rows.max(axis=1), rtol=1e-12)
 
 
 def test_gpo_degenerate_table_rejected():
     with pytest.raises(ConfigError, match="degenerate"):
-        embedder.gpo_pool(Tensor(np.ones((4, 3))), Tensor(np.zeros(16)))
+        embedder.gpo_pool(Tensor(np.ones((1, 4, 3))), Tensor(np.zeros(16)))
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +92,16 @@ def params():
 def test_image_embedding_unit_norm(data, params):
     bundles, texts, _ = data
     pi = model.prepare_image(bundles[0], SMALL_DIMS, SMALL_MODEL)
-    emb = model.visual_forward(pi, params, SMALL_MODEL)
+    emb = model.visual_forward([pi], params, SMALL_MODEL)
     assert np.linalg.norm(emb.data) == pytest.approx(1.0, abs=1e-9)
-    assert emb.shape == (SMALL_MODEL.embed_dim,)
+    assert emb.shape == (1, SMALL_MODEL.embed_dim)
 
 
 def test_fused_set_has_2k_plus_1_rows(data, params):
     bundles, _, _ = data
     embedder._INTERP_CACHE.clear()
     pi = model.prepare_image(bundles[0], SMALL_DIMS, SMALL_MODEL)
-    model.visual_forward(pi, params, SMALL_MODEL)
+    model.visual_forward([pi], params, SMALL_MODEL)
     sizes = {n for n, _ in embedder._INTERP_CACHE}
     assert 2 * SMALL_DIMS.K + 1 in sizes
 
@@ -110,11 +110,11 @@ def test_region_permutation_leaves_embedding_unchanged(data, params):
     bundles, _, _ = data
     b = bundles[1]
     pi = model.prepare_image(b, SMALL_DIMS, SMALL_MODEL)
-    emb = model.visual_forward(pi, params, SMALL_MODEL)
+    emb = model.visual_forward([pi], params, SMALL_MODEL)
     perm = np.random.default_rng(2).permutation(SMALL_DIMS.K)
     b2 = featureio.FeatureBundle(b.image_id, b.region_feats[perm], b.grid_feats,
                                  b.seg_feat, b.seg_map)
-    emb2 = model.visual_forward(model.prepare_image(b2, SMALL_DIMS, SMALL_MODEL),
+    emb2 = model.visual_forward([model.prepare_image(b2, SMALL_DIMS, SMALL_MODEL)],
                                 params, SMALL_MODEL)
     np.testing.assert_allclose(emb2.data, emb.data, atol=1e-12)
 
@@ -124,15 +124,15 @@ def test_prepared_path_equals_raw_composition(data, params):
     bundles, _, _ = data
     b = bundles[2]
     pi = model.prepare_image(b, SMALL_DIMS, SMALL_MODEL)
-    fast = model.visual_forward(pi, params, SMALL_MODEL)
+    fast = model.visual_forward([pi], params, SMALL_MODEL)
 
-    regions = Tensor(b.region_feats)
-    vs = vsem.vsem_forward(regions, Tensor(b.seg_feat.mean(axis=(0, 1))),
+    regions = Tensor(b.region_feats[None])
+    vs = vsem.vsem_forward(regions, Tensor(b.seg_feat.mean(axis=(0, 1))[None]),
                            params.vsem, SMALL_MODEL.salience_mode)
     pos = vspm.build_position_tensor(b.seg_map, SMALL_MODEL.pos_dim, SMALL_DIMS.C_s)
     patches, hw = ag.conv_patches(pos, SMALL_MODEL.conv_kh, SMALL_MODEL.conv_kw,
                                   SMALL_MODEL.conv_stride)
-    vp = vspm.vspm_forward(regions, Tensor(patches), params.vspm, SMALL_MODEL, hw)
+    vp = vspm.vspm_forward(regions, Tensor(patches[None]), params.vspm, SMALL_MODEL, hw)
     slow = embedder.fuse_visual(regions, vs, vp, vs.seg_embed, params.embed,
                                 SMALL_MODEL)
     assert np.array_equal(fast.data, slow.data)
@@ -146,7 +146,7 @@ def test_branch_toggles_change_row_count(data):
         p = model.init_params(cfg, SMALL_DIMS, seed=3)
         embedder._INTERP_CACHE.clear()
         pi = model.prepare_image(bundles[0], SMALL_DIMS, cfg)
-        emb = model.visual_forward(pi, p, cfg)
+        emb = model.visual_forward([pi], p, cfg)
         assert np.linalg.norm(emb.data) == pytest.approx(1.0, abs=1e-9)
         sizes = {n for n, _ in embedder._INTERP_CACHE}
         expect = 2 * SMALL_DIMS.K + 1 if embedder.n_ss_branches(cfg) else SMALL_DIMS.K + 1
@@ -160,13 +160,14 @@ def test_branch_toggles_change_row_count(data):
 def test_text_embedding_unit_norm_and_single_word(data, params):
     _, texts, _ = data
     pt = model.prepare_text(texts)[0]
-    emb = model.text_forward(pt, params, SMALL_MODEL)
+    emb = model.text_forward([pt], params, SMALL_MODEL)
+    assert emb.shape == (1, SMALL_MODEL.embed_dim)
     assert np.linalg.norm(emb.data) == pytest.approx(1.0, abs=1e-9)
 
     one = Tensor(texts.word_feats[0][:1])
-    got = embedder.embed_text(one, params.embed)
+    got = embedder.embed_text([one], params.embed)
     fc = params.embed.text_fc_w.data @ texts.word_feats[0][0] + params.embed.text_fc_b.data
-    np.testing.assert_allclose(got.data, fc / np.linalg.norm(fc), atol=1e-12)
+    np.testing.assert_allclose(got.data[0], fc / np.linalg.norm(fc), atol=1e-12)
 
 
 def test_modality_independence(data, params):
@@ -299,6 +300,42 @@ def test_checkpoint_rejects_bad_config_keys(tmp_path, params, section, keys, mat
         model.load_checkpoint(ck)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("{bad", "not valid JSON"),
+    ("", "not valid JSON"),
+    ("[1, 2]", "must be a JSON object"),
+    ('"checkpoint"', "must be a JSON object"),
+], ids=["truncated", "empty", "list", "string"])
+def test_checkpoint_rejects_unreadable_document(tmp_path, params, text, match):
+    ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
+    (ck / "checkpoint.json").write_text(text)
+    with pytest.raises(FormatError, match=match):
+        model.load_checkpoint(ck)
+
+
+@pytest.mark.parametrize("edit, match", [
+    ({"model": None}, "missing key 'model'"),
+    ({"dims": None}, "missing key 'dims'"),
+    ({"tensors": None}, "missing key 'tensors'"),
+    ({"tensors": "vsem.seg_fc_w"}, "tensors must be a list"),
+    ({"tensors": {"vsem.seg_fc_w": 1}}, "tensors must be a list"),
+    ({"tensors": [1, "vsem.seg_fc_w"]}, "tensors must be a list"),
+    ({"meta": [1]}, "meta must be a JSON object"),
+], ids=["no-model", "no-dims", "no-tensors", "tensors-str", "tensors-dict",
+        "tensors-mixed", "meta-list"])
+def test_checkpoint_rejects_malformed_sections(tmp_path, params, edit, match):
+    ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
+    doc = json.loads((ck / "checkpoint.json").read_text())
+    for key, value in edit.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    (ck / "checkpoint.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=match):
+        model.load_checkpoint(ck)
+
+
 # ---------------------------------------------------------------------------
 # gradients through the whole visual + text stack
 
@@ -309,11 +346,11 @@ def test_end_to_end_gradients(data):
     p = model.init_params(cfg, SMALL_DIMS, seed=11)
     pi = model.prepare_image(bundles[0], SMALL_DIMS, cfg)
     pt = model.prepare_text(texts)[0]
-    w = Tensor(np.random.default_rng(1).normal(size=cfg.embed_dim))
+    w = Tensor(np.random.default_rng(1).normal(size=(1, cfg.embed_dim)))
 
     def loss():
-        vi = model.visual_forward(pi, p, cfg)
-        tx = model.text_forward(pt, p, cfg)
+        vi = model.visual_forward([pi], p, cfg)
+        tx = model.text_forward([pt], p, cfg)
         return (vi * w).sum() + (tx * w).sum() + (vi * tx).sum()
 
     report = ag.grad_check(loss, p.named(), eps=1e-5, tol=1e-4, sample=25)

@@ -302,3 +302,54 @@ def test_load_rejects_record_missing_key(tmp_path, section, key):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(FormatError, match="%s is missing key '%s'" % (rid, key)):
         fio.load_dataset(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("value", ["zero", "1", 1.5, 1.0, True, None, [1]],
+                         ids=["str", "numeric-str", "float", "integral-float",
+                              "bool", "null", "list"])
+def test_load_rejects_non_integer_image_index(tmp_path, value):
+    fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["sentences"][1]["image_index"] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="sent_00001_0: image_index must be an integer"):
+        fio.load_dataset(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("section, value", [
+    ("images", {"img": 1}), ("images", "img_00000"), ("images", None),
+    ("sentences", {"s": 1}), ("sentences", 3), ("sentences", True),
+])
+def test_manifest_rejects_record_lists_that_are_not_lists(tmp_path, section, value):
+    fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc[section] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="manifest %s must be a list" % section):
+        fio.load_dataset(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"manifest"', "null"])
+def test_manifest_rejects_document_that_is_not_an_object(tmp_path, text):
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(FormatError, match="must be a JSON object"):
+        fio.load_dataset(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("images", "seg_map", 7), ("images", "region_feats", ["a"]),
+    ("sentences", "word_feats", None), ("sentences", "word_feats", "a\0b"),
+])
+def test_load_rejects_tensor_file_names_that_are_not_strings(tmp_path, section, key, value):
+    fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc[section][0][key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="tensor file name must be a string"):
+        fio.load_dataset(tmp_path / "manifest.json")
+
+
+def test_manifest_rejects_invalid_utf8(tmp_path):
+    (tmp_path / "manifest.json").write_bytes(b'{"dataset": "\xff"}')
+    with pytest.raises(FormatError, match="UTF-8"):
+        fio.load_dataset(tmp_path / "manifest.json")

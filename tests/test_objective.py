@@ -303,8 +303,8 @@ def test_full_batch_gradients_match_finite_differences(data):
     txts = model.prepare_text(texts)[:24:3][:3]
 
     def loss():
-        iv = ag.stack([model.visual_forward(p, params, cfg) for p in prepped])
-        tv = ag.stack([model.text_forward(t, params, cfg) for t in txts])
+        iv = model.visual_forward(prepped, params, cfg)
+        tv = model.text_forward(txts, params, cfg)
         return triplet_loss(ag.linear(iv, tv), 0.2)
 
     report = ag.grad_check(loss, params.named(), eps=1e-5, tol=1e-4, sample=20)

@@ -38,8 +38,14 @@ def vsem_oracle(regions, seg_feat, p, mode):
 
 
 def pool(seg_feat):
-    """The pooled (C_s,) input the branch takes; vsem_oracle pools the raw map."""
-    return Tensor(seg_feat.mean(axis=(0, 1)))
+    """The pooled (1, C_s) input the branch takes for a batch of one image;
+    vsem_oracle pools the raw map."""
+    return Tensor(seg_feat.mean(axis=(0, 1))[None])
+
+
+def forward(regions, seg_feat, p, mode):
+    """The branch on one image's (K, D_l) regions, as a batch of one."""
+    return vsem.vsem_forward(Tensor(regions[None]), pool(seg_feat), p, mode)
 
 
 @pytest.fixture
@@ -54,21 +60,22 @@ def setup():
 @pytest.mark.parametrize("mode", ["sigmoid", "softmax"])
 def test_forward_matches_oracle(setup, mode):
     p, regions, seg_feat = setup
-    out = vsem.vsem_forward(Tensor(regions), pool(seg_feat), p, mode)
+    out = forward(regions, seg_feat, p, mode)
     seg, alphas, enhanced = vsem_oracle(regions, seg_feat, p, mode)
-    np.testing.assert_allclose(out.seg_embed.data, seg, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(out.alphas.data, alphas, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(out.enhanced.data, enhanced, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.seg_embed.data[0], seg, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.alphas.data[0], alphas, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.enhanced.data[0], enhanced, rtol=1e-12, atol=1e-12)
 
 
 def test_forward_equals_sequenced_ops(setup):
     """The pipeline must agree exactly with running the ops one by one."""
     p, regions, seg_feat = setup
-    rt, pooled = Tensor(regions), pool(seg_feat)
+    rt, pooled = Tensor(regions[None]), pool(seg_feat)
     out = vsem.vsem_forward(rt, pooled, p, "sigmoid")
     seg = vsem.seg_embed_from_pooled(pooled, p)
-    alphas = vsem.salience_weights(seg, rt, p, "sigmoid")
-    enhanced = vsem.semantic_fuse(alphas, rt, seg, p)
+    projected = vsem.project_regions(rt, p)
+    alphas = vsem.salience_weights(seg, projected, "sigmoid")
+    enhanced = vsem.semantic_fuse(alphas, projected, seg, p)
     assert np.array_equal(out.seg_embed.data, seg.data)
     assert np.array_equal(out.alphas.data, alphas.data)
     assert np.array_equal(out.enhanced.data, enhanced.data)
@@ -82,11 +89,11 @@ def test_salience_frozen_value_at_parallel_vectors():
         region_proj=Tensor(np.eye(d)), gate_proj=Tensor(np.eye(d)),
         fuse_proj=Tensor(np.eye(d)),
     )
-    seg = Tensor(np.array([1.0, 2.0, 3.0, 4.0]))
-    regions = Tensor(2.0 * seg.data[None, :])
-    alphas = vsem.salience_weights(seg, regions, p, "sigmoid")
-    assert alphas.data[0] == pytest.approx(sigmoid(0.5), abs=1e-12)
-    assert alphas.data[0] == pytest.approx(0.6224593312018546, abs=1e-12)
+    seg = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
+    regions = Tensor(2.0 * seg.data[:, None, :])
+    alphas = vsem.salience_weights(seg, vsem.project_regions(regions, p), "sigmoid")
+    assert alphas.data[0, 0] == pytest.approx(sigmoid(0.5), abs=1e-12)
+    assert alphas.data[0, 0] == pytest.approx(0.6224593312018546, abs=1e-12)
 
 
 def test_salience_sigmoid_open_interval_bounds():
@@ -98,7 +105,7 @@ def test_salience_sigmoid_open_interval_bounds():
     for _ in range(50):
         seg_feat = rng.normal(size=(SMALL_DIMS.seg_h, SMALL_DIMS.seg_w, SMALL_DIMS.C_s))
         regions = rng.normal(size=(20, SMALL_DIMS.D_l))
-        out = vsem.vsem_forward(Tensor(regions), pool(seg_feat), p, "sigmoid")
+        out = forward(regions, seg_feat, p, "sigmoid")
         assert np.all(out.alphas.data > lo)
         assert np.all(out.alphas.data < hi)
 
@@ -109,23 +116,23 @@ def test_salience_softmax_sums_to_one():
     for _ in range(20):
         seg_feat = rng.normal(size=(SMALL_DIMS.seg_h, SMALL_DIMS.seg_w, SMALL_DIMS.C_s))
         regions = rng.normal(size=(SMALL_DIMS.K, SMALL_DIMS.D_l))
-        out = vsem.vsem_forward(Tensor(regions), pool(seg_feat), p, "softmax")
+        out = forward(regions, seg_feat, p, "softmax")
         assert out.alphas.data.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_salience_rejects_unknown_mode(setup):
     p, regions, seg_feat = setup
     with pytest.raises(ConfigError):
-        vsem.vsem_forward(Tensor(regions), pool(seg_feat), p, "relu")
+        forward(regions, seg_feat, p, "relu")
 
 
 def test_permutation_equivariance(setup):
     p, regions, seg_feat = setup
     perm = np.random.default_rng(1).permutation(SMALL_DIMS.K)
-    out = vsem.vsem_forward(Tensor(regions), pool(seg_feat), p, "sigmoid")
-    out_p = vsem.vsem_forward(Tensor(regions[perm]), pool(seg_feat), p, "sigmoid")
-    np.testing.assert_allclose(out_p.alphas.data, out.alphas.data[perm], atol=1e-12)
-    np.testing.assert_allclose(out_p.enhanced.data, out.enhanced.data[perm], atol=1e-12)
+    out = forward(regions, seg_feat, p, "sigmoid")
+    out_p = forward(regions[perm], seg_feat, p, "sigmoid")
+    np.testing.assert_allclose(out_p.alphas.data[0], out.alphas.data[0, perm], atol=1e-12)
+    np.testing.assert_allclose(out_p.enhanced.data[0], out.enhanced.data[0, perm], atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["sigmoid", "softmax"])
@@ -133,13 +140,13 @@ def test_gradients_match_finite_differences(mode):
     rng = np.random.default_rng(55)
     cfg = SMALL_MODEL
     p = vsem.init_vsem_params(cfg, SMALL_DIMS, rng)
-    regions = Tensor(rng.normal(size=(4, SMALL_DIMS.D_l)))
+    regions = Tensor(rng.normal(size=(1, 4, SMALL_DIMS.D_l)))
     pooled = pool(rng.normal(size=(SMALL_DIMS.seg_h, SMALL_DIMS.seg_w, SMALL_DIMS.C_s)))
-    w = Tensor(rng.normal(size=(4, cfg.embed_dim)))
+    w = Tensor(rng.normal(size=(1, 4, cfg.embed_dim)))
 
     def loss():
         out = vsem.vsem_forward(regions, pooled, p, mode)
-        return (out.enhanced * w).sum() + (out.alphas * Tensor(np.ones(4))).sum()
+        return (out.enhanced * w).sum() + (out.alphas * Tensor(np.ones((1, 4)))).sum()
 
     report = ag.grad_check(loss, p.named(), eps=1e-5, tol=1e-4, sample=40)
     assert report.passed, report

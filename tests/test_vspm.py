@@ -54,6 +54,28 @@ def test_positional_encode_grid_matches_scalar():
 # position tensor
 
 
+def positional_encode_grid_oracle(h, w, d):
+    """The grid as computed for every image before it was cached."""
+    p = np.arange(1, h * w + 1, dtype=np.float64)[:, None]
+    j = np.arange(1, d + 1, dtype=np.float64)[None, :]
+    angle = p / np.power(10000.0, j / d)
+    return np.where(j % 2 == 0, np.sin(angle), np.cos(angle)).reshape(h, w, d)
+
+
+def test_positional_grid_is_cached_read_only_and_unchanged():
+    grid = vspm.positional_encode_grid(64, 64, 32)
+    assert vspm.positional_encode_grid(64, 64, 32) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0, 0] = 1.0
+    assert np.array_equal(grid, positional_encode_grid_oracle(64, 64, 32))
+    seg_map = np.random.default_rng(3).integers(0, 133, size=(64, 64)).astype(np.uint16)
+    pos = vspm.build_position_tensor(seg_map, 32, 133)
+    assert pos.flags.writeable
+    assert np.array_equal(pos[:, :, :32], positional_encode_grid_oracle(64, 64, 32))
+    assert np.array_equal(pos[:, :, 32], seg_map / 133.0)
+
+
 def test_build_position_tensor_layout():
     rng = np.random.default_rng(2)
     seg_map = rng.integers(0, 16, size=(6, 4)).astype(np.uint16)
@@ -85,21 +107,29 @@ def setup():
 
 
 def im2col(pos, cfg=SMALL_MODEL):
-    """(patches, (Hp, Wp)) of a position stack, as prepare_image builds them."""
+    """(patches, (Hp, Wp)) of a position stack as a batch of one, as
+    prepare_image builds them."""
     patches, hw = ag.conv_patches(pos, cfg.conv_kh, cfg.conv_kw, cfg.conv_stride)
-    return Tensor(patches), hw
+    return Tensor(patches[None]), hw
 
 
 def forward(regions, pos, p, cfg=SMALL_MODEL):
+    """The branch on one image, as a batch of one."""
     patches, hw = im2col(pos, cfg)
-    return vspm.vspm_forward(Tensor(regions), patches, p, cfg, hw)
+    return vspm.vspm_forward(Tensor(regions[None]), patches, p, cfg, hw)
+
+
+def attend(regions, refined, p, smooth):
+    """spatial_attention for one image's (K, D_l) regions and refined grid."""
+    queries = vspm.project_queries(Tensor(regions[None]), p)
+    return vspm.spatial_attention(queries, Tensor(refined[None]), smooth)
 
 
 def test_refine_positions_shape_and_linearity(setup):
     p, _, pos = setup
     patches, hw = im2col(pos)
     refined = vspm.refine_from_patches(patches, p, hw)
-    assert refined.shape == (4, 4, SMALL_MODEL.pos_channels)
+    assert refined.shape == (1, 4, 4, SMALL_MODEL.pos_channels)
     # conv with zero kernel leaves only the bias
     zero = vspm.VspmParams(
         conv_kernel=Tensor(np.zeros_like(p.conv_kernel.data)),
@@ -120,7 +150,7 @@ def test_refine_from_patches_bitwise_equal(setup):
     q = vspm.VspmParams(conv_kernel=Tensor(kernel), conv_bias=Tensor(bias),
                         query_proj=p.query_proj, combine_proj=p.combine_proj)
     patches, hw = im2col(pos_q)
-    got = vspm.refine_from_patches(patches, q, hw).data
+    got = vspm.refine_from_patches(patches, q, hw).data[0]
     want = conv2d_oracle(pos_q, kernel, SMALL_MODEL.conv_stride, bias)
     assert np.array_equal(got, want)
 
@@ -128,9 +158,9 @@ def test_refine_from_patches_bitwise_equal(setup):
 def test_attention_rows_sum_to_one(setup):
     p, regions, pos = setup
     out = forward(regions, pos, p)
-    np.testing.assert_allclose(out.betas.data.sum(axis=1), 1.0, atol=1e-9)
-    assert out.betas.data.shape == (SMALL_DIMS.K, 16)
-    assert out.spatial.shape == (SMALL_DIMS.K, SMALL_MODEL.embed_dim)
+    np.testing.assert_allclose(out.betas.data.sum(axis=2), 1.0, atol=1e-9)
+    assert out.betas.data.shape == (1, SMALL_DIMS.K, 16)
+    assert out.spatial.shape == (1, SMALL_DIMS.K, SMALL_MODEL.embed_dim)
 
 
 def test_attention_lambda_zero_exactly_uniform(setup):
@@ -138,7 +168,7 @@ def test_attention_lambda_zero_exactly_uniform(setup):
     from dataclasses import replace
     cfg = replace(SMALL_MODEL, attn_smooth=0.0)
     out = forward(regions, pos, p, cfg)
-    m = out.betas.data.shape[1]
+    m = out.betas.data.shape[2]
     assert np.all(out.betas.data == 1.0 / m)
 
 
@@ -146,12 +176,11 @@ def test_identical_refined_rows_collapse_context(setup):
     """If every refined cell is the same vector, the context equals it."""
     p, regions, _ = setup
     row = np.random.default_rng(5).normal(size=SMALL_MODEL.pos_channels)
-    refined = Tensor(np.tile(row, (4, 4, 1)))
-    betas, context = vspm.spatial_attention(Tensor(regions), refined, p,
-                                            SMALL_MODEL.attn_smooth)
-    np.testing.assert_allclose(context.data,
+    betas, context = attend(regions, np.tile(row, (4, 4, 1)), p,
+                            SMALL_MODEL.attn_smooth)
+    np.testing.assert_allclose(context.data[0],
                                np.tile(row, (SMALL_DIMS.K, 1)), atol=1e-12)
-    np.testing.assert_allclose(betas.data.sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(betas.data.sum(axis=2), 1.0, atol=1e-9)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -159,12 +188,12 @@ def test_identical_refined_rows_collapse_context(setup):
 def test_attention_peak_monotone_in_smoothing(seed):
     rng = np.random.default_rng(seed)
     p = vspm.init_vspm_params(SMALL_MODEL, SMALL_DIMS, rng)
-    regions = Tensor(rng.normal(size=(3, SMALL_DIMS.D_l)))
-    refined = Tensor(rng.normal(size=(2, 2, SMALL_MODEL.pos_channels)))
+    regions = rng.normal(size=(3, SMALL_DIMS.D_l))
+    refined = rng.normal(size=(2, 2, SMALL_MODEL.pos_channels))
     lam1, lam2 = sorted(rng.uniform(0.0, 8.0, size=2))
-    b1, _ = vspm.spatial_attention(regions, refined, p, lam1)
-    b2, _ = vspm.spatial_attention(regions, refined, p, lam2)
-    assert np.all(b2.data.max(axis=1) >= b1.data.max(axis=1) - 1e-12)
+    b1, _ = attend(regions, refined, p, lam1)
+    b2, _ = attend(regions, refined, p, lam2)
+    assert np.all(b2.data.max(axis=2) >= b1.data.max(axis=2) - 1e-12)
 
 
 def test_permutation_equivariance(setup):
@@ -172,8 +201,8 @@ def test_permutation_equivariance(setup):
     perm = np.random.default_rng(9).permutation(SMALL_DIMS.K)
     out = forward(regions, pos, p)
     out_p = forward(regions[perm], pos, p)
-    np.testing.assert_allclose(out_p.betas.data, out.betas.data[perm], atol=1e-12)
-    np.testing.assert_allclose(out_p.spatial.data, out.spatial.data[perm], atol=1e-12)
+    np.testing.assert_allclose(out_p.betas.data[0], out.betas.data[0, perm], atol=1e-12)
+    np.testing.assert_allclose(out_p.spatial.data[0], out.spatial.data[0, perm], atol=1e-12)
 
 
 def test_forward_matches_straight_line_oracle(setup):
@@ -204,15 +233,15 @@ def test_forward_matches_straight_line_oracle(setup):
     betas = e / e.sum(axis=1, keepdims=True)
     spatial = (betas @ flat + q) @ p.combine_proj.data.T
 
-    np.testing.assert_allclose(out.refined.data, refined, atol=1e-10)
-    np.testing.assert_allclose(out.betas.data, betas, atol=1e-10)
-    np.testing.assert_allclose(out.spatial.data, spatial, atol=1e-10)
+    np.testing.assert_allclose(out.refined.data[0], refined, atol=1e-10)
+    np.testing.assert_allclose(out.betas.data[0], betas, atol=1e-10)
+    np.testing.assert_allclose(out.spatial.data[0], spatial, atol=1e-10)
 
 
 def test_gradients_match_finite_differences(setup):
     p, regions, pos = setup
-    rt, (patches, hw) = Tensor(regions[:4]), im2col(pos)
-    w = Tensor(np.random.default_rng(13).normal(size=(4, SMALL_MODEL.embed_dim)))
+    rt, (patches, hw) = Tensor(regions[None, :4]), im2col(pos)
+    w = Tensor(np.random.default_rng(13).normal(size=(1, 4, SMALL_MODEL.embed_dim)))
 
     def loss():
         out = vspm.vspm_forward(rt, patches, p, SMALL_MODEL, hw)
