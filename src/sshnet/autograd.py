@@ -18,6 +18,7 @@ per-row scaling, scalar division).
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,9 +69,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def sum(self) -> "Tensor":
         """Sum of all entries, as a scalar tensor."""
         t = self
@@ -108,29 +106,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, as_tensor(other))
 
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
     def __truediv__(self, other):
         return div(self, as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
     def __repr__(self):
         return "Tensor(shape=%r, requires_grad=%r)" % (self.shape, self.requires_grad)
@@ -138,6 +121,12 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def uniform_param(rng, shape, fan_in: int) -> Tensor:
+    """A trainable tensor drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+    bound = 1.0 / math.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 def _make(data, parents: tuple, vjp) -> Tensor:

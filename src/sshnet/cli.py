@@ -17,8 +17,7 @@ import numpy as np
 
 from . import checks, featureio, model, objective, retrieval
 from .config import FULL_DIMS, FULL_MODEL, SMALL_DIMS, SMALL_MODEL, preset
-from .errors import (ConfigError, DataValidationError, FormatError,
-                     GradCheckError, ShapeError, SshnetError, TrainingError)
+from .errors import ConfigError, GradCheckError, SshnetError, TrainingError
 from .objective import TrainConfig
 
 
@@ -53,17 +52,26 @@ def _model_for(dims, choice: str):
     raise ConfigError("dataset geometry matches no preset; pass --dims")
 
 
+def _add_model_flags(sp):
+    """The model overrides shared by ``train`` and untrained ``eval``."""
+    sp.add_argument("--salience", choices=["sigmoid", "softmax"])
+    sp.add_argument("--attn-smooth", type=float)
+    sp.add_argument("--embed-dim", type=int)
+    sp.add_argument("--no-vsem", action="store_true")
+    sp.add_argument("--no-vspm", action="store_true")
+
+
 def _apply_model_flags(cfg, args):
     over = {}
-    if getattr(args, "salience", None):
+    if args.salience:
         over["salience_mode"] = args.salience
-    if getattr(args, "attn_smooth", None) is not None:
+    if args.attn_smooth is not None:
         over["attn_smooth"] = args.attn_smooth
-    if getattr(args, "embed_dim", None) is not None:
+    if args.embed_dim is not None:
         over["embed_dim"] = args.embed_dim
-    if getattr(args, "no_vsem", False):
+    if args.no_vsem:
         over["use_vsem"] = False
-    if getattr(args, "no_vspm", False):
+    if args.no_vspm:
         over["use_vspm"] = False
     return replace(cfg, **over) if over else cfg
 
@@ -276,11 +284,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--lr", type=float, default=5e-4)
     sp.add_argument("--margin", type=float, default=0.2)
     sp.add_argument("--weight-decay", type=float, default=1e-4)
-    sp.add_argument("--salience", choices=["sigmoid", "softmax"])
-    sp.add_argument("--attn-smooth", type=float)
-    sp.add_argument("--embed-dim", type=int)
-    sp.add_argument("--no-vsem", action="store_true")
-    sp.add_argument("--no-vspm", action="store_true")
+    _add_model_flags(sp)
 
     sp = add("eval", cmd_eval, help="evaluate retrieval recall")
     sp.add_argument("--data", required=True)
@@ -290,11 +294,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--dims", choices=["auto", "small", "full"],
                     default="auto")
     sp.add_argument("--folds", type=int, default=1)
-    sp.add_argument("--salience", choices=["sigmoid", "softmax"])
-    sp.add_argument("--attn-smooth", type=float)
-    sp.add_argument("--embed-dim", type=int)
-    sp.add_argument("--no-vsem", action="store_true")
-    sp.add_argument("--no-vspm", action="store_true")
+    _add_model_flags(sp)
     sp.add_argument("--pretty", action="store_true")
 
     sp = add("ensemble-eval", cmd_ensemble_eval,
@@ -340,8 +340,7 @@ def main(argv=None) -> int:
     except (TrainingError, GradCheckError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ConfigError, DataValidationError, FormatError, ShapeError,
-            SshnetError, OSError) as exc:
+    except (SshnetError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

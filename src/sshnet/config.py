@@ -64,13 +64,7 @@ class DimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DimConfig":
-        out = {}
-        for k, v in _check_keys(cls, d, "dims").items():
-            try:
-                out[k] = int(v)
-            except (TypeError, ValueError):
-                raise FormatError("dims.%s must be an integer, got %r" % (k, v))
-        return cls(**out)
+        return cls(**_check_types(cls, _check_keys(cls, d, "dims"), "dims"))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ the other modality, so both sides can be precomputed offline.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,8 +24,6 @@ from . import autograd as ag
 from .autograd import Tensor
 from .config import DimConfig, ModelConfig
 from .errors import ConfigError
-from .vsem import VsemOutput
-from .vspm import VspmOutput
 
 
 @dataclass
@@ -57,20 +56,14 @@ def n_ss_branches(cfg: ModelConfig) -> int:
 
 def init_embed_params(cfg: ModelConfig, dims: DimConfig, rng) -> EmbedParams:
     d = cfg.embed_dim
-
-    def lin(rows, cols):
-        bound = 1.0 / math.sqrt(cols)
-        return Tensor(rng.uniform(-bound, bound, size=(rows, cols)),
-                      requires_grad=True)
-
     nb = n_ss_branches(cfg)
-    ss_w = lin(d, d * nb) if nb else None
+    ss_w = ag.uniform_param(rng, (d, d * nb), d * nb) if nb else None
     ss_b = Tensor(np.zeros(d), requires_grad=True) if nb else None
     return EmbedParams(
-        img_proj=lin(d, dims.D_l),
+        img_proj=ag.uniform_param(rng, (d, dims.D_l), dims.D_l),
         ss_fc_w=ss_w,
         ss_fc_b=ss_b,
-        text_fc_w=lin(d, dims.word_dim),
+        text_fc_w=ag.uniform_param(rng, (d, dims.word_dim), dims.word_dim),
         text_fc_b=Tensor(np.zeros(d), requires_grad=True),
         gpo_visual=Tensor(np.ones(cfg.gpo_size), requires_grad=True),
         gpo_text=Tensor(np.ones(cfg.gpo_size), requires_grad=True),
@@ -80,15 +73,13 @@ def init_embed_params(cfg: ModelConfig, dims: DimConfig, rng) -> EmbedParams:
 # ---------------------------------------------------------------------------
 # learned rank pooling
 
-_INTERP_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _interp_matrix(n: int, table_len: int) -> np.ndarray:
-    """(n, table_len) linear interpolation from table positions to n ranks."""
-    key = (n, table_len)
-    cached = _INTERP_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """(n, table_len) linear interpolation from table positions to n ranks.
+
+    Computed once per (n, table_len) and returned read-only: every set of
+    the same size shares one matrix.
+    """
     mat = np.zeros((n, table_len))
     if n == 1:
         mat[0, 0] = 1.0
@@ -102,7 +93,7 @@ def _interp_matrix(n: int, table_len: int) -> np.ndarray:
             else:
                 mat[r, lo] = 1.0 - frac
                 mat[r, lo + 1] = frac
-    _INTERP_CACHE[key] = mat
+    mat.flags.writeable = False
     return mat
 
 
@@ -136,31 +127,22 @@ def gpo_pool(rows: Tensor, table: Tensor) -> Tensor:
 # fusion and text
 
 
-def fuse_visual(regions: Tensor, vsem_out: VsemOutput | None,
-                vspm_out: VspmOutput | None, seg_embed: Tensor,
-                p: EmbedParams, cfg: ModelConfig) -> Tensor:
+def fuse_visual(regions: Tensor, ss_parts: Sequence[Tensor], seg_embed: Tensor,
+                p: EmbedParams) -> Tensor:
     """Pool {projected regions} + {semantic-spatial rows} + {seg embedding}.
 
-    regions (B, K, D_l) and seg_embed (B, D) give the (B, D) unit-norm
-    image embeddings; each image pools its own (2K + 1, D) set.  Branch
-    toggles drop their rows from the semantic-spatial FC input; the
-    segmentation row stays.
+    regions (B, K, D_l), the enhanced (B, K, D) rows of each enabled branch
+    in ``ss_parts`` (semantic first) and seg_embed (B, D) give the (B, D)
+    unit-norm image embeddings; each image pools its own (2K + 1, D) set,
+    or (K + 1, D) when no branch is enabled.  The segmentation row always
+    stays.
     """
-    proj = ag.linear(regions, p.img_proj)
-    groups = [proj]
-    parts = []
-    if cfg.use_vsem:
-        if vsem_out is None:
-            raise ConfigError("use_vsem is on but no semantic output was given")
-        parts.append(vsem_out.enhanced)
-    if cfg.use_vspm:
-        if vspm_out is None:
-            raise ConfigError("use_vspm is on but no spatial output was given")
-        parts.append(vspm_out.spatial)
-    if parts:
-        ss_in = parts[0] if len(parts) == 1 else ag.concat(parts, axis=2)
+    b, d = seg_embed.shape
+    groups = [ag.linear(regions, p.img_proj)]
+    if ss_parts:
+        ss_in = ss_parts[0] if len(ss_parts) == 1 else ag.concat(ss_parts, axis=2)
         groups.append(ag.linear(ss_in, p.ss_fc_w) + p.ss_fc_b)
-    groups.append(ag.reshape(seg_embed, (seg_embed.shape[0], 1, cfg.embed_dim)))
+    groups.append(ag.reshape(seg_embed, (b, 1, d)))
     return ag.l2_normalize(gpo_pool(ag.concat(groups, axis=1), p.gpo_visual))
 
 

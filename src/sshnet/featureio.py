@@ -18,6 +18,8 @@ retrieval is solvable by construction (see ``planted_maps``).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +53,17 @@ def write_tensor(path, array: np.ndarray) -> None:
     dims = b"".join(struct.pack("<Q", d) for d in array.shape)
     payload = array.astype(_CODE_TO_DTYPE[code], copy=False).tobytes()
     Path(path).write_bytes(header + dims + payload)
+
+
+def write_atomic(path: Path, write, payload) -> None:
+    """``write(tmp, payload)`` to a sibling temp file, then rename it onto
+    ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp, payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -174,10 +187,6 @@ class Manifest:
             raise FormatError("manifest num_sentences %r does not match sentence list (%d)"
                               % (doc["num_sentences"], m.num_sentences))
         return m
-
-
-def save_manifest(path, manifest: Manifest) -> None:
-    Path(path).write_text(manifest.to_json())
 
 
 def load_manifest(path) -> Manifest:
@@ -324,17 +333,21 @@ def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
 
     Every feature of image i is maps @ z_i plus iid noise; captions of
     image i are word-wise linear images of the same z_i.  The same seed
-    always produces byte-identical files.
+    always produces byte-identical files.  Any old ``manifest.json`` is
+    removed first and the new one is written last, so an interrupted
+    write leaves no manifest describing tensors it did not finish.
     """
     if n_images < 2:
         raise ConfigError("n_images must be >= 2, got %d" % (n_images,))
     if captions_per_image < 1:
         raise ConfigError("captions_per_image must be >= 1")
-    if noise < 0:
-        raise ConfigError("noise must be non-negative")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ConfigError("noise must be finite and non-negative, got %r" % (noise,))
     dims.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
 
     maps = planted_maps(dims, seed, latent_dim)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
@@ -380,8 +393,7 @@ def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
 
     manifest = Manifest(dataset="synthetic", dims=dims, images=image_recs,
                         sentences=sentence_recs, seed=seed)
-    manifest_path = out_dir / "manifest.json"
-    save_manifest(manifest_path, manifest)
+    write_atomic(manifest_path, Path.write_text, manifest.to_json())
     return manifest_path
 
 

@@ -9,7 +9,6 @@ batch on one tape, with the batch as the first axis of every tensor.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +20,8 @@ from . import embedder, vsem, vspm
 from .autograd import Tensor
 from .config import DimConfig, ModelConfig
 from .errors import ConfigError, FormatError
-from .featureio import FeatureBundle, TextFeatureSet, read_tensor, write_tensor
+from .featureio import (FeatureBundle, TextFeatureSet, read_tensor, write_atomic,
+                        write_tensor)
 
 MODES = ("region", "grid")
 
@@ -118,18 +118,18 @@ def visual_forward(imgs: Sequence[PreparedImage], params: ModelParams,
     """
     regions = Tensor(np.stack([img.regions.data for img in imgs]))
     pooled = Tensor(np.stack([img.pooled_seg.data for img in imgs]))
-    vsem_out = None
+    ss_parts = []
     if cfg.use_vsem:
         vsem_out = vsem.vsem_forward(regions, pooled, params.vsem, cfg.salience_mode)
         seg_embed = vsem_out.seg_embed
+        ss_parts.append(vsem_out.enhanced)
     else:
         seg_embed = vsem.seg_embed_from_pooled(pooled, params.vsem)
-    vspm_out = None
     if cfg.use_vspm:
         patches = Tensor(np.stack([img.pos_patches.data for img in imgs]))
-        vspm_out = vspm.vspm_forward(regions, patches, params.vspm, cfg, imgs[0].pos_hw)
-    return embedder.fuse_visual(regions, vsem_out, vspm_out, seg_embed,
-                                params.embed, cfg)
+        ss_parts.append(vspm.vspm_forward(regions, patches, params.vspm, cfg,
+                                          imgs[0].pos_hw).spatial)
+    return embedder.fuse_visual(regions, ss_parts, seg_embed, params.embed)
 
 
 def text_forward(txts: Sequence[PreparedText], params: ModelParams,
@@ -194,17 +194,6 @@ def embed_dataset(bundles: list[FeatureBundle], texts: TextFeatureSet,
 # checkpoints
 
 
-def _write_atomic(path: Path, write, payload) -> None:
-    """``write(tmp, payload)`` to a sibling temp file, then rename it onto
-    ``path``."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        write(tmp, payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_checkpoint(out_dir, params: ModelParams, cfg: ModelConfig,
                     dims: DimConfig, meta: dict | None = None) -> Path:
     """One tensor file per parameter plus a JSON description.
@@ -220,7 +209,7 @@ def save_checkpoint(out_dir, params: ModelParams, cfg: ModelConfig,
     doc_path.unlink(missing_ok=True)
     named = params.named()
     for name, t in named.items():
-        _write_atomic(out_dir / (name + ".3sht"), write_tensor, t.data)
+        write_atomic(out_dir / (name + ".3sht"), write_tensor, t.data)
     doc = {
         "format_version": 1,
         "model": cfg.to_dict(),
@@ -228,7 +217,7 @@ def save_checkpoint(out_dir, params: ModelParams, cfg: ModelConfig,
         "tensors": sorted(named),
         "meta": meta or {},
     }
-    _write_atomic(doc_path, Path.write_text, json.dumps(doc, indent=2) + "\n")
+    write_atomic(doc_path, Path.write_text, json.dumps(doc, indent=2) + "\n")
     return out_dir
 
 

@@ -59,10 +59,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 def triplet_loss(sim: Tensor, margin: float) -> Tensor:
     """Sum of bidirectional hinge losses with hardest in-batch negatives.

@@ -5,10 +5,9 @@ so every metric here can be compared exactly against brute-force oracles.
 """
 from __future__ import annotations
 
-import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -102,7 +101,7 @@ def rsum(recalls) -> float:
 
 @dataclass
 class RetrievalReport:
-    """Six recalls plus their sum; optional throughput annotation."""
+    """Six recalls plus their sum."""
 
     mode: str
     i2s_r1: float
@@ -112,7 +111,6 @@ class RetrievalReport:
     s2i_r5: float
     s2i_r10: float
     rsum: float
-    kpps: float | None = None
     extra: dict = field(default_factory=dict)
 
     def recalls(self) -> tuple:
@@ -126,14 +124,9 @@ class RetrievalReport:
             "s2i": {"r1": self.s2i_r1, "r5": self.s2i_r5, "r10": self.s2i_r10},
             "rsum": self.rsum,
         }
-        if self.kpps is not None:
-            d["kpps"] = self.kpps
         if self.extra:
             d["extra"] = self.extra
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def table(self) -> str:
         head = ("mode      " "  i2s R@1  i2s R@5 i2s R@10"
@@ -142,9 +135,6 @@ class RetrievalReport:
         for v in self.recalls():
             row += " %8.1f" % v
         row += " %8.1f" % self.rsum
-        if self.kpps is not None:
-            head += "     Kpps"
-            row += " %8.3f" % self.kpps
         return head + "\n" + row
 
 
@@ -253,14 +243,7 @@ class BenchResult:
     elapsed_s: float            # median elapsed per trial
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_queries": self.n_queries,
-            "n_candidates": self.n_candidates,
-            "kpps": self.kpps,
-            "trial_kpps": self.trial_kpps,
-            "elapsed_s": self.elapsed_s,
-        }
+        return asdict(self)
 
 
 def bench_kpps(table, queries, mode: str = "precomputed", *,

@@ -48,18 +48,12 @@ class VsemOutput:
 
 def init_vsem_params(cfg: ModelConfig, dims: DimConfig, rng) -> VsemParams:
     d = cfg.embed_dim
-
-    def lin(rows, cols):
-        bound = 1.0 / math.sqrt(cols)
-        return Tensor(rng.uniform(-bound, bound, size=(rows, cols)),
-                      requires_grad=True)
-
     return VsemParams(
-        seg_fc_w=lin(d, dims.C_s),
+        seg_fc_w=ag.uniform_param(rng, (d, dims.C_s), dims.C_s),
         seg_fc_b=Tensor(np.zeros(d), requires_grad=True),
-        region_proj=lin(d, dims.D_l),
-        gate_proj=lin(d, d),
-        fuse_proj=lin(d, d),
+        region_proj=ag.uniform_param(rng, (d, dims.D_l), dims.D_l),
+        gate_proj=ag.uniform_param(rng, (d, d), d),
+        fuse_proj=ag.uniform_param(rng, (d, d), d),
     )
 
 

@@ -11,7 +11,6 @@ batch of images as the first axis.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .config import DimConfig, ModelConfig
-from .errors import ConfigError, DataValidationError
+from .errors import DataValidationError
 
 
 @dataclass
@@ -46,36 +45,25 @@ class VspmOutput:
 
 
 def init_vspm_params(cfg: ModelConfig, dims: DimConfig, rng) -> VspmParams:
-    def lin(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
     kshape = (cfg.conv_kh, cfg.conv_kw, cfg.pos_dim + 1, cfg.pos_channels)
     return VspmParams(
-        conv_kernel=lin(kshape, cfg.conv_kh * cfg.conv_kw * (cfg.pos_dim + 1)),
+        conv_kernel=ag.uniform_param(rng, kshape,
+                                     cfg.conv_kh * cfg.conv_kw * (cfg.pos_dim + 1)),
         conv_bias=Tensor(np.zeros(cfg.pos_channels), requires_grad=True),
-        query_proj=lin((cfg.pos_channels, dims.D_l), dims.D_l),
-        combine_proj=lin((cfg.embed_dim, cfg.pos_channels), cfg.pos_channels),
+        query_proj=ag.uniform_param(rng, (cfg.pos_channels, dims.D_l), dims.D_l),
+        combine_proj=ag.uniform_param(rng, (cfg.embed_dim, cfg.pos_channels),
+                                      cfg.pos_channels),
     )
-
-
-def positional_encode(p: int, d: int) -> np.ndarray:
-    """Sinusoidal code of a 1-based flat pixel index.
-
-    Component j (1-based, j in [1, d]) is sin(p / 10000^(j/d)) for even j
-    and cos(p / 10000^(j/d)) for odd j.
-    """
-    j = np.arange(1, d + 1, dtype=np.float64)
-    angle = p / np.power(10000.0, j / d)
-    return np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 @functools.lru_cache(maxsize=None)
 def positional_encode_grid(h: int, w: int, d: int) -> np.ndarray:
-    """(h, w, d) stack of positional codes, pixel index row-major from 1.
+    """(h, w, d) stack of positional codes, pixel index p row-major from 1.
 
-    Computed once per (h, w, d) and returned read-only: every image of a
-    dataset shares one grid.
+    Component j (1-based, j in [1, d]) of pixel p is sin(p / 10000^(j/d))
+    for even j and cos(p / 10000^(j/d)) for odd j.  Computed once per
+    (h, w, d) and returned read-only: every image of a dataset shares one
+    grid.
     """
     p = np.arange(1, h * w + 1, dtype=np.float64)[:, None]
     j = np.arange(1, d + 1, dtype=np.float64)[None, :]

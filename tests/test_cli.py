@@ -230,6 +230,14 @@ def test_validation_error_exits_one(ds, tmp_path, capsys):
     assert code == 1 and "epochs" in err
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_synth_rejects_bad_noise(tmp_path, capsys, noise):
+    code, _, err = run(capsys, "synth", "--out", str(tmp_path / "x"),
+                       "--images", "4", "--noise", noise)
+    assert code == 1 and "noise" in err and "Traceback" not in err
+    assert not (tmp_path / "x" / "manifest.json").exists()
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "train", "--help")[0] == 0

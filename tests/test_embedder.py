@@ -63,6 +63,16 @@ def test_gpo_onehot_head_is_max_pooling():
     np.testing.assert_allclose(out.data, rows.max(axis=1), rtol=1e-12)
 
 
+def test_interp_matrix_is_cached_read_only_and_shared():
+    mat = embedder._interp_matrix(13, 64)
+    assert embedder._interp_matrix(13, 64) is mat
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = 2.0
+    np.testing.assert_array_equal(mat.sum(axis=1), np.ones(13))
+    assert mat[0, 0] == 1.0 and mat[-1, -1] == 1.0
+
+
 def test_gpo_degenerate_table_rejected():
     with pytest.raises(ConfigError, match="degenerate"):
         embedder.gpo_pool(Tensor(np.ones((1, 4, 3))), Tensor(np.zeros(16)))
@@ -97,13 +107,25 @@ def test_image_embedding_unit_norm(data, params):
     assert emb.shape == (1, SMALL_MODEL.embed_dim)
 
 
-def test_fused_set_has_2k_plus_1_rows(data, params):
+def _pooled_set_sizes(monkeypatch):
+    """Record the set size of every rank pooling from here on."""
+    sizes = []
+    real = embedder.resolve_pool_weights
+
+    def spy(table, n):
+        sizes.append(n)
+        return real(table, n)
+
+    monkeypatch.setattr(embedder, "resolve_pool_weights", spy)
+    return sizes
+
+
+def test_fused_set_has_2k_plus_1_rows(data, params, monkeypatch):
     bundles, _, _ = data
-    embedder._INTERP_CACHE.clear()
+    sizes = _pooled_set_sizes(monkeypatch)
     pi = model.prepare_image(bundles[0], SMALL_DIMS, SMALL_MODEL)
     model.visual_forward([pi], params, SMALL_MODEL)
-    sizes = {n for n, _ in embedder._INTERP_CACHE}
-    assert 2 * SMALL_DIMS.K + 1 in sizes
+    assert sizes == [2 * SMALL_DIMS.K + 1]
 
 
 def test_region_permutation_leaves_embedding_unchanged(data, params):
@@ -133,24 +155,24 @@ def test_prepared_path_equals_raw_composition(data, params):
     patches, hw = ag.conv_patches(pos, SMALL_MODEL.conv_kh, SMALL_MODEL.conv_kw,
                                   SMALL_MODEL.conv_stride)
     vp = vspm.vspm_forward(regions, Tensor(patches[None]), params.vspm, SMALL_MODEL, hw)
-    slow = embedder.fuse_visual(regions, vs, vp, vs.seg_embed, params.embed,
-                                SMALL_MODEL)
+    slow = embedder.fuse_visual(regions, [vs.enhanced, vp.spatial], vs.seg_embed,
+                                params.embed)
     assert np.array_equal(fast.data, slow.data)
 
 
-def test_branch_toggles_change_row_count(data):
+def test_branch_toggles_change_row_count(data, monkeypatch):
     bundles, _, _ = data
+    sizes = _pooled_set_sizes(monkeypatch)
     for cfg in (replace(SMALL_MODEL, use_vsem=False),
                 replace(SMALL_MODEL, use_vspm=False),
                 replace(SMALL_MODEL, use_vsem=False, use_vspm=False)):
         p = model.init_params(cfg, SMALL_DIMS, seed=3)
-        embedder._INTERP_CACHE.clear()
+        sizes.clear()
         pi = model.prepare_image(bundles[0], SMALL_DIMS, cfg)
         emb = model.visual_forward([pi], p, cfg)
         assert np.linalg.norm(emb.data) == pytest.approx(1.0, abs=1e-9)
-        sizes = {n for n, _ in embedder._INTERP_CACHE}
         expect = 2 * SMALL_DIMS.K + 1 if embedder.n_ss_branches(cfg) else SMALL_DIMS.K + 1
-        assert expect in sizes
+        assert sizes == [expect]
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +307,16 @@ def test_checkpoint_with_legacy_per_group_key_loads_bitwise(tmp_path, data, para
     ("model", {"gpo_heads": 2}, "unknown keys: gpo_heads"),
     ("dims", {"Z": 3, "A": 1}, "unknown keys: A, Z"),
     ("dims", {"K": "six"}, "dims.K"),
+    ("dims", {"K": "6"}, "dims.K must be int"),
+    ("dims", {"K": 6.5}, "dims.K must be int"),
+    ("dims", {"K": True}, "dims.K must be int"),
     ("model", {"embed_dim": "x"}, "model.embed_dim must be int"),
     ("model", {"embed_dim": True}, "model.embed_dim must be int"),
     ("model", {"attn_smooth": "4"}, "model.attn_smooth must be float"),
     ("model", {"salience_mode": 3}, "model.salience_mode must be str"),
     ("model", {"use_vsem": 1}, "model.use_vsem must be bool"),
 ], ids=["model-unknown-key", "dims-unknown-keys", "dims-not-integer",
+        "dims-int-is-numeric-str", "dims-int-is-float", "dims-int-is-bool",
         "model-int-is-str", "model-int-is-bool", "model-float-is-str",
         "model-str-is-int", "model-bool-is-int"])
 def test_checkpoint_rejects_bad_config_keys(tmp_path, params, section, keys, match):

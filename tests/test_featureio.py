@@ -209,6 +209,35 @@ def test_synth_rejects_bad_config(tmp_path):
         fio.synth_dataset(tmp_path, 1, 2, seed=0, dims=SMALL_DIMS)
     with pytest.raises(ConfigError):
         fio.synth_dataset(tmp_path, 4, 0, seed=0, dims=SMALL_DIMS)
+    for noise in (-0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="noise"):
+            fio.synth_dataset(tmp_path, 4, 1, seed=0, dims=SMALL_DIMS, noise=noise)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "over-existing"])
+def test_interrupted_synth_leaves_no_manifest(tmp_path, monkeypatch, existing):
+    if existing:
+        fio.synth_dataset(tmp_path, 4, 2, seed=1, dims=SMALL_DIMS)
+    calls = []
+    real_write = fio.write_tensor
+
+    def failing_write(path, array):
+        calls.append(path)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        real_write(path, array)
+
+    monkeypatch.setattr(fio, "write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        fio.synth_dataset(tmp_path, 4, 2, seed=2, dims=SMALL_DIMS)
+    assert len(calls) == 5
+    assert not (tmp_path / "manifest.json").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+    monkeypatch.undo()
+    path = fio.synth_dataset(tmp_path, 4, 2, seed=2, dims=SMALL_DIMS)
+    bundles, texts, manifest = fio.load_dataset(path)
+    assert manifest.seed == 2 and len(bundles) == 4 and len(texts.word_feats) == 8
 
 
 def test_load_rejects_corrupt_shape(tmp_path):
@@ -259,6 +288,16 @@ def test_manifest_rejects_unknown_dims_key(tmp_path):
     doc["dims"]["depth"] = 3
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(FormatError, match="unknown keys: depth"):
+        fio.load_dataset(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("value", ["6", 6.9, True, " 7 "])
+def test_manifest_rejects_dims_value_that_is_not_an_int(tmp_path, value):
+    fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["dims"]["K"] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="dims.K must be int"):
         fio.load_dataset(tmp_path / "manifest.json")
 
 

@@ -18,8 +18,15 @@ from test_autograd import conv2d_oracle
 # positional encoding
 
 
+def positional_encode(p, d):
+    """Scalar oracle: the sinusoidal code of one 1-based flat pixel index."""
+    j = np.arange(1, d + 1, dtype=np.float64)
+    angle = p / np.power(10000.0, j / d)
+    return np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
+
+
 def test_positional_encode_p1_d4_matches_direct_trig():
-    got = vspm.positional_encode(1, 4)
+    got = vspm.positional_encode_grid(1, 1, 4)[0, 0]
     want = np.array([
         math.cos(1.0 / 10000.0 ** (1.0 / 4.0)),
         math.sin(1.0 / 10000.0 ** (2.0 / 4.0)),
@@ -31,14 +38,14 @@ def test_positional_encode_p1_d4_matches_direct_trig():
 
 def test_positional_encode_p0_probe():
     """Hypothetical p=0: every even component 0, every odd component 1."""
-    v = vspm.positional_encode(0, 8)
+    v = positional_encode(0, 8)
     np.testing.assert_array_equal(v[1::2], np.zeros(4))   # even j -> sin(0)
     np.testing.assert_array_equal(v[0::2], np.ones(4))    # odd j -> cos(0)
 
 
 def test_positional_encode_injective_up_to_4096():
     d = 16
-    codes = np.stack([vspm.positional_encode(p, d) for p in range(1, 4097)])
+    codes = vspm.positional_encode_grid(64, 64, d).reshape(4096, d)
     assert np.unique(codes, axis=0).shape[0] == 4096
 
 
@@ -47,7 +54,7 @@ def test_positional_encode_grid_matches_scalar():
     for r in range(3):
         for c in range(5):
             p = r * 5 + c + 1
-            np.testing.assert_array_equal(grid[r, c], vspm.positional_encode(p, 6))
+            np.testing.assert_array_equal(grid[r, c], positional_encode(p, 6))
 
 
 # ---------------------------------------------------------------------------
