@@ -1,4 +1,6 @@
 """Retrieval metrics against brute-force oracles, plus benchmark plumbing."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,76 @@ def test_evaluate_report_consistency():
     assert len(lines) == 2 and "rSum" in lines[0]
 
 
+def _bad_index_cases():
+    idx = np.repeat(np.arange(3), 2)             # 3 images x 2 captions
+    return [
+        ("too-short", idx[:-1], ShapeError),
+        ("too-long", np.append(idx, 0), ShapeError),
+        ("2-D", idx[None], ShapeError),
+        ("minus-one", np.where(idx == 2, -1, idx), ConfigError),
+        ("out-of-range", np.where(idx == 2, 70, idx), ConfigError),
+        ("float", idx.astype(np.float64), ConfigError),
+        ("bool", idx.astype(bool), ConfigError),
+    ]
+
+
+RETRIEVAL_CALLS = {
+    "recall_at_k": lambda sim, idx: rt.recall_at_k(sim, idx, 1, "s2i"),
+    "evaluate": lambda sim, idx: rt.evaluate(sim, idx, ks=(1, 2, 3)),
+    "fivefold_eval": lambda sim, idx: rt.fivefold_eval(sim, idx, folds=1,
+                                                       ks=(1, 2, 3)),
+    "ensemble_eval": lambda sim, idx: rt.ensemble_eval(sim, sim, idx,
+                                                       ks=(1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(RETRIEVAL_CALLS))
+@pytest.mark.parametrize("case, idx, error", _bad_index_cases(),
+                         ids=[c[0] for c in _bad_index_cases()])
+def test_retrieval_rejects_bad_image_index(call, case, idx, error):
+    sim = np.random.default_rng(59).uniform(-1, 1, size=(3, 6))
+    with pytest.raises(error, match="image_index"):
+        RETRIEVAL_CALLS[call](sim, idx)
+
+
+@pytest.mark.parametrize("call", sorted(RETRIEVAL_CALLS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_retrieval_rejects_non_finite_similarity(call, bad):
+    sim = np.random.default_rng(61).uniform(-1, 1, size=(3, 6))
+    sim[1, 4] = bad
+    with pytest.raises(ShapeError, match="finite"):
+        RETRIEVAL_CALLS[call](sim, np.repeat(np.arange(3), 2))
+
+
+@pytest.mark.parametrize("call", sorted(RETRIEVAL_CALLS))
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 6)])
+def test_retrieval_rejects_empty_similarity(call, shape):
+    idx = np.zeros(shape[1], dtype=np.int64)
+    with pytest.raises(ShapeError, match="non-empty"):
+        RETRIEVAL_CALLS[call](np.zeros(shape), idx)
+
+
+def test_ensemble_eval_rejects_mismatched_or_non_finite_second_model():
+    idx = np.repeat(np.arange(3), 2)
+    sim = np.zeros((3, 6))
+    with pytest.raises(ShapeError):
+        rt.ensemble_eval(sim, np.zeros((6, 3)), idx)
+    with pytest.raises(ShapeError, match="finite"):
+        rt.ensemble_eval(sim, np.full((3, 6), np.nan), idx)
+
+
+def test_image_without_captions_is_an_i2s_miss():
+    sim = np.array([[0.9, 0.1, 0.2],
+                    [0.8, 0.3, 0.7],
+                    [0.1, 0.9, 0.8]])
+    image_index = np.array([0, 2, 2])            # image 1 has no caption
+    report = rt.evaluate(sim, image_index, ks=(1, 2, 3))
+    assert report.recalls()[:3] == (200 / 3, 200 / 3, 200 / 3)
+    assert rt.recall_at_k(sim, image_index, 3, "i2s") == 200 / 3
+    fused = rt.ensemble_eval(sim, sim, image_index, ks=(1, 2, 3))
+    assert fused.recalls() == report.recalls()
+
+
 # ---------------------------------------------------------------------------
 # folds
 
@@ -279,6 +351,90 @@ def test_ensemble_eval_equals_plain_eval_when_models_agree():
     assert fused.mode == "hybrid"
 
 
+def recalls_from_orders(i2s_orders, s2i_orders, image_index, ks):
+    """Six recalls read off full candidate orders, one row per query."""
+    six = []
+    for k in ks:
+        hits = sum(np.any(image_index[order[:k]] == i)
+                   for i, order in enumerate(i2s_orders))
+        six.append(100.0 * hits / len(i2s_orders))
+    for k in ks:
+        hits = sum(image_index[j] in order[:k]
+                   for j, order in enumerate(s2i_orders))
+        six.append(100.0 * hits / len(s2i_orders))
+    return six
+
+
+@st.composite
+def tie_heavy_instance(draw):
+    """Small integer similarities with copied rows and columns, 1-5
+    captions per image in shuffled order, and sometimes a captionless image."""
+    n = draw(st.integers(2, 8))
+    counts = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        counts[draw(st.integers(0, n - 1))] = 0
+    image_index = np.repeat(np.arange(n), counts)
+    if image_index.size == 0:
+        image_index = np.array([0])
+    image_index = np.array(draw(st.permutations(image_index.tolist())),
+                           dtype=np.int64)
+    m = image_index.size
+    sims = []
+    for _ in range(2):
+        flat = draw(st.lists(st.integers(-2, 2), min_size=n * m,
+                             max_size=n * m))
+        sim = np.array(flat, dtype=np.float64).reshape(n, m)
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        sim[dst] = sim[src]
+        src, dst = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        sim[:, dst] = sim[:, src]
+        sims.append(sim)
+    return sims[0], sims[1], image_index
+
+
+@given(tie_heavy_instance(), st.lists(st.floats(0, 1), min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_outranking_counts_match_sorting_oracles_on_ties(inst, fracs):
+    sim, sim_b, image_index = inst
+    n, m = sim.shape
+
+    def three_ks(n_candidates):      # any k from 1 to the candidate count
+        return tuple(1 + int(f * (n_candidates - 1)) for f in sorted(fracs))
+    with mock.patch.object(rt, "_CHUNK_ROWS", 3):   # several blocks per call
+        for d, cands in (("i2s", m), ("s2i", n)):
+            for k in range(1, cands + 1):
+                assert rt.recall_at_k(sim, image_index, k, d) == \
+                    recall_oracle(sim, image_index, k, d)
+        ks = three_ks(min(n, m))
+        want = [recall_oracle(sim, image_index, k, d)
+                for d in ("i2s", "s2i") for k in ks]
+        assert list(rt.evaluate(sim, image_index, ks=ks).recalls()) == want
+
+        fused = rt.ensemble_eval(sim, sim_b, image_index, ks=ks)
+        assert list(fused.recalls()) == recalls_from_orders(
+            rt.ensemble_ranks(sim, sim_b), rt.ensemble_ranks(sim.T, sim_b.T),
+            image_index, ks)
+
+        for folds in (f for f in range(1, n + 1) if n % f == 0):
+            size = n // folds
+            subs = []
+            for f in range(folds):
+                mask = (image_index >= f * size) & (image_index < (f + 1) * size)
+                subs.append((sim[f * size:(f + 1) * size][:, mask],
+                             image_index[mask] - f * size))
+            if any(sub_idx.size == 0 for _, sub_idx in subs):
+                with pytest.raises(ConfigError, match="no sentences"):
+                    rt.fivefold_eval(sim, image_index, folds=folds, ks=(1,) * 3)
+                continue
+            ks = three_ks(min(size, *(len(i) for _, i in subs)))
+            acc = np.zeros(6)
+            for sub, sub_idx in subs:
+                acc += [recall_oracle(sub, sub_idx, k, d)
+                        for d in ("i2s", "s2i") for k in ks]
+            got = rt.fivefold_eval(sim, image_index, folds=folds, ks=ks)
+            assert list(got.recalls()) == list(acc / folds)
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 
@@ -297,6 +453,25 @@ def test_bench_kpps_arithmetic_with_fake_timer():
     assert res.kpps == pytest.approx(500 / 0.25 / 1000)
     assert res.trial_kpps == [pytest.approx(2.0)] * 4
     assert res.elapsed_s == pytest.approx(0.25)
+
+
+def test_chunked_top_k_equals_per_query_argpartition():
+    # integer entries make every dot product exact, so GEMM and GEMV agree
+    # bitwise; the 1000-step first column makes each query's scores distinct
+    rng = np.random.default_rng(53)
+    n_cand, k = 40, 10
+    table = rng.integers(-5, 6, size=(n_cand, 6)).astype(np.float64)
+    table[:, 0] = 1000.0 * rng.permutation(n_cand)
+    queries = rng.integers(-5, 6, size=(2 * rt._CHUNK_ROWS + 45, 6))
+    queries = queries.astype(np.float64)
+    queries[:, 0] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=len(queries))
+    top = rt._top_k(table, queries, k)
+    assert top.shape == (len(queries), k)
+    for q, got in zip(queries, top):
+        scores = table @ q
+        assert len(set(scores.tolist())) == n_cand
+        assert set(got.tolist()) == \
+            set(np.argpartition(-scores, k - 1)[:k].tolist())
 
 
 def test_bench_warns_on_few_queries():
