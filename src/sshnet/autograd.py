@@ -528,6 +528,7 @@ def grad_check(
     tol: float = 1e-4,
     sample: int | None = None,
     sample_seed: int = 0,
+    fd_loss: Callable[[str], Callable[[], Tensor]] | None = None,
 ) -> GradReport:
     """Compare analytic gradients of a scalar loss against central differences.
 
@@ -535,9 +536,15 @@ def grad_check(
     coordinate of every tensor is checked unless ``sample`` caps the number
     of coordinates per tensor (drawn without replacement, seeded).  The
     relative error denominator is max(|analytic|, |numeric|, 1e-8).
+    ``fd_loss(name)``, if given, is the loss tensor ``name``'s central
+    differences run instead, equal to ``loss_fn`` while only it moves.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ConfigError("eps must lie in [1e-7, 1e-3], got %r" % (eps,))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError("tol must be finite and > 0, got %r" % (tol,))
+    if sample is not None and sample < 1:
+        raise ConfigError("sample must be >= 1, got %r" % (sample,))
     with no_grad():
         f_a = float(loss_fn().data)
         f_b = float(loss_fn().data)
@@ -548,8 +555,7 @@ def grad_check(
 
     for t in params.values():
         t.grad = None
-    loss = loss_fn()
-    loss.backward()
+    loss_fn().backward()
     analytic = {
         name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for name, t in params.items()
@@ -566,12 +572,13 @@ def grad_check(
             if sample is not None and sample < flat.size:
                 coords = np.sort(rng.choice(flat.size, size=sample, replace=False))
             ga = analytic[name].reshape(-1)
+            fd = fd_loss(name) if fd_loss else loss_fn
             for i in coords:
                 orig = flat[i]
                 flat[i] = orig + eps
-                f_plus = float(loss_fn().data)
+                f_plus = float(fd().data)
                 flat[i] = orig - eps
-                f_minus = float(loss_fn().data)
+                f_minus = float(fd().data)
                 flat[i] = orig
                 numeric = (f_plus - f_minus) / (2.0 * eps)
                 a = ga[i]

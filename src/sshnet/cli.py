@@ -235,7 +235,8 @@ def cmd_gradcheck(args) -> int:
         dims, cfg = checks.GRADCHECK_DIMS, checks.GRADCHECK_MODEL
     else:
         dims, cfg = preset(args.dims)
-        cfg = replace(cfg, embed_dim=args.embed_dim) if args.embed_dim else cfg
+    if args.embed_dim is not None:
+        cfg = replace(cfg, embed_dim=args.embed_dim)
     res = checks.full_loss_grad_check(dims, cfg, n_images=args.batch,
                                       seed=args.seed, eps=args.eps,
                                       tol=args.tol, sample=args.sample)

@@ -536,3 +536,44 @@ def test_grad_check_sampling_is_deterministic():
     r1 = ag.grad_check(loss, {"w": w}, sample=10, sample_seed=3)
     r2 = ag.grad_check(loss, {"w": w}, sample=10, sample_seed=3)
     assert r1 == r2 and r1.passed
+
+
+@pytest.mark.parametrize("kw", [{"sample": 0}, {"sample": -3},
+                                {"tol": float("nan")}, {"tol": float("inf")},
+                                {"tol": 0.0}, {"tol": -1.0}],
+                         ids=["sample-0", "sample-neg", "tol-nan", "tol-inf",
+                              "tol-0", "tol-neg"])
+def test_grad_check_rejects_bad_sample_and_tol(kw):
+    x = Tensor([1.0], requires_grad=True)
+    with pytest.raises(ConfigError):
+        ag.grad_check(lambda: (x * x).sum(), {"x": x}, **kw)
+
+
+def test_grad_check_fd_loss_replaces_only_the_differences():
+    # fd_loss drives the central differences; the analytic side and the
+    # sampled coordinates stay those of loss_fn.
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+
+    def loss():
+        return (ag.tanh(a) * Tensor(np.ones((4, 3)))).sum() + (b * b).sum()
+
+    calls = []
+
+    def fd_loss(name):
+        calls.append(name)
+        return loss
+
+    plain = ag.grad_check(loss, {"a": a, "b": b}, sample=3, sample_seed=9)
+    split = ag.grad_check(loss, {"a": a, "b": b}, sample=3, sample_seed=9,
+                          fd_loss=fd_loss)
+    assert split == plain and plain.passed
+    assert calls == ["a", "b"]
+    # a difference loss that ignores b gives b a zero numeric gradient
+    held = (b * b).sum().data
+
+    def fd_wrong(name):
+        return lambda: (ag.tanh(a) * Tensor(np.ones((4, 3)))).sum() + Tensor(held)
+
+    assert not ag.grad_check(loss, {"a": a, "b": b}, fd_loss=fd_wrong).passed

@@ -209,6 +209,31 @@ def test_gradcheck_impossible_tolerance_fails(capsys):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("args,match", [
+    (("--sample", "0"), "sample"),
+    (("--sample", "-3"), "sample"),
+    (("--tol", "nan"), "tol"),
+    (("--tol", "-1"), "tol"),
+    (("--tol", "0"), "tol"),
+    (("--batch", "0"), "batch"),
+    (("--batch", "1"), "batch"),
+    (("--embed-dim", "0"), "embed_dim"),
+    (("--dims", "small", "--embed-dim", "0"), "embed_dim"),
+], ids=["sample-0", "sample-neg", "tol-nan", "tol-neg", "tol-0", "batch-0",
+        "batch-1", "embed-dim-0", "small-embed-dim-0"])
+def test_gradcheck_rejects_bad_input(capsys, args, match):
+    code, out, err = run(capsys, "gradcheck", "--sample", "1", *args)
+    assert code == 1 and out == ""
+    assert match in err and "Traceback" not in err
+
+
+def test_gradcheck_embed_dim_applies_to_default_dims(capsys):
+    doc = run_json(capsys, "gradcheck", "--sample", "1", "--embed-dim", "8")
+    assert doc["passed"] is True
+    base = run_json(capsys, "gradcheck", "--sample", "1")
+    assert doc["n_params"] < base["n_params"]
+
+
 def test_selfcheck(capsys):
     doc = run_json(capsys, "selfcheck")
     assert doc["passed"] is True
