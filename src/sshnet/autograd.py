@@ -379,8 +379,8 @@ def offdiag_max(x: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-def conv_patches(x: np.ndarray, kh: int, kw: int, stride: int):
-    """im2col for valid-mode convolution; returns (patches, (ho, wo)).
+def conv_patches(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """im2col for valid-mode convolution: (ho * wo, kh * kw * c) patches.
 
     patches[r] is the flattened (kh, kw, c) window for output position r in
     row-major order.  A strided window view plus one copy: the values are
@@ -396,7 +396,7 @@ def conv_patches(x: np.ndarray, kh: int, kw: int, stride: int):
     win = sliding_window_view(x, (kh, kw), axis=(0, 1))[::stride, ::stride]
     # (ho, wo, c, kh, kw) -> (ho, wo, kh, kw, c) rows
     patches = win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, kh * kw * c)
-    return np.ascontiguousarray(patches, dtype=np.float64), (ho, wo)
+    return np.ascontiguousarray(patches, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,8 @@ def full_loss_grad_check(dims: DimConfig = GRADCHECK_DIMS,
                          cfg: ModelConfig = GRADCHECK_MODEL,
                          n_images: int = 4, seed: int = 0,
                          eps: float = 1e-5, tol: float = 1e-4,
-                         sample: int | None = None,
-                         margin: float = 0.2) -> FullCheckResult:
-    """Finite-difference check of the complete loss on a random batch.
+                         sample: int | None = None) -> FullCheckResult:
+    """Finite-difference check of the complete training loss on a random batch.
 
     Analytic gradients come from one backward through the whole loss.  Then
     the image and sentence embeddings V and T are held at the unperturbed
@@ -73,12 +72,11 @@ def full_loss_grad_check(dims: DimConfig = GRADCHECK_DIMS,
     texts = featureio.random_texts(dims, n_images, 1, seed + 2)
     params = model.init_params(cfg, dims, seed)
     prepped = [model.prepare_image(b, dims, cfg) for b in bundles]
-    txts = model.prepare_text(texts)
     visual = functools.partial(model.visual_forward, prepped, params, cfg)
-    text = functools.partial(model.text_forward, txts, params, cfg)
+    text = functools.partial(model.text_forward, texts.word_feats, params)
 
     def loss(v, t):
-        return objective.triplet_loss(ag.linear(v, t), margin)
+        return objective.triplet_loss(ag.linear(v, t), TrainConfig.margin)
 
     named = params.named()
     t0 = time.perf_counter()

@@ -153,6 +153,17 @@ def _similarity(bundles, texts, params, cfg, dims, mode):
     return sim, table.image_index
 
 
+def _check_folds(n_images: int, folds: int = 1):
+    """Refuse, before anything is embedded, folds ``evaluate`` would refuse."""
+    need = max(retrieval.DEFAULT_KS)   # recall@need ranks each fold's images
+    if folds < 1:
+        raise ConfigError("--folds must be >= 1, got %d" % (folds,))
+    if n_images % folds or n_images // folds < need:
+        raise ConfigError("%d images in %d fold(s) (--folds) give %.10g images per fold; "
+                          "recall@%d needs a whole number of at least %d candidates per "
+                          "fold" % (n_images, folds, n_images / folds, need, need))
+
+
 def _ensemble_report(bundles, texts, ckpt_a, ckpt_b):
     sim_a, image_index = _similarity(bundles, texts,
                                      *_checkpoint(ckpt_a, "auto"))
@@ -162,6 +173,7 @@ def _ensemble_report(bundles, texts, ckpt_a, ckpt_b):
 
 def cmd_eval(args) -> int:
     bundles, texts, manifest = _load(args.data)
+    _check_folds(len(bundles), args.folds)
     ckpt = Path(args.ckpt) if args.ckpt else None
     if ckpt is not None and (ckpt / "hybrid.json").exists():
         report = _ensemble_report(bundles, texts, ckpt / "region",
@@ -188,6 +200,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ensemble_eval(args) -> int:
     bundles, texts, _ = _load(args.data)
+    _check_folds(len(bundles))
     report = _ensemble_report(bundles, texts, args.ckpt_a, args.ckpt_b)
     _emit(report.to_dict(), report.table(), args.pretty)
     return 0
@@ -201,7 +214,7 @@ def _unit_rows(rng, n, d):
 def cmd_bench(args) -> int:
     dims, model_cfg = preset(args.dims)
     # these counts shape the generated inputs before bench_kpps sees them
-    for flag in ("images", "queries", "recompute_queries"):
+    for flag in ("images", "queries", "recompute_queries", "pool"):
         if getattr(args, flag) < 1:
             raise ConfigError("--%s must be >= 1, got %d"
                               % (flag.replace("_", "-"), getattr(args, flag)))

@@ -146,10 +146,10 @@ def fuse_visual(regions: Tensor, ss_parts: Sequence[Tensor], seg_embed: Tensor,
     return ag.l2_normalize(gpo_pool(ag.concat(groups, axis=1), p.gpo_visual))
 
 
-def embed_text(word_feats: Sequence[Tensor], p: EmbedParams) -> Tensor:
+def embed_text(word_feats: Sequence[np.ndarray], p: EmbedParams) -> Tensor:
     """FC every word into the joint space, pool each sentence, normalise.
 
-    word_feats holds S sentences of (n_i, word_dim) rows; the result is
+    word_feats holds S constant (n_i, word_dim) arrays; the result is
     (S, D) unit rows, row i for sentence i.  All words go through one FC;
     sentences of equal length are pooled together as one (b, n, D) set
     batch with that length's weights, and a row gather restores the input
@@ -157,7 +157,7 @@ def embed_text(word_feats: Sequence[Tensor], p: EmbedParams) -> Tensor:
     """
     lengths = np.array([w.shape[0] for w in word_feats])
     order = np.argsort(lengths, kind="stable")
-    words = ag.concat([word_feats[i] for i in order], axis=0)
+    words = Tensor(np.concatenate([word_feats[i] for i in order]))
     h = ag.linear(words, p.text_fc_w) + p.text_fc_b
     sizes, counts = np.unique(lengths, return_counts=True)
     pooled, lo = [], 0

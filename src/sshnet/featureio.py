@@ -134,7 +134,6 @@ class Manifest:
     images: list                # [{"id", "region_feats", "grid_feats", "seg_feat", "seg_map"}]
     sentences: list             # [{"id", "image_index", "word_feats"}]
     seed: int | None = None
-    format_version: int = FORMAT_VERSION
 
     @property
     def num_images(self):
@@ -146,7 +145,7 @@ class Manifest:
 
     def to_json(self) -> str:
         doc = {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "dataset": self.dataset,
             "num_images": self.num_images,
             "num_sentences": self.num_sentences,
@@ -298,37 +297,35 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
 class PlantedMaps:
     """Fixed linear maps from the per-image latent to every feature family."""
 
-    latent_dim: int
-    region: np.ndarray    # (K, D_l, latent_dim)
-    grid: np.ndarray      # (grid_h * grid_w, D_l, latent_dim)
-    seg: np.ndarray       # (seg_h * seg_w, C_s, latent_dim)
-    word: np.ndarray      # (max_words, word_dim, latent_dim)
+    region: np.ndarray    # (K, D_l, LATENT_DIM)
+    grid: np.ndarray      # (grid_h * grid_w, D_l, LATENT_DIM)
+    seg: np.ndarray       # (seg_h * seg_w, C_s, LATENT_DIM)
+    word: np.ndarray      # (max_words, word_dim, LATENT_DIM)
 
 
 MAX_WORDS = 12
 MIN_WORDS = 4
+LATENT_DIM = 32
 
 
-def planted_maps(dims: DimConfig, seed: int, latent_dim: int = 32) -> PlantedMaps:
+def planted_maps(dims: DimConfig, seed: int) -> PlantedMaps:
     """The deterministic generator maps; tests reuse them as an oracle."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-    scale = 1.0 / np.sqrt(latent_dim)
+    scale = 1.0 / np.sqrt(LATENT_DIM)
 
     def draw(*shape):
         return scale * rng.standard_normal(shape)
 
     return PlantedMaps(
-        latent_dim=latent_dim,
-        region=draw(dims.K, dims.D_l, latent_dim),
-        grid=draw(dims.grid_h * dims.grid_w, dims.D_l, latent_dim),
-        seg=draw(dims.seg_h * dims.seg_w, dims.C_s, latent_dim),
-        word=draw(MAX_WORDS, dims.word_dim, latent_dim),
+        region=draw(dims.K, dims.D_l, LATENT_DIM),
+        grid=draw(dims.grid_h * dims.grid_w, dims.D_l, LATENT_DIM),
+        seg=draw(dims.seg_h * dims.seg_w, dims.C_s, LATENT_DIM),
+        word=draw(MAX_WORDS, dims.word_dim, LATENT_DIM),
     )
 
 
 def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
-                  dims: DimConfig, noise: float = 0.05,
-                  latent_dim: int = 32) -> Path:
+                  dims: DimConfig, noise: float = 0.05) -> Path:
     """Write a planted synthetic dataset; returns the manifest path.
 
     Every feature of image i is maps @ z_i plus iid noise; captions of
@@ -349,13 +346,13 @@ def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
     manifest_path = out_dir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
 
-    maps = planted_maps(dims, seed, latent_dim)
+    maps = planted_maps(dims, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
     image_recs, sentence_recs = [], []
     for i in range(n_images):
         iid = "img_%05d" % i
-        z = rng.standard_normal(latent_dim)
+        z = rng.standard_normal(LATENT_DIM)
 
         regions = maps.region @ z + noise * rng.standard_normal((dims.K, dims.D_l))
         grid = (maps.grid @ z + noise * rng.standard_normal(

@@ -1,10 +1,11 @@
-"""Model assembly: parameters, prepared inputs, batch-major forwards.
+"""Model assembly: parameters, prepared images, batch-major forwards.
 
 ``prepare_image`` hoists everything that never changes during training out
 of the per-step graph: the pooled segmentation vector, and the im2col
 patches of the position stack (the refinement convolution is one matmul
-against them).  ``visual_forward`` and ``text_forward`` embed a whole
-batch on one tape, with the batch as the first axis of every tensor.
+against them).  ``visual_forward`` embeds a batch of prepared images and
+``text_forward`` a batch of the loader's (n_i, word_dim) word arrays, each
+on one tape, with the batch as the first axis of every tensor.
 """
 from __future__ import annotations
 
@@ -56,23 +57,14 @@ def init_params(cfg: ModelConfig, dims: DimConfig, seed: int) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# prepared inputs
+# prepared images
 
 
 @dataclass
 class PreparedImage:
-    image_id: str
-    regions: Tensor        # (K, D_l) constant
-    pooled_seg: Tensor     # (C_s,) constant
-    pos_patches: Tensor    # (Hp * Wp, kh * kw * (pos_dim + 1)) constant
-    pos_hw: tuple          # (Hp, Wp)
-
-
-@dataclass
-class PreparedText:
-    sentence_id: str
-    words: Tensor          # (N, word_dim) constant
-    image_index: int
+    regions: np.ndarray       # (K, D_l) constant
+    pooled_seg: np.ndarray    # (C_s,) constant
+    pos_patches: np.ndarray   # (Hp * Wp, kh * kw * (pos_dim + 1)) constant im2col rows
 
 
 def prepare_image(bundle: FeatureBundle, dims: DimConfig, cfg: ModelConfig,
@@ -85,20 +77,11 @@ def prepare_image(bundle: FeatureBundle, dims: DimConfig, cfg: ModelConfig,
         raise ConfigError("prepare_image mode must be 'region' or 'grid', got %r"
                           % (mode,))
     pos = vspm.build_position_tensor(bundle.seg_map, cfg.pos_dim, dims.C_s)
-    patches, hw = ag.conv_patches(pos, cfg.conv_kh, cfg.conv_kw, cfg.conv_stride)
     return PreparedImage(
-        image_id=bundle.image_id,
-        regions=Tensor(regions),
-        pooled_seg=Tensor(bundle.seg_feat.mean(axis=(0, 1))),
-        pos_patches=Tensor(patches),
-        pos_hw=hw,
+        regions=regions,
+        pooled_seg=bundle.seg_feat.mean(axis=(0, 1)),
+        pos_patches=ag.conv_patches(pos, cfg.conv_kh, cfg.conv_kw, cfg.conv_stride),
     )
-
-
-def prepare_text(texts: TextFeatureSet) -> list[PreparedText]:
-    ids = texts.sentence_ids or ["sent_%d" % i for i in range(len(texts.word_feats))]
-    return [PreparedText(sid, Tensor(w), int(ix))
-            for sid, w, ix in zip(ids, texts.word_feats, texts.image_index)]
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +99,8 @@ def visual_forward(imgs: Sequence[PreparedImage], params: ModelParams,
     few ULPs (BLAS kernels depend on the row count), within 1e-12; the
     same batch always gives the same bytes.
     """
-    regions = Tensor(np.stack([img.regions.data for img in imgs]))
-    pooled = Tensor(np.stack([img.pooled_seg.data for img in imgs]))
+    regions = Tensor(np.stack([img.regions for img in imgs]))
+    pooled = Tensor(np.stack([img.pooled_seg for img in imgs]))
     ss_parts = []
     if cfg.use_vsem:
         vsem_out = vsem.vsem_forward(regions, pooled, params.vsem, cfg.salience_mode)
@@ -126,17 +109,16 @@ def visual_forward(imgs: Sequence[PreparedImage], params: ModelParams,
     else:
         seg_embed = vsem.seg_embed_from_pooled(pooled, params.vsem)
     if cfg.use_vspm:
-        patches = Tensor(np.stack([img.pos_patches.data for img in imgs]))
-        ss_parts.append(vspm.vspm_forward(regions, patches, params.vspm, cfg,
-                                          imgs[0].pos_hw).spatial)
+        patches = Tensor(np.stack([img.pos_patches for img in imgs]))
+        ss_parts.append(vspm.vspm_forward(regions, patches, params.vspm, cfg).spatial)
     return embedder.fuse_visual(regions, ss_parts, seg_embed, params.embed)
 
 
-def text_forward(txts: Sequence[PreparedText], params: ModelParams,
-                 cfg: ModelConfig) -> Tensor:
-    """Unit-norm joint embeddings (S, D) of S sentences, row i for
-    sentence i, from one tape; the same ULP note as ``visual_forward``."""
-    return embedder.embed_text([t.words for t in txts], params.embed)
+def text_forward(words: Sequence[np.ndarray], params: ModelParams) -> Tensor:
+    """Unit-norm joint embeddings (S, D) of S sentences given as (n_i,
+    word_dim) word arrays, row i for sentence i, from one tape; the same
+    ULP note as ``visual_forward``."""
+    return embedder.embed_text(words, params.embed)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +136,6 @@ class EmbeddingTable:
     image_embs: np.ndarray      # (num_images, D) unit rows
     text_embs: np.ndarray       # (num_sentences, D) unit rows
     image_index: np.ndarray     # (num_sentences,) ground-truth image per sentence
-    image_ids: list
-    sentence_ids: list
-    mode: str
 
 
 def embed_dataset(bundles: list[FeatureBundle], texts: TextFeatureSet,
@@ -171,22 +150,19 @@ def embed_dataset(bundles: list[FeatureBundle], texts: TextFeatureSet,
         raise ConfigError("mode must be one of %r, got %r" % (MODES, mode))
     if not bundles or not texts.word_feats:
         raise ConfigError("embed_dataset needs at least one image and one sentence")
-    txts = prepare_text(texts)
+    words = texts.word_feats
     img_rows, txt_rows = [], []
     with ag.no_grad():
         for lo in range(0, len(bundles), _EMBED_CHUNK):
             chunk = [prepare_image(b, dims, cfg, mode) for b in bundles[lo:lo + _EMBED_CHUNK]]
             img_rows.append(visual_forward(chunk, params, cfg).data)
-        for lo in range(0, len(txts), _EMBED_CHUNK):
-            txt_rows.append(text_forward(txts[lo:lo + _EMBED_CHUNK], params, cfg).data)
+        for lo in range(0, len(words), _EMBED_CHUNK):
+            txt_rows.append(text_forward(words[lo:lo + _EMBED_CHUNK], params).data)
 
     return EmbeddingTable(
         image_embs=np.concatenate(img_rows),
         text_embs=np.concatenate(txt_rows),
-        image_index=np.asarray([t.image_index for t in txts], dtype=np.int64),
-        image_ids=[b.image_id for b in bundles],
-        sentence_ids=[t.sentence_id for t in txts],
-        mode=mode,
+        image_index=np.asarray(texts.image_index, dtype=np.int64),
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -145,7 +145,6 @@ class TrainResult:
     epochs_run: int
     elapsed_s: float
     stopped_early: bool = False
-    config: dict = field(default_factory=dict)
 
 
 def _caption_lookup(texts) -> list[list[int]]:
@@ -178,7 +177,6 @@ def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
     params = model_mod.init_params(model_cfg, dims, cfg.seed)
     named = params.named()
     prepped = [model_mod.prepare_image(b, dims, model_cfg, mode) for b in bundles]
-    txts = model_mod.prepare_text(texts)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
     state = AdamWState()
 
@@ -198,7 +196,7 @@ def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
             img_embs = model_mod.visual_forward([prepped[i] for i in batch],
                                                 params, model_cfg)
             txt_embs = model_mod.text_forward(
-                [txts[caps[i][epoch % len(caps[i])]] for i in batch], params, model_cfg)
+                [texts.word_feats[caps[i][epoch % len(caps[i])]] for i in batch], params)
             loss = triplet_loss(ag.linear(img_embs, txt_embs), cfg.margin)
             loss.backward()
             total_loss += float(loss.data)
@@ -216,7 +214,4 @@ def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
     return TrainResult(params=params, loss_curve=loss_curve,
                        epochs_run=epochs_run,
                        elapsed_s=time.perf_counter() - t0,
-                       stopped_early=stopped,
-                       config={"train": cfg.to_dict(),
-                               "model": model_cfg.to_dict(),
-                               "mode": mode})
+                       stopped_early=stopped)

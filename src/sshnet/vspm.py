@@ -39,8 +39,8 @@ class VspmParams:
 
 @dataclass
 class VspmOutput:
-    refined: Tensor    # (B, Hp, Wp, pos_channels) refined position grids
-    betas: Tensor      # (B, K, Hp * Wp) attention rows
+    refined: Tensor    # (B, P, pos_channels) refined position rows, P = Hp * Wp
+    betas: Tensor      # (B, K, P) attention rows
     spatial: Tensor    # (B, K, D) spatially enhanced region rows
 
 
@@ -92,17 +92,17 @@ def build_position_tensor(seg_map: np.ndarray, d: int, num_categories: int) -> n
     return out
 
 
-def refine_from_patches(patches: Tensor, p: VspmParams, out_hw: tuple[int, int]) -> Tensor:
+def refine_from_patches(patches: Tensor, p: VspmParams) -> Tensor:
     """Strided valid convolution of each position stack (no nonlinearity),
     run as one matmul over the batch's precomputed im2col patches.
 
-    patches (B, Hp * Wp, kh * kw * cin) -> refined grids (B, Hp, Wp, cout).
+    patches (B, P, kh * kw * cin) -> (B, P, cout) rows, one per output position.
     """
     kh, kw, cin, cout = p.conv_kernel.shape
     b, n, f = patches.shape
     kmat = ag.reshape(p.conv_kernel, (1, kh * kw * cin, cout))
     out = ag.matmul(ag.reshape(patches, (1, b * n, f)), kmat) + p.conv_bias
-    return ag.reshape(out, (b, out_hw[0], out_hw[1], cout))
+    return ag.reshape(out, (b, n, cout))
 
 
 def project_queries(regions: Tensor, p: VspmParams) -> Tensor:
@@ -111,17 +111,14 @@ def project_queries(regions: Tensor, p: VspmParams) -> Tensor:
 
 
 def spatial_attention(queries: Tensor, refined: Tensor, smooth: float):
-    """Attend each region's query over its image's refined position grid.
+    """Attend each region's query over its image's refined position rows.
 
-    queries (B, K, c) and refined grids (B, ..., c) give (betas, context):
+    queries (B, K, c) and refined rows (B, P, c) give (betas, context):
     betas (B, K, P) are smoothed softmaxes of query and position cosines,
     context (B, K, c) rows are beta-weighted position sums.
     """
-    b, c = refined.shape[0], refined.shape[-1]
-    flat = ag.reshape(refined, (b, -1, c))
-    cos = ag.cosine_rows(queries, flat)
-    betas = ag.smoothed_softmax(cos, smooth)
-    context = ag.matmul(betas, flat)
+    betas = ag.smoothed_softmax(ag.cosine_rows(queries, refined), smooth)
+    context = ag.matmul(betas, refined)
     return betas, context
 
 
@@ -131,11 +128,10 @@ def spatial_combine(context: Tensor, queries: Tensor, p: VspmParams) -> Tensor:
 
 
 def vspm_forward(regions: Tensor, patches: Tensor, p: VspmParams,
-                 cfg: ModelConfig, patches_hw: tuple[int, int]) -> VspmOutput:
-    """Full spatial branch for a batch: regions (B, K, D_l), the im2col
-    patches (B, Hp * Wp, F) of each position stack and their (Hp, Wp)
-    output grid."""
-    refined = refine_from_patches(patches, p, patches_hw)
+                 cfg: ModelConfig) -> VspmOutput:
+    """Full spatial branch for a batch: regions (B, K, D_l) and the im2col
+    patches (B, P, F) of each position stack."""
+    refined = refine_from_patches(patches, p)
     queries = project_queries(regions, p)
     betas, context = spatial_attention(queries, refined, cfg.attn_smooth)
     spatial = spatial_combine(context, queries, p)

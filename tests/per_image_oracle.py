@@ -147,15 +147,14 @@ def vsem_forward(regions, pooled, p, mode):
     return seg, alphas, enhanced
 
 
-def vspm_forward(regions, patches, p, cfg, hw):
-    """(refined (Hp, Wp, c), betas (K, P), spatial (K, D)) of one image."""
+def vspm_forward(regions, patches, p, cfg):
+    """(refined (P, c), betas (K, P), spatial (K, D)) of one image."""
     kh, kw, cin, cout = p.conv_kernel.shape
     kmat = ag.reshape(p.conv_kernel, (kh * kw * cin, cout))
-    refined = ag.reshape(matmul(patches, kmat) + p.conv_bias, (hw[0], hw[1], cout))
-    flat = ag.reshape(refined, (hw[0] * hw[1], cout))
+    refined = matmul(patches, kmat) + p.conv_bias
     queries = ag.linear(regions, p.query_proj)
-    betas = ag.smoothed_softmax(cosine_rows(queries, flat), cfg.attn_smooth)
-    context = matmul(betas, flat)
+    betas = ag.smoothed_softmax(cosine_rows(queries, refined), cfg.attn_smooth)
+    context = matmul(betas, refined)
     spatial = ag.linear(context + queries, p.combine_proj)
     return refined, betas, spatial
 
@@ -172,27 +171,26 @@ def fuse_visual(regions, enhanced, spatial, seg_embed, p, cfg):
 
 def visual_forward(img, params, cfg):
     """Unit-norm (D,) embedding of one PreparedImage."""
+    regions, pooled = Tensor(img.regions), Tensor(img.pooled_seg)
     enhanced = spatial = None
     if cfg.use_vsem:
-        seg, _, enhanced = vsem_forward(img.regions, img.pooled_seg, params.vsem,
-                                        cfg.salience_mode)
+        seg, _, enhanced = vsem_forward(regions, pooled, params.vsem, cfg.salience_mode)
     else:
-        seg = matmul(params.vsem.seg_fc_w, img.pooled_seg) + params.vsem.seg_fc_b
+        seg = matmul(params.vsem.seg_fc_w, pooled) + params.vsem.seg_fc_b
     if cfg.use_vspm:
-        _, _, spatial = vspm_forward(img.regions, img.pos_patches, params.vspm,
-                                     cfg, img.pos_hw)
-    return fuse_visual(img.regions, enhanced, spatial, seg, params.embed, cfg)
+        _, _, spatial = vspm_forward(regions, Tensor(img.pos_patches), params.vspm, cfg)
+    return fuse_visual(regions, enhanced, spatial, seg, params.embed, cfg)
 
 
-def text_forward(txt, params, cfg):
-    """Unit-norm (D,) embedding of one PreparedText."""
+def text_forward(words, params):
+    """Unit-norm (D,) embedding of one sentence's (n, word_dim) words."""
     p = params.embed
-    h = ag.linear(txt.words, p.text_fc_w) + p.text_fc_b
+    h = ag.linear(Tensor(words), p.text_fc_w) + p.text_fc_b
     return l2_normalize(gpo_pool(h, p.gpo_text))
 
 
 def triplet_loss(imgs, txts, params, cfg, margin=0.2):
     """The training loss of one batch, one tape per image and sentence."""
     iv = stack([visual_forward(i, params, cfg) for i in imgs])
-    tv = stack([text_forward(t, params, cfg) for t in txts])
+    tv = stack([text_forward(t, params) for t in txts])
     return objective.triplet_loss(ag.linear(iv, tv), margin)

@@ -23,7 +23,7 @@ def _batch(n, mode="region", cfg=SMALL_MODEL, seed=0, captions=1):
     bundles = featureio.random_bundles(SMALL_DIMS, n, seed + 1)
     texts = featureio.random_texts(SMALL_DIMS, n, captions, seed + 2)
     imgs = [model.prepare_image(b, SMALL_DIMS, cfg, mode) for b in bundles]
-    return bundles, texts, imgs, model.prepare_text(texts)
+    return bundles, texts, imgs, texts.word_feats
 
 
 def _grads(loss_fn, params):
@@ -61,7 +61,7 @@ def test_batched_forward_matches_per_image_oracle(mode, use_vsem, use_vspm):
 
     def batched():
         iv = model.visual_forward(imgs, params, cfg)
-        tv = model.text_forward(txts, params, cfg)
+        tv = model.text_forward(txts, params)
         return objective.triplet_loss(ag.linear(iv, tv), 0.2) + (iv * w).sum()
 
     def per_image():
@@ -81,27 +81,26 @@ def test_softmax_salience_matches_per_image_oracle():
     _assert_grads_close(
         _grads(lambda: objective.triplet_loss(ag.linear(
             model.visual_forward(imgs, params, cfg),
-            model.text_forward(txts, params, cfg)), 0.2), params),
+            model.text_forward(txts, params)), 0.2), params),
         _grads(lambda: oracle.triplet_loss(imgs, txts, params, cfg), params))
 
 
 def _sentences(lengths, seed=7):
     rng = np.random.default_rng(seed)
-    return [model.PreparedText("s%d" % i, Tensor(rng.normal(size=(n, SMALL_DIMS.word_dim))),
-                               0) for i, n in enumerate(lengths)]
+    return [rng.normal(size=(n, SMALL_DIMS.word_dim)) for n in lengths]
 
 
 def test_text_rows_come_back_in_input_order_for_mixed_lengths():
     params = model.init_params(SMALL_MODEL, SMALL_DIMS, seed=8)
     txts = _sentences([5, 1, 3, 5, 1, 12, 3, 7, 5])
     w = Tensor(np.random.default_rng(9).normal(size=(len(txts), SMALL_MODEL.embed_dim)))
-    got = model.text_forward(txts, params, SMALL_MODEL)
-    want = [oracle.text_forward(t, params, SMALL_MODEL) for t in txts]
+    got = model.text_forward(txts, params)
+    want = [oracle.text_forward(t, params) for t in txts]
     assert got.shape == (len(txts), SMALL_MODEL.embed_dim)
     assert np.abs(got.data - np.stack([v.data for v in want])).max() <= TOL
     _assert_grads_close(
-        _grads(lambda: (model.text_forward(txts, params, SMALL_MODEL) * w).sum(), params),
-        _grads(lambda: (oracle.stack([oracle.text_forward(t, params, SMALL_MODEL)
+        _grads(lambda: (model.text_forward(txts, params) * w).sum(), params),
+        _grads(lambda: (oracle.stack([oracle.text_forward(t, params)
                                       for t in txts]) * w).sum(), params))
 
 
@@ -113,8 +112,8 @@ def test_permuting_a_batch_permutes_its_rows():
     img = model.visual_forward(imgs, params, SMALL_MODEL).data
     img_p = model.visual_forward([imgs[i] for i in perm], params, SMALL_MODEL).data
     assert np.abs(img_p - img[perm]).max() <= TOL
-    txt = model.text_forward(txts, params, SMALL_MODEL).data
-    txt_p = model.text_forward([txts[i] for i in perm], params, SMALL_MODEL).data
+    txt = model.text_forward(txts, params).data
+    txt_p = model.text_forward([txts[i] for i in perm], params).data
     assert np.abs(txt_p - txt[perm]).max() <= TOL
 
 
@@ -124,7 +123,7 @@ def test_embed_dataset_last_chunk_of_one_matches_oracle():
     bundles, texts, imgs, txts = _batch(n, seed=15)
     table = model.embed_dataset(bundles, texts, params, SMALL_MODEL, SMALL_DIMS)
     want_img = np.stack([oracle.visual_forward(i, params, SMALL_MODEL).data for i in imgs])
-    want_txt = np.stack([oracle.text_forward(t, params, SMALL_MODEL).data for t in txts])
+    want_txt = np.stack([oracle.text_forward(t, params).data for t in txts])
     assert table.image_embs.shape == want_img.shape
     assert table.text_embs.shape == want_txt.shape
     assert np.abs(table.image_embs - want_img).max() <= TOL

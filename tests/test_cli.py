@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sshnet import model
 from sshnet.cli import main
 
 
@@ -120,10 +121,26 @@ def test_eval_small_fold_rejected(ds, ckpt, capsys):
     assert code == 1 and "candidates" in err
 
 
-@pytest.mark.parametrize("folds", ["0", "-2"])
-def test_eval_rejects_nonpositive_folds(ds, capsys, folds):
-    code, _, err = run(capsys, "eval", "--data", str(ds), "--folds=" + folds)
-    assert code == 1 and "folds" in err
+@pytest.mark.parametrize("folds", ["0", "-2", "5", "2", None],
+                         ids=["0", "-2", "non-dividing", "fold-below-10", "ensemble-8"])
+def test_eval_rejects_nonpositive_folds(ds, ckpt, tmp_path, capsys, monkeypatch, folds):
+    """A fold split recall@10 cannot rank exits 1 naming --folds, before
+    anything is embedded; ensemble-eval's one fold is the whole set."""
+    def embedded(*args, **kwargs):
+        raise AssertionError("embedded before the fold check")
+
+    if folds is None:
+        small = tmp_path / "ds8"
+        run_json(capsys, "synth", "--out", str(small), "--images", "8", "--captions", "1")
+        argv = ["ensemble-eval", "--data", str(small), "--ckpt-a", str(ckpt),
+                "--ckpt-b", str(ckpt)]
+    else:
+        argv = ["eval", "--data", str(ds), "--folds=" + folds]
+    monkeypatch.setattr(model, "embed_dataset", embedded)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "--folds" in err
+    if folds not in ("0", "-2"):
+        assert "images per fold" in err and "candidates" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -189,8 +206,9 @@ BENCH_SMALL = ("bench", "--dims", "small", "--pool", "2", "--images", "16",
     ("--trials=0", "trials"),
     ("--top-k=0", "top_k"),
     ("--top-k=-3", "top_k"),
+    ("--pool=0", "--pool"),
 ], ids=["queries-0", "recompute-queries-0", "images-0", "trials-0", "top-k-0",
-        "top-k-negative"])
+        "top-k-negative", "pool-0"])
 def test_bench_rejects_empty_or_meaningless_counts(capsys, arg, match):
     code, out, err = run(capsys, *BENCH_SMALL, arg)
     assert code == 1 and match in err and out == ""

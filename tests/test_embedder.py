@@ -152,9 +152,9 @@ def test_prepared_path_equals_raw_composition(data, params):
     vs = vsem.vsem_forward(regions, Tensor(b.seg_feat.mean(axis=(0, 1))[None]),
                            params.vsem, SMALL_MODEL.salience_mode)
     pos = vspm.build_position_tensor(b.seg_map, SMALL_MODEL.pos_dim, SMALL_DIMS.C_s)
-    patches, hw = ag.conv_patches(pos, SMALL_MODEL.conv_kh, SMALL_MODEL.conv_kw,
-                                  SMALL_MODEL.conv_stride)
-    vp = vspm.vspm_forward(regions, Tensor(patches[None]), params.vspm, SMALL_MODEL, hw)
+    patches = ag.conv_patches(pos, SMALL_MODEL.conv_kh, SMALL_MODEL.conv_kw,
+                              SMALL_MODEL.conv_stride)
+    vp = vspm.vspm_forward(regions, Tensor(patches[None]), params.vspm, SMALL_MODEL)
     slow = embedder.fuse_visual(regions, [vs.enhanced, vp.spatial], vs.seg_embed,
                                 params.embed)
     assert np.array_equal(fast.data, slow.data)
@@ -181,13 +181,11 @@ def test_branch_toggles_change_row_count(data, monkeypatch):
 
 def test_text_embedding_unit_norm_and_single_word(data, params):
     _, texts, _ = data
-    pt = model.prepare_text(texts)[0]
-    emb = model.text_forward([pt], params, SMALL_MODEL)
+    emb = model.text_forward(texts.word_feats[:1], params)
     assert emb.shape == (1, SMALL_MODEL.embed_dim)
     assert np.linalg.norm(emb.data) == pytest.approx(1.0, abs=1e-9)
 
-    one = Tensor(texts.word_feats[0][:1])
-    got = embedder.embed_text([one], params.embed)
+    got = embedder.embed_text([texts.word_feats[0][:1]], params.embed)
     fc = params.embed.text_fc_w.data @ texts.word_feats[0][0] + params.embed.text_fc_b.data
     np.testing.assert_allclose(got.data[0], fc / np.linalg.norm(fc), atol=1e-12)
 
@@ -217,7 +215,7 @@ def test_embed_dataset_shapes_and_modes(data, params):
                                atol=1e-9)
     grid = model.embed_dataset(bundles, texts, params, SMALL_MODEL, SMALL_DIMS,
                                mode="grid")
-    assert grid.mode == "grid"
+    assert grid.image_embs.shape == table.image_embs.shape
     assert not np.array_equal(grid.image_embs, table.image_embs)
 
 
@@ -371,12 +369,11 @@ def test_end_to_end_gradients(data):
     cfg = replace(SMALL_MODEL, embed_dim=16)
     p = model.init_params(cfg, SMALL_DIMS, seed=11)
     pi = model.prepare_image(bundles[0], SMALL_DIMS, cfg)
-    pt = model.prepare_text(texts)[0]
     w = Tensor(np.random.default_rng(1).normal(size=(1, cfg.embed_dim)))
 
     def loss():
         vi = model.visual_forward([pi], p, cfg)
-        tx = model.text_forward([pt], p, cfg)
+        tx = model.text_forward(texts.word_feats[:1], p)
         return (vi * w).sum() + (tx * w).sum() + (vi * tx).sum()
 
     report = ag.grad_check(loss, p.named(), eps=1e-5, tol=1e-4, sample=25)

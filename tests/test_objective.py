@@ -300,11 +300,11 @@ def test_full_batch_gradients_match_finite_differences(data):
     cfg = replace(SMALL_MODEL, embed_dim=16)
     params = model.init_params(cfg, SMALL_DIMS, seed=3)
     prepped = [model.prepare_image(b, SMALL_DIMS, cfg) for b in bundles[:3]]
-    txts = model.prepare_text(texts)[:24:3][:3]
+    words = texts.word_feats[:24:3][:3]
 
     def loss():
         iv = model.visual_forward(prepped, params, cfg)
-        tv = model.text_forward(txts, params, cfg)
+        tv = model.text_forward(words, params)
         return triplet_loss(ag.linear(iv, tv), 0.2)
 
     report = ag.grad_check(loss, params.named(), eps=1e-5, tol=1e-4, sample=20)

@@ -114,34 +114,34 @@ def setup():
 
 
 def im2col(pos, cfg=SMALL_MODEL):
-    """(patches, (Hp, Wp)) of a position stack as a batch of one, as
-    prepare_image builds them."""
-    patches, hw = ag.conv_patches(pos, cfg.conv_kh, cfg.conv_kw, cfg.conv_stride)
-    return Tensor(patches[None]), hw
+    """The patches of a position stack as a batch of one, as prepare_image
+    builds them."""
+    return Tensor(ag.conv_patches(pos, cfg.conv_kh, cfg.conv_kw, cfg.conv_stride)[None])
 
 
 def forward(regions, pos, p, cfg=SMALL_MODEL):
     """The branch on one image, as a batch of one."""
-    patches, hw = im2col(pos, cfg)
-    return vspm.vspm_forward(Tensor(regions[None]), patches, p, cfg, hw)
+    return vspm.vspm_forward(Tensor(regions[None]), im2col(pos, cfg), p, cfg)
 
 
 def attend(regions, refined, p, smooth):
-    """spatial_attention for one image's (K, D_l) regions and refined grid."""
+    """spatial_attention for one image's (K, D_l) regions and (..., c)
+    refined grid, flattened to its rows."""
     queries = vspm.project_queries(Tensor(regions[None]), p)
-    return vspm.spatial_attention(queries, Tensor(refined[None]), smooth)
+    rows = refined.reshape(1, -1, refined.shape[-1])
+    return vspm.spatial_attention(queries, Tensor(rows), smooth)
 
 
 def test_refine_positions_shape_and_linearity(setup):
     p, _, pos = setup
-    patches, hw = im2col(pos)
-    refined = vspm.refine_from_patches(patches, p, hw)
-    assert refined.shape == (1, 4, 4, SMALL_MODEL.pos_channels)
+    patches = im2col(pos)
+    refined = vspm.refine_from_patches(patches, p)
+    assert refined.shape == (1, 16, SMALL_MODEL.pos_channels)
     # conv with zero kernel leaves only the bias
     zero = vspm.VspmParams(
         conv_kernel=Tensor(np.zeros_like(p.conv_kernel.data)),
         conv_bias=p.conv_bias, query_proj=p.query_proj, combine_proj=p.combine_proj)
-    out = vspm.refine_from_patches(patches, zero, hw)
+    out = vspm.refine_from_patches(patches, zero)
     np.testing.assert_array_equal(out.data,
                                   np.broadcast_to(p.conv_bias.data, out.shape))
 
@@ -156,10 +156,9 @@ def test_refine_from_patches_bitwise_equal(setup):
     bias = rng.integers(-3, 4, size=p.conv_bias.shape).astype(np.float64)
     q = vspm.VspmParams(conv_kernel=Tensor(kernel), conv_bias=Tensor(bias),
                         query_proj=p.query_proj, combine_proj=p.combine_proj)
-    patches, hw = im2col(pos_q)
-    got = vspm.refine_from_patches(patches, q, hw).data[0]
+    got = vspm.refine_from_patches(im2col(pos_q), q).data[0]
     want = conv2d_oracle(pos_q, kernel, SMALL_MODEL.conv_stride, bias)
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want.reshape(got.shape))
 
 
 def test_attention_rows_sum_to_one(setup):
@@ -240,18 +239,18 @@ def test_forward_matches_straight_line_oracle(setup):
     betas = e / e.sum(axis=1, keepdims=True)
     spatial = (betas @ flat + q) @ p.combine_proj.data.T
 
-    np.testing.assert_allclose(out.refined.data[0], refined, atol=1e-10)
+    np.testing.assert_allclose(out.refined.data[0], flat, atol=1e-10)
     np.testing.assert_allclose(out.betas.data[0], betas, atol=1e-10)
     np.testing.assert_allclose(out.spatial.data[0], spatial, atol=1e-10)
 
 
 def test_gradients_match_finite_differences(setup):
     p, regions, pos = setup
-    rt, (patches, hw) = Tensor(regions[None, :4]), im2col(pos)
+    rt, patches = Tensor(regions[None, :4]), im2col(pos)
     w = Tensor(np.random.default_rng(13).normal(size=(1, 4, SMALL_MODEL.embed_dim)))
 
     def loss():
-        out = vspm.vspm_forward(rt, patches, p, SMALL_MODEL, hw)
+        out = vspm.vspm_forward(rt, patches, p, SMALL_MODEL)
         return (out.spatial * w).sum()
 
     report = ag.grad_check(loss, p.named(), eps=1e-5, tol=1e-4, sample=40)
