@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,6 +127,13 @@ def uniform_param(rng, shape, fan_in: int) -> Tensor:
     """A trainable tensor drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / math.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
+def named_tensors(params, prefix: str) -> dict[str, Tensor]:
+    """``prefix.field -> Tensor`` for every field of a parameter dataclass
+    that is not None, in field order."""
+    return {prefix + "." + f.name: getattr(params, f.name) for f in fields(params)
+            if getattr(params, f.name) is not None}
 
 
 def _make(data, parents: tuple, vjp) -> Tensor:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, featureio, model, objective, retrieval
-from .config import FULL_DIMS, FULL_MODEL, SMALL_DIMS, SMALL_MODEL, preset
+from .config import preset
 from .errors import ConfigError, GradCheckError, SshnetError, TrainingError
 from .objective import TrainConfig
 
@@ -37,19 +37,19 @@ def _emit(doc: dict, pretty_text: str | None = None, pretty: bool = False):
         print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _model_for(dims, choice: str):
-    """Pick the model preset matching the dataset geometry."""
-    if choice in ("small", "full"):
-        pd, pm = preset(choice)
-        if pd != dims:
-            raise ConfigError("--dims %s does not match the dataset geometry"
-                              % choice)
-        return pm
-    if dims == SMALL_DIMS:
-        return SMALL_MODEL
-    if dims == FULL_DIMS:
-        return FULL_MODEL
-    raise ConfigError("dataset geometry matches no preset; pass --dims")
+def _model_for(dims, args):
+    """The model preset of ``--dims`` with the model flags applied;
+    ``auto`` picks the preset whose geometry the dataset has."""
+    choice = args.dims
+    if choice == "auto":
+        choice = next((name for name in ("small", "full") if preset(name)[0] == dims),
+                      None)
+        if choice is None:
+            raise ConfigError("dataset geometry matches no preset; pass --dims")
+    pd, pm = preset(choice)
+    if pd != dims:
+        raise ConfigError("--dims %s does not match the dataset geometry" % choice)
+    return replace(pm, **dict(_model_overrides(args).values()))
 
 
 def _add_model_flags(sp):
@@ -61,19 +61,14 @@ def _add_model_flags(sp):
     sp.add_argument("--no-vspm", action="store_true")
 
 
-def _apply_model_flags(cfg, args):
-    over = {}
-    if args.salience:
-        over["salience_mode"] = args.salience
-    if args.attn_smooth is not None:
-        over["attn_smooth"] = args.attn_smooth
-    if args.embed_dim is not None:
-        over["embed_dim"] = args.embed_dim
-    if args.no_vsem:
-        over["use_vsem"] = False
-    if args.no_vspm:
-        over["use_vspm"] = False
-    return replace(cfg, **over) if over else cfg
+def _model_overrides(args) -> dict:
+    """``flag -> (ModelConfig field, value)`` for each model flag given."""
+    return {flag: (field, value) for flag, field, value in (
+        ("--salience", "salience_mode", args.salience),
+        ("--attn-smooth", "attn_smooth", args.attn_smooth),
+        ("--embed-dim", "embed_dim", args.embed_dim),
+        ("--no-vsem", "use_vsem", False if args.no_vsem else None),
+        ("--no-vspm", "use_vspm", False if args.no_vspm else None)) if value is not None}
 
 
 def _train_config(args) -> TrainConfig:
@@ -104,37 +99,30 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_one(bundles, texts, dims, model_cfg, cfg, mode, out_dir):
+def _train_one(bundles, texts, dims, model_cfg, cfg, mode, out_dir) -> dict:
+    """Train and save one mode's checkpoint; returns the run summary."""
     res = objective.train(bundles, texts, dims, model_cfg, cfg, mode=mode)
     meta = {"mode": mode, "train": cfg.to_dict(),
             "final_loss": res.loss_curve[-1], "epochs_run": res.epochs_run}
     model.save_checkpoint(out_dir, res.params, model_cfg, dims, meta)
-    return res
+    return {"final_loss": res.loss_curve[-1], "epochs_run": res.epochs_run,
+            "loss_curve": res.loss_curve, "elapsed_s": res.elapsed_s}
 
 
 def cmd_train(args) -> int:
     bundles, texts, manifest = _load(args.data)
-    model_cfg = _apply_model_flags(_model_for(manifest.dims, args.dims), args)
+    model_cfg = _model_for(manifest.dims, args)
     cfg = _train_config(args)
     out = Path(args.out)
     doc = {"out": str(out), "mode": args.mode, "train": cfg.to_dict(),
            "model": model_cfg.to_dict()}
     if args.mode == "hybrid":
-        runs = {}
-        for sub in ("region", "grid"):
-            res = _train_one(bundles, texts, manifest.dims, model_cfg, cfg,
-                             sub, out / sub)
-            runs[sub] = {"final_loss": res.loss_curve[-1],
-                         "epochs_run": res.epochs_run,
-                         "loss_curve": res.loss_curve,
-                         "elapsed_s": res.elapsed_s}
+        doc["runs"] = {sub: _train_one(bundles, texts, manifest.dims, model_cfg, cfg,
+                                       sub, out / sub) for sub in ("region", "grid")}
         (out / "hybrid.json").write_text(json.dumps({"mode": "hybrid"}))
-        doc["runs"] = runs
     else:
-        res = _train_one(bundles, texts, manifest.dims, model_cfg, cfg,
-                         args.mode, out)
-        doc.update(final_loss=res.loss_curve[-1], epochs_run=res.epochs_run,
-                   loss_curve=res.loss_curve, elapsed_s=res.elapsed_s)
+        doc.update(_train_one(bundles, texts, manifest.dims, model_cfg, cfg,
+                              args.mode, out))
     _emit(doc)
     return 0
 
@@ -172,10 +160,19 @@ def _ensemble_report(bundles, texts, ckpt_a, ckpt_b):
 
 
 def cmd_eval(args) -> int:
+    ckpt = Path(args.ckpt) if args.ckpt else None
+    hybrid = ckpt is not None and (ckpt / "hybrid.json").exists()
+    if ckpt is not None:
+        # the checkpoint fixes the model; a hybrid one is a whole-set ensemble
+        ignored = list(_model_overrides(args)) + [flag for flag, given in (
+            ("--dims", args.dims != "auto"), ("--folds", hybrid and args.folds != 1),
+            ("--mode", hybrid and args.mode != "auto")) if given]
+        if ignored:
+            raise ConfigError("%s cannot apply to the %scheckpoint %s"
+                              % (", ".join(ignored), "hybrid " if hybrid else "", ckpt))
     bundles, texts, manifest = _load(args.data)
     _check_folds(len(bundles), args.folds)
-    ckpt = Path(args.ckpt) if args.ckpt else None
-    if ckpt is not None and (ckpt / "hybrid.json").exists():
+    if hybrid:
         report = _ensemble_report(bundles, texts, ckpt / "region",
                                   ckpt / "grid")
     else:
@@ -184,7 +181,7 @@ def cmd_eval(args) -> int:
         else:
             # untrained evaluation: seed-initialised parameters
             dims = manifest.dims
-            model_cfg = _apply_model_flags(_model_for(dims, args.dims), args)
+            model_cfg = _model_for(dims, args)
             params = model.init_params(model_cfg, dims, args.seed)
             mode = "region" if args.mode == "auto" else args.mode
         sim, image_index = _similarity(bundles, texts, params, model_cfg,

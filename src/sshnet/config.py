@@ -12,30 +12,24 @@ from dataclasses import dataclass, asdict, fields
 from .errors import ConfigError, FormatError
 
 
-def _check_keys(cls, d, what: str) -> dict:
-    """Reject a non-object or any key that is not a field of ``cls``."""
-    if not isinstance(d, dict):
-        raise FormatError("%s must be a JSON object, got %r" % (what, type(d).__name__))
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise FormatError("%s has unknown keys: %s" % (what, ", ".join(unknown)))
-    return d
-
-
 # JSON types accepted per annotated field type; a bool is never an int.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
-def _check_types(cls, d: dict, what: str) -> dict:
-    """Reject any value whose JSON type does not fit its field."""
-    for f in fields(cls):
-        if f.name not in d:
-            continue
-        v = d[f.name]
-        if (not isinstance(v, _JSON_TYPES[f.type])
-                or (isinstance(v, bool) and f.type != "bool")):
-            raise FormatError("%s.%s must be %s, got %r" % (what, f.name, f.type, v))
-    return d
+def _from_dict(cls, d, what: str):
+    """``cls(**d)``, after rejecting a non-object, any key that is not a
+    field of ``cls`` and any value whose JSON type does not fit its field."""
+    if not isinstance(d, dict):
+        raise FormatError("%s must be a JSON object, got %r" % (what, type(d).__name__))
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(d) - set(types))
+    if unknown:
+        raise FormatError("%s has unknown keys: %s" % (what, ", ".join(unknown)))
+    for key, v in d.items():
+        if (not isinstance(v, _JSON_TYPES[types[key]])
+                or (isinstance(v, bool) and types[key] != "bool")):
+            raise FormatError("%s.%s must be %s, got %r" % (what, key, types[key], v))
+    return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -54,17 +48,16 @@ class DimConfig:
     word_dim: int = 768    # per-word text feature width
 
     def validate(self):
-        for field in ("K", "D_l", "C_s", "H_I", "W_I", "seg_h", "seg_w",
-                      "grid_h", "grid_w", "word_dim"):
-            if getattr(self, field) < 1:
-                raise ConfigError("dims.%s must be >= 1" % field)
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError("dims.%s must be >= 1" % f.name)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DimConfig":
-        return cls(**_check_types(cls, _check_keys(cls, d, "dims"), "dims"))
+        return _from_dict(cls, d, "dims")
 
 
 @dataclass(frozen=True)
@@ -96,10 +89,9 @@ class ModelConfig:
                               % (self.attn_smooth,))
         if self.conv_kh > dims.H_I or self.conv_kw > dims.W_I:
             raise ConfigError("refinement kernel exceeds the segmentation map")
-        for field in ("embed_dim", "pos_dim", "pos_channels", "conv_kh",
-                      "conv_kw", "conv_stride", "gpo_size"):
-            if getattr(self, field) < 1:
-                raise ConfigError("model.%s must be >= 1" % field)
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ConfigError("model.%s must be >= 1" % f.name)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -112,7 +104,7 @@ class ModelConfig:
             d = dict(d)
             if d.pop("per_group_gpo") is not False:
                 raise FormatError("model.per_group_gpo pooling is not supported")
-        return cls(**_check_types(cls, _check_keys(cls, d, "model"), "model"))
+        return _from_dict(cls, d, "model")
 
 
 FULL_DIMS = DimConfig()

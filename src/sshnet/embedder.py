@@ -29,25 +29,15 @@ from .errors import ConfigError
 @dataclass
 class EmbedParams:
     img_proj: Tensor           # (D, D_l) bare projection of raw regions
-    ss_fc_w: Tensor | None     # (D, D * n_branches) semantic-spatial FC
-    ss_fc_b: Tensor | None     # (D,)
     text_fc_w: Tensor          # (D, word_dim)
     text_fc_b: Tensor          # (D,)
     gpo_visual: Tensor         # (gpo_size,)
     gpo_text: Tensor           # (gpo_size,)
+    ss_fc_w: Tensor | None     # (D, D * n_branches) semantic-spatial FC
+    ss_fc_b: Tensor | None     # (D,)
 
-    def named(self, prefix="embed"):
-        out = {
-            prefix + ".img_proj": self.img_proj,
-            prefix + ".text_fc_w": self.text_fc_w,
-            prefix + ".text_fc_b": self.text_fc_b,
-            prefix + ".gpo_visual": self.gpo_visual,
-            prefix + ".gpo_text": self.gpo_text,
-        }
-        if self.ss_fc_w is not None:
-            out[prefix + ".ss_fc_w"] = self.ss_fc_w
-            out[prefix + ".ss_fc_b"] = self.ss_fc_b
-        return out
+    def named(self) -> dict[str, Tensor]:
+        return ag.named_tensors(self, "embed")
 
 
 def n_ss_branches(cfg: ModelConfig) -> int:
@@ -57,16 +47,17 @@ def n_ss_branches(cfg: ModelConfig) -> int:
 def init_embed_params(cfg: ModelConfig, dims: DimConfig, rng) -> EmbedParams:
     d = cfg.embed_dim
     nb = n_ss_branches(cfg)
+    # ss_fc_w is drawn first, so a seed's weights do not follow the field order
     ss_w = ag.uniform_param(rng, (d, d * nb), d * nb) if nb else None
     ss_b = Tensor(np.zeros(d), requires_grad=True) if nb else None
     return EmbedParams(
         img_proj=ag.uniform_param(rng, (d, dims.D_l), dims.D_l),
-        ss_fc_w=ss_w,
-        ss_fc_b=ss_b,
         text_fc_w=ag.uniform_param(rng, (d, dims.word_dim), dims.word_dim),
         text_fc_b=Tensor(np.zeros(d), requires_grad=True),
         gpo_visual=Tensor(np.ones(cfg.gpo_size), requires_grad=True),
         gpo_text=Tensor(np.ones(cfg.gpo_size), requires_grad=True),
+        ss_fc_w=ss_w,
+        ss_fc_b=ss_b,
     )
 
 

@@ -156,44 +156,42 @@ class Manifest:
         }
         return json.dumps(doc, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Manifest":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise FormatError("manifest is not valid JSON: %s" % (e,)) from e
-        if not isinstance(doc, dict):
-            raise FormatError("manifest must be a JSON object, got %s"
-                              % (type(doc).__name__,))
-        for key in ("format_version", "dataset", "dims", "images", "sentences",
-                    "num_images", "num_sentences"):
-            if key not in doc:
-                raise FormatError("manifest missing field %r" % (key,))
-        for key in ("images", "sentences"):
-            if not isinstance(doc[key], list):
-                raise FormatError("manifest %s must be a list, got %s"
-                                  % (key, type(doc[key]).__name__))
-        if doc["format_version"] != FORMAT_VERSION:
-            raise FormatError("manifest format_version %r unsupported"
-                              % (doc["format_version"],))
-        m = cls(dataset=doc["dataset"], dims=DimConfig.from_dict(doc["dims"]),
-                images=doc["images"], sentences=doc["sentences"],
-                seed=doc.get("seed"))
-        if doc["num_images"] != m.num_images:
-            raise FormatError("manifest num_images %r does not match image list (%d)"
-                              % (doc["num_images"], m.num_images))
-        if doc["num_sentences"] != m.num_sentences:
-            raise FormatError("manifest num_sentences %r does not match sentence list (%d)"
-                              % (doc["num_sentences"], m.num_sentences))
-        return m
+
+def read_json_object(path, what: str, keys) -> dict:
+    """The JSON object in the UTF-8 file ``path``; FormatError naming ``what``
+    unless it holds every key of ``keys`` and ``format_version`` equal to
+    ``FORMAT_VERSION``."""
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError("%s %s is not valid UTF-8: %s" % (what, path, e)) from e
+    except json.JSONDecodeError as e:
+        raise FormatError("%s %s is not valid JSON: %s" % (what, path, e)) from e
+    if not isinstance(doc, dict):
+        raise FormatError("%s %s must be a JSON object, got %s"
+                          % (what, path, type(doc).__name__))
+    for key in ("format_version", *keys):
+        if key not in doc:
+            raise FormatError("%s %s is missing key %r" % (what, path, key))
+    if doc["format_version"] != FORMAT_VERSION:
+        raise FormatError("%s %s: format_version %r unsupported"
+                          % (what, path, doc["format_version"]))
+    return doc
 
 
 def load_manifest(path) -> Manifest:
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as e:
-        raise FormatError("manifest is not valid UTF-8: %s" % (e,)) from e
-    return Manifest.from_json(text)
+    doc = read_json_object(path, "manifest", ("dataset", "dims", "images", "sentences",
+                                              "num_images", "num_sentences"))
+    for key in ("images", "sentences"):
+        if not isinstance(doc[key], list):
+            raise FormatError("manifest %s must be a list, got %s"
+                              % (key, type(doc[key]).__name__))
+        if doc["num_" + key] != len(doc[key]):
+            raise FormatError("manifest num_%s %r does not match its %d %s"
+                              % (key, doc["num_" + key], len(doc[key]), key))
+    return Manifest(dataset=doc["dataset"], dims=DimConfig.from_dict(doc["dims"]),
+                    images=doc["images"], sentences=doc["sentences"],
+                    seed=doc.get("seed"))
 
 
 IMAGE_KEYS = ("id", "region_feats", "grid_feats", "seg_feat", "seg_map")

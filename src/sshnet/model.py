@@ -21,10 +21,8 @@ from . import embedder, vsem, vspm
 from .autograd import Tensor
 from .config import DimConfig, ModelConfig
 from .errors import ConfigError, FormatError
-from .featureio import (FeatureBundle, TextFeatureSet, read_tensor, write_atomic,
-                        write_tensor)
-
-MODES = ("region", "grid")
+from .featureio import (FORMAT_VERSION, FeatureBundle, TextFeatureSet,
+                        read_json_object, read_tensor, write_atomic, write_tensor)
 
 
 @dataclass
@@ -34,11 +32,7 @@ class ModelParams:
     embed: embedder.EmbedParams
 
     def named(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.vsem.named())
-        out.update(self.vspm.named())
-        out.update(self.embed.named())
-        return out
+        return {**self.vsem.named(), **self.vspm.named(), **self.embed.named()}
 
     def zero_grad(self):
         for t in self.named().values():
@@ -146,8 +140,6 @@ def embed_dataset(bundles: list[FeatureBundle], texts: TextFeatureSet,
     Deterministic given the parameters: the same inputs give the same
     bytes, and every row is within 1e-12 of embedding its item alone.
     """
-    if mode not in MODES:
-        raise ConfigError("mode must be one of %r, got %r" % (MODES, mode))
     if not bundles or not texts.word_feats:
         raise ConfigError("embed_dataset needs at least one image and one sentence")
     words = texts.word_feats
@@ -187,7 +179,7 @@ def save_checkpoint(out_dir, params: ModelParams, cfg: ModelConfig,
     for name, t in named.items():
         write_atomic(out_dir / (name + ".3sht"), write_tensor, t.data)
     doc = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "model": cfg.to_dict(),
         "dims": dims.to_dict(),
         "tensors": sorted(named),
@@ -202,19 +194,7 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, ModelConfig, DimConfig, dict
     doc_path = ckpt_dir / "checkpoint.json"
     if not doc_path.exists():
         raise FormatError("no checkpoint.json under %s" % (ckpt_dir,))
-    try:
-        doc = json.loads(doc_path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise FormatError("%s is not valid JSON: %s" % (doc_path, e)) from e
-    if not isinstance(doc, dict):
-        raise FormatError("%s must be a JSON object, got %s"
-                          % (doc_path, type(doc).__name__))
-    if doc.get("format_version") != 1:
-        raise FormatError("checkpoint format_version %r unsupported"
-                          % (doc.get("format_version"),))
-    for key in ("model", "dims", "tensors"):
-        if key not in doc:
-            raise FormatError("checkpoint is missing key %r" % (key,))
+    doc = read_json_object(doc_path, "checkpoint", ("model", "dims", "tensors"))
     tensors = doc["tensors"]
     if not (isinstance(tensors, list) and all(isinstance(t, str) for t in tensors)):
         raise FormatError("checkpoint tensors must be a list of names, got %r"

@@ -34,9 +34,6 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 25
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -45,12 +42,6 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError("%s must be finite and >= 0, got %r" % (name, value))
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError("%s must lie in [0, 1), got %r" % (name, value))
-        if not self.adam_eps > 0:
-            raise ConfigError("adam_eps must be > 0, got %r" % (self.adam_eps,))
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 for in-batch negatives")
         if self.epochs < 1:
@@ -91,6 +82,12 @@ class AdamWState:
         self.v: dict[str, np.ndarray] = {}
 
 
+# Adam's moment decay rates and denominator epsilon, at the defaults AdamW
+# (Loshchilov & Hutter, arXiv 1711.05101) uses.
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # Elements per AdamW chunk: small enough that the update's temporaries stay
 # in cache, large enough that the per-chunk Python overhead is negligible.
 _ADAMW_CHUNK = 1 << 15
@@ -108,8 +105,8 @@ def adamw_step(named: dict[str, Tensor], state: AdamWState, cfg: TrainConfig) ->
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in named.items():
         grad = p.grad if p.grad is not None else np.zeros(p.data.shape)
         if not np.isfinite(grad).all():
@@ -125,11 +122,11 @@ def adamw_step(named: dict[str, Tensor], state: AdamWState, cfg: TrainConfig) ->
         for lo in range(0, p_all.size, _ADAMW_CHUNK):
             s = slice(lo, lo + _ADAMW_CHUNK)
             g, m, v, w = g_all[s], m_all[s], v_all[s], p_all[s]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             out[s] = w - cfg.lr * update - cfg.lr * cfg.weight_decay * w
         p.data = out.reshape(p.data.shape)
 

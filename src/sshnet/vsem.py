@@ -29,14 +29,8 @@ class VsemParams:
     gate_proj: Tensor     # (D, D)    inner projection of the tanh gate
     fuse_proj: Tensor     # (D, D)    outer projection of the fused rows
 
-    def named(self, prefix="vsem"):
-        return {
-            prefix + ".seg_fc_w": self.seg_fc_w,
-            prefix + ".seg_fc_b": self.seg_fc_b,
-            prefix + ".region_proj": self.region_proj,
-            prefix + ".gate_proj": self.gate_proj,
-            prefix + ".fuse_proj": self.fuse_proj,
-        }
+    def named(self) -> dict[str, Tensor]:
+        return ag.named_tensors(self, "vsem")
 
 
 @dataclass

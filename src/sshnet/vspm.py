@@ -28,13 +28,8 @@ class VspmParams:
     query_proj: Tensor     # (pos_channels, D_l) projects regions into position space
     combine_proj: Tensor   # (D, pos_channels)  lifts combined vectors to the joint space
 
-    def named(self, prefix="vspm"):
-        return {
-            prefix + ".conv_kernel": self.conv_kernel,
-            prefix + ".conv_bias": self.conv_bias,
-            prefix + ".query_proj": self.query_proj,
-            prefix + ".combine_proj": self.combine_proj,
-        }
+    def named(self) -> dict[str, Tensor]:
+        return ag.named_tensors(self, "vspm")
 
 
 @dataclass

@@ -177,6 +177,43 @@ def test_hybrid_train_and_eval(ds, tmp_path, capsys):
                               "--ckpt-b", str(out / "grid"))
 
 
+@pytest.fixture(scope="module")
+def hybrid_ckpt(ds, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "hybrid"
+    assert main(["train", "--data", str(ds), "--out", str(out), "--mode", "hybrid",
+                 "--epochs", "1", "--batch-size", "8"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("kind, flags, code", [
+    ("single", ["--dims", "full"], 1), ("single", ["--dims", "small"], 1),
+    ("single", ["--salience", "softmax"], 1), ("single", ["--attn-smooth", "0"], 1),
+    ("single", ["--embed-dim", "8"], 1), ("single", ["--no-vsem"], 1),
+    ("single", ["--no-vspm"], 1), ("hybrid", ["--folds", "2"], 1),
+    ("hybrid", ["--mode", "grid"], 1), ("hybrid", ["--no-vspm", "--mode", "region"], 1),
+    ("hybrid", [], 0),
+], ids=["dims-full", "dims-small", "salience", "attn-smooth", "embed-dim", "no-vsem",
+        "no-vspm", "hybrid-folds", "hybrid-mode", "hybrid-two-flags", "hybrid-plain"])
+def test_eval_rejects_flags_the_checkpoint_ignores(ds, ckpt, hybrid_ckpt, capsys,
+                                                   monkeypatch, kind, flags, code):
+    """With --ckpt, the checkpoint fixes the model, and a hybrid checkpoint
+    is one whole-set ensemble: a flag that would change neither exits 1
+    naming it, before anything is embedded."""
+    def embedded(*args, **kwargs):
+        raise AssertionError("embedded before the flag check")
+
+    if code:
+        monkeypatch.setattr(model, "embed_dataset", embedded)
+    path = hybrid_ckpt if kind == "hybrid" else ckpt
+    got, out, err = run(capsys, "eval", "--data", str(ds), "--ckpt", str(path), *flags)
+    assert got == code, err
+    if code:
+        assert out == "" and "cannot apply" in err
+        assert all(f in err for f in flags if f.startswith("--"))
+    else:
+        assert json.loads(out)["mode"] == "hybrid"
+
+
 def test_ensemble_eval_self_pair_matches_single(ds, ckpt, capsys):
     single = run_json(capsys, "eval", "--data", str(ds), "--ckpt", str(ckpt))
     double = run_json(capsys, "ensemble-eval", "--data", str(ds),

@@ -325,14 +325,15 @@ def test_checkpoint_rejects_bad_config_keys(tmp_path, params, section, keys, mat
 
 
 @pytest.mark.parametrize("text, match", [
-    ("{bad", "not valid JSON"),
-    ("", "not valid JSON"),
-    ("[1, 2]", "must be a JSON object"),
-    ('"checkpoint"', "must be a JSON object"),
-], ids=["truncated", "empty", "list", "string"])
+    (b"{bad", "not valid JSON"),
+    (b"", "not valid JSON"),
+    (b"[1, 2]", "must be a JSON object"),
+    (b'"checkpoint"', "must be a JSON object"),
+    (b'{"format_version": 1, "model": "\xff"}', "not valid UTF-8"),
+], ids=["truncated", "empty", "list", "string", "invalid-utf8"])
 def test_checkpoint_rejects_unreadable_document(tmp_path, params, text, match):
     ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
-    (ck / "checkpoint.json").write_text(text)
+    (ck / "checkpoint.json").write_bytes(text)
     with pytest.raises(FormatError, match=match):
         model.load_checkpoint(ck)
 
@@ -345,8 +346,10 @@ def test_checkpoint_rejects_unreadable_document(tmp_path, params, text, match):
     ({"tensors": {"vsem.seg_fc_w": 1}}, "tensors must be a list"),
     ({"tensors": [1, "vsem.seg_fc_w"]}, "tensors must be a list"),
     ({"meta": [1]}, "meta must be a JSON object"),
+    ({"format_version": None}, "missing key 'format_version'"),
+    ({"format_version": 2}, "format_version 2 unsupported"),
 ], ids=["no-model", "no-dims", "no-tensors", "tensors-str", "tensors-dict",
-        "tensors-mixed", "meta-list"])
+        "tensors-mixed", "meta-list", "no-format-version", "format-version-2"])
 def test_checkpoint_rejects_malformed_sections(tmp_path, params, edit, match):
     ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
     doc = json.loads((ck / "checkpoint.json").read_text())
@@ -358,6 +361,27 @@ def test_checkpoint_rejects_malformed_sections(tmp_path, params, edit, match):
     (ck / "checkpoint.json").write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=match):
         model.load_checkpoint(ck)
+
+
+VSEM_VSPM_NAMES = [
+    "vsem.seg_fc_w", "vsem.seg_fc_b", "vsem.region_proj", "vsem.gate_proj",
+    "vsem.fuse_proj", "vspm.conv_kernel", "vspm.conv_bias", "vspm.query_proj",
+    "vspm.combine_proj", "embed.img_proj", "embed.text_fc_w", "embed.text_fc_b",
+    "embed.gpo_visual", "embed.gpo_text"]
+
+
+@pytest.mark.parametrize("use_vsem, use_vspm, tail", [
+    (True, True, ["embed.ss_fc_w", "embed.ss_fc_b"]),
+    (True, False, ["embed.ss_fc_w", "embed.ss_fc_b"]),
+    (False, True, ["embed.ss_fc_w", "embed.ss_fc_b"]),
+    (False, False, []),
+], ids=["both", "vsem-only", "vspm-only", "neither"])
+def test_parameter_names_keep_their_order(use_vsem, use_vspm, tail):
+    """grad_check samples coordinates tensor by tensor in this order, so a
+    reordered dataclass field would silently move the sampled coordinates."""
+    cfg = replace(SMALL_MODEL, use_vsem=use_vsem, use_vspm=use_vspm)
+    named = model.init_params(cfg, SMALL_DIMS, 0).named()
+    assert list(named) == VSEM_VSPM_NAMES + tail
 
 
 # ---------------------------------------------------------------------------

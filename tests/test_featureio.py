@@ -388,6 +388,24 @@ def test_load_rejects_tensor_file_names_that_are_not_strings(tmp_path, section, 
         fio.load_dataset(tmp_path / "manifest.json")
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("format_version", None, "missing key 'format_version'"),
+    ("format_version", 2, "format_version 2 unsupported"),
+    ("format_version", "1", "format_version '1' unsupported"),
+    ("dataset", None, "missing key 'dataset'"),
+], ids=["no-format-version", "format-version-2", "format-version-str", "no-dataset"])
+def test_manifest_rejects_missing_key_or_unsupported_version(tmp_path, key, value, match):
+    fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=match):
+        fio.load_dataset(tmp_path / "manifest.json")
+
+
 def test_manifest_rejects_invalid_utf8(tmp_path):
     (tmp_path / "manifest.json").write_bytes(b'{"dataset": "\xff"}')
     with pytest.raises(FormatError, match="UTF-8"):

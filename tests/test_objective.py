@@ -147,12 +147,12 @@ def test_adamw_pure_weight_decay():
 
 def _adamw_unchunked(w, m, v, g, t, cfg):
     """The whole-array update, expression by expression."""
-    m = m * cfg.beta1
-    m += (1.0 - cfg.beta1) * g
-    v = v * cfg.beta2
-    v += (1.0 - cfg.beta2) * g * g
-    update = (m / (1.0 - cfg.beta1 ** t)) / (np.sqrt(v / (1.0 - cfg.beta2 ** t))
-                                             + cfg.adam_eps)
+    b1, b2 = objective.BETA1, objective.BETA2
+    m = m * b1
+    m += (1.0 - b1) * g
+    v = v * b2
+    v += (1.0 - b2) * g * g
+    update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + objective.ADAM_EPS)
     return w - cfg.lr * update - cfg.lr * cfg.weight_decay * w, m, v
 
 
@@ -254,8 +254,6 @@ def test_training_rejects_bad_configs(data):
     ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
     ("weight_decay", -1e-4), ("weight_decay", math.nan),
     ("margin", -0.2), ("margin", -math.inf),
-    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", math.nan),
-    ("adam_eps", 0.0), ("adam_eps", -1e-8),
 ])
 def test_train_config_rejects_bad_optimiser_values(data, field, value):
     bundles, texts, _ = data
