@@ -8,7 +8,9 @@ with one BLAS thread, and hashes what it leaves behind:
 - the loss curve of ``train --epochs 3 --batch-size 8`` (float hex) and
   each of its checkpoint tensors;
 - the ``eval`` JSON of that checkpoint, on the whole set and ``--folds 2``;
-- the loss curves (float hex) and ``eval`` JSON of a hybrid checkpoint;
+- the loss curves (float hex) and ``eval`` JSON of a hybrid checkpoint,
+  and the ``ensemble-eval`` JSON of its ``region`` and ``grid`` members;
+- the ``eval`` JSON of an untrained model, ``--seed 3``;
 - a sampled ``gradcheck`` JSON with ``elapsed_s`` removed;
 - the full gradient-fidelity report (float hex).
 
@@ -84,6 +86,10 @@ def main():
         for sub in ("region", "grid"):
             emit("hybrid/loss_curve/" + sub, hexes(doc["runs"][sub]["loss_curve"]))
         emit_json("hybrid/eval", run("eval", "--data", data, "--ckpt", hybrid))
+        emit_json("hybrid/ensemble-eval", run("ensemble-eval", "--data", data,
+                                              "--ckpt-a", hybrid / "region",
+                                              "--ckpt-b", hybrid / "grid"))
+        emit_json("eval/untrained", run("eval", "--data", data, "--seed", 3))
 
     doc = run("gradcheck", "--seed", 5, "--batch", 3, "--sample", 4)
     del doc["elapsed_s"]

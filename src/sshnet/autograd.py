@@ -271,8 +271,8 @@ def tanh(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     # stable two-sided form
     xd = x.data
-    out_data = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))),
-                        np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
+    e = np.exp(-np.abs(xd))
+    out_data = np.where(xd >= 0, 1.0, e) / (1.0 + e)
 
     def vjp(g):
         return ((g * out_data * (1.0 - out_data)) if x.requires_grad else None,)

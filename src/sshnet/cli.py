@@ -37,19 +37,26 @@ def _emit(doc: dict, pretty_text: str | None = None, pretty: bool = False):
         print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _int_at_least(lo):
+    """An argparse type: an integer no smaller than ``lo``."""
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (lo, value))
+        return value
+    return parse
+
+
 def _model_for(dims, args):
-    """The model preset of ``--dims`` with the model flags applied;
-    ``auto`` picks the preset whose geometry the dataset has."""
-    choice = args.dims
-    if choice == "auto":
-        choice = next((name for name in ("small", "full") if preset(name)[0] == dims),
-                      None)
-        if choice is None:
-            raise ConfigError("dataset geometry matches no preset; pass --dims")
-    pd, pm = preset(choice)
-    if pd != dims:
-        raise ConfigError("--dims %s does not match the dataset geometry" % choice)
-    return replace(pm, **dict(_model_overrides(args).values()))
+    """The model preset whose geometry the dataset has, with the model
+    flags applied."""
+    (small, _), (full, _) = presets = [preset("small"), preset("full")]
+    model_cfg = next((pm for pd, pm in presets if pd == dims), None)
+    if model_cfg is None:
+        raise ConfigError("dataset geometry %s matches neither the small preset %s nor "
+                          "the full preset %s" % (dims.to_dict(), small.to_dict(),
+                                                  full.to_dict()))
+    return replace(model_cfg, **dict(_model_overrides(args).values()))
 
 
 def _add_model_flags(sp):
@@ -127,36 +134,39 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint(ckpt, mode):
-    """Parameters, config, dims and resolved mode of a saved model."""
-    params, cfg, dims, meta = model.load_checkpoint(ckpt)
+def _checkpoint(ckpt, dims, mode="auto"):
+    """Parameters, config, dims and resolved mode of a saved model, which
+    must have the dataset geometry ``dims``."""
+    params, cfg, ckpt_dims, meta = model.load_checkpoint(ckpt)
+    if ckpt_dims != dims:
+        raise ConfigError("checkpoint %s has geometry %s, the dataset %s"
+                          % (ckpt, ckpt_dims.to_dict(), dims.to_dict()))
     if mode == "auto":
         mode = meta.get("mode", "region")
     return params, cfg, dims, mode
 
 
-def _similarity(bundles, texts, params, cfg, dims, mode):
-    table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=mode)
-    sim = retrieval.similarity_matrix(table.image_embs, table.text_embs)
-    return sim, table.image_index
-
-
 def _check_folds(n_images: int, folds: int = 1):
     """Refuse, before anything is embedded, folds ``evaluate`` would refuse."""
     need = max(retrieval.DEFAULT_KS)   # recall@need ranks each fold's images
-    if folds < 1:
-        raise ConfigError("--folds must be >= 1, got %d" % (folds,))
     if n_images % folds or n_images // folds < need:
         raise ConfigError("%d images in %d fold(s) (--folds) give %.10g images per fold; "
                           "recall@%d needs a whole number of at least %d candidates per "
                           "fold" % (n_images, folds, n_images / folds, need, need))
 
 
-def _ensemble_report(bundles, texts, ckpt_a, ckpt_b):
-    sim_a, image_index = _similarity(bundles, texts,
-                                     *_checkpoint(ckpt_a, "auto"))
-    sim_b, _ = _similarity(bundles, texts, *_checkpoint(ckpt_b, "auto"))
-    return retrieval.ensemble_eval(sim_a, sim_b, image_index)
+def _report(bundles, texts, models, folds=1):
+    """Recalls of one ``(params, cfg, dims, mode)`` model, over ``folds``
+    contiguous folds, or of the rank-averaged fusion of two."""
+    sims = []
+    for params, cfg, dims, mode in models:
+        table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=mode)
+        sims.append(retrieval.similarity_matrix(table.image_embs, table.text_embs))
+    if len(sims) == 2:
+        return retrieval.ensemble_eval(*sims, table.image_index)
+    if folds != 1:
+        return retrieval.fivefold_eval(sims[0], table.image_index, folds=folds, mode=mode)
+    return retrieval.evaluate(sims[0], table.image_index, mode=mode)
 
 
 def cmd_eval(args) -> int:
@@ -165,7 +175,7 @@ def cmd_eval(args) -> int:
     if ckpt is not None:
         # the checkpoint fixes the model; a hybrid one is a whole-set ensemble
         ignored = list(_model_overrides(args)) + [flag for flag, given in (
-            ("--dims", args.dims != "auto"), ("--folds", hybrid and args.folds != 1),
+            ("--seed", args.seed is not None), ("--folds", hybrid and args.folds != 1),
             ("--mode", hybrid and args.mode != "auto")) if given]
         if ignored:
             raise ConfigError("%s cannot apply to the %scheckpoint %s"
@@ -173,32 +183,24 @@ def cmd_eval(args) -> int:
     bundles, texts, manifest = _load(args.data)
     _check_folds(len(bundles), args.folds)
     if hybrid:
-        report = _ensemble_report(bundles, texts, ckpt / "region",
-                                  ckpt / "grid")
+        models = [_checkpoint(ckpt / sub, manifest.dims) for sub in ("region", "grid")]
+    elif ckpt is not None:
+        models = [_checkpoint(ckpt, manifest.dims, args.mode)]
     else:
-        if ckpt is not None:
-            params, model_cfg, dims, mode = _checkpoint(ckpt, args.mode)
-        else:
-            # untrained evaluation: seed-initialised parameters
-            dims = manifest.dims
-            model_cfg = _model_for(dims, args)
-            params = model.init_params(model_cfg, dims, args.seed)
-            mode = "region" if args.mode == "auto" else args.mode
-        sim, image_index = _similarity(bundles, texts, params, model_cfg,
-                                       dims, mode)
-        if args.folds != 1:
-            report = retrieval.fivefold_eval(sim, image_index,
-                                             folds=args.folds, mode=mode)
-        else:
-            report = retrieval.evaluate(sim, image_index, mode=mode)
+        # untrained evaluation: seed-initialised parameters
+        model_cfg = _model_for(manifest.dims, args)
+        models = [(model.init_params(model_cfg, manifest.dims, args.seed or 0), model_cfg,
+                   manifest.dims, "region" if args.mode == "auto" else args.mode)]
+    report = _report(bundles, texts, models, args.folds)
     _emit(report.to_dict(), report.table(), args.pretty)
     return 0
 
 
 def cmd_ensemble_eval(args) -> int:
-    bundles, texts, _ = _load(args.data)
+    bundles, texts, manifest = _load(args.data)
     _check_folds(len(bundles))
-    report = _ensemble_report(bundles, texts, args.ckpt_a, args.ckpt_b)
+    report = _report(bundles, texts, [_checkpoint(ckpt, manifest.dims)
+                                      for ckpt in (args.ckpt_a, args.ckpt_b)])
     _emit(report.to_dict(), report.table(), args.pretty)
     return 0
 
@@ -210,11 +212,6 @@ def _unit_rows(rng, n, d):
 
 def cmd_bench(args) -> int:
     dims, model_cfg = preset(args.dims)
-    # these counts shape the generated inputs before bench_kpps sees them
-    for flag in ("images", "queries", "recompute_queries", "pool"):
-        if getattr(args, flag) < 1:
-            raise ConfigError("--%s must be >= 1, got %d"
-                              % (flag.replace("_", "-"), getattr(args, flag)))
     rng = np.random.default_rng(args.seed)
     table = _unit_rows(rng, args.images, model_cfg.embed_dim)
     queries = _unit_rows(rng, args.queries, model_cfg.embed_dim)
@@ -270,26 +267,27 @@ def build_parser() -> _Parser:
                             "with segmentation-guided semantic and spatial enhancement.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
+    def add(name, fn, about, seed=0):
+        """A subcommand whose --seed defaults to ``seed``; ``False`` leaves
+        out the flag."""
+        sp = sub.add_parser(name, help=about)
         sp.set_defaults(func=fn)
-        sp.add_argument("--seed", type=int, default=0)
+        if seed is not False:
+            sp.add_argument("--seed", type=_int_at_least(0), default=seed)
         return sp
 
-    sp = add("synth", cmd_synth, help="write a planted synthetic dataset")
+    sp = add("synth", cmd_synth, "write a planted synthetic dataset")
     sp.add_argument("--out", required=True)
     sp.add_argument("--images", type=int, default=64)
     sp.add_argument("--captions", type=int, default=5)
     sp.add_argument("--dims", choices=["small", "full"], default="small")
     sp.add_argument("--noise", type=float, default=0.05)
 
-    sp = add("train", cmd_train, help="train a joint embedding")
+    sp = add("train", cmd_train, "train a joint embedding")
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--mode", choices=["region", "grid", "hybrid"],
                     default="region")
-    sp.add_argument("--dims", choices=["auto", "small", "full"],
-                    default="auto")
     sp.add_argument("--epochs", type=int, default=25)
     sp.add_argument("--batch-size", type=int, default=256)
     sp.add_argument("--lr", type=float, default=5e-4)
@@ -297,37 +295,34 @@ def build_parser() -> _Parser:
     sp.add_argument("--weight-decay", type=float, default=1e-4)
     _add_model_flags(sp)
 
-    sp = add("eval", cmd_eval, help="evaluate retrieval recall")
+    sp = add("eval", cmd_eval, "evaluate retrieval recall", seed=None)
     sp.add_argument("--data", required=True)
     sp.add_argument("--ckpt")
     sp.add_argument("--mode", choices=["auto", "region", "grid"],
                     default="auto")
-    sp.add_argument("--dims", choices=["auto", "small", "full"],
-                    default="auto")
-    sp.add_argument("--folds", type=int, default=1)
+    sp.add_argument("--folds", type=_int_at_least(1), default=1)
     _add_model_flags(sp)
     sp.add_argument("--pretty", action="store_true")
 
-    sp = add("ensemble-eval", cmd_ensemble_eval,
-             help="rank-average two checkpoints")
+    sp = add("ensemble-eval", cmd_ensemble_eval, "rank-average two checkpoints",
+             seed=False)
     sp.add_argument("--data", required=True)
     sp.add_argument("--ckpt-a", required=True)
     sp.add_argument("--ckpt-b", required=True)
     sp.add_argument("--pretty", action="store_true")
 
-    sp = add("bench", cmd_bench, help="measure retrieval throughput")
+    sp = add("bench", cmd_bench, "measure retrieval throughput")
     sp.add_argument("--mode", choices=["precomputed", "recompute", "both"],
                     default="both")
     sp.add_argument("--dims", choices=["small", "full"], default="full")
-    sp.add_argument("--images", type=int, default=1000)
-    sp.add_argument("--queries", type=int, default=1000)
-    sp.add_argument("--recompute-queries", type=int, default=100)
-    sp.add_argument("--pool", type=int, default=32)
+    sp.add_argument("--images", type=_int_at_least(1), default=1000)
+    sp.add_argument("--queries", type=_int_at_least(1), default=1000)
+    sp.add_argument("--recompute-queries", type=_int_at_least(1), default=100)
+    sp.add_argument("--pool", type=_int_at_least(1), default=32)
     sp.add_argument("--top-k", type=int, default=10)
     sp.add_argument("--trials", type=int, default=5)
 
-    sp = add("gradcheck", cmd_gradcheck,
-             help="finite-difference check of the full loss")
+    sp = add("gradcheck", cmd_gradcheck, "finite-difference check of the full loss")
     sp.add_argument("--dims", choices=["default", "small", "full"],
                     default="default")
     sp.add_argument("--batch", type=int, default=4)
@@ -336,7 +331,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--sample", type=int)
     sp.add_argument("--embed-dim", type=int)
 
-    add("selfcheck", cmd_selfcheck, help="run the invariant battery")
+    add("selfcheck", cmd_selfcheck, "run the invariant battery")
     return p
 
 

@@ -46,6 +46,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2 for in-batch negatives")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0, got %r" % (self.seed,))
 
     def to_dict(self) -> dict:
         return asdict(self)

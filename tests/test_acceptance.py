@@ -111,11 +111,25 @@ def _rank_oracle(scores):
     return sorted(range(len(scores)), key=lambda c: (-scores[c], c))
 
 
-def _recall_oracle(sim, image_index, k, direction):
+def _fused_oracle(a, b):
+    """Per row, candidates by mean ``_rank_oracle`` rank, then higher
+    summed score, then lower index."""
+    orders = []
+    for row_a, row_b in zip(a, b):
+        ra, rb = ({c: pos + 1 for pos, c in enumerate(_rank_oracle(row))}
+                  for row in (row_a, row_b))
+        orders.append(sorted(range(len(row_a)), key=lambda c: (
+            (ra[c] + rb[c]) / 2, -(row_a[c] + row_b[c]), c)))
+    return orders
+
+
+def _recall_oracle(sim, image_index, k, direction, orders=None):
+    """Recall@k of the ``_rank_oracle`` orders of ``sim``, or of the given
+    per-query ``orders``."""
     queries = sim if direction == "i2s" else sim.T
     hits = 0
     for q in range(queries.shape[0]):
-        top = _rank_oracle(queries[q])[:k]
+        top = (_rank_oracle(queries[q]) if orders is None else orders[q])[:k]
         if direction == "i2s":
             hits += any(image_index[c] == q for c in top)
         else:
@@ -157,22 +171,18 @@ def test_metric_oracle_equality():
                     for d in ("i2s", "s2i") for k in (1, 2, 5)]
         mismatches += list(got_fold.recalls()) != list(acc / folds)
 
+        # the fusion hybrid eval and ensemble-eval report, in both directions
         sim_b = rng.uniform(-1, 1, size=sim.shape)
-        fused = retrieval.ensemble_ranks(sim, sim_b)
-        for i in range(min(5, n)):
-            ra, rb = {}, {}
-            for pos, c in enumerate(_rank_oracle(sim[i])):
-                ra[c] = pos + 1
-            for pos, c in enumerate(_rank_oracle(sim_b[i])):
-                rb[c] = pos + 1
-            want_row = sorted(range(sim.shape[1]),
-                              key=lambda c: ((ra[c] + rb[c]) / 2,
-                                             -(sim[i, c] + sim_b[i, c]), c))
-            mismatches += fused[i].tolist() != want_row
+        orders = {"i2s": _fused_oracle(sim, sim_b), "s2i": _fused_oracle(sim.T, sim_b.T)}
+        mismatches += retrieval.ensemble_ranks(sim, sim_b).tolist() != orders["i2s"]
+        want = [_recall_oracle(sim, image_index, k, d, orders[d])
+                for d in ("i2s", "s2i") for k in (1, 5, 10)]
+        mismatches += list(retrieval.ensemble_eval(sim, sim_b, image_index,
+                                                   ks=(1, 5, 10)).recalls()) != want
     ok = mismatches == 0
     verdict("metric-oracle-equality", ok,
-            "100 random instances up to 50x250; %d mismatches (%.1f s)"
-            % (mismatches, time.perf_counter() - t0))
+            "100 random instances up to 50x250, fused recalls included; %d mismatches "
+            "(%.1f s)" % (mismatches, time.perf_counter() - t0))
 
 
 # ---------------------------------------------------------------------------

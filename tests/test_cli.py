@@ -1,10 +1,12 @@
 """End-to-end command-line behaviour, run in-process."""
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sshnet import model
-from sshnet.cli import main
+from sshnet import featureio, model
+from sshnet.cli import build_parser, main
+from sshnet.config import FULL_DIMS, SMALL_DIMS
 
 
 def run(capsys, *argv):
@@ -186,13 +189,13 @@ def hybrid_ckpt(ds, tmp_path_factory):
 
 
 @pytest.mark.parametrize("kind, flags, code", [
-    ("single", ["--dims", "full"], 1), ("single", ["--dims", "small"], 1),
+    ("single", ["--seed", "1"], 1), ("single", ["--seed", "0"], 1),
     ("single", ["--salience", "softmax"], 1), ("single", ["--attn-smooth", "0"], 1),
     ("single", ["--embed-dim", "8"], 1), ("single", ["--no-vsem"], 1),
     ("single", ["--no-vspm"], 1), ("hybrid", ["--folds", "2"], 1),
     ("hybrid", ["--mode", "grid"], 1), ("hybrid", ["--no-vspm", "--mode", "region"], 1),
     ("hybrid", [], 0),
-], ids=["dims-full", "dims-small", "salience", "attn-smooth", "embed-dim", "no-vsem",
+], ids=["seed", "seed-0", "salience", "attn-smooth", "embed-dim", "no-vsem",
         "no-vspm", "hybrid-folds", "hybrid-mode", "hybrid-two-flags", "hybrid-plain"])
 def test_eval_rejects_flags_the_checkpoint_ignores(ds, ckpt, hybrid_ckpt, capsys,
                                                    monkeypatch, kind, flags, code):
@@ -212,6 +215,44 @@ def test_eval_rejects_flags_the_checkpoint_ignores(ds, ckpt, hybrid_ckpt, capsys
         assert all(f in err for f in flags if f.startswith("--"))
     else:
         assert json.loads(out)["mode"] == "hybrid"
+
+
+@pytest.fixture(scope="module")
+def full_ds(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "full"
+    assert main(["synth", "--out", str(out), "--dims", "full", "--images", "10",
+                 "--captions", "1"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("kind", ["eval", "eval-hybrid", "ensemble-eval"])
+def test_checkpoint_geometry_must_match_the_dataset(full_ds, ckpt, hybrid_ckpt, capsys,
+                                                    monkeypatch, kind):
+    """A small checkpoint on a full dataset exits 1 naming the checkpoint
+    and both geometries, before anything is embedded."""
+    def embedded(*args, **kwargs):
+        raise AssertionError("embedded before the geometry check")
+
+    path = hybrid_ckpt if kind == "eval-hybrid" else ckpt
+    argv = (["eval", "--data", str(full_ds), "--ckpt", str(path)] if kind != "ensemble-eval"
+            else ["ensemble-eval", "--data", str(full_ds), "--ckpt-a", str(ckpt),
+                  "--ckpt-b", str(ckpt)])
+    monkeypatch.setattr(model, "embed_dataset", embedded)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "", err
+    assert str(path) in err and "Traceback" not in err
+    assert str(SMALL_DIMS.to_dict()) in err and str(FULL_DIMS.to_dict()) in err
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_dataset_geometry_without_a_preset_exits_one(tmp_path, capsys, command):
+    odd = replace(SMALL_DIMS, K=5)
+    featureio.synth_dataset(tmp_path / "odd", 10, 1, 0, odd)
+    extra = ["--out", str(tmp_path / "ck")] if command == "train" else []
+    code, out, err = run(capsys, command, "--data", str(tmp_path / "odd"), *extra)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert all(str(d.to_dict()) in err for d in (odd, SMALL_DIMS, FULL_DIMS))
+    assert "small preset" in err and "full preset" in err
 
 
 def test_ensemble_eval_self_pair_matches_single(ds, ckpt, capsys):
@@ -323,6 +364,36 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "train", "--help")[0] == 0
 
 
+def _seeded_commands(ds, out):
+    """A tiny run of every subcommand that takes --seed."""
+    return [["synth", "--out", str(out) + "-synth", "--images", "4", "--captions", "1"],
+            ["train", "--data", str(ds), "--out", str(out), "--epochs", "1",
+             "--batch-size", "8"],
+            ["eval", "--data", str(ds)], list(BENCH_SMALL),
+            ["gradcheck", "--sample", "1"], ["selfcheck"]]
+
+
+@pytest.mark.parametrize("index", range(6), ids=["synth", "train", "eval", "bench",
+                                                 "gradcheck", "selfcheck"])
+def test_negative_seed_is_a_usage_error(ds, tmp_path, capsys, index):
+    argv = _seeded_commands(ds, tmp_path / "out")[index] + ["--seed=-1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "--seed" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--dims", "small"), ("eval", "--dims", "small"),
+    ("ensemble-eval", "--seed", "0")])
+def test_flags_that_cannot_change_a_result_are_unknown(ds, ckpt, tmp_path, capsys,
+                                                       command, flag, value):
+    """Geometry comes from the manifest, and ensemble-eval draws nothing."""
+    argv = {"train": ["--out", str(tmp_path / "c")],
+            "ensemble-eval": ["--ckpt-a", str(ckpt), "--ckpt-b", str(ckpt)]}.get(command, [])
+    code, out, err = run(capsys, command, "--data", str(ds), *argv, flag, value)
+    assert code == 1 and out == "" and "unrecognized arguments: " + flag in err
+
+
 BENCH_COUNTS = ("--queries", "--recompute-queries", "--images", "--trials",
                 "--top-k")
 
@@ -344,13 +415,16 @@ def _boundary_argv(ds, out):
                   st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]))).map(
         lambda fx: ["train", "--data", str(ds), "--out", str(out), "--epochs", "1",
                     "--batch-size", "8", "%s=%r" % fx])
-    return st.one_of(bench, folds, smooth, train_floats)
+    seeds = st.tuples(st.sampled_from(_seeded_commands(ds, out)),
+                      st.integers(-3, 2**64)).map(lambda cs: cs[0] + ["--seed=%d" % cs[1]])
+    return st.one_of(bench, folds, smooth, train_floats, seeds)
 
 
 @pytest.mark.filterwarnings("ignore::sshnet.errors.BenchmarkWarning")
 def test_boundary_values_exit_cleanly(ds, tmp_path_factory):
-    """Counts, folds, smoothing and optimiser floats at and past their
-    limits end in a documented exit code, never an uncaught exception."""
+    """Counts, folds, smoothing, optimiser floats and seeds at and past
+    their limits end in a documented exit code, never an uncaught
+    exception; a negative seed is a usage error."""
     out = tmp_path_factory.mktemp("boundary") / "ckpt"
 
     @given(_boundary_argv(ds, out))
@@ -362,6 +436,8 @@ def test_boundary_values_exit_cleanly(ds, tmp_path_factory):
             code = main(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+        if any(arg.startswith("--seed=-") for arg in argv):
+            assert code == 1, argv
 
     check()
 
@@ -464,3 +540,123 @@ def test_mutated_inputs_exit_cleanly(ds, ckpt, tmp_path_factory):
         shutil.rmtree(root)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# every flag changes a result or is refused
+
+# Flags whose values reach only timed work: the test cannot see them.
+TIMING_ONLY = {
+    ("bench", "--pool"): "the images one recompute query cycles through; printed only "
+                         "through timing",
+    ("bench", "--top-k"): "the size of each query's timed top-k selection, which is not "
+                          "printed",
+    ("bench", "--seed"): "draws the random table, queries and pool that are timed",
+}
+TIMING_FIELDS = {"elapsed_s", "kpps", "trial_kpps", "speedup"}
+
+SYNTH = ["synth", "--out", "{out}", "--images", "4", "--captions", "1"]
+TRAIN = ["train", "--data", "{data}", "--out", "{out}", "--epochs", "1",
+         "--batch-size", "8"]
+EVAL = ["eval", "--data", "{data}"]
+EVAL_CKPT = EVAL + ["--ckpt", "{ckpt}"]
+EVAL_HYBRID = EVAL + ["--ckpt", "{hybrid}"]
+MODEL_FLAGS = {"--salience": ["softmax"], "--attn-smooth": ["1"], "--embed-dim": ["8"],
+               "--no-vsem": [], "--no-vspm": []}
+GRADCHECK = ["gradcheck", "--sample", "1"]
+
+# (command, flag) -> [(base argv, what the other run adds to it)]
+FLAG_CASES = {
+    **{("synth", flag): [(SYNTH, [flag, value])] for flag, value in (
+        ("--seed", "1"), ("--images", "5"), ("--captions", "2"), ("--dims", "full"),
+        ("--noise", "0.5"))},
+    **{("train", flag): [(TRAIN, [flag, value])] for flag, value in (
+        ("--seed", "1"), ("--mode", "grid"), ("--epochs", "2"), ("--batch-size", "4"),
+        ("--lr", "1e-3"), ("--margin", "0.1"), ("--weight-decay", "0"))},
+    **{("train", flag): [(TRAIN, [flag, *value])] for flag, value in MODEL_FLAGS.items()},
+    **{("eval", flag): [(EVAL, [flag, *value]), (EVAL_CKPT, [flag, *value])]
+       for flag, value in MODEL_FLAGS.items()},
+    ("eval", "--ckpt"): [(EVAL, ["--ckpt", "{ckpt}"]), (EVAL_CKPT, ["--ckpt", "{hybrid}"])],
+    **{("eval", flag): [(base, [flag, value]) for base in (EVAL, EVAL_CKPT, EVAL_HYBRID)]
+       for flag, value in (("--mode", "grid"), ("--folds", "2"), ("--seed", "1"))},
+    ("eval", "--pretty"): [(EVAL, ["--pretty"]), (EVAL_HYBRID, ["--pretty"])],
+    ("ensemble-eval", "--pretty"): [(["ensemble-eval", "--data", "{data}", "--ckpt-a",
+                                      "{ckpt}", "--ckpt-b", "{hybrid}/grid"], ["--pretty"])],
+    **{("bench", flag): [(list(BENCH_SMALL), [flag, value])] for flag, value in (
+        ("--mode", "precomputed"), ("--dims", "full"), ("--images", "17"),
+        ("--queries", "9"), ("--recompute-queries", "5"), ("--trials", "2"))},
+    **{("gradcheck", flag): [(GRADCHECK, [flag, value])] for flag, value in (
+        ("--dims", "small"), ("--batch", "3"), ("--eps", "1e-6"), ("--tol", "1e-13"),
+        ("--sample", "2"), ("--embed-dim", "8"), ("--seed", "1"))},
+    ("selfcheck", "--seed"): [(["selfcheck"], ["--seed", "1"])],
+}
+
+
+def _parser_flags():
+    """(command, flag) for every optional flag of every subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0]) for name, sp in sub.choices.items()
+            for action in sp._actions if action.option_strings and not action.required
+            and not isinstance(action, argparse._HelpAction)]
+
+
+def _untimed(doc):
+    if isinstance(doc, dict):
+        return {k: _untimed(v) for k, v in doc.items() if k not in TIMING_FIELDS}
+    return [_untimed(v) for v in doc] if isinstance(doc, list) else doc
+
+
+@pytest.fixture(scope="module")
+def flag_env(tmp_path_factory):
+    """A 20-image set (two folds of 10), a checkpoint and a hybrid
+    checkpoint of it, an --out path, and the outcomes of base runs."""
+    root = tmp_path_factory.mktemp("flags")
+    env = {"data": str(root / "data"), "ckpt": str(root / "ckpt"),
+           "hybrid": str(root / "hybrid"), "out": str(root / "out")}
+    assert main(["synth", "--out", env["data"], "--images", "20", "--captions", "1",
+                 "--seed", "6"]) == 0
+    for key, mode in (("ckpt", "region"), ("hybrid", "hybrid")):
+        assert main(["train", "--data", env["data"], "--out", env[key], "--mode", mode,
+                     "--epochs", "1", "--batch-size", "8"]) == 0
+    return env, {}
+
+
+def _outcome(capsys, env, argv):
+    """Exit code, stdout without timing, stderr and the bytes under --out."""
+    out = Path(env["out"])
+    shutil.rmtree(out, ignore_errors=True)
+    code, stdout, err = run(capsys, *[arg.format(**env) for arg in argv])
+    try:
+        stdout = _untimed(json.loads(stdout))
+    except ValueError:
+        pass                                   # a --pretty table
+    return code, stdout, err, dir_digest(out) if out.exists() else None
+
+
+def test_flag_cases_cover_the_parser():
+    flags = set(_parser_flags())
+    assert set(TIMING_ONLY) <= flags
+    assert set(FLAG_CASES) <= flags, "cases for flags the parser no longer has"
+
+
+@pytest.mark.filterwarnings("ignore::sshnet.errors.BenchmarkWarning")
+@pytest.mark.parametrize("command, flag", [cf for cf in _parser_flags()
+                                           if cf not in TIMING_ONLY],
+                         ids=lambda v: v)
+def test_every_flag_changes_the_result_or_is_refused(flag_env, capsys, command, flag):
+    """Run once at the base value and once at another valid one: stdout
+    (timing aside) or the files under --out differ, or the command exits 1
+    naming the flag."""
+    env, bases = flag_env
+    assert (command, flag) in FLAG_CASES, "no case for %s %s" % (command, flag)
+    for base, other in FLAG_CASES[command, flag]:
+        if tuple(base) not in bases:
+            bases[tuple(base)] = _outcome(capsys, env, base)
+        code, stdout, err, files = bases[tuple(base)]
+        assert code == 0, err
+        got = _outcome(capsys, env, base + other)
+        if got[0] == 1:
+            assert flag in got[2], got[2]
+        else:
+            assert (got[1], got[3]) != (stdout, files), (base, other)

@@ -253,7 +253,7 @@ def test_training_rejects_bad_configs(data):
 @pytest.mark.parametrize("field, value", [
     ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
     ("weight_decay", -1e-4), ("weight_decay", math.nan),
-    ("margin", -0.2), ("margin", -math.inf),
+    ("margin", -0.2), ("margin", -math.inf), ("seed", -1),
 ])
 def test_train_config_rejects_bad_optimiser_values(data, field, value):
     bundles, texts, _ = data
