@@ -12,7 +12,11 @@ with one BLAS thread, and hashes what it leaves behind:
   and the ``ensemble-eval`` JSON of its ``region`` and ``grid`` members;
 - the ``eval`` JSON of an untrained model, ``--seed 3``;
 - a sampled ``gradcheck`` JSON with ``elapsed_s`` removed;
-- the full gradient-fidelity report (float hex).
+- the full gradient-fidelity report (float hex);
+- ``rank_rows`` and ``ensemble_ranks`` of a seeded tie-heavy pair of
+  40x200 similarities rounded to 0.1, and of its transpose, plus the
+  pair's ``ensemble_eval`` JSON;
+- the per-check ``ok`` map of ``selfcheck --seed 0``.
 
 Two checkouts compute the same numbers when their outputs are equal:
 
@@ -34,8 +38,11 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sshnet import retrieval  # noqa: E402
 from sshnet.cli import main as cli_main  # noqa: E402
 
 
@@ -102,6 +109,19 @@ def main():
     print("gradcheck/full max_rel_err %s at %s, max_abs_err %s, %d coords"
           % (float(doc["max_rel_err"]).hex(), doc["worst_param"],
              float(doc["max_abs_err"]).hex(), doc["n_params"]), file=sys.stderr)
+
+    rng = np.random.default_rng(12)
+    a, b = (np.round(rng.uniform(-1, 1, size=(40, 200)), 1) for _ in range(2))
+    for name, (sa, sb) in (("pair", (a, b)), ("transpose", (a.T, b.T))):
+        for fn, order in (("rank_rows", retrieval.rank_rows(sa)),
+                          ("ensemble_ranks", retrieval.ensemble_ranks(sa, sb))):
+            emit("ranking/%s/%s" % (name, fn),
+                 np.ascontiguousarray(order, dtype=np.int64).tobytes())
+    emit_json("ranking/ensemble_eval", retrieval.ensemble_eval(
+        a, b, np.repeat(np.arange(40), 5)).to_dict())
+
+    doc = run("selfcheck", "--seed", 0)
+    emit_json("selfcheck/ok", {k: v["ok"] for k, v in doc["checks"].items()})
 
 
 if __name__ == "__main__":

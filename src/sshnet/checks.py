@@ -183,20 +183,16 @@ def _check_metric_oracle(rng):
         caps = int(rng.integers(1, 4))
         sim = rng.uniform(-1, 1, size=(n, n * caps))
         image_index = np.repeat(np.arange(n), caps)
-        for direction in ("i2s", "s2i"):
-            got = retrieval.recall_at_k(sim, image_index, 3, direction)
-            hits = 0
-            queries = sim if direction == "i2s" else sim.T
-            for q in range(queries.shape[0]):
-                order = sorted(range(queries.shape[1]),
-                               key=lambda c: (-queries[q, c], c))[:3]
-                if direction == "i2s":
-                    hits += any(image_index[c] == q for c in order)
-                else:
-                    hits += image_index[q] in order
-            want = 100.0 * hits / queries.shape[0]
-            if got != want:
-                raise SshnetError("recall disagrees with the sort oracle")
+        want = []
+        for queries, hit in ((sim, lambda q, c: image_index[c] == q),
+                             (sim.T, lambda q, c: image_index[q] == c)):
+            orders = [sorted(range(len(row)), key=lambda c: (-row[c], c))
+                      for row in queries]
+            want += [100.0 * sum(any(hit(q, c) for c in order[:k])
+                                 for q, order in enumerate(orders)) / len(orders)
+                     for k in retrieval.DEFAULT_KS]
+        if retrieval.evaluate(sim, image_index).recalls() != tuple(want):
+            raise SshnetError("recall disagrees with the sort oracle")
 
 
 def _check_gradients_sampled(rng):

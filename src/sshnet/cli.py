@@ -149,10 +149,13 @@ def _checkpoint(ckpt, dims, mode="auto"):
 def _check_folds(n_images: int, folds: int = 1):
     """Refuse, before anything is embedded, folds ``evaluate`` would refuse."""
     need = max(retrieval.DEFAULT_KS)   # recall@need ranks each fold's images
-    if n_images % folds or n_images // folds < need:
-        raise ConfigError("%d images in %d fold(s) (--folds) give %.10g images per fold; "
+    if folds > 1 and (n_images % folds or n_images // folds < need):
+        raise ConfigError("%d images in %d folds (--folds) give %.10g images per fold; "
                           "recall@%d needs a whole number of at least %d candidates per "
                           "fold" % (n_images, folds, n_images / folds, need, need))
+    if n_images < need:
+        raise ConfigError("%d images are too few: recall@%d needs at least %d "
+                          "candidates" % (n_images, need, need))
 
 
 def _report(bundles, texts, models, folds=1):

@@ -66,24 +66,22 @@ def init_embed_params(cfg: ModelConfig, dims: DimConfig, rng) -> EmbedParams:
 
 @functools.lru_cache(maxsize=None)
 def _interp_matrix(n: int, table_len: int) -> np.ndarray:
-    """(n, table_len) linear interpolation from table positions to n ranks.
+    """(n, table_len) linear interpolation from table positions to n >= 2
+    ranks (``resolve_pool_weights`` pools one row without it).
 
     Computed once per (n, table_len) and returned read-only: every set of
     the same size shares one matrix.
     """
     mat = np.zeros((n, table_len))
-    if n == 1:
-        mat[0, 0] = 1.0
-    else:
-        for r in range(n):
-            x = r * (table_len - 1) / (n - 1)
-            lo = int(math.floor(x))
-            frac = x - lo
-            if frac == 0.0 or lo >= table_len - 1:
-                mat[r, min(lo, table_len - 1)] = 1.0
-            else:
-                mat[r, lo] = 1.0 - frac
-                mat[r, lo + 1] = frac
+    for r in range(n):
+        x = r * (table_len - 1) / (n - 1)
+        lo = int(math.floor(x))
+        frac = x - lo
+        if frac == 0.0 or lo >= table_len - 1:
+            mat[r, min(lo, table_len - 1)] = 1.0
+        else:
+            mat[r, lo] = 1.0 - frac
+            mat[r, lo + 1] = frac
     mat.flags.writeable = False
     return mat
 

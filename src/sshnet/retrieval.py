@@ -45,10 +45,37 @@ def similarity_matrix(img_embs, txt_embs) -> np.ndarray:
 # ranking and recall
 
 
-def rank_rows(sim: np.ndarray) -> np.ndarray:
-    """Per-row candidate order, best first; ties go to the lower index."""
+def rank_rows(sim) -> np.ndarray:
+    """Per-row candidate order, best first; ties go to the lower index.
+
+    Runs of tied scores start where the sorted scores differ, which NaN
+    would break; like every similarity here, ``sim`` must be finite and 2-D.
+    """
     sim = np.asarray(sim, dtype=np.float64)
-    return np.argsort(-sim, axis=1, kind="stable")
+    if sim.ndim != 2 or not np.isfinite(sim).all():
+        raise ShapeError("similarities must be finite and 2-D, got %r"
+                         % (sim.shape,))
+    return _best_first(sim)
+
+
+def _best_first(scores: np.ndarray) -> np.ndarray:
+    """``rank_rows`` of finite scores.  The default argsort is ~4x faster
+    than a stable one; sorting (run of tied scores, index), packed in one
+    integer, puts ties back in index order."""
+    m = scores.shape[1]
+    order = np.argsort(-scores, axis=1)
+    best_first = np.take_along_axis(scores, order, axis=1)
+    run = np.zeros(scores.shape, dtype=np.int64)
+    np.cumsum(best_first[:, 1:] != best_first[:, :-1], axis=1, out=run[:, 1:])
+    return np.sort(run * m + order, axis=1) % m
+
+
+def _stable_ranks(scores: np.ndarray) -> np.ndarray:
+    """Each candidate's position in its row's ``rank_rows`` order."""
+    order = _best_first(scores)
+    ranks = np.empty(scores.shape)
+    np.put_along_axis(ranks, order, np.arange(scores.shape[1])[None], axis=1)
+    return ranks
 
 
 def _checked(image_index, *sims):
@@ -110,23 +137,6 @@ def _six(image_index, sims, ks, keys_of=lambda sim: [sim]) -> list:
     return six
 
 
-def recall_at_k(sim, image_index, k: int, direction: str) -> float:
-    """Percentage of queries whose ground truth ranks in the top k.
-
-    ``direction`` is "i2s" (image queries; a hit if any of the image's
-    sentences makes the top k) or "s2i" (sentence queries; the single
-    matching image must make the top k).
-    """
-    image_index, sim = _checked(image_index, sim)
-    own = image_index == np.arange(sim.shape[0])[:, None]
-    if direction == "s2i":
-        sim, own = sim.T, own.T
-    elif direction != "i2s":
-        raise ConfigError("direction must be 'i2s' or 's2i', got %r"
-                          % (direction,))
-    return _recalls(_ranks([sim], own), (k,), own.shape[1])[0]
-
-
 def rsum(recalls) -> float:
     """Sum of the six recall percentages."""
     vals = list(recalls)
@@ -175,10 +185,7 @@ class RetrievalReport:
 
 
 def _report(mode: str, six, **kw) -> RetrievalReport:
-    total = rsum(six)
-    report = RetrievalReport(mode, *six, rsum=total, **kw)
-    assert abs(report.rsum - sum(report.recalls())) <= 1e-9
-    return report
+    return RetrievalReport(mode, *six, rsum=rsum(six), **kw)
 
 
 def evaluate(sim, image_index, mode: str = "region",
@@ -217,42 +224,19 @@ def fivefold_eval(sim, image_index, folds: int = 5, mode: str = "region",
 def ensemble_ranks(sim_a, sim_b) -> np.ndarray:
     """Fuse two models' rankings per query by averaging rank positions.
 
-    Candidates are re-sorted by mean rank; ties break toward the higher
-    summed similarity, then the lower index.
+    Candidates are re-sorted by mean rank (the rank sum orders them the
+    same way); ties break toward the higher summed similarity, then, as
+    ``lexsort`` is stable, the lower index.
     """
     a = np.asarray(sim_a, dtype=np.float64)
     b = np.asarray(sim_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError("similarity shapes differ: %r vs %r"
                          % (a.shape, b.shape))
-    if a.ndim != 2:
-        raise ShapeError("expected 2-D similarities, got %r" % (a.shape,))
-    n, m = a.shape
-    cols = np.arange(m)
-    fused = np.empty((n, m), dtype=np.int64)
-    for i in range(n):
-        rank_a = np.empty(m)
-        rank_a[np.argsort(-a[i], kind="stable")] = cols + 1
-        rank_b = np.empty(m)
-        rank_b[np.argsort(-b[i], kind="stable")] = cols + 1
-        avg = 0.5 * (rank_a + rank_b)
-        fused[i] = np.lexsort((cols, -(a[i] + b[i]), avg))
-    return fused
-
-
-def _stable_ranks(scores: np.ndarray) -> np.ndarray:
-    """Each candidate's position in its row's ``rank_rows`` order.  The
-    default argsort is ~4x faster than a stable one; sorting (run of tied
-    scores, index), packed in one integer, puts ties back in index order."""
-    m = scores.shape[1]
-    order = np.argsort(-scores, axis=1)
-    best_first = np.take_along_axis(scores, order, axis=1)
-    run = np.cumsum(np.diff(best_first, axis=1, prepend=best_first[:, :1]) != 0,
-                    axis=1)
-    ranks = np.empty(scores.shape)
-    np.put_along_axis(ranks, np.sort(run * m + order, axis=1) % m,
-                      np.arange(m)[None], axis=1)
-    return ranks
+    if a.ndim != 2 or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ShapeError("expected finite 2-D similarities, got %r"
+                         % (a.shape,))
+    return np.lexsort((-(a + b), _stable_ranks(a) + _stable_ranks(b)), axis=1)
 
 
 def ensemble_eval(sim_a, sim_b, image_index, mode: str = "hybrid",

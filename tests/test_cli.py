@@ -128,7 +128,8 @@ def test_eval_small_fold_rejected(ds, ckpt, capsys):
                          ids=["0", "-2", "non-dividing", "fold-below-10", "ensemble-8"])
 def test_eval_rejects_nonpositive_folds(ds, ckpt, tmp_path, capsys, monkeypatch, folds):
     """A fold split recall@10 cannot rank exits 1 naming --folds, before
-    anything is embedded; ensemble-eval's one fold is the whole set."""
+    anything is embedded; ensemble-eval, which has no --folds, names the
+    image count of its one fold, the whole set."""
     def embedded(*args, **kwargs):
         raise AssertionError("embedded before the fold check")
 
@@ -141,6 +142,10 @@ def test_eval_rejects_nonpositive_folds(ds, ckpt, tmp_path, capsys, monkeypatch,
         argv = ["eval", "--data", str(ds), "--folds=" + folds]
     monkeypatch.setattr(model, "embed_dataset", embedded)
     code, _, err = run(capsys, *argv)
+    if folds is None:
+        assert code == 1 and "--folds" not in err
+        assert "8 images" in err and "10 candidates" in err
+        return
     assert code == 1 and "--folds" in err
     if folds not in ("0", "-2"):
         assert "images per fold" in err and "candidates" in err

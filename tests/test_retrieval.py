@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sshnet import retrieval as rt
@@ -40,6 +40,26 @@ def recall_oracle(sim, image_index, k, direction):
         top = rank_oracle(sim[:, j])[:k]
         hits += image_index[j] in top
     return 100.0 * hits / sim.shape[1]
+
+
+def gt_rank_oracle(sim, image_index, direction):
+    """Each query's ground-truth position in its ``rank_oracle`` order: an
+    image's best caption (the candidate count if it has none), or a
+    sentence's image."""
+    if direction == "i2s":
+        return [next((pos for pos, c in enumerate(rank_oracle(row))
+                      if image_index[c] == i), len(row))
+                for i, row in enumerate(sim)]
+    return [rank_oracle(sim[:, j]).index(image_index[j])
+            for j in range(sim.shape[1])]
+
+
+def gt_ranks(sim, image_index, direction):
+    """``rt._ranks`` in one direction: what every recall@k is read from."""
+    own = image_index == np.arange(sim.shape[0])[:, None]
+    if direction == "s2i":
+        sim, own = sim.T, own.T
+    return rt._ranks([sim], own).tolist()
 
 
 def ensemble_oracle_row(sa, sb):
@@ -100,8 +120,7 @@ def test_block_diagonal_gives_perfect_recall():
     sim = np.full((n, n * caps), -0.5)
     for i in range(n):
         sim[i, image_index == i] = 0.9
-    for d in ("i2s", "s2i"):
-        assert rt.recall_at_k(sim, image_index, 1, d) == 100.0
+    assert rt.evaluate(sim, image_index).recalls() == (100.0,) * 6
 
 
 def test_ground_truth_at_rank_three():
@@ -109,27 +128,29 @@ def test_ground_truth_at_rank_three():
     sim = np.array([[0.5, 0.9, 0.8, 0.1],
                     [0.9, 0.5, 0.8, 0.1]])
     image_index = np.array([0, 1, 0, 1])
-    assert rt.recall_at_k(sim, image_index, 1, "i2s") == 0.0
-    assert rt.recall_at_k(sim, image_index, 4, "i2s") == 100.0
+    # recall@1 is 0 and recall@4 is 100; s2i has too few candidates for
+    # evaluate to take k = 4, so read the ranks every recall comes from
+    assert gt_ranks(sim, image_index, "i2s") == [1, 2]
+    assert gt_rank_oracle(sim, image_index, "i2s") == [1, 2]
 
 
 def test_recall_matches_full_sort_oracle():
     rng = np.random.default_rng(11)
     for _ in range(30):
-        sim, image_index = random_instance(rng)
-        for d in ("i2s", "s2i"):
-            cands = sim.shape[1] if d == "i2s" else sim.shape[0]
-            for k in (1, 3, min(10, cands)):
-                assert rt.recall_at_k(sim, image_index, k, d) == \
-                    recall_oracle(sim, image_index, k, d)
+        sim, image_index = random_instance(rng)    # >= 10 images
+        got = rt.evaluate(sim, image_index, ks=(1, 3, 10)).recalls()
+        assert list(got) == [recall_oracle(sim, image_index, k, d)
+                             for d in ("i2s", "s2i") for k in (1, 3, 10)]
 
 
 def test_recall_handles_ties_deterministically():
     sim = np.zeros((3, 6))       # all tied: lower index wins
     image_index = np.repeat(np.arange(3), 2)
     # image 0's captions are columns 0/1 -> top-1 hit only for image 0
-    assert rt.recall_at_k(sim, image_index, 1, "i2s") == pytest.approx(100 / 3)
-    assert rt.recall_at_k(sim, image_index, 1, "s2i") == pytest.approx(100 / 3)
+    assert gt_ranks(sim, image_index, "i2s") == [0, 2, 4]
+    assert gt_ranks(sim, image_index, "s2i") == [0, 0, 1, 1, 2, 2]
+    assert rt.evaluate(sim, image_index, ks=(1, 2, 3)).recalls() == \
+        pytest.approx((100 / 3, 100 / 3, 200 / 3, 100 / 3, 200 / 3, 100.0))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -137,25 +158,21 @@ def test_recall_handles_ties_deterministically():
 def test_recall_monotone_in_k(seed):
     rng = np.random.default_rng(seed)
     sim, image_index = random_instance(rng, max_images=15, max_caps=3)
-    prev = 0.0
-    for k in range(1, sim.shape[1] + 1):
-        cur = rt.recall_at_k(sim, image_index, k, "i2s")
-        assert cur >= prev
+    prev = (0.0,) * 6
+    for k in range(1, sim.shape[0] + 1):     # every k both directions take
+        cur = rt.evaluate(sim, image_index, ks=(k, k, k)).recalls()
+        assert all(c >= p for c, p in zip(cur, prev))
         prev = cur
-    assert prev == 100.0  # k == candidate count always hits
+    assert prev[3:] == (100.0,) * 3  # k == s2i candidate count always hits
 
 
 def test_recall_rejects_bad_k_and_direction():
     sim = np.zeros((3, 6))
     image_index = np.repeat(np.arange(3), 2)
-    with pytest.raises(ConfigError):
-        rt.recall_at_k(sim, image_index, 7, "i2s")
-    with pytest.raises(ConfigError):
-        rt.recall_at_k(sim, image_index, 4, "s2i")
-    with pytest.raises(ConfigError):
-        rt.recall_at_k(sim, image_index, 0, "i2s")
-    with pytest.raises(ConfigError):
-        rt.recall_at_k(sim, image_index, 1, "sideways")
+    # 7 exceeds the 6 sentences; 4 fits i2s but exceeds s2i's 3 images
+    for ks in ((1, 2, 7), (1, 2, 4), (0, 1, 2)):
+        with pytest.raises(ConfigError, match="every k"):
+            rt.evaluate(sim, image_index, ks=ks)
 
 
 def test_rsum_frozen_values():
@@ -173,8 +190,8 @@ def test_evaluate_report_consistency():
     assert report.rsum == pytest.approx(sum(report.recalls()), abs=1e-9)
     for d, (r1, r5, r10) in (("i2s", report.recalls()[:3]),
                              ("s2i", report.recalls()[3:])):
-        assert r1 == rt.recall_at_k(sim, image_index, 1, d)
-        assert r10 == rt.recall_at_k(sim, image_index, 10, d)
+        assert r1 == recall_oracle(sim, image_index, 1, d)
+        assert r10 == recall_oracle(sim, image_index, 10, d)
         assert 0 <= r1 <= r5 <= r10 <= 100
     d = report.to_dict()
     assert d["i2s"]["r1"] == report.i2s_r1 and d["rsum"] == report.rsum
@@ -196,7 +213,6 @@ def _bad_index_cases():
 
 
 RETRIEVAL_CALLS = {
-    "recall_at_k": lambda sim, idx: rt.recall_at_k(sim, idx, 1, "s2i"),
     "evaluate": lambda sim, idx: rt.evaluate(sim, idx, ks=(1, 2, 3)),
     "fivefold_eval": lambda sim, idx: rt.fivefold_eval(sim, idx, folds=1,
                                                        ks=(1, 2, 3)),
@@ -214,13 +230,22 @@ def test_retrieval_rejects_bad_image_index(call, case, idx, error):
         RETRIEVAL_CALLS[call](sim, idx)
 
 
-@pytest.mark.parametrize("call", sorted(RETRIEVAL_CALLS))
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+RANKINGS = {
+    "rank_rows": lambda sim, idx: rt.rank_rows(sim),
+    "ensemble_ranks": lambda sim, idx: rt.ensemble_ranks(np.zeros(sim.shape), sim),
+}
+
+
+@pytest.mark.parametrize("call", sorted(RETRIEVAL_CALLS) + sorted(RANKINGS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1-D"])
 def test_retrieval_rejects_non_finite_similarity(call, bad):
     sim = np.random.default_rng(61).uniform(-1, 1, size=(3, 6))
-    sim[1, 4] = bad
+    if bad == "1-D":
+        sim = sim[0]
+    else:
+        sim[1, 4] = bad
     with pytest.raises(ShapeError, match="finite"):
-        RETRIEVAL_CALLS[call](sim, np.repeat(np.arange(3), 2))
+        {**RETRIEVAL_CALLS, **RANKINGS}[call](sim, np.repeat(np.arange(3), 2))
 
 
 @pytest.mark.parametrize("call", sorted(RETRIEVAL_CALLS))
@@ -247,7 +272,7 @@ def test_image_without_captions_is_an_i2s_miss():
     image_index = np.array([0, 2, 2])            # image 1 has no caption
     report = rt.evaluate(sim, image_index, ks=(1, 2, 3))
     assert report.recalls()[:3] == (200 / 3, 200 / 3, 200 / 3)
-    assert rt.recall_at_k(sim, image_index, 3, "i2s") == 200 / 3
+    assert gt_ranks(sim, image_index, "i2s") == [0, 3, 0]   # past all 3
     fused = rt.ensemble_eval(sim, sim, image_index, ks=(1, 2, 3))
     assert fused.recalls() == report.recalls()
 
@@ -342,6 +367,48 @@ def test_ensemble_rejects_mismatched_axes():
         rt.ensemble_ranks(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
+TIE_VALUES = st.one_of(
+    st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.5, 2.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def tie_heavy_pair(draw):
+    """Two (n, m) similarities, 0 <= n, m <= 8, whose entries come from
+    six values (+0.0 and -0.0 among them) or from all finite floats, with
+    a copied column in each."""
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    sims = []
+    for _ in range(2):
+        flat = draw(st.lists(TIE_VALUES, min_size=n * m, max_size=n * m))
+        sim = np.array(flat, dtype=np.float64).reshape(n, m)
+        if m:
+            sim[:, draw(st.integers(0, m - 1))] = sim[:, draw(st.integers(0, m - 1))]
+        sims.append(sim)
+    return sims
+
+
+@given(tie_heavy_pair())
+@example([np.zeros((0, 0))] * 2)
+@example([np.zeros((0, 4))] * 2)
+@example([np.zeros((4, 0))] * 2)
+@example([np.array([[-0.0]]), np.array([[0.0]])])
+@example([np.array([[0.0, -0.0, 0.0]]), np.array([[-0.0, 0.0, 0.0]])])
+@settings(max_examples=300, deadline=None)
+def test_one_order_matches_stable_sort_and_oracles(pair):
+    a, b = pair
+    for sim in (a, b, a.T):
+        got = rt.rank_rows(sim)
+        assert got.shape == sim.shape
+        assert np.array_equal(got, np.argsort(-sim, axis=1, kind="stable"))
+        assert got.tolist() == [rank_oracle(row) for row in sim]
+    for sa, sb in ((a, b), (a.T, b.T), (a, a)):
+        with np.errstate(over="ignore"):    # a + b may overflow to -inf ties
+            fused = rt.ensemble_ranks(sa, sb)
+            want = [ensemble_oracle_row(ra, rb) for ra, rb in zip(sa, sb)]
+        assert fused.shape == sa.shape and fused.tolist() == want
+
+
 def test_ensemble_eval_equals_plain_eval_when_models_agree():
     rng = np.random.default_rng(31)
     sim, image_index = random_instance(rng)
@@ -401,10 +468,9 @@ def test_outranking_counts_match_sorting_oracles_on_ties(inst, fracs):
     def three_ks(n_candidates):      # any k from 1 to the candidate count
         return tuple(1 + int(f * (n_candidates - 1)) for f in sorted(fracs))
     with mock.patch.object(rt, "_CHUNK_ROWS", 3):   # several blocks per call
-        for d, cands in (("i2s", m), ("s2i", n)):
-            for k in range(1, cands + 1):
-                assert rt.recall_at_k(sim, image_index, k, d) == \
-                    recall_oracle(sim, image_index, k, d)
+        for d in ("i2s", "s2i"):      # every k at once
+            assert gt_ranks(sim, image_index, d) == \
+                gt_rank_oracle(sim, image_index, d)
         ks = three_ks(min(n, m))
         want = [recall_oracle(sim, image_index, k, d)
                 for d in ("i2s", "s2i") for k in ks]
@@ -412,7 +478,8 @@ def test_outranking_counts_match_sorting_oracles_on_ties(inst, fracs):
 
         fused = rt.ensemble_eval(sim, sim_b, image_index, ks=ks)
         assert list(fused.recalls()) == recalls_from_orders(
-            rt.ensemble_ranks(sim, sim_b), rt.ensemble_ranks(sim.T, sim_b.T),
+            [ensemble_oracle_row(a, b) for a, b in zip(sim, sim_b)],
+            [ensemble_oracle_row(a, b) for a, b in zip(sim.T, sim_b.T)],
             image_index, ks)
 
         for folds in (f for f in range(1, n + 1) if n % f == 0):
