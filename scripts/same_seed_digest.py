@@ -23,6 +23,11 @@ Two checkouts compute the same numbers when their outputs are equal:
     python3 scripts/same_seed_digest.py > a.txt   # in each checkout
     diff a.txt b.txt
 
+With ``--values DIR`` it also saves the loss curves and checkpoint tensors
+it hashes as ``.npy`` files under DIR (``train/loss_curve.npy``,
+``train/embed.img_proj.npy``, ``hybrid/loss_curve/region.npy``, ...), so
+two checkouts that are not bitwise equal can be compared numerically.
+
 The script imports the ``sshnet`` under its own checkout's ``src/``.
 """
 import os
@@ -30,6 +35,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -42,7 +48,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sshnet import retrieval  # noqa: E402
+from sshnet import featureio, retrieval  # noqa: E402
 from sshnet.cli import main as cli_main  # noqa: E402
 
 
@@ -69,7 +75,19 @@ def emit_json(name: str, doc: dict) -> None:
     emit(name, json.dumps(doc, sort_keys=True))
 
 
-def main():
+def save(values_dir, name: str, arr) -> None:
+    """Write ``arr`` as ``values_dir/name.npy`` (no-op without a values dir)."""
+    if values_dir is not None:
+        path = values_dir / (name + ".npy")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.save(path, np.asarray(arr, dtype=np.float64))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--values", type=Path, default=None, metavar="DIR",
+                    help="also save the loss curves and checkpoint tensors as .npy under DIR")
+    values = ap.parse_args(argv).values
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data, ckpt, hybrid = tmp / "data", tmp / "ckpt", tmp / "hybrid"
@@ -81,8 +99,10 @@ def main():
         doc = run("train", "--data", data, "--out", ckpt, "--epochs", 3,
                   "--batch-size", 8)
         emit("train/loss_curve", hexes(doc["loss_curve"]))
+        save(values, "train/loss_curve", doc["loss_curve"])
         for f in sorted(ckpt.glob("*.3sht")):
             emit("train/" + f.name, f.read_bytes())
+            save(values, "train/" + f.stem, featureio.read_tensor(f))
 
         emit_json("eval/whole", run("eval", "--data", data, "--ckpt", ckpt))
         emit_json("eval/folds2", run("eval", "--data", data, "--ckpt", ckpt,
@@ -92,6 +112,7 @@ def main():
                   "--epochs", 3, "--batch-size", 8)
         for sub in ("region", "grid"):
             emit("hybrid/loss_curve/" + sub, hexes(doc["runs"][sub]["loss_curve"]))
+            save(values, "hybrid/loss_curve/" + sub, doc["runs"][sub]["loss_curve"])
         emit_json("hybrid/eval", run("eval", "--data", data, "--ckpt", hybrid))
         emit_json("hybrid/ensemble-eval", run("ensemble-eval", "--data", data,
                                               "--ckpt-a", hybrid / "region",

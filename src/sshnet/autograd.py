@@ -81,11 +81,11 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into ``.grad`` of every leaf.
 
-        A leaf's ``.grad`` is its own C-contiguous array: the first
-        gradient that reaches it is copied (VJPs hand out views and shared
-        arrays), later ones are added to it, also across calls.  An
-        intermediate node's ``.grad`` is released (set to None) as soon as
-        its VJP has run.
+        A leaf's ``.grad`` is its own C-contiguous array: the first gradient
+        to reach it is taken as is if fresh (it owns its C-ordered data and
+        goes to no other parent), else copied; later ones are added to it,
+        also across calls.  An intermediate node's ``.grad`` is released
+        (set to None) as soon as its VJP has run.
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar, got shape %r" % (self.shape,))
@@ -93,11 +93,14 @@ class Tensor:
         for node in reversed(_toposort(self)):
             if node._vjp is None or node.grad is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
+            grads = node._vjp(node.grad)
+            for parent, g in zip(node._parents, grads):
                 if g is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = g.copy()
+                    fresh = (g.flags.owndata and g.flags.c_contiguous
+                             and sum(x is g for x in grads) == 1)
+                    parent.grad = g if fresh else g.copy()
                 else:
                     parent.grad += g
             node.grad = None
@@ -492,22 +495,24 @@ def sort_pool(rows: Tensor, weights: Tensor) -> Tensor:
     """Rank-weighted pooling of each set: sort each column descending along
     axis 1, dot with the weights.
 
-    rows: (B, n, D), weights: (n,) shared by the B sets -> (B, D).  Ties
-    keep original row order, so the permutation (and the subgradient) is
-    deterministic.
+    rows: (B, n, D), weights: (n,) shared by the B sets -> (B, D).  The
+    forward sorts values; only the VJP forms the permutation, in which ties
+    keep original row order: a default argsort, or the stable one when a
+    column holds two equal keys.
     """
     rd, wd = rows.data, weights.data
     if rd.ndim != 3 or wd.ndim != 1:
         raise ShapeError("sort_pool expects rows (B, n, D) and weights (n,)")
     if wd.shape[0] != rd.shape[1]:
         raise ShapeError("weights length %d != set size %d" % (wd.shape[0], rd.shape[1]))
-    idx = np.argsort(-rd, axis=1, kind="stable")
-    srt = np.take_along_axis(rd, idx, axis=1)
+    srt = -np.sort(-rd, axis=1)
     out_data = wd @ srt
 
     def vjp(g):
         gr = gw = None
         if rows.requires_grad:
+            ties = (srt[:, 1:] == srt[:, :-1]).any()
+            idx = np.argsort(-rd, axis=1, kind="stable" if ties else None)
             gr = np.zeros(rd.shape)
             np.put_along_axis(gr, idx, wd[None, :, None] * g[:, None, :], axis=1)
         if weights.requires_grad:

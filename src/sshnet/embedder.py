@@ -33,8 +33,9 @@ class EmbedParams:
     text_fc_b: Tensor          # (D,)
     gpo_visual: Tensor         # (gpo_size,)
     gpo_text: Tensor           # (gpo_size,)
-    ss_fc_w: Tensor | None     # (D, D * n_branches) semantic-spatial FC
-    ss_fc_b: Tensor | None     # (D,)
+    ss_fc_w_sem: Tensor | None  # (D, D) semantic-spatial FC column block per branch
+    ss_fc_w_spa: Tensor | None  # (D, D)
+    ss_fc_b: Tensor | None      # (D,)
 
     def named(self) -> dict[str, Tensor]:
         return ag.named_tensors(self, "embed")
@@ -47,8 +48,9 @@ def n_ss_branches(cfg: ModelConfig) -> int:
 def init_embed_params(cfg: ModelConfig, dims: DimConfig, rng) -> EmbedParams:
     d = cfg.embed_dim
     nb = n_ss_branches(cfg)
-    # ss_fc_w is drawn first, so a seed's weights do not follow the field order
-    ss_w = ag.uniform_param(rng, (d, d * nb), d * nb) if nb else None
+    # the FC is drawn first and whole, so a seed's weights do not follow the
+    # field order; its column blocks are the enabled branches', semantic first
+    blocks = iter(np.hsplit(ag.uniform_param(rng, (d, d * nb), d * nb).data, nb) if nb else ())
     ss_b = Tensor(np.zeros(d), requires_grad=True) if nb else None
     return EmbedParams(
         img_proj=ag.uniform_param(rng, (d, dims.D_l), dims.D_l),
@@ -56,7 +58,8 @@ def init_embed_params(cfg: ModelConfig, dims: DimConfig, rng) -> EmbedParams:
         text_fc_b=Tensor(np.zeros(d), requires_grad=True),
         gpo_visual=Tensor(np.ones(cfg.gpo_size), requires_grad=True),
         gpo_text=Tensor(np.ones(cfg.gpo_size), requires_grad=True),
-        ss_fc_w=ss_w,
+        ss_fc_w_sem=Tensor(next(blocks).copy(), requires_grad=True) if cfg.use_vsem else None,
+        ss_fc_w_spa=Tensor(next(blocks).copy(), requires_grad=True) if cfg.use_vspm else None,
         ss_fc_b=ss_b,
     )
 
@@ -116,21 +119,26 @@ def gpo_pool(rows: Tensor, table: Tensor) -> Tensor:
 # fusion and text
 
 
-def fuse_visual(regions: Tensor, ss_parts: Sequence[Tensor], seg_embed: Tensor,
-                p: EmbedParams) -> Tensor:
+def fuse_visual(regions: Tensor, semantic: Tensor | None, spatial: Tensor | None,
+                seg_embed: Tensor, p: EmbedParams, combine_proj: Tensor | None) -> Tensor:
     """Pool {projected regions} + {semantic-spatial rows} + {seg embedding}.
 
-    regions (B, K, D_l), the enhanced (B, K, D) rows of each enabled branch
-    in ``ss_parts`` (semantic first) and seg_embed (B, D) give the (B, D)
-    unit-norm image embeddings; each image pools its own (2K + 1, D) set,
-    or (K + 1, D) when no branch is enabled.  The segmentation row always
-    stays.
+    regions (B, K, D_l), the vsem branch's (B, K, D) ``semantic`` rows, the
+    vspm branch's (B, K, c) ``spatial`` rows (None when off) and seg_embed
+    (B, D) give the (B, D) unit-norm image embeddings; each image pools its
+    own (2K + 1, D) set, or (K + 1, D) when no branch is enabled.  The
+    segmentation row always stays.  The (D, c) ``combine_proj`` that lifts
+    the spatial rows is folded into the FC's spatial block first, so they
+    are never formed D wide.
     """
     b, d = seg_embed.shape
     groups = [ag.linear(regions, p.img_proj)]
-    if ss_parts:
-        ss_in = ss_parts[0] if len(ss_parts) == 1 else ag.concat(ss_parts, axis=2)
-        groups.append(ag.linear(ss_in, p.ss_fc_w) + p.ss_fc_b)
+    fc = [ag.linear(semantic, p.ss_fc_w_sem)] if semantic is not None else []
+    if spatial is not None:
+        lift = ag.matmul(ag.reshape(p.ss_fc_w_spa, (1, d, d)), ag.reshape(combine_proj, (1, d, -1)))
+        fc.append(ag.linear(spatial, ag.reshape(lift, (d, -1))))
+    if fc:
+        groups.append(sum(fc[1:], fc[0]) + p.ss_fc_b)
     groups.append(ag.reshape(seg_embed, (b, 1, d)))
     return ag.l2_normalize(gpo_pool(ag.concat(groups, axis=1), p.gpo_visual))
 

@@ -95,17 +95,17 @@ def visual_forward(imgs: Sequence[PreparedImage], params: ModelParams,
     """
     regions = Tensor(np.stack([img.regions for img in imgs]))
     pooled = Tensor(np.stack([img.pooled_seg for img in imgs]))
-    ss_parts = []
+    semantic = spatial = None
     if cfg.use_vsem:
         vsem_out = vsem.vsem_forward(regions, pooled, params.vsem, cfg.salience_mode)
-        seg_embed = vsem_out.seg_embed
-        ss_parts.append(vsem_out.enhanced)
+        seg_embed, semantic = vsem_out.seg_embed, vsem_out.enhanced
     else:
         seg_embed = vsem.seg_embed_from_pooled(pooled, params.vsem)
     if cfg.use_vspm:
         patches = Tensor(np.stack([img.pos_patches for img in imgs]))
-        ss_parts.append(vspm.vspm_forward(regions, patches, params.vspm, cfg).spatial)
-    return embedder.fuse_visual(regions, ss_parts, seg_embed, params.embed)
+        spatial = vspm.vspm_forward(regions, patches, params.vspm, cfg).spatial
+    return embedder.fuse_visual(regions, semantic, spatial, seg_embed, params.embed,
+                                params.vspm.combine_proj)
 
 
 def text_forward(words: Sequence[np.ndarray], params: ModelParams) -> Tensor:
@@ -206,10 +206,15 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, ModelConfig, DimConfig, dict
     dims = DimConfig.from_dict(doc["dims"])
     params = init_params(cfg, dims, seed=0)
     named = params.named()
-    if sorted(named) != sorted(tensors):
+    # checkpoints from before the spatial rows were reassociated hold the
+    # semantic-spatial FC whole: its column blocks are the branches'
+    blocks = [n for n in named if "embed.ss_fc_w" in tensors and n.startswith("embed.ss_fc_w_")]
+    if sorted(named) != sorted([n for n in tensors if not blocks or n != "embed.ss_fc_w"] + blocks):
         raise FormatError("checkpoint tensor list does not match model config")
+    whole = dict(zip(blocks, np.array_split(read_tensor(ckpt_dir / "embed.ss_fc_w.3sht"),
+                                            len(blocks), axis=1))) if blocks else {}
     for name, t in named.items():
-        arr = read_tensor(ckpt_dir / (name + ".3sht"))
+        arr = whole[name] if name in whole else read_tensor(ckpt_dir / (name + ".3sht"))
         if arr.shape != t.data.shape:
             raise FormatError("checkpoint tensor %s has shape %r, expected %r"
                               % (name, arr.shape, t.data.shape))

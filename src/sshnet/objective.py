@@ -96,19 +96,22 @@ _ADAMW_CHUNK = 1 << 15
 
 
 def adamw_step(named: dict[str, Tensor], state: AdamWState, cfg: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update over named parameters.
+    """One decoupled-weight-decay Adam update over named parameters, in place.
 
     Parameters with no accumulated gradient are still decayed.  A NaN or
-    Inf gradient aborts with the parameter path in the message.  The
-    update runs over flat chunks of ``_ADAMW_CHUNK`` elements, each with
-    the same elementwise expressions as the whole-array update, so the
-    result is bitwise equal to it; every parameter is rebound to a fresh
-    C-contiguous array.
+    Inf gradient aborts with the parameter path in the message.  A
+    parameter's array is copied once into C order on its first step (the
+    caller's array is never written), then updated in place over flat
+    chunks of ``_ADAMW_CHUNK`` elements: ``w *= 1 - lr * wd``, then
+    ``w -= (lr * sqrt(bc2) / bc1) * m / (sqrt(v) + eps * sqrt(bc2))``.
+    Folding the bias corrections bc1, bc2 into step size and epsilon
+    (Kingma & Ba, Sec. 2) is exact in math, a few ULPs off in float64.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
+    step, eps = cfg.lr * math.sqrt(bc2) / bc1, ADAM_EPS * math.sqrt(bc2)
     for name, p in named.items():
         grad = p.grad if p.grad is not None else np.zeros(p.data.shape)
         if not np.isfinite(grad).all():
@@ -116,21 +119,20 @@ def adamw_step(named: dict[str, Tensor], state: AdamWState, cfg: TrainConfig) ->
         if name not in state.m:
             state.m[name] = np.zeros(p.data.shape)
             state.v[name] = np.zeros(p.data.shape)
+            p.data = np.array(p.data, order="C")
         m_all = state.m[name].reshape(-1)
         v_all = state.v[name].reshape(-1)
         g_all = grad.reshape(-1)
-        p_all = p.data.reshape(-1)
-        out = np.empty(p_all.shape)
-        for lo in range(0, p_all.size, _ADAMW_CHUNK):
+        w_all = p.data.reshape(-1)
+        for lo in range(0, w_all.size, _ADAMW_CHUNK):
             s = slice(lo, lo + _ADAMW_CHUNK)
-            g, m, v, w = g_all[s], m_all[s], v_all[s], p_all[s]
+            g, m, v, w = g_all[s], m_all[s], v_all[s], w_all[s]
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            out[s] = w - cfg.lr * update - cfg.lr * cfg.weight_decay * w
-        p.data = out.reshape(p.data.shape)
+            w *= 1.0 - cfg.lr * cfg.weight_decay
+            w -= step * m / (np.sqrt(v) + eps)
 
 
 # ---------------------------------------------------------------------------

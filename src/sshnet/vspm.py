@@ -26,7 +26,7 @@ class VspmParams:
     conv_kernel: Tensor    # (kh, kw, pos_dim + 1, pos_channels)
     conv_bias: Tensor      # (pos_channels,)
     query_proj: Tensor     # (pos_channels, D_l) projects regions into position space
-    combine_proj: Tensor   # (D, pos_channels)  lifts combined vectors to the joint space
+    combine_proj: Tensor   # (D, pos_channels)  lifts combined rows to the joint space
 
     def named(self) -> dict[str, Tensor]:
         return ag.named_tensors(self, "vspm")
@@ -36,7 +36,7 @@ class VspmParams:
 class VspmOutput:
     refined: Tensor    # (B, P, pos_channels) refined position rows, P = Hp * Wp
     betas: Tensor      # (B, K, P) attention rows
-    spatial: Tensor    # (B, K, D) spatially enhanced region rows
+    spatial: Tensor    # (B, K, pos_channels) combined rows, before combine_proj
 
 
 def init_vspm_params(cfg: ModelConfig, dims: DimConfig, rng) -> VspmParams:
@@ -117,9 +117,9 @@ def spatial_attention(queries: Tensor, refined: Tensor, smooth: float):
     return betas, context
 
 
-def spatial_combine(context: Tensor, queries: Tensor, p: VspmParams) -> Tensor:
-    """Lift context + projected region into the joint space."""
-    return ag.linear(context + queries, p.combine_proj)
+def spatial_combine(context: Tensor, queries: Tensor) -> Tensor:
+    """(B, K, c) context + projected region; ``embedder.fuse_visual`` lifts it."""
+    return context + queries
 
 
 def vspm_forward(regions: Tensor, patches: Tensor, p: VspmParams,
@@ -129,5 +129,5 @@ def vspm_forward(regions: Tensor, patches: Tensor, p: VspmParams,
     refined = refine_from_patches(patches, p)
     queries = project_queries(regions, p)
     betas, context = spatial_attention(queries, refined, cfg.attn_smooth)
-    spatial = spatial_combine(context, queries, p)
+    spatial = spatial_combine(context, queries)
     return VspmOutput(refined=refined, betas=betas, spatial=spatial)

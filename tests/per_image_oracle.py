@@ -164,7 +164,10 @@ def fuse_visual(regions, enhanced, spatial, seg_embed, p, cfg):
     parts = [t for t in (enhanced, spatial) if t is not None]
     if parts:
         ss_in = parts[0] if len(parts) == 1 else ag.concat(parts, axis=1)
-        groups.append(ag.linear(ss_in, p.ss_fc_w) + p.ss_fc_b)
+        # the FC whole, its branch blocks side by side
+        blocks = [w for w in (p.ss_fc_w_sem, p.ss_fc_w_spa) if w is not None]
+        ss_w = blocks[0] if len(blocks) == 1 else ag.concat(blocks, axis=1)
+        groups.append(ag.linear(ss_in, ss_w) + p.ss_fc_b)
     groups.append(ag.reshape(seg_embed, (1, cfg.embed_dim)))
     return l2_normalize(gpo_pool(ag.concat(groups, axis=0), p.gpo_visual))
 

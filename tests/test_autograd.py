@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sshnet import autograd as ag
-from sshnet import vspm
+from sshnet import featureio, model, objective, vspm
 from sshnet.autograd import Tensor
+from sshnet.config import SMALL_DIMS, SMALL_MODEL
 from sshnet.errors import ConfigError, GradCheckError, ShapeError
 
 
@@ -348,6 +350,73 @@ def test_sort_pool_onehot_top_weight_is_max():
     np.testing.assert_array_equal(out, rows.max(axis=1))
 
 
+def stable_sort_pool(rd, wd, g):
+    """sort_pool through one stable permutation: values gathered by
+    take_along_axis, the rows gradient scattered back through it."""
+    idx = np.argsort(-rd, axis=1, kind="stable")
+    srt = np.take_along_axis(rd, idx, axis=1)
+    gr = np.zeros(rd.shape)
+    np.put_along_axis(gr, idx, wd[None, :, None] * g[:, None, :], axis=1)
+    return wd @ srt, gr, (srt @ g[:, :, None])[:, :, 0].sum(axis=0)
+
+
+def _sort_pool_run(rd, wd, g, monkeypatch):
+    """sort_pool values, rows and weights gradients, and the argsort kinds
+    its VJP used."""
+    kinds = []
+    real = np.argsort
+
+    def spy(a, axis=-1, kind=None, **kw):
+        kinds.append(kind)
+        return real(a, axis=axis, kind=kind, **kw)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    rows, weights = Tensor(rd, requires_grad=True), Tensor(wd, requires_grad=True)
+    out = ag.sort_pool(rows, weights)
+    assert kinds == []     # the forward sorts values, no permutation
+    (out * Tensor(g)).sum().backward()
+    monkeypatch.undo()
+    return (out.data, rows.grad, weights.grad), kinds
+
+
+TIE_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=12),
+                  elements=TIE_VALUES),
+       st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sort_pool_bitwise_equals_stable_oracle_with_ties(rd, seed, flat_column):
+    """Integer-valued sets full of ties, -0 beside +0, and (optionally) a
+    whole column of one value: values and both gradients are the stable
+    oracle's bytes, for weights of either sign.  (The sorted rows themselves
+    may order a tied -0 and +0 either way; no output shows it.)"""
+    rng = np.random.default_rng(seed)
+    if flat_column:
+        rd[:, :, -1] = rd[0, 0, -1]
+    wd = rng.normal(size=rd.shape[1])
+    g = rng.normal(size=(rd.shape[0], rd.shape[2]))
+    with pytest.MonkeyPatch.context() as mp:
+        got, kinds = _sort_pool_run(rd, wd, g, mp)
+    for a, b in zip(got, stable_sort_pool(rd, wd, g)):
+        assert a.tobytes() == b.tobytes()
+    has_tie = (np.diff(np.sort(rd, axis=1), axis=1) == 0).any()
+    assert kinds == ["stable" if has_tie else None]
+
+
+def test_sort_pool_without_ties_uses_the_default_argsort(monkeypatch):
+    """Distinct keys in every column: any argsort gives the stable
+    permutation, so the VJP's default one gives the same bytes."""
+    rng = np.random.default_rng(10)
+    rd = rng.normal(size=(4, 73, 32))
+    wd = rng.uniform(0.0, 1.0, size=73)
+    g = rng.normal(size=(4, 32))
+    got, kinds = _sort_pool_run(rd, wd, g, monkeypatch)
+    assert kinds == [None]
+    for a, b in zip(got, stable_sort_pool(rd, wd, g)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_offdiag_max_values():
     x = Tensor(np.array([[9.0, 1.0, 2.0], [3.0, 9.0, 4.0], [5.0, 6.0, 9.0]]))
     np.testing.assert_array_equal(ag.offdiag_max(x, axis=1).data, [2.0, 4.0, 6.0])
@@ -466,6 +535,23 @@ def test_backward_gives_each_leaf_its_own_gradient():
     x = Tensor([1.5, -2.0], requires_grad=True)
     (x + x).sum().backward()
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    # the whole small-preset training loss: every parameter's gradient owns
+    # its C-ordered data and overlaps no other gradient and no parameter
+    params = model.init_params(SMALL_MODEL, SMALL_DIMS, seed=4)
+    imgs = [model.prepare_image(b, SMALL_DIMS, SMALL_MODEL)
+            for b in featureio.random_bundles(SMALL_DIMS, 3, 5)]
+    words = featureio.random_texts(SMALL_DIMS, 3, 1, 6).word_feats
+    sim = ag.linear(model.visual_forward(imgs, params, SMALL_MODEL),
+                    model.text_forward(words, params))
+    objective.triplet_loss(sim, 0.2).backward()
+    named = params.named()
+    grads = [t.grad for t in named.values()]
+    assert all(g is not None for g in grads)
+    for i, g in enumerate(grads):
+        assert g.flags["C_CONTIGUOUS"] and g.flags["OWNDATA"]
+        assert not any(np.shares_memory(g, t.data) for t in named.values())
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
 
 
 def test_backward_accumulates_across_calls():

@@ -155,9 +155,63 @@ def test_prepared_path_equals_raw_composition(data, params):
     patches = ag.conv_patches(pos, SMALL_MODEL.conv_kh, SMALL_MODEL.conv_kw,
                               SMALL_MODEL.conv_stride)
     vp = vspm.vspm_forward(regions, Tensor(patches[None]), params.vspm, SMALL_MODEL)
-    slow = embedder.fuse_visual(regions, [vs.enhanced, vp.spatial], vs.seg_embed,
-                                params.embed)
+    slow = embedder.fuse_visual(regions, vs.enhanced, vp.spatial, vs.seg_embed,
+                                params.embed, params.vspm.combine_proj)
     assert np.array_equal(fast.data, slow.data)
+
+
+# Largest gap allowed between a reassociated spatial FC row (or gradient)
+# and the straight-line one, relative to the largest straight-line entry;
+# the rows' gap measures 2e-16 at D = 64 and 1.2e-15 at D = 1024.
+REASSOCIATION_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("use_vsem", [True, False], ids=["both", "vspm-only"])
+def test_reassociated_spatial_rows_match_straight_line(monkeypatch, use_vsem):
+    """fuse_visual's semantic-spatial rows, with the spatial block composed
+    with combine_proj first, against the straight-line FC over
+    [semantic, linear(u, combine_proj)]: values and gradients."""
+    cfg = replace(SMALL_MODEL, use_vsem=use_vsem)
+    p = model.init_params(cfg, SMALL_DIMS, seed=21)
+    rng = np.random.default_rng(22)
+    b, k, d = 3, SMALL_DIMS.K, cfg.embed_dim
+    regions = Tensor(rng.normal(size=(b, k, SMALL_DIMS.D_l)))
+    seg = Tensor(rng.normal(size=(b, d)))
+    sem = Tensor(rng.normal(size=(b, k, d)), requires_grad=True) if use_vsem else None
+    u = Tensor(rng.normal(size=(b, k, cfg.pos_channels)), requires_grad=True)
+    w = Tensor(rng.normal(size=(b, k, d)))
+    pooled = []
+    real = embedder.gpo_pool
+    monkeypatch.setattr(embedder, "gpo_pool",
+                        lambda rows, table: pooled.append(rows) or real(rows, table))
+    embedder.fuse_visual(regions, sem, u, seg, p.embed, p.vspm.combine_proj)
+    flat = ag.reshape(pooled[0], (b * (2 * k + 1), d))
+    fused = ag.take_rows(flat, [i * (2 * k + 1) + j for i in range(b)
+                                for j in range(k, 2 * k)])
+
+    lifted = ag.linear(u, p.vspm.combine_proj)
+    blocks = [t for t in (p.embed.ss_fc_w_sem, p.embed.ss_fc_w_spa) if t is not None]
+    ss_in = ag.concat([sem, lifted], axis=2) if use_vsem else lifted
+    ss_w = ag.concat(blocks, axis=1) if use_vsem else blocks[0]
+    straight = ag.linear(ss_in, ss_w) + p.embed.ss_fc_b
+    got = fused.data.reshape(b, k, d)
+    scale = np.abs(straight.data).max()
+    assert np.abs(got - straight.data).max() <= REASSOCIATION_RTOL * scale
+
+    leaves = {"u": u, "sem": sem, "combine_proj": p.vspm.combine_proj,
+              "ss_fc_w_sem": p.embed.ss_fc_w_sem, "ss_fc_w_spa": p.embed.ss_fc_w_spa,
+              "ss_fc_b": p.embed.ss_fc_b}
+    leaves = {n: t for n, t in leaves.items() if t is not None}
+    grads = []
+    for out in (ag.reshape(fused, (b, k, d)), straight):
+        for t in leaves.values():
+            t.grad = None
+        (out * w).sum().backward()
+        grads.append({n: t.grad for n, t in leaves.items() if t.grad is not None})
+    assert set(grads[0]) == set(grads[1]) == set(leaves)
+    for n in grads[1]:
+        scale = np.abs(grads[1][n]).max()
+        assert np.abs(grads[0][n] - grads[1][n]).max() <= REASSOCIATION_RTOL * scale, n
 
 
 def test_branch_toggles_change_row_count(data, monkeypatch):
@@ -301,6 +355,38 @@ def test_checkpoint_with_legacy_per_group_key_loads_bitwise(tmp_path, data, para
         model.load_checkpoint(ck)
 
 
+@pytest.mark.parametrize("use_vsem, use_vspm", [(True, True), (True, False), (False, True)],
+                         ids=["both", "vsem-only", "vspm-only"])
+def test_checkpoint_with_whole_ss_fc_loads_to_same_embeddings(tmp_path, data,
+                                                              use_vsem, use_vspm):
+    """Checkpoints written before the spatial rows were reassociated hold
+    the semantic-spatial FC whole, as a (D, D * branches) embed.ss_fc_w;
+    they load into its branch blocks, to the same embeddings."""
+    bundles, texts, _ = data
+    cfg = replace(SMALL_MODEL, use_vsem=use_vsem, use_vspm=use_vspm)
+    params = model.init_params(cfg, SMALL_DIMS, seed=23)
+    ck = model.save_checkpoint(tmp_path / "ck", params, cfg, SMALL_DIMS)
+    blocks = [n for n in ("embed.ss_fc_w_sem", "embed.ss_fc_w_spa") if n in params.named()]
+    whole = np.concatenate([params.named()[n].data for n in blocks], axis=1)
+    featureio.write_tensor(ck / "embed.ss_fc_w.3sht", whole)
+    for n in blocks:
+        (ck / (n + ".3sht")).unlink()
+    doc = json.loads((ck / "checkpoint.json").read_text())
+    doc["tensors"] = sorted(set(doc["tensors"]) - set(blocks) | {"embed.ss_fc_w"})
+    (ck / "checkpoint.json").write_text(json.dumps(doc))
+
+    loaded, cfg2, dims, _ = model.load_checkpoint(ck)
+    assert cfg2 == cfg
+    t1 = model.embed_dataset(bundles, texts, params, cfg, SMALL_DIMS)
+    t2 = model.embed_dataset(bundles, texts, loaded, cfg2, dims)
+    assert t1.image_embs.tobytes() == t2.image_embs.tobytes()
+    assert all(loaded.named()[n].data.flags["C_CONTIGUOUS"] for n in blocks)
+
+    featureio.write_tensor(ck / "embed.ss_fc_w.3sht", whole[:, 1:])
+    with pytest.raises(FormatError, match="embed.ss_fc_w_s.. has shape"):
+        model.load_checkpoint(ck)
+
+
 @pytest.mark.parametrize("section, keys, match", [
     ("model", {"gpo_heads": 2}, "unknown keys: gpo_heads"),
     ("dims", {"Z": 3, "A": 1}, "unknown keys: A, Z"),
@@ -371,9 +457,9 @@ VSEM_VSPM_NAMES = [
 
 
 @pytest.mark.parametrize("use_vsem, use_vspm, tail", [
-    (True, True, ["embed.ss_fc_w", "embed.ss_fc_b"]),
-    (True, False, ["embed.ss_fc_w", "embed.ss_fc_b"]),
-    (False, True, ["embed.ss_fc_w", "embed.ss_fc_b"]),
+    (True, True, ["embed.ss_fc_w_sem", "embed.ss_fc_w_spa", "embed.ss_fc_b"]),
+    (True, False, ["embed.ss_fc_w_sem", "embed.ss_fc_b"]),
+    (False, True, ["embed.ss_fc_w_spa", "embed.ss_fc_b"]),
     (False, False, []),
 ], ids=["both", "vsem-only", "vspm-only", "neither"])
 def test_parameter_names_keep_their_order(use_vsem, use_vspm, tail):

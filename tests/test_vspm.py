@@ -166,7 +166,7 @@ def test_attention_rows_sum_to_one(setup):
     out = forward(regions, pos, p)
     np.testing.assert_allclose(out.betas.data.sum(axis=2), 1.0, atol=1e-9)
     assert out.betas.data.shape == (1, SMALL_DIMS.K, 16)
-    assert out.spatial.shape == (1, SMALL_DIMS.K, SMALL_MODEL.embed_dim)
+    assert out.spatial.shape == (1, SMALL_DIMS.K, SMALL_MODEL.pos_channels)
 
 
 def test_attention_lambda_zero_exactly_uniform(setup):
@@ -237,11 +237,11 @@ def test_forward_matches_straight_line_oracle(setup):
     e = np.exp(cfg.attn_smooth * cos
                - (cfg.attn_smooth * cos).max(axis=1, keepdims=True))
     betas = e / e.sum(axis=1, keepdims=True)
-    spatial = (betas @ flat + q) @ p.combine_proj.data.T
+    combined = betas @ flat + q    # combine_proj lifts it inside fuse_visual
 
     np.testing.assert_allclose(out.refined.data[0], flat, atol=1e-10)
     np.testing.assert_allclose(out.betas.data[0], betas, atol=1e-10)
-    np.testing.assert_allclose(out.spatial.data[0], spatial, atol=1e-10)
+    np.testing.assert_allclose(out.spatial.data[0], combined, atol=1e-10)
 
 
 def test_gradients_match_finite_differences(setup):
@@ -251,7 +251,7 @@ def test_gradients_match_finite_differences(setup):
 
     def loss():
         out = vspm.vspm_forward(rt, patches, p, SMALL_MODEL)
-        return (out.spatial * w).sum()
+        return (ag.linear(out.spatial, p.combine_proj) * w).sum()
 
     report = ag.grad_check(loss, p.named(), eps=1e-5, tol=1e-4, sample=40)
     assert report.passed, report
