@@ -132,6 +132,14 @@ def uniform_param(rng, shape, fan_in: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
+def uniform_init(rng) -> Callable:
+    """``uniform_param`` from ``rng``, or with ``rng`` None an undrawn shell:
+    a read-only zero-stride view holding only the shape, for loaders."""
+    if rng is None:
+        return lambda shape, fan_in: Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
+    return lambda shape, fan_in: uniform_param(rng, shape, fan_in)
+
+
 def named_tensors(params, prefix: str) -> dict[str, Tensor]:
     """``prefix.field -> Tensor`` for every field of a parameter dataclass
     that is not None, in field order."""

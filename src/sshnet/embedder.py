@@ -46,21 +46,20 @@ def n_ss_branches(cfg: ModelConfig) -> int:
 
 
 def init_embed_params(cfg: ModelConfig, dims: DimConfig, rng) -> EmbedParams:
-    d = cfg.embed_dim
-    nb = n_ss_branches(cfg)
+    d, nb, uniform = cfg.embed_dim, n_ss_branches(cfg), ag.uniform_init(rng)
     # the FC is drawn first and whole, so a seed's weights do not follow the
-    # field order; its column blocks are the enabled branches', semantic first
-    blocks = iter(np.hsplit(ag.uniform_param(rng, (d, d * nb), d * nb).data, nb) if nb else ())
-    ss_b = Tensor(np.zeros(d), requires_grad=True) if nb else None
+    # field order; its blocks (copied out of a draw) are the branches', semantic first
+    blocks = iter([b if rng is None else b.copy()
+                   for b in np.hsplit(uniform((d, d * nb), d * nb).data, nb)] if nb else ())
     return EmbedParams(
-        img_proj=ag.uniform_param(rng, (d, dims.D_l), dims.D_l),
-        text_fc_w=ag.uniform_param(rng, (d, dims.word_dim), dims.word_dim),
+        img_proj=uniform((d, dims.D_l), dims.D_l),
+        text_fc_w=uniform((d, dims.word_dim), dims.word_dim),
         text_fc_b=Tensor(np.zeros(d), requires_grad=True),
         gpo_visual=Tensor(np.ones(cfg.gpo_size), requires_grad=True),
         gpo_text=Tensor(np.ones(cfg.gpo_size), requires_grad=True),
-        ss_fc_w_sem=Tensor(next(blocks).copy(), requires_grad=True) if cfg.use_vsem else None,
-        ss_fc_w_spa=Tensor(next(blocks).copy(), requires_grad=True) if cfg.use_vspm else None,
-        ss_fc_b=ss_b,
+        ss_fc_w_sem=Tensor(next(blocks), requires_grad=True) if cfg.use_vsem else None,
+        ss_fc_w_spa=Tensor(next(blocks), requires_grad=True) if cfg.use_vspm else None,
+        ss_fc_b=Tensor(np.zeros(d), requires_grad=True) if nb else None,
     )
 
 

@@ -42,8 +42,6 @@ _MAX_ELEMS = 1 << 48
 def write_tensor(path, array: np.ndarray) -> None:
     """Write an array as a tensor file; dtype must be f32, f64 or u16."""
     array = np.asarray(array)
-    if array.ndim > 0 and not array.flags["C_CONTIGUOUS"]:
-        array = np.ascontiguousarray(array)
     key = (array.dtype.kind, array.dtype.itemsize)
     if key not in _KIND_TO_CODE:
         raise FormatError("unsupported dtype %r (use float32, float64 or uint16)"
@@ -67,40 +65,45 @@ def write_atomic(path: Path, write, payload) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor file, validating every header field."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise FormatError("%s: header short (%d bytes)" % (path, len(raw)))
-    if raw[:4] != MAGIC:
-        raise FormatError("%s: bad magic %r" % (path, raw[:4]))
-    version, code, ndim = raw[4], raw[5], raw[6]
-    if version != FORMAT_VERSION:
-        raise FormatError("%s: unsupported version %d" % (path, version))
-    if code not in _CODE_TO_DTYPE:
-        raise FormatError("%s: bad dtype code %d" % (path, code))
-    if raw[7:12] != b"\x00" * 5:
-        raise FormatError("%s: reserved bytes not zero" % (path,))
-    if ndim > 8:
-        raise FormatError("%s: ndim %d exceeds limit 8" % (path, ndim))
-    need = 12 + 8 * ndim
-    if len(raw) < need:
-        raise FormatError("%s: dims truncated" % (path,))
-    shape = struct.unpack("<%dQ" % ndim, raw[12:need]) if ndim else ()
-    elems = 1
-    for d in shape:
-        if d > _MAX_DIM:
-            raise FormatError("%s: dim overflow (%d)" % (path, d))
-        elems *= d
-    if elems > _MAX_ELEMS:
-        raise FormatError("%s: dim overflow (%d elements)" % (path, elems))
-    dtype = _CODE_TO_DTYPE[code]
-    expect = elems * dtype.itemsize
-    got = len(raw) - need
+    """Read a tensor file, validating every header field.  The file's size
+    is checked against the header before anything is allocated; the payload
+    is then read once, into the flat bytes of the array (0-size arrays too)."""
+    with open(path, "rb") as f:
+        head = f.read(12)
+        if len(head) < 12:
+            raise FormatError("%s: header short (%d bytes)" % (path, len(head)))
+        if head[:4] != MAGIC:
+            raise FormatError("%s: bad magic %r" % (path, head[:4]))
+        version, code, ndim = head[4], head[5], head[6]
+        if version != FORMAT_VERSION:
+            raise FormatError("%s: unsupported version %d" % (path, version))
+        if code not in _CODE_TO_DTYPE:
+            raise FormatError("%s: bad dtype code %d" % (path, code))
+        if head[7:12] != b"\x00" * 5:
+            raise FormatError("%s: reserved bytes not zero" % (path,))
+        if ndim > 8:
+            raise FormatError("%s: ndim %d exceeds limit 8" % (path, ndim))
+        raw_dims = f.read(8 * ndim)
+        if len(raw_dims) < 8 * ndim:
+            raise FormatError("%s: dims truncated" % (path,))
+        shape = struct.unpack("<%dQ" % ndim, raw_dims)
+        for d in shape:
+            if d > _MAX_DIM:
+                raise FormatError("%s: dim overflow (%d)" % (path, d))
+        elems = math.prod(shape)
+        if elems > _MAX_ELEMS:
+            raise FormatError("%s: dim overflow (%d elements)" % (path, elems))
+        dtype = _CODE_TO_DTYPE[code]
+        expect = elems * dtype.itemsize
+        got = os.fstat(f.fileno()).st_size - 12 - 8 * ndim
+        if got == expect:
+            arr = np.empty(shape, dtype)
+            got = f.readinto(arr.reshape(-1).view(np.uint8))
     if got < expect:
         raise FormatError("%s: payload short (%d < %d bytes)" % (path, got, expect))
     if got > expect:
         raise FormatError("%s: payload long (%d > %d bytes)" % (path, got, expect))
-    return np.frombuffer(raw[need:], dtype=dtype).reshape(shape).copy()
+    return arr
 
 
 # ---------------------------------------------------------------------------

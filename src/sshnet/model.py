@@ -40,9 +40,13 @@ class ModelParams:
 
 
 def init_params(cfg: ModelConfig, dims: DimConfig, seed: int) -> ModelParams:
+    return _params(cfg, dims, np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0]))
+
+
+def _params(cfg: ModelConfig, dims: DimConfig, rng) -> ModelParams:
+    """Drawn from ``rng``, or with ``rng`` None undrawn shells (``ag.uniform_init``)."""
     cfg.validate(dims)
     dims.validate()
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
     return ModelParams(
         vsem=vsem.init_vsem_params(cfg, dims, rng),
         vspm=vspm.init_vspm_params(cfg, dims, rng),
@@ -204,10 +208,10 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, ModelConfig, DimConfig, dict
         raise FormatError("checkpoint meta must be a JSON object, got %r" % (meta,))
     cfg = ModelConfig.from_dict(doc["model"])
     dims = DimConfig.from_dict(doc["dims"])
-    params = init_params(cfg, dims, seed=0)
+    params = _params(cfg, dims, None)
     named = params.named()
     # checkpoints from before the spatial rows were reassociated hold the
-    # semantic-spatial FC whole: its column blocks are the branches'
+    # semantic-spatial FC whole: its column blocks, copied out, are the branches'
     blocks = [n for n in named if "embed.ss_fc_w" in tensors and n.startswith("embed.ss_fc_w_")]
     if sorted(named) != sorted([n for n in tensors if not blocks or n != "embed.ss_fc_w"] + blocks):
         raise FormatError("checkpoint tensor list does not match model config")
@@ -218,6 +222,5 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, ModelConfig, DimConfig, dict
         if arr.shape != t.data.shape:
             raise FormatError("checkpoint tensor %s has shape %r, expected %r"
                               % (name, arr.shape, t.data.shape))
-        t.data = arr.astype(np.float64)
-        t.grad = None
+        t.data = arr.astype(np.float64, order="C", copy=name in whole)
     return params, cfg, dims, meta

@@ -41,13 +41,13 @@ class VsemOutput:
 
 
 def init_vsem_params(cfg: ModelConfig, dims: DimConfig, rng) -> VsemParams:
-    d = cfg.embed_dim
+    d, uniform = cfg.embed_dim, ag.uniform_init(rng)
     return VsemParams(
-        seg_fc_w=ag.uniform_param(rng, (d, dims.C_s), dims.C_s),
+        seg_fc_w=uniform((d, dims.C_s), dims.C_s),
         seg_fc_b=Tensor(np.zeros(d), requires_grad=True),
-        region_proj=ag.uniform_param(rng, (d, dims.D_l), dims.D_l),
-        gate_proj=ag.uniform_param(rng, (d, d), d),
-        fuse_proj=ag.uniform_param(rng, (d, d), d),
+        region_proj=uniform((d, dims.D_l), dims.D_l),
+        gate_proj=uniform((d, d), d),
+        fuse_proj=uniform((d, d), d),
     )
 
 

@@ -41,13 +41,12 @@ class VspmOutput:
 
 def init_vspm_params(cfg: ModelConfig, dims: DimConfig, rng) -> VspmParams:
     kshape = (cfg.conv_kh, cfg.conv_kw, cfg.pos_dim + 1, cfg.pos_channels)
+    uniform = ag.uniform_init(rng)
     return VspmParams(
-        conv_kernel=ag.uniform_param(rng, kshape,
-                                     cfg.conv_kh * cfg.conv_kw * (cfg.pos_dim + 1)),
+        conv_kernel=uniform(kshape, cfg.conv_kh * cfg.conv_kw * (cfg.pos_dim + 1)),
         conv_bias=Tensor(np.zeros(cfg.pos_channels), requires_grad=True),
-        query_proj=ag.uniform_param(rng, (cfg.pos_channels, dims.D_l), dims.D_l),
-        combine_proj=ag.uniform_param(rng, (cfg.embed_dim, cfg.pos_channels),
-                                      cfg.pos_channels),
+        query_proj=uniform((cfg.pos_channels, dims.D_l), dims.D_l),
+        combine_proj=uniform((cfg.embed_dim, cfg.pos_channels), cfg.pos_channels),
     )
 
 

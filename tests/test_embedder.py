@@ -355,6 +355,20 @@ def test_checkpoint_with_legacy_per_group_key_loads_bitwise(tmp_path, data, para
         model.load_checkpoint(ck)
 
 
+def _store_whole_ss_fc(ck, params):
+    """Rewrite the checkpoint ``ck`` of ``params`` as written before the
+    spatial rows were reassociated: the FC blocks as one embed.ss_fc_w."""
+    blocks = [n for n in ("embed.ss_fc_w_sem", "embed.ss_fc_w_spa") if n in params.named()]
+    whole = np.concatenate([params.named()[n].data for n in blocks], axis=1)
+    featureio.write_tensor(ck / "embed.ss_fc_w.3sht", whole)
+    for n in blocks:
+        (ck / (n + ".3sht")).unlink()
+    doc = json.loads((ck / "checkpoint.json").read_text())
+    doc["tensors"] = sorted(set(doc["tensors"]) - set(blocks) | {"embed.ss_fc_w"})
+    (ck / "checkpoint.json").write_text(json.dumps(doc))
+    return blocks, whole
+
+
 @pytest.mark.parametrize("use_vsem, use_vspm", [(True, True), (True, False), (False, True)],
                          ids=["both", "vsem-only", "vspm-only"])
 def test_checkpoint_with_whole_ss_fc_loads_to_same_embeddings(tmp_path, data,
@@ -366,14 +380,7 @@ def test_checkpoint_with_whole_ss_fc_loads_to_same_embeddings(tmp_path, data,
     cfg = replace(SMALL_MODEL, use_vsem=use_vsem, use_vspm=use_vspm)
     params = model.init_params(cfg, SMALL_DIMS, seed=23)
     ck = model.save_checkpoint(tmp_path / "ck", params, cfg, SMALL_DIMS)
-    blocks = [n for n in ("embed.ss_fc_w_sem", "embed.ss_fc_w_spa") if n in params.named()]
-    whole = np.concatenate([params.named()[n].data for n in blocks], axis=1)
-    featureio.write_tensor(ck / "embed.ss_fc_w.3sht", whole)
-    for n in blocks:
-        (ck / (n + ".3sht")).unlink()
-    doc = json.loads((ck / "checkpoint.json").read_text())
-    doc["tensors"] = sorted(set(doc["tensors"]) - set(blocks) | {"embed.ss_fc_w"})
-    (ck / "checkpoint.json").write_text(json.dumps(doc))
+    blocks, whole = _store_whole_ss_fc(ck, params)
 
     loaded, cfg2, dims, _ = model.load_checkpoint(ck)
     assert cfg2 == cfg
@@ -385,6 +392,44 @@ def test_checkpoint_with_whole_ss_fc_loads_to_same_embeddings(tmp_path, data,
     featureio.write_tensor(ck / "embed.ss_fc_w.3sht", whole[:, 1:])
     with pytest.raises(FormatError, match="embed.ss_fc_w_s.. has shape"):
         model.load_checkpoint(ck)
+
+
+@pytest.mark.parametrize("use_vsem, use_vspm, layout", [
+    (True, True, "split"), (True, False, "split"), (False, True, "split"),
+    (True, True, "whole"), (True, False, "whole"), (False, True, "whole"),
+    (True, True, "one-f32"),
+], ids=["both", "vsem-only", "vspm-only", "both-whole", "vsem-only-whole",
+        "vspm-only-whole", "one-f32"])
+def test_checkpoint_loads_without_random_draws(tmp_path, monkeypatch, use_vsem, use_vspm,
+                                               layout):
+    """Loading allocates each parameter once, from its file: no random
+    initialisation is drawn, and every array is float64, C-ordered, its
+    own and shared with no other parameter."""
+    cfg = replace(SMALL_MODEL, use_vsem=use_vsem, use_vspm=use_vspm)
+    params = model.init_params(cfg, SMALL_DIMS, seed=31)
+    ck = model.save_checkpoint(tmp_path / "ck", params, cfg, SMALL_DIMS)
+    want = {n: t.data for n, t in params.named().items()}
+    if layout == "whole":
+        _store_whole_ss_fc(ck, params)
+    elif layout == "one-f32":
+        want["embed.text_fc_w"] = want["embed.text_fc_w"].astype(np.float32)
+        featureio.write_tensor(ck / "embed.text_fc_w.3sht", want["embed.text_fc_w"])
+
+    def no_draws(*args):
+        raise AssertionError("drew a random initialisation")
+
+    monkeypatch.setattr(ag, "uniform_param", no_draws)
+    with pytest.raises(AssertionError, match="drew"):
+        model.init_params(cfg, SMALL_DIMS, seed=31)
+    loaded = model.load_checkpoint(ck)[0].named()
+    assert list(loaded) == list(want)
+    for name, t in loaded.items():
+        assert t.data.dtype == np.float64 and t.data.shape == want[name].shape, name
+        assert t.data.tobytes() == want[name].astype(np.float64).tobytes(), name
+        assert t.data.flags.c_contiguous and t.data.flags.owndata, name
+        assert t.requires_grad and t.grad is None, name
+    arrays = [t.data for t in loaded.values()]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
 
 
 @pytest.mark.parametrize("section, keys, match", [

@@ -1,5 +1,6 @@
 """Feature ingestion tests: file format, manifests, planted synthetic data."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def test_scalar_f32_payload_bytes(tmp_path):
     assert raw[12:] == bytes([0x00, 0x00, 0x80, 0x3F])
 
 
+def _owned_c_array(arr):
+    """The reader returns the array it read into: writeable, C-ordered and
+    owning its data, zero-size and 0-d arrays included."""
+    return arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
+
+
 def test_roundtrip_examples(tmp_path):
     cases = [
         np.arange(12, dtype=np.float64).reshape(3, 4),
@@ -34,6 +41,8 @@ def test_roundtrip_examples(tmp_path):
         np.array([[0, 5], [17, 132]], dtype=np.uint16),
         np.zeros((0, 4), dtype=np.float32),
         np.float64(-2.5).reshape(()),
+        np.uint16(7).reshape(()),
+        np.arange(12, dtype=np.float32).reshape(3, 4).T,
     ]
     for i, arr in enumerate(cases):
         p = tmp_path / ("c%d.3sht" % i)
@@ -42,6 +51,7 @@ def test_roundtrip_examples(tmp_path):
         assert back.dtype == arr.dtype
         assert back.shape == arr.shape
         assert back.tobytes() == arr.tobytes()
+        assert _owned_c_array(back), arr
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(0, 3))
@@ -60,6 +70,7 @@ def test_roundtrip_fuzz(tmp_path_factory, seed, code, ndim):
     back = fio.read_tensor(p)
     assert back.dtype == arr.dtype and back.shape == arr.shape
     assert back.tobytes() == arr.tobytes()
+    assert _owned_c_array(back)
 
 
 def test_write_rejects_unsupported_dtype(tmp_path):
@@ -137,6 +148,38 @@ def test_read_rejects_header_short(tmp_path):
     p.write_bytes(b"3SHT\x01")
     with pytest.raises(FormatError, match="header short"):
         fio.read_tensor(p)
+
+
+def _header(code, dims):
+    return b"3SHT" + bytes([1, code, len(dims)]) + b"\x00" * 5 + b"".join(
+        d.to_bytes(8, "little") for d in dims)
+
+
+@pytest.mark.parametrize("raw, match", [
+    (_header(1, [1] * 9), "ndim 9 exceeds limit 8"),
+    (_header(1, [2, 3])[:-1], "dims truncated"),
+    (_header(1, [2**40] * 2), r"dim overflow \(1208925819614629174706176 elements\)"),
+], ids=["ndim", "dims-truncated", "element-overflow"])
+def test_read_rejects_bad_dims(tmp_path, raw, match):
+    p = tmp_path / "d.3sht"
+    p.write_bytes(raw)
+    with pytest.raises(FormatError, match=match):
+        fio.read_tensor(p)
+
+
+def test_read_checks_size_before_allocating(tmp_path):
+    """A header claiming 2**30 float64s (8 GiB) over a 16-byte payload is
+    refused from the file's size, without allocating for the claim."""
+    p = tmp_path / "liar.3sht"
+    p.write_bytes(_header(1, [2**30]) + b"\x00" * 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"payload short \(16 < 8589934592 bytes\)"):
+            fio.read_tensor(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,35 @@ def test_one_order_matches_stable_sort_and_oracles(pair):
         assert fused.shape == sa.shape and fused.tolist() == want
 
 
+@st.composite
+def tied_rows(draw):
+    """(n, m) scores, m == 1 included: small integers with +0.0 and -0.0
+    mixed in, some rows wholly tied, and half the time the transposed
+    (non-contiguous) view of an (m, n) array, as ``_six`` passes s2i."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    cells = draw(st.lists(st.tuples(st.integers(-3, 3), st.booleans()),
+                          min_size=n * m, max_size=n * m))
+    s = np.array([-0.0 if v == 0 and neg else float(v) for v, neg in cells]).reshape(n, m)
+    flat = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    s[flat] = s[flat, :1]
+    return np.ascontiguousarray(s.T).T if draw(st.booleans()) else s
+
+
+@given(tied_rows())
+@example(np.array([[0.0], [-0.0], [2.0]]))
+@example(np.full((3, 5), -0.0))
+@example(np.array([[0.0, -0.0, 0.0, -0.0], [1.0, -0.0, 1.0, 0.0]]).T.copy().T)
+@settings(max_examples=300, deadline=None)
+def test_tie_order_is_the_stable_sort_bitwise(s):
+    want = np.argsort(-s, axis=1, kind="stable")
+    inverse = np.empty(s.shape)
+    np.put_along_axis(inverse, want, np.arange(s.shape[1])[None], axis=1)
+    got = rt.rank_rows(s)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    ranks = rt._stable_ranks(s)
+    assert ranks.dtype == inverse.dtype and ranks.tobytes() == inverse.tobytes()
+
+
 def test_ensemble_eval_equals_plain_eval_when_models_agree():
     rng = np.random.default_rng(31)
     sim, image_index = random_instance(rng)
