@@ -27,6 +27,12 @@ Two checkouts compute the same numbers when their outputs are equal:
     python3 scripts/same_seed_digest.py > a.txt   # in each checkout
     diff a.txt b.txt
 
+With ``--parent REF`` it compares the two itself: it extracts ``git
+archive REF src scripts`` into a temp directory, runs that copy of this
+script, prints each of its lines that this checkout's output lacks or
+changes, and the lines only this checkout prints, and exits 1 if any
+line is missing or differs.  It reads the repository only.
+
 With ``--values DIR`` it also saves the loss curves and checkpoint tensors
 it hashes as ``.npy`` files under DIR (``train/loss_curve.npy``,
 ``train/embed.img_proj.npy``, ``hybrid/loss_curve/region.npy``, ...), so
@@ -45,13 +51,16 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
 from sshnet import featureio, model, retrieval  # noqa: E402
 from sshnet.cli import main as cli_main  # noqa: E402
@@ -109,11 +118,8 @@ def save(values_dir, name: str, arr) -> None:
         np.save(path, np.asarray(arr, dtype=np.float64))
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--values", type=Path, default=None, metavar="DIR",
-                    help="also save the loss curves and checkpoint tensors as .npy under DIR")
-    values = ap.parse_args(argv).values
+def digest(values) -> None:
+    """Print every line; save values under ``values`` unless it is None."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data, ckpt, hybrid = tmp / "data", tmp / "ckpt", tmp / "hybrid"
@@ -173,5 +179,54 @@ def main(argv=None):
     emit_json("selfcheck/ok", {k: v["ok"] for k, v in doc["checks"].items()})
 
 
+def by_name(text: str) -> dict:
+    """``name -> line`` of digest output."""
+    return {line.rsplit(" ", 1)[0]: line for line in text.splitlines()}
+
+
+def compare(ref: str) -> int:
+    """Print the lines of ``ref``'s digest that this checkout's lacks or
+    changes, then the lines only this one prints; 1 if any is missing or
+    differs."""
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", ref, "src", "scripts"],
+                             stdout=subprocess.PIPE)
+    if archive.returncode:
+        raise SystemExit("git archive %s failed" % ref)
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        proc = subprocess.run([sys.executable, str(Path(tmp, "scripts", Path(__file__).name))],
+                              stdout=subprocess.PIPE, text=True)
+    if proc.returncode:
+        raise SystemExit("%s's digest exited %d" % (ref, proc.returncode))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        digest(None)
+    theirs, ours = by_name(proc.stdout), by_name(out.getvalue())
+    missing = [line for name, line in theirs.items() if name not in ours]
+    differ = [line for name, line in theirs.items() if ours.get(name, line) != line]
+    new = [line for name, line in ours.items() if name not in theirs]
+    for kind, lines in (("missing", missing), ("differs", differ), ("new", new)):
+        for line in lines:
+            print(kind, line)
+    print("%s: %d lines, %d identical, %d missing, %d differ; %d new here"
+          % (ref, len(theirs), len(theirs) - len(missing) - len(differ), len(missing),
+             len(differ), len(new)))
+    return 1 if missing or differ else 0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--values", type=Path, default=None, metavar="DIR",
+                    help="also save the loss curves and checkpoint tensors as .npy under DIR")
+    ap.add_argument("--parent", metavar="REF",
+                    help="compare with the digest of git revision REF instead of printing")
+    args = ap.parse_args(argv)
+    if args.parent is not None:
+        return compare(args.parent)
+    digest(args.values)
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

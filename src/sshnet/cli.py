@@ -130,6 +130,7 @@ def cmd_train(args) -> int:
     else:
         doc.update(_train_one(bundles, texts, manifest.dims, model_cfg, cfg,
                               args.mode, out))
+        (out / "hybrid.json").unlink(missing_ok=True)   # else eval reads an older hybrid
     _emit(doc)
     return 0
 
@@ -214,6 +215,11 @@ def _unit_rows(rng, n, d):
 
 
 def cmd_bench(args) -> int:
+    ignored = [flag for flag, value in (("--pool", args.pool),
+                                        ("--recompute-queries", args.recompute_queries))
+               if value is not None and args.mode == "precomputed"]
+    if ignored:
+        raise ConfigError("%s cannot apply to bench --mode precomputed" % ", ".join(ignored))
     dims, model_cfg = preset(args.dims)
     rng = np.random.default_rng(args.seed)
     table = _unit_rows(rng, args.images, model_cfg.embed_dim)
@@ -225,12 +231,12 @@ def cmd_bench(args) -> int:
             table, queries, "precomputed", top_k=args.top_k,
             trials=args.trials)
     if args.mode in ("recompute", "both"):
-        pool = featureio.random_bundles(dims, args.pool, args.seed + 1)
+        pool = featureio.random_bundles(dims, args.pool or 32, args.seed + 1)
         prepared = [model.prepare_image(b, dims, model_cfg) for b in pool]
         setup = retrieval.RecomputeSetup(
             model.init_params(model_cfg, dims, args.seed), model_cfg, prepared)
         results["recompute"] = retrieval.bench_kpps(
-            table, queries[:args.recompute_queries], "recompute",
+            table, queries[:args.recompute_queries or 100], "recompute",
             recompute=setup, top_k=args.top_k, trials=args.trials)
     doc.update({k: v.to_dict() for k, v in results.items()})
     if len(results) == 2:
@@ -320,8 +326,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--dims", choices=["small", "full"], default="full")
     sp.add_argument("--images", type=_int_at_least(1), default=1000)
     sp.add_argument("--queries", type=_int_at_least(1), default=1000)
-    sp.add_argument("--recompute-queries", type=_int_at_least(1), default=100)
-    sp.add_argument("--pool", type=_int_at_least(1), default=32)
+    # recompute only; 100 and 32 when not given
+    sp.add_argument("--recompute-queries", type=_int_at_least(1))
+    sp.add_argument("--pool", type=_int_at_least(1))
     sp.add_argument("--top-k", type=int, default=10)
     sp.add_argument("--trials", type=int, default=5)
 

@@ -37,9 +37,6 @@ class EmbedParams:
     ss_fc_w_spa: Tensor | None  # (D, D)
     ss_fc_b: Tensor | None      # (D,)
 
-    def named(self) -> dict[str, Tensor]:
-        return ag.named_tensors(self, "embed")
-
 
 def n_ss_branches(cfg: ModelConfig) -> int:
     return int(cfg.use_vsem) + int(cfg.use_vspm)

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +114,6 @@ def read_tensor(path) -> np.ndarray:
 class FeatureBundle:
     """Pre-extracted visual features for one image."""
 
-    image_id: str
     region_feats: np.ndarray   # (K, D_l) float64
     grid_feats: np.ndarray     # (grid_h, grid_w, D_l) float64
     seg_feat: np.ndarray       # (seg_h, seg_w, C_s) float64
@@ -127,7 +126,6 @@ class TextFeatureSet:
 
     word_feats: list            # element i: (N_i, word_dim) float64
     image_index: np.ndarray     # (num_sentences,) int
-    sentence_ids: list = field(default_factory=list)
 
 
 @dataclass
@@ -138,20 +136,12 @@ class Manifest:
     sentences: list             # [{"id", "image_index", "word_feats"}]
     seed: int | None = None
 
-    @property
-    def num_images(self):
-        return len(self.images)
-
-    @property
-    def num_sentences(self):
-        return len(self.sentences)
-
     def to_json(self) -> str:
         doc = {
             "format_version": FORMAT_VERSION,
             "dataset": self.dataset,
-            "num_images": self.num_images,
-            "num_sentences": self.num_sentences,
+            "num_images": len(self.images),
+            "num_sentences": len(self.sentences),
             "dims": self.dims.to_dict(),
             "seed": self.seed,
             "images": self.images,
@@ -197,7 +187,12 @@ def load_manifest(path) -> Manifest:
                     seed=doc.get("seed"))
 
 
-IMAGE_KEYS = ("id", "region_feats", "grid_feats", "seg_feat", "seg_map")
+# manifest key of each stored image array -> its shape under a DimConfig
+IMAGE_SHAPES = {"region_feats": lambda d: (d.K, d.D_l),
+                "grid_feats": lambda d: (d.grid_h, d.grid_w, d.D_l),
+                "seg_feat": lambda d: (d.seg_h, d.seg_w, d.C_s),
+                "seg_map": lambda d: (d.H_I, d.W_I)}
+IMAGE_KEYS = ("id", *IMAGE_SHAPES)
 SENTENCE_KEYS = ("id", "image_index", "word_feats")
 
 
@@ -216,14 +211,16 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
     dims = manifest.dims
     dims.validate()
 
-    def _load(rel, item_id):
+    def _load(rel, item_id, as_float=True):
+        """The tensor file ``rel``, as float64 unless ``as_float`` is false."""
         if not isinstance(rel, str) or "\0" in rel:
             raise FormatError("%s: tensor file name must be a string, got %r"
                               % (item_id, rel))
         p = root / rel
         if not p.exists():
             raise DataValidationError("%s: missing tensor file %s" % (item_id, rel))
-        return read_tensor(p)
+        arr = read_tensor(p)
+        return arr.astype(np.float64) if as_float else arr
 
     def _require_keys(rec, kind, pos, keys):
         if not isinstance(rec, dict):
@@ -237,35 +234,24 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
     for pos, rec in enumerate(manifest.images):
         _require_keys(rec, "image", pos, IMAGE_KEYS)
         iid = rec["id"]
-        regions = _load(rec["region_feats"], iid).astype(np.float64)
-        grid = _load(rec["grid_feats"], iid).astype(np.float64)
-        seg_feat = _load(rec["seg_feat"], iid).astype(np.float64)
-        seg_map = _load(rec["seg_map"], iid)
-        if regions.shape != (dims.K, dims.D_l):
-            raise DataValidationError("%s: region_feats shape %r, expected %r"
-                                      % (iid, regions.shape, (dims.K, dims.D_l)))
-        if grid.shape != (dims.grid_h, dims.grid_w, dims.D_l):
-            raise DataValidationError("%s: grid_feats shape %r, expected %r"
-                                      % (iid, grid.shape, (dims.grid_h, dims.grid_w, dims.D_l)))
-        if seg_feat.shape != (dims.seg_h, dims.seg_w, dims.C_s):
-            raise DataValidationError("%s: seg_feat shape %r, expected %r"
-                                      % (iid, seg_feat.shape, (dims.seg_h, dims.seg_w, dims.C_s)))
-        if seg_map.shape != (dims.H_I, dims.W_I):
-            raise DataValidationError("%s: seg_map shape %r, expected %r"
-                                      % (iid, seg_map.shape, (dims.H_I, dims.W_I)))
+        arrs = {key: _load(rec[key], iid, key != "seg_map") for key in IMAGE_SHAPES}
+        for key, shape_of in IMAGE_SHAPES.items():
+            if arrs[key].shape != (shape := shape_of(dims)):
+                raise DataValidationError("%s: %s shape %r, expected %r"
+                                          % (iid, key, arrs[key].shape, shape))
+        seg_map = arrs.pop("seg_map")
         if seg_map.dtype.kind not in "ui":
             raise DataValidationError("%s: seg_map must be integer, got %r"
                                       % (iid, seg_map.dtype))
         if seg_map.max(initial=0) >= dims.C_s:
             raise DataValidationError("%s: seg_map category %d outside [0, %d)"
                                       % (iid, int(seg_map.max()), dims.C_s))
-        for name, arr in (("region_feats", regions), ("grid_feats", grid),
-                          ("seg_feat", seg_feat)):
+        for key, arr in arrs.items():
             if not np.isfinite(arr).all():
-                raise DataValidationError("%s: %s contains non-finite values" % (iid, name))
-        bundles.append(FeatureBundle(iid, regions, grid, seg_feat, seg_map))
+                raise DataValidationError("%s: %s contains non-finite values" % (iid, key))
+        bundles.append(FeatureBundle(**arrs, seg_map=seg_map))
 
-    word_feats, image_index, sentence_ids = [], [], []
+    word_feats, image_index = [], []
     for pos, rec in enumerate(manifest.sentences):
         _require_keys(rec, "sentence", pos, SENTENCE_KEYS)
         sid = rec["id"]
@@ -276,7 +262,7 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
         if not 0 <= idx < len(bundles):
             raise DataValidationError("%s: image_index %d outside [0, %d)"
                                       % (sid, idx, len(bundles)))
-        words = _load(rec["word_feats"], sid).astype(np.float64)
+        words = _load(rec["word_feats"], sid)
         if words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != dims.word_dim:
             raise DataValidationError("%s: word_feats shape %r, expected (N>=1, %d)"
                                       % (sid, words.shape, dims.word_dim))
@@ -284,9 +270,7 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
             raise DataValidationError("%s: word_feats contains non-finite values" % (sid,))
         word_feats.append(words)
         image_index.append(idx)
-        sentence_ids.append(sid)
-    texts = TextFeatureSet(word_feats, np.asarray(image_index, dtype=np.int64),
-                           sentence_ids)
+    texts = TextFeatureSet(word_feats, np.asarray(image_index, dtype=np.int64))
     return bundles, texts, manifest
 
 
@@ -399,29 +383,24 @@ def random_bundles(dims: DimConfig, n: int, seed: int) -> list[FeatureBundle]:
     """Unstructured random features, for benchmarks and gradient checks."""
     dims.validate()
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        out.append(FeatureBundle(
-            image_id="rnd_%05d" % i,
-            region_feats=rng.standard_normal((dims.K, dims.D_l)),
-            grid_feats=rng.standard_normal((dims.grid_h, dims.grid_w, dims.D_l)),
-            seg_feat=rng.standard_normal((dims.seg_h, dims.seg_w, dims.C_s)),
-            seg_map=rng.integers(0, dims.C_s,
-                                 size=(dims.H_I, dims.W_I)).astype(np.uint16),
-        ))
-    return out
+
+    def draw(key):
+        shape = IMAGE_SHAPES[key](dims)
+        if key == "seg_map":
+            return rng.integers(0, dims.C_s, size=shape).astype(np.uint16)
+        return rng.standard_normal(shape)
+
+    return [FeatureBundle(**{key: draw(key) for key in IMAGE_SHAPES}) for _ in range(n)]
 
 
 def random_texts(dims: DimConfig, n_images: int, captions_per_image: int,
                  seed: int) -> TextFeatureSet:
     """Unstructured random sentences aligned image-by-image."""
     rng = np.random.default_rng(seed)
-    word_feats, image_index, ids = [], [], []
+    word_feats, image_index = [], []
     for i in range(n_images):
-        for c in range(captions_per_image):
+        for _ in range(captions_per_image):
             n_words = int(rng.integers(MIN_WORDS, MAX_WORDS + 1))
             word_feats.append(rng.standard_normal((n_words, dims.word_dim)))
             image_index.append(i)
-            ids.append("rnd_%05d_%d" % (i, c))
-    return TextFeatureSet(word_feats, np.asarray(image_index, dtype=np.int64),
-                          ids)
+    return TextFeatureSet(word_feats, np.asarray(image_index, dtype=np.int64))

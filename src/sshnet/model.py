@@ -10,7 +10,7 @@ on one tape, with the batch as the first axis of every tensor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +32,8 @@ class ModelParams:
     embed: embedder.EmbedParams
 
     def named(self) -> dict[str, Tensor]:
-        return {**self.vsem.named(), **self.vspm.named(), **self.embed.named()}
+        return {name: t for f in fields(self)
+                for name, t in ag.named_tensors(getattr(self, f.name), f.name).items()}
 
     def zero_grad(self):
         for t in self.named().values():

@@ -148,7 +148,7 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def _caption_lookup(texts) -> list[list[int]]:
+def _caption_lookup(texts) -> dict[int, list[int]]:
     caps: dict[int, list[int]] = {}
     for s, img in enumerate(texts.image_index):
         caps.setdefault(int(img), []).append(s)

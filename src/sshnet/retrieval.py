@@ -22,22 +22,30 @@ DEFAULT_KS = (1, 5, 10)
 # similarity
 
 
+def _finite_2d(what: str, *arrays, same_shape: bool = False) -> list:
+    """``arrays`` as float64; ShapeError naming ``what`` unless each is 2-D
+    and finite and, with ``same_shape``, all have one shape."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    if same_shape and len({a.shape for a in arrays}) > 1:
+        wrong = "must have one shape"
+    elif not all(a.ndim == 2 and np.isfinite(a).all() for a in arrays):
+        wrong = "must be finite and 2-D"
+    else:
+        return arrays
+    raise ShapeError("%s %s, got shapes %s"
+                     % (what, wrong, " and ".join(repr(a.shape) for a in arrays)))
+
+
 def similarity_matrix(img_embs, txt_embs) -> np.ndarray:
     """Pairwise dot products between unit embeddings, (N, D) x (M, D) -> (N, M).
 
     One GEMM: deterministic for the same inputs, and within 1e-12 of a
     double-loop dot product on unit rows.
     """
-    img = np.asarray(img_embs, dtype=np.float64)
-    txt = np.asarray(txt_embs, dtype=np.float64)
-    if img.ndim != 2 or txt.ndim != 2:
-        raise ShapeError("embeddings must be 2-D, got %r and %r"
-                         % (img.shape, txt.shape))
+    img, txt = _finite_2d("embeddings", img_embs, txt_embs)
     if img.shape[1] != txt.shape[1]:
         raise ShapeError("embedding widths differ: %d vs %d"
                          % (img.shape[1], txt.shape[1]))
-    if not (np.isfinite(img).all() and np.isfinite(txt).all()):
-        raise ShapeError("embeddings must be finite")
     return img @ txt.T
 
 
@@ -51,11 +59,7 @@ def rank_rows(sim) -> np.ndarray:
     Runs of tied scores start where the sorted scores differ, which NaN
     would break; like every similarity here, ``sim`` must be finite and 2-D.
     """
-    sim = np.asarray(sim, dtype=np.float64)
-    if sim.ndim != 2 or not np.isfinite(sim).all():
-        raise ShapeError("similarities must be finite and 2-D, got %r"
-                         % (sim.shape,))
-    return _best_first(sim)
+    return _best_first(*_finite_2d("similarities", sim))
 
 
 def _best_first(scores: np.ndarray) -> np.ndarray:
@@ -82,13 +86,11 @@ def _stable_ranks(scores: np.ndarray) -> np.ndarray:
 def _checked(image_index, *sims):
     """Finite, non-empty 2-D float similarities of one shape, after the
     image of each sentence (column): 1-D integers in [0, images)."""
-    sims = [np.asarray(s, dtype=np.float64) for s in sims]
+    sims = _finite_2d("similarities", *sims, same_shape=True)
     image_index, shape = np.asarray(image_index), sims[0].shape
-    if len(shape) != 2 or 0 in shape or image_index.shape != shape[1:] or (
-            not all(s.shape == shape and np.isfinite(s).all() for s in sims)):
-        raise ShapeError("similarities %s must be finite, non-empty and "
-                         "match image_index %r" % ([s.shape for s in sims],
-                                                   image_index.shape))
+    if 0 in shape or image_index.shape != shape[1:]:
+        raise ShapeError("similarities %r must be non-empty and match image_index %r"
+                         % (shape, image_index.shape))
     if not (np.issubdtype(image_index.dtype, np.integer)
             and np.all((image_index >= 0) & (image_index < shape[0]))):
         raise ConfigError("image_index must hold integers in [0, %d)"
@@ -229,14 +231,7 @@ def ensemble_ranks(sim_a, sim_b) -> np.ndarray:
     same way); ties break toward the higher summed similarity, then, as
     ``lexsort`` is stable, the lower index.
     """
-    a = np.asarray(sim_a, dtype=np.float64)
-    b = np.asarray(sim_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError("similarity shapes differ: %r vs %r"
-                         % (a.shape, b.shape))
-    if a.ndim != 2 or not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ShapeError("expected finite 2-D similarities, got %r"
-                         % (a.shape,))
+    a, b = _finite_2d("similarities", sim_a, sim_b, same_shape=True)
     return np.lexsort((-(a + b), _stable_ranks(a) + _stable_ranks(b)), axis=1)
 
 

@@ -29,9 +29,6 @@ class VsemParams:
     gate_proj: Tensor     # (D, D)    inner projection of the tanh gate
     fuse_proj: Tensor     # (D, D)    outer projection of the fused rows
 
-    def named(self) -> dict[str, Tensor]:
-        return ag.named_tensors(self, "vsem")
-
 
 @dataclass
 class VsemOutput:

@@ -28,9 +28,6 @@ class VspmParams:
     query_proj: Tensor     # (pos_channels, D_l) projects regions into position space
     combine_proj: Tensor   # (D, pos_channels)  lifts combined rows to the joint space
 
-    def named(self) -> dict[str, Tensor]:
-        return ag.named_tensors(self, "vspm")
-
 
 @dataclass
 class VspmOutput:

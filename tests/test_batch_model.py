@@ -136,7 +136,7 @@ def test_embed_dataset_last_chunk_of_one_matches_oracle():
 def test_embed_dataset_rejects_empty_inputs():
     params = model.init_params(SMALL_MODEL, SMALL_DIMS, seed=16)
     bundles, texts, _, _ = _batch(2, seed=17)
-    none = featureio.TextFeatureSet([], np.zeros(0, dtype=np.int64), [])
+    none = featureio.TextFeatureSet([], np.zeros(0, dtype=np.int64))
     for imgs, txts in (([], texts), (bundles, none)):
         with pytest.raises(ConfigError, match="at least one image and one sentence"):
             model.embed_dataset(imgs, txts, params, SMALL_MODEL, SMALL_DIMS)

@@ -185,6 +185,21 @@ def test_hybrid_train_and_eval(ds, tmp_path, capsys):
                               "--ckpt-b", str(out / "grid"))
 
 
+def test_single_mode_train_over_a_hybrid_checkpoint_drops_its_marker(ds, tmp_path, capsys):
+    """A single-mode run into a hybrid checkpoint's directory removes
+    ``hybrid.json``, so eval reads the new checkpoint, not the old members."""
+    out = tmp_path / "ck"
+    for mode in ("hybrid", "region"):
+        run_json(capsys, "train", "--data", str(ds), "--out", str(out), "--mode", mode,
+                 "--epochs", "1", "--batch-size", "8")
+    assert not (out / "hybrid.json").exists()
+    shutil.copytree(out, tmp_path / "alone", ignore=shutil.ignore_patterns("region", "grid"))
+    report = run_json(capsys, "eval", "--data", str(ds), "--ckpt", str(out))
+    assert report["mode"] == "region"
+    assert report == run_json(capsys, "eval", "--data", str(ds), "--ckpt",
+                              str(tmp_path / "alone"))
+
+
 @pytest.fixture(scope="module")
 def hybrid_ckpt(ds, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "hybrid"
@@ -295,6 +310,24 @@ BENCH_SMALL = ("bench", "--dims", "small", "--pool", "2", "--images", "16",
 def test_bench_rejects_empty_or_meaningless_counts(capsys, arg, match):
     code, out, err = run(capsys, *BENCH_SMALL, arg)
     assert code == 1 and match in err and out == ""
+
+
+@pytest.mark.filterwarnings("ignore::sshnet.errors.BenchmarkWarning")
+def test_bench_pool_applies_to_recompute_only(capsys, monkeypatch):
+    """--pool sizes the recompute pool (32 when not given) and is refused
+    with --mode precomputed; --recompute-queries defaults to 100."""
+    sizes = []
+    draw = featureio.random_bundles
+    monkeypatch.setattr(featureio, "random_bundles",
+                        lambda dims, n, seed: sizes.append(n) or draw(dims, n, seed))
+    base = ["bench", "--dims", "small", "--images", "16", "--trials", "1"]
+    code, out, err = run(capsys, *base, "--queries", "8", "--mode", "precomputed",
+                         "--pool", "2")
+    assert code == 1 and out == "" and "--pool" in err and "--mode precomputed" in err
+    doc = run_json(capsys, *base, "--queries", "120", "--mode", "recompute")
+    assert sizes == [32] and doc["recompute"]["n_queries"] == 100
+    run_json(capsys, *base, "--queries", "8", "--mode", "recompute", "--pool", "3")
+    assert sizes == [32, 3]
 
 
 def test_gradcheck_sampled_passes(capsys):
@@ -588,8 +621,12 @@ FLAG_CASES = {
     ("ensemble-eval", "--pretty"): [(["ensemble-eval", "--data", "{data}", "--ckpt-a",
                                       "{ckpt}", "--ckpt-b", "{hybrid}/grid"], ["--pretty"])],
     **{("bench", flag): [(list(BENCH_SMALL), [flag, value])] for flag, value in (
-        ("--mode", "precomputed"), ("--dims", "full"), ("--images", "17"),
-        ("--queries", "9"), ("--recompute-queries", "5"), ("--trials", "2"))},
+        ("--mode", "recompute"), ("--dims", "full"), ("--images", "17"),
+        ("--queries", "9"), ("--trials", "2"))},
+    ("bench", "--recompute-queries"): [
+        (list(BENCH_SMALL), ["--recompute-queries", "5"]),
+        (["bench", "--dims", "small", "--images", "16", "--queries", "8", "--trials", "1",
+          "--mode", "precomputed"], ["--recompute-queries", "5"])],
     **{("gradcheck", flag): [(GRADCHECK, [flag, value])] for flag, value in (
         ("--dims", "small"), ("--batch", "3"), ("--eps", "1e-6"), ("--tol", "1e-13"),
         ("--sample", "2"), ("--embed-dim", "8"), ("--seed", "1"))},

@@ -134,7 +134,7 @@ def test_region_permutation_leaves_embedding_unchanged(data, params):
     pi = model.prepare_image(b, SMALL_DIMS, SMALL_MODEL)
     emb = model.visual_forward([pi], params, SMALL_MODEL)
     perm = np.random.default_rng(2).permutation(SMALL_DIMS.K)
-    b2 = featureio.FeatureBundle(b.image_id, b.region_feats[perm], b.grid_feats,
+    b2 = featureio.FeatureBundle(b.region_feats[perm], b.grid_feats,
                                  b.seg_feat, b.seg_map)
     emb2 = model.visual_forward([model.prepare_image(b2, SMALL_DIMS, SMALL_MODEL)],
                                 params, SMALL_MODEL)
@@ -248,8 +248,7 @@ def test_modality_independence(data, params):
     """Image embeddings cannot depend on which sentences are present."""
     bundles, texts, _ = data
     t1 = model.embed_dataset(bundles, texts, params, SMALL_MODEL, SMALL_DIMS)
-    fewer = featureio.TextFeatureSet(texts.word_feats[:3], texts.image_index[:3],
-                                     texts.sentence_ids[:3])
+    fewer = featureio.TextFeatureSet(texts.word_feats[:3], texts.image_index[:3])
     t2 = model.embed_dataset(bundles, fewer, params, SMALL_MODEL, SMALL_DIMS)
     assert np.array_equal(t1.image_embs, t2.image_embs)
 

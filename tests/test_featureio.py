@@ -198,7 +198,7 @@ def test_synth_manifest_counts(synth_dir):
     bundles, texts, manifest = fio.load_dataset(synth_dir / "manifest.json")
     assert len(bundles) == 8
     assert len(texts.word_feats) == 24
-    assert manifest.num_sentences == 24
+    assert len(manifest.sentences) == 24
     assert manifest.seed == 11
     assert texts.image_index.tolist() == [i for i in range(8) for _ in range(3)]
 
@@ -307,6 +307,56 @@ def test_load_rejects_nonfinite(tmp_path):
     fio.write_tensor(tmp_path / "img_00000.grid.3sht", arr)
     with pytest.raises(DataValidationError, match="img_00000.*non-finite"):
         fio.load_dataset(tmp_path / "manifest.json")
+
+
+def _with_nan(arr):
+    arr = arr.copy()
+    arr.flat[1] = np.nan
+    return arr
+
+
+# file stem -> how to spoil the array it holds; several stems spoil one record
+RECORD_CASES = {
+    "region-shape": ({"img_00000.regions": lambda a: np.zeros((7, 64), np.float32)},
+                     "img_00000: region_feats shape (7, 64), expected (6, 64)"),
+    "grid-shape": ({"img_00001.grid": lambda a: a[:, :, :63]},
+                   "img_00001: grid_feats shape (4, 4, 63), expected (4, 4, 64)"),
+    "seg-feat-shape": ({"img_00000.segfeat": lambda a: a[:, :, 0]},
+                       "img_00000: seg_feat shape (4, 4), expected (4, 4, 16)"),
+    "seg-map-shape": ({"img_00001.segmap": lambda a: a.T[:15]},
+                      "img_00001: seg_map shape (15, 16), expected (16, 16)"),
+    "seg-map-float32": ({"img_00000.segmap": lambda a: a.astype(np.float32)},
+                        "img_00000: seg_map must be integer, got dtype('float32')"),
+    "region-nan": ({"img_00001.regions": _with_nan},
+                   "img_00001: region_feats contains non-finite values"),
+    "seg-feat-nan": ({"img_00000.segfeat": _with_nan},
+                     "img_00000: seg_feat contains non-finite values"),
+    "words-width": ({"sent_00001_0.words": lambda a: np.zeros((5, 767), np.float32)},
+                    "sent_00001_0: word_feats shape (5, 767), expected (N>=1, 768)"),
+    "words-none": ({"sent_00000_0.words": lambda a: a[:0]},
+                   "sent_00000_0: word_feats shape (0, 768), expected (N>=1, 768)"),
+    "words-nan": ({"sent_00000_0.words": _with_nan},
+                  "sent_00000_0: word_feats contains non-finite values"),
+    # the checks run in this order: shapes, seg_map dtype, finiteness
+    "shape-before-dtype": ({"img_00000.segmap": lambda a: a[:15].astype(np.float32),
+                            "img_00000.grid": _with_nan},
+                           "img_00000: seg_map shape (15, 16), expected (16, 16)"),
+    "dtype-before-nan": ({"img_00000.segmap": lambda a: a.astype(np.float32),
+                          "img_00000.regions": _with_nan},
+                         "img_00000: seg_map must be integer, got dtype('float32')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_load_rejects_each_bad_record_with_its_message(tmp_path, case):
+    fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
+    spoil, message = RECORD_CASES[case]
+    for stem, fn in spoil.items():
+        path = tmp_path / (stem + ".3sht")
+        fio.write_tensor(path, fn(fio.read_tensor(path)))
+    with pytest.raises(DataValidationError) as err:
+        fio.load_dataset(tmp_path / "manifest.json")
+    assert str(err.value) == message
 
 
 def test_load_rejects_missing_file(tmp_path):

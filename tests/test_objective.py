@@ -296,8 +296,7 @@ def test_train_config_rejects_bad_optimiser_values(data, field, value):
 def test_training_rejects_captionless_image(data):
     bundles, texts, _ = data
     clipped = featureio.TextFeatureSet(texts.word_feats[:-3],
-                                       texts.image_index[:-3],
-                                       texts.sentence_ids[:-3])
+                                       texts.image_index[:-3])
     with pytest.raises(ConfigError, match="without captions"):
         objective.train(bundles, clipped, SMALL_DIMS, SMALL_MODEL,
                         _small_train_cfg())

@@ -624,7 +624,6 @@ def _random_bundles(dims, n, seed):
     out = []
     for i in range(n):
         out.append(FeatureBundle(
-            image_id="img_%d" % i,
             region_feats=rng.normal(size=(dims.K, dims.D_l)),
             grid_feats=rng.normal(size=(dims.grid_h, dims.grid_w, dims.D_l)),
             seg_feat=rng.normal(size=(dims.seg_h, dims.seg_w, dims.C_s)),

@@ -148,5 +148,5 @@ def test_gradients_match_finite_differences(mode):
         out = vsem.vsem_forward(regions, pooled, p, mode)
         return (out.enhanced * w).sum() + (out.alphas * Tensor(np.ones((1, 4)))).sum()
 
-    report = ag.grad_check(loss, p.named(), eps=1e-5, tol=1e-4, sample=40)
+    report = ag.grad_check(loss, ag.named_tensors(p, "vsem"), eps=1e-5, tol=1e-4, sample=40)
     assert report.passed, report

@@ -253,5 +253,5 @@ def test_gradients_match_finite_differences(setup):
         out = vspm.vspm_forward(rt, patches, p, SMALL_MODEL)
         return (ag.linear(out.spatial, p.combine_proj) * w).sum()
 
-    report = ag.grad_check(loss, p.named(), eps=1e-5, tol=1e-4, sample=40)
+    report = ag.grad_check(loss, ag.named_tensors(p, "vspm"), eps=1e-5, tol=1e-4, sample=40)
     assert report.passed, report
