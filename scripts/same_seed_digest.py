@@ -8,9 +8,7 @@ with one BLAS thread, and hashes what it leaves behind:
 - the loss curve of ``train --epochs 3 --batch-size 8`` (float hex) and
   each of its checkpoint tensors;
 - the bytes of every parameter after ``model.load_checkpoint`` of that
-  checkpoint (``load/ckpt/...``) and of a copy of it that holds the
-  semantic-spatial FC whole, as checkpoints written before its split did
-  (``load/whole-fc/...``);
+  checkpoint (``load/ckpt/...``);
 - the ``eval`` JSON of that checkpoint, on the whole set and ``--folds 2``;
 - the loss curves (float hex) and ``eval`` JSON of a hybrid checkpoint,
   and the ``ensemble-eval`` JSON of its ``region`` and ``grid`` members;
@@ -50,7 +48,6 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
-import shutil  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tarfile  # noqa: E402
@@ -95,21 +92,6 @@ def emit_loaded(name: str, ckpt: Path) -> None:
         emit("load/%s/%s" % (name, pname), t.data.tobytes())
 
 
-def whole_fc_copy(ckpt: Path, out: Path) -> Path:
-    """``ckpt`` copied to ``out`` with its FC blocks stored as one
-    ``embed.ss_fc_w``, semantic block first."""
-    shutil.copytree(ckpt, out)
-    blocks = ["embed.ss_fc_w_sem", "embed.ss_fc_w_spa"]
-    featureio.write_tensor(out / "embed.ss_fc_w.3sht", np.concatenate(
-        [featureio.read_tensor(out / (n + ".3sht")) for n in blocks], axis=1))
-    for n in blocks:
-        (out / (n + ".3sht")).unlink()
-    doc = json.loads((out / "checkpoint.json").read_text())
-    doc["tensors"] = sorted(set(doc["tensors"]) - set(blocks) | {"embed.ss_fc_w"})
-    (out / "checkpoint.json").write_text(json.dumps(doc))
-    return out
-
-
 def save(values_dir, name: str, arr) -> None:
     """Write ``arr`` as ``values_dir/name.npy`` (no-op without a values dir)."""
     if values_dir is not None:
@@ -136,7 +118,6 @@ def digest(values) -> None:
             emit("train/" + f.name, f.read_bytes())
             save(values, "train/" + f.stem, featureio.read_tensor(f))
         emit_loaded("ckpt", ckpt)
-        emit_loaded("whole-fc", whole_fc_copy(ckpt, tmp / "whole-fc"))
 
         emit_json("eval/whole", run("eval", "--data", data, "--ckpt", ckpt))
         emit_json("eval/folds2", run("eval", "--data", data, "--ckpt", ckpt,

@@ -229,16 +229,21 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product: (B, M, K) x (B, K, N) -> (B, M, N)."""
+    """Batched matrix product: (B, M, K) x (B, K, N) -> (B, M, N), or
+    (B, M, K) x (K, N) with one right operand shared by the batch."""
     ad, bd = a.data, b.data
-    if ad.ndim != 3 or bd.ndim != 3:
-        raise ShapeError("matmul expects rank-3 operands, got %d and %d" % (ad.ndim, bd.ndim))
-    if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
+    if ad.ndim != 3 or bd.ndim not in (2, 3):
+        raise ShapeError("matmul expects operands of rank 3 and 2 or 3, got %d and %d"
+                         % (ad.ndim, bd.ndim))
+    if ad.shape[2] != bd.shape[-2] or (bd.ndim == 3 and ad.shape[0] != bd.shape[0]):
         raise ShapeError("matmul shapes differ: %r vs %r" % (ad.shape, bd.shape))
 
     def vjp(g):
-        return (g @ bd.transpose(0, 2, 1) if a.requires_grad else None,
-                ad.transpose(0, 2, 1) @ g if b.requires_grad else None)
+        gb = None
+        if b.requires_grad:   # a shared operand's gradient sums over the batch
+            gb = (ad.transpose(0, 2, 1) @ g if bd.ndim == 3
+                  else ad.reshape(-1, ad.shape[2]).T @ g.reshape(-1, g.shape[2]))
+        return (g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None), gb
 
     return _make(ad @ bd, (a, b), vjp)
 

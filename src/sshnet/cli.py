@@ -127,10 +127,13 @@ def cmd_train(args) -> int:
         doc["runs"] = {sub: _train_one(bundles, texts, manifest.dims, model_cfg, cfg,
                                        sub, out / sub) for sub in ("region", "grid")}
         (out / "hybrid.json").write_text(json.dumps({"mode": "hybrid"}))
+        model.remove_checkpoint(out)   # an older single-mode layout
     else:
         doc.update(_train_one(bundles, texts, manifest.dims, model_cfg, cfg,
                               args.mode, out))
         (out / "hybrid.json").unlink(missing_ok=True)   # else eval reads an older hybrid
+        for sub in ("region", "grid"):
+            model.remove_checkpoint(out / sub)
     _emit(doc)
     return 0
 

@@ -98,12 +98,6 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        if isinstance(d, dict) and "per_group_gpo" in d:
-            # Older checkpoints store this removed pooling switch; only its
-            # off value describes the model this version builds.
-            d = dict(d)
-            if d.pop("per_group_gpo") is not False:
-                raise FormatError("model.per_group_gpo pooling is not supported")
         return _from_dict(cls, d, "model")
 
 

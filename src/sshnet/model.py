@@ -2,10 +2,10 @@
 
 ``prepare_image`` hoists everything that never changes during training out
 of the per-step graph: the pooled segmentation vector, and the im2col
-patches of the position stack (the refinement convolution is one matmul
-against them).  ``visual_forward`` embeds a batch of prepared images and
-``text_forward`` a batch of the loader's (n_i, word_dim) word arrays, each
-on one tape, with the batch as the first axis of every tensor.
+patches of the position stack (``vspm.build_position_tensor``: the image's
+own, and the shared grid's).  ``visual_forward`` embeds a batch of prepared
+images and ``text_forward`` a batch of the loader's (n_i, word_dim) word
+arrays, each on one tape, with the batch as the first axis of every tensor.
 """
 from __future__ import annotations
 
@@ -63,7 +63,8 @@ def _params(cfg: ModelConfig, dims: DimConfig, rng) -> ModelParams:
 class PreparedImage:
     regions: np.ndarray       # (K, D_l) constant
     pooled_seg: np.ndarray    # (C_s,) constant
-    pos_patches: np.ndarray   # (Hp * Wp, kh * kw * (pos_dim + 1)) constant im2col rows
+    pos_patches: np.ndarray   # (P, kh * kw) im2col rows of the category channel
+    grid_patches: np.ndarray  # (P, kh * kw * (pos_dim + 1)) read-only, shared per geometry
 
 
 def prepare_image(bundle: FeatureBundle, dims: DimConfig, cfg: ModelConfig,
@@ -75,12 +76,8 @@ def prepare_image(bundle: FeatureBundle, dims: DimConfig, cfg: ModelConfig,
     else:
         raise ConfigError("prepare_image mode must be 'region' or 'grid', got %r"
                           % (mode,))
-    pos = vspm.build_position_tensor(bundle.seg_map, cfg.pos_dim, dims.C_s)
-    return PreparedImage(
-        regions=regions,
-        pooled_seg=bundle.seg_feat.mean(axis=(0, 1)),
-        pos_patches=ag.conv_patches(pos, cfg.conv_kh, cfg.conv_kw, cfg.conv_stride),
-    )
+    return PreparedImage(regions, bundle.seg_feat.mean(axis=(0, 1)),
+                         *vspm.build_position_tensor(bundle.seg_map, cfg, dims.C_s))
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +89,9 @@ def visual_forward(imgs: Sequence[PreparedImage], params: ModelParams,
     """Unit-norm joint embeddings (B, D) of B prepared images, row i for
     image i, from one tape over the whole batch.
 
-    The batch's regions, pooled segmentation vectors and position patches
-    are stacked, so every projection runs as one GEMM over all B * K rows.
+    The batch's regions, pooled segmentation vectors and category patches
+    are stacked (all share one geometry), so every projection runs as one
+    GEMM over all B * K rows.
     A row can differ from the same image embedded in another batch by a
     few ULPs (BLAS kernels depend on the row count), within 1e-12; the
     same batch always gives the same bytes.
@@ -108,7 +106,8 @@ def visual_forward(imgs: Sequence[PreparedImage], params: ModelParams,
         seg_embed = vsem.seg_embed_from_pooled(pooled, params.vsem)
     if cfg.use_vspm:
         patches = Tensor(np.stack([img.pos_patches for img in imgs]))
-        spatial = vspm.vspm_forward(regions, patches, params.vspm, cfg).spatial
+        spatial = vspm.vspm_forward(regions, patches, imgs[0].grid_patches,
+                                    params.vspm, cfg).spatial
     return embedder.fuse_visual(regions, semantic, spatial, seg_embed, params.embed,
                                 params.vspm.combine_proj)
 
@@ -194,16 +193,32 @@ def save_checkpoint(out_dir, params: ModelParams, cfg: ModelConfig,
     return out_dir
 
 
-def load_checkpoint(ckpt_dir) -> tuple[ModelParams, ModelConfig, DimConfig, dict]:
-    ckpt_dir = Path(ckpt_dir)
+def _checkpoint_doc(ckpt_dir: Path) -> dict:
     doc_path = ckpt_dir / "checkpoint.json"
     if not doc_path.exists():
         raise FormatError("no checkpoint.json under %s" % (ckpt_dir,))
     doc = read_json_object(doc_path, "checkpoint", ("model", "dims", "tensors"))
     tensors = doc["tensors"]
-    if not (isinstance(tensors, list) and all(isinstance(t, str) for t in tensors)):
+    if not (isinstance(tensors, list)
+            and all(isinstance(t, str) and Path(t).name == t for t in tensors)):
         raise FormatError("checkpoint tensors must be a list of names, got %r"
                           % (tensors,))
+    return doc
+
+
+def remove_checkpoint(ckpt_dir) -> None:
+    """Delete ``checkpoint.json`` under ``ckpt_dir`` and the tensor files it
+    lists, and no other file; nothing without one."""
+    ckpt_dir = Path(ckpt_dir)
+    if (ckpt_dir / "checkpoint.json").exists():
+        for name in _checkpoint_doc(ckpt_dir)["tensors"]:
+            (ckpt_dir / (name + ".3sht")).unlink(missing_ok=True)
+        (ckpt_dir / "checkpoint.json").unlink()
+
+
+def load_checkpoint(ckpt_dir) -> tuple[ModelParams, ModelConfig, DimConfig, dict]:
+    ckpt_dir = Path(ckpt_dir)
+    doc = _checkpoint_doc(ckpt_dir)
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise FormatError("checkpoint meta must be a JSON object, got %r" % (meta,))
@@ -211,17 +226,12 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, ModelConfig, DimConfig, dict
     dims = DimConfig.from_dict(doc["dims"])
     params = _params(cfg, dims, None)
     named = params.named()
-    # checkpoints from before the spatial rows were reassociated hold the
-    # semantic-spatial FC whole: its column blocks, copied out, are the branches'
-    blocks = [n for n in named if "embed.ss_fc_w" in tensors and n.startswith("embed.ss_fc_w_")]
-    if sorted(named) != sorted([n for n in tensors if not blocks or n != "embed.ss_fc_w"] + blocks):
+    if sorted(named) != sorted(doc["tensors"]):
         raise FormatError("checkpoint tensor list does not match model config")
-    whole = dict(zip(blocks, np.array_split(read_tensor(ckpt_dir / "embed.ss_fc_w.3sht"),
-                                            len(blocks), axis=1))) if blocks else {}
     for name, t in named.items():
-        arr = whole[name] if name in whole else read_tensor(ckpt_dir / (name + ".3sht"))
+        arr = read_tensor(ckpt_dir / (name + ".3sht"))
         if arr.shape != t.data.shape:
             raise FormatError("checkpoint tensor %s has shape %r, expected %r"
                               % (name, arr.shape, t.data.shape))
-        t.data = arr.astype(np.float64, order="C", copy=name in whole)
+        t.data = arr.astype(np.float64, order="C", copy=False)
     return params, cfg, dims, meta

@@ -47,53 +47,57 @@ def init_vspm_params(cfg: ModelConfig, dims: DimConfig, rng) -> VspmParams:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def positional_encode_grid(h: int, w: int, d: int) -> np.ndarray:
     """(h, w, d) stack of positional codes, pixel index p row-major from 1.
 
     Component j (1-based, j in [1, d]) of pixel p is sin(p / 10000^(j/d))
-    for even j and cos(p / 10000^(j/d)) for odd j.  Computed once per
-    (h, w, d) and returned read-only: every image of a dataset shares one
-    grid.
+    for even j and cos(p / 10000^(j/d)) for odd j.
     """
     p = np.arange(1, h * w + 1, dtype=np.float64)[:, None]
     j = np.arange(1, d + 1, dtype=np.float64)[None, :]
     angle = p / np.power(10000.0, j / d)
-    flat = np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
-    grid = flat.reshape(h, w, d)
-    grid.flags.writeable = False
-    return grid
+    return np.where(j % 2 == 0, np.sin(angle), np.cos(angle)).reshape(h, w, d)
 
 
-def build_position_tensor(seg_map: np.ndarray, d: int, num_categories: int) -> np.ndarray:
-    """Concatenate d positional channels with category / num_categories.
+@functools.lru_cache(maxsize=None)
+def _grid_patches(h: int, w: int, d: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """im2col patches of the position stack with a zero category channel,
+    computed once per geometry and returned read-only: every image of a
+    dataset shares them."""
+    grid = np.concatenate([positional_encode_grid(h, w, d), np.zeros((h, w, 1))], axis=2)
+    patches = ag.conv_patches(grid, kh, kw, stride)
+    patches.flags.writeable = False
+    return patches
 
-    seg_map holds integer categories in [0, num_categories); the result is
-    a constant (H, W, d + 1) float64 stack, not a differentiable input.
-    """
+
+def build_position_tensor(seg_map: np.ndarray, cfg: ModelConfig,
+                          num_categories: int) -> tuple[np.ndarray, np.ndarray]:
+    """One image's position stack, pos_dim sinusoid channels then the
+    constant category channel seg_map / num_categories, as im2col patches
+    split by channel: the image's own (P, kh * kw) category patches, and
+    the shared (P, kh * kw * (pos_dim + 1)) patches of the stack with a
+    zero category channel."""
     if seg_map.ndim != 2:
         raise DataValidationError("seg_map must be (H, W), got %r" % (seg_map.shape,))
     if seg_map.min(initial=0) < 0 or seg_map.max(initial=0) >= num_categories:
         raise DataValidationError(
             "seg_map categories outside [0, %d)" % (num_categories,))
-    h, w = seg_map.shape
-    out = np.empty((h, w, d + 1), dtype=np.float64)
-    out[:, :, :d] = positional_encode_grid(h, w, d)
-    out[:, :, d] = seg_map.astype(np.float64) / num_categories
-    return out
+    window = (cfg.conv_kh, cfg.conv_kw, cfg.conv_stride)
+    category = (seg_map.astype(np.float64) / num_categories)[:, :, None]
+    return (ag.conv_patches(category, *window),
+            _grid_patches(*seg_map.shape, cfg.pos_dim, *window))
 
 
-def refine_from_patches(patches: Tensor, p: VspmParams) -> Tensor:
+def refine_from_patches(patches: Tensor, grid: np.ndarray, p: VspmParams) -> Tensor:
     """Strided valid convolution of each position stack (no nonlinearity),
-    run as one matmul over the batch's precomputed im2col patches.
-
-    patches (B, P, kh * kw * cin) -> (B, P, cout) rows, one per output position.
-    """
+    split by input channel as it is linear: the shared grid patches (zero in
+    the category channel) meet the kernel in one (P, cout) product per
+    forward, and each image's category patches (B, P, kh * kw) the rows of
+    the category channel, the last of each window cell; (B, P, cout) rows."""
     kh, kw, cin, cout = p.conv_kernel.shape
-    b, n, f = patches.shape
-    kmat = ag.reshape(p.conv_kernel, (1, kh * kw * cin, cout))
-    out = ag.matmul(ag.reshape(patches, (1, b * n, f)), kmat) + p.conv_bias
-    return ag.reshape(out, (b, n, cout))
+    kmat = ag.reshape(p.conv_kernel, (kh * kw * cin, cout))
+    own = ag.matmul(patches, ag.take_rows(kmat, np.arange(cin - 1, kh * kw * cin, cin)))
+    return own + ag.matmul(Tensor(grid[None]), kmat) + p.conv_bias
 
 
 def project_queries(regions: Tensor, p: VspmParams) -> Tensor:
@@ -118,11 +122,11 @@ def spatial_combine(context: Tensor, queries: Tensor) -> Tensor:
     return context + queries
 
 
-def vspm_forward(regions: Tensor, patches: Tensor, p: VspmParams,
+def vspm_forward(regions: Tensor, patches: Tensor, grid: np.ndarray, p: VspmParams,
                  cfg: ModelConfig) -> VspmOutput:
-    """Full spatial branch for a batch: regions (B, K, D_l) and the im2col
-    patches (B, P, F) of each position stack."""
-    refined = refine_from_patches(patches, p)
+    """Full spatial branch for a batch: regions (B, K, D_l) and the
+    position patches of ``build_position_tensor``, stacked per image."""
+    refined = refine_from_patches(patches, grid, p)
     queries = project_queries(regions, p)
     betas, context = spatial_attention(queries, refined, cfg.attn_smooth)
     spatial = spatial_combine(context, queries)

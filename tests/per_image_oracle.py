@@ -3,17 +3,20 @@
 Every function here embeds ONE image or ONE sentence on its own tape,
 with the rank-1/rank-2 autograd ops the package used before the model
 became batch-major (matrix/vector ``matmul``, 2-D ``cosine_rows``, 1-D
-``l2_normalize``, 2-D ``sort_pool`` and ``stack``).  Tests compare the
-batched ``model.visual_forward`` / ``model.text_forward`` against it,
-values and gradients, to 1e-12.  Parameters are the package's own
-``ModelParams``, so both sides read and accumulate into the same leaves.
+``l2_normalize``, 2-D ``sort_pool`` and ``stack``).  Its spatial branch
+convolves each image's whole position stack, sinusoid and category
+channels together, where the model splits the convolution by channel.
+Tests compare the batched ``model.visual_forward`` / ``model.text_forward``
+against it, values and gradients, to 1e-12.  Parameters are the package's
+own ``ModelParams``, so both sides read and accumulate into the same leaves.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from sshnet import autograd as ag
-from sshnet import embedder, objective
+from sshnet import embedder, model, objective, vspm
 from sshnet.autograd import Tensor, _make
 from sshnet.errors import ConfigError
 
@@ -147,8 +150,21 @@ def vsem_forward(regions, pooled, p, mode):
     return seg, alphas, enhanced
 
 
+def prepare_image(bundle, dims, cfg, mode="region"):
+    """``model.prepare_image`` with ``pos_patches`` the (P, kh * kw *
+    (pos_dim + 1)) im2col patches of the whole position stack: d sinusoid
+    channels, then the category channel seg_map / C_s."""
+    h, w = bundle.seg_map.shape
+    stack = np.concatenate([vspm.positional_encode_grid(h, w, cfg.pos_dim),
+                            bundle.seg_map[:, :, None] / dims.C_s], axis=2)
+    return replace(model.prepare_image(bundle, dims, cfg, mode), grid_patches=None,
+                   pos_patches=ag.conv_patches(stack, cfg.conv_kh, cfg.conv_kw,
+                                               cfg.conv_stride))
+
+
 def vspm_forward(regions, patches, p, cfg):
-    """(refined (P, c), betas (K, P), spatial (K, D)) of one image."""
+    """(refined (P, c), betas (K, P), spatial (K, D)) of one image, from
+    the whole-stack patches (P, kh * kw * cin)."""
     kh, kw, cin, cout = p.conv_kernel.shape
     kmat = ag.reshape(p.conv_kernel, (kh * kw * cin, cout))
     refined = matmul(patches, kmat) + p.conv_bias
@@ -173,7 +189,7 @@ def fuse_visual(regions, enhanced, spatial, seg_embed, p, cfg):
 
 
 def visual_forward(img, params, cfg):
-    """Unit-norm (D,) embedding of one PreparedImage."""
+    """Unit-norm (D,) embedding of one image from ``prepare_image``."""
     regions, pooled = Tensor(img.regions), Tensor(img.pooled_seg)
     enhanced = spatial = None
     if cfg.use_vsem:

@@ -170,14 +170,18 @@ def test_conv_patches_bitwise_equals_loop_oracle(seed):
 
 
 def refine_via_patches(x, k, stride, bias=None):
-    """The model's convolution: one matmul over the im2col patches, its
-    row-major output rows laid back out as the (ho, wo, cout) grid."""
+    """The model's convolution over the im2col patches of x, its last
+    channel in the category channel's place and x with that channel zero in
+    the grid's; the row-major output rows laid back out as the (ho, wo,
+    cout) grid."""
     kh, kw, cin, cout = k.shape
     p = vspm.VspmParams(conv_kernel=Tensor(k),
                         conv_bias=Tensor(np.zeros(cout) if bias is None else bias),
                         query_proj=None, combine_proj=None)
-    patches = ag.conv_patches(x, kh, kw, stride)
-    rows = vspm.refine_from_patches(Tensor(patches[None]), p).data[0]
+    patches = ag.conv_patches(x[:, :, -1:], kh, kw, stride)
+    grid = ag.conv_patches(np.concatenate([x[:, :, :-1], 0.0 * x[:, :, -1:]], axis=2),
+                           kh, kw, stride)
+    rows = vspm.refine_from_patches(Tensor(patches[None]), grid, p).data[0]
     return rows.reshape((x.shape[0] - kh) // stride + 1, (x.shape[1] - kw) // stride + 1, cout)
 
 
@@ -470,6 +474,7 @@ PRIMITIVE_BUILDERS = {
                                           Tensor(rng.uniform(1.0, 2.0, size=(3, 4)), requires_grad=True)]),
     "matmul": _builder([(2, 3, 4), (2, 4, 2)], lambda ps: ag.matmul(ps[0], ps[1]), (2, 3, 2)),
     "matvec": _builder([(2, 3, 4), (2, 4, 1)], lambda ps: ag.matmul(ps[0], ps[1]), (2, 3, 1)),
+    "matmul_shared": _builder([(2, 3, 4), (4, 2)], lambda ps: ag.matmul(ps[0], ps[1]), (2, 3, 2)),
     "tanh": _builder([(5,)], lambda ps: ag.tanh(ps[0]), (5,)),
     "sigmoid": _builder([(5,)], lambda ps: ag.sigmoid(ps[0]), (5,)),
     "relu": _builder(None, lambda ps: ag.relu(ps[0]), (7,),
@@ -481,9 +486,10 @@ PRIMITIVE_BUILDERS = {
     "concat": _builder([(2, 3), (4, 3)], lambda ps: ag.concat(ps, axis=0), (6, 3)),
     "take_rows": _builder([(5, 3)], lambda ps: ag.take_rows(ps[0], [4, 0, 4, 2]), (4, 3)),
     "diag": _builder([(4, 4)], lambda ps: ag.diag(ps[0]), (4,)),
-    "conv2d": _builder([(2, 4, 8), (2, 2, 2, 3), (3,)],
+    "conv2d": _builder([(2, 4, 4), (2, 2, 3, 3), (3,)],
                        lambda ps: vspm.refine_from_patches(
-                           ps[0], vspm.VspmParams(ps[1], ps[2], None, None)),
+                           ps[0], np.arange(48.0).reshape(4, 12) / 48 - 0.5,
+                           vspm.VspmParams(ps[1], ps[2], None, None)),
                        (2, 4, 3)),
     "cosine": _builder([(6,), (6,)], lambda ps: cosine(ps[0], ps[1])),
     "cosine_rows": _builder([(2, 3, 5), (2, 4, 5)], lambda ps: ag.cosine_rows(ps[0], ps[1]),

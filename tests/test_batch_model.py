@@ -11,19 +11,22 @@ import pytest
 
 import per_image_oracle as oracle
 from sshnet import autograd as ag
-from sshnet import featureio, model, objective
+from sshnet import featureio, model, objective, vspm
 from sshnet.autograd import Tensor
-from sshnet.config import SMALL_DIMS, SMALL_MODEL
+from sshnet.config import FULL_DIMS, FULL_MODEL, SMALL_DIMS, SMALL_MODEL
 from sshnet.errors import ConfigError
 
 TOL = 1e-12
 
 
 def _batch(n, mode="region", cfg=SMALL_MODEL, seed=0, captions=1):
+    """Bundles, texts, the model's prepared images, the oracle's, and the
+    word arrays of ``n`` random images."""
     bundles = featureio.random_bundles(SMALL_DIMS, n, seed + 1)
     texts = featureio.random_texts(SMALL_DIMS, n, captions, seed + 2)
     imgs = [model.prepare_image(b, SMALL_DIMS, cfg, mode) for b in bundles]
-    return bundles, texts, imgs, texts.word_feats
+    whole = [oracle.prepare_image(b, SMALL_DIMS, cfg, mode) for b in bundles]
+    return bundles, texts, imgs, whole, texts.word_feats
 
 
 def _grads(loss_fn, params):
@@ -51,11 +54,11 @@ VARIANTS = [(True, True), (False, True), (True, False), (False, False)]
 def test_batched_forward_matches_per_image_oracle(mode, use_vsem, use_vspm):
     cfg = replace(SMALL_MODEL, use_vsem=use_vsem, use_vspm=use_vspm)
     params = model.init_params(cfg, SMALL_DIMS, seed=3)
-    _, _, imgs, txts = _batch(5, mode, cfg)
+    _, _, imgs, whole, txts = _batch(5, mode, cfg)
     w = Tensor(np.random.default_rng(4).normal(size=(5, cfg.embed_dim)))
 
     got = model.visual_forward(imgs, params, cfg).data
-    want = np.stack([oracle.visual_forward(i, params, cfg).data for i in imgs])
+    want = np.stack([oracle.visual_forward(i, params, cfg).data for i in whole])
     assert got.shape == (5, cfg.embed_dim)
     assert np.abs(got - want).max() <= TOL
 
@@ -65,8 +68,8 @@ def test_batched_forward_matches_per_image_oracle(mode, use_vsem, use_vspm):
         return objective.triplet_loss(ag.linear(iv, tv), 0.2) + (iv * w).sum()
 
     def per_image():
-        iv = oracle.stack([oracle.visual_forward(i, params, cfg) for i in imgs])
-        return oracle.triplet_loss(imgs, txts, params, cfg) + (iv * w).sum()
+        iv = oracle.stack([oracle.visual_forward(i, params, cfg) for i in whole])
+        return oracle.triplet_loss(whole, txts, params, cfg) + (iv * w).sum()
 
     _assert_grads_close(_grads(batched, params), _grads(per_image, params))
 
@@ -74,15 +77,79 @@ def test_batched_forward_matches_per_image_oracle(mode, use_vsem, use_vspm):
 def test_softmax_salience_matches_per_image_oracle():
     cfg = replace(SMALL_MODEL, salience_mode="softmax")
     params = model.init_params(cfg, SMALL_DIMS, seed=5)
-    _, _, imgs, txts = _batch(4, cfg=cfg, seed=6)
+    _, _, imgs, whole, txts = _batch(4, cfg=cfg, seed=6)
     got = model.visual_forward(imgs, params, cfg).data
-    want = np.stack([oracle.visual_forward(i, params, cfg).data for i in imgs])
+    want = np.stack([oracle.visual_forward(i, params, cfg).data for i in whole])
     assert np.abs(got - want).max() <= TOL
     _assert_grads_close(
         _grads(lambda: objective.triplet_loss(ag.linear(
             model.visual_forward(imgs, params, cfg),
             model.text_forward(txts, params)), 0.2), params),
-        _grads(lambda: oracle.triplet_loss(imgs, txts, params, cfg), params))
+        _grads(lambda: oracle.triplet_loss(whole, txts, params, cfg), params))
+
+
+# Both presets convolve with stride == kernel, so their windows never
+# overlap; the third geometry has overlapping, non-square windows.
+GEOMETRIES = {
+    "small": (SMALL_DIMS, SMALL_MODEL),
+    "full": (FULL_DIMS, FULL_MODEL),
+    "overlap": (SMALL_DIMS, replace(SMALL_MODEL, conv_kh=3, conv_kw=5, conv_stride=2)),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_factored_refinement_matches_whole_stack_convolution(geometry):
+    """The spatial branch convolves the shared grid and each image's
+    category channel apart; the oracle convolves each whole stack."""
+    dims, cfg = GEOMETRIES[geometry]
+    rng = np.random.default_rng(18)
+    params = model.init_params(cfg, dims, seed=18)
+    p = params.vspm
+    p.conv_bias.data = rng.normal(size=cfg.pos_channels)
+    bundles = featureio.random_bundles(dims, 3, 19)
+    imgs = [model.prepare_image(b, dims, cfg) for b in bundles]
+    whole = [oracle.prepare_image(b, dims, cfg) for b in bundles]
+    regions = np.stack([b.region_feats for b in bundles])
+
+    def factored():
+        """(refined, betas, lifted spatial rows), each flattened per image."""
+        patches = Tensor(np.stack([i.pos_patches for i in imgs]))
+        out = vspm.vspm_forward(Tensor(regions), patches, imgs[0].grid_patches, p, cfg)
+        parts = (out.refined, out.betas, ag.linear(out.spatial, p.combine_proj))
+        return [ag.reshape(t, (3, -1)) for t in parts]
+
+    def reference():
+        outs = [oracle.vspm_forward(Tensor(r), Tensor(i.pos_patches), p, cfg)
+                for r, i in zip(regions, whole)]
+        return [oracle.stack([ag.reshape(o[k], (-1,)) for o in outs]) for k in range(3)]
+
+    got, want = factored(), reference()
+    for g, r in zip(got, want):
+        assert g.shape == r.shape
+        assert np.abs(g.data - r.data).max() <= TOL * max(np.abs(r.data).max(), 1.0)
+    w = [Tensor(rng.normal(size=t.shape)) for t in want]
+
+    def loss(parts):
+        return (parts[0] * w[0]).sum() + (parts[1] * w[1]).sum() + (parts[2] * w[2]).sum()
+
+    _assert_grads_close(_grads(lambda: loss(factored()), params),
+                        _grads(lambda: loss(reference()), params))
+
+
+def test_prepared_images_hold_only_their_own_position_patches():
+    """Each prepared image keeps its (P, kh * kw) category patches alone;
+    the grid's patches are one read-only array per geometry."""
+    for dims, cfg, nbytes in ((SMALL_DIMS, SMALL_MODEL, 2048), (FULL_DIMS, FULL_MODEL, 32768)):
+        bundles = featureio.random_bundles(dims, 3, 20)
+        imgs = [model.prepare_image(b, dims, cfg, mode)
+                for b, mode in zip(bundles, ("region", "grid", "region"))]
+        n_pos = (dims.H_I // cfg.conv_stride) * (dims.W_I // cfg.conv_stride)
+        assert nbytes == n_pos * cfg.conv_kh * cfg.conv_kw * 8
+        assert all(i.pos_patches.nbytes == nbytes for i in imgs)
+        assert all(i.grid_patches is imgs[0].grid_patches for i in imgs)
+        assert not imgs[0].grid_patches.flags.writeable
+        assert imgs[0].grid_patches.shape == (n_pos, cfg.conv_kh * cfg.conv_kw
+                                              * (cfg.pos_dim + 1))
 
 
 def _sentences(lengths, seed=7):
@@ -106,7 +173,7 @@ def test_text_rows_come_back_in_input_order_for_mixed_lengths():
 
 def test_permuting_a_batch_permutes_its_rows():
     params = model.init_params(SMALL_MODEL, SMALL_DIMS, seed=10)
-    _, _, imgs, _ = _batch(6, seed=11)
+    _, _, imgs, _, _ = _batch(6, seed=11)
     txts = _sentences([4, 1, 9, 4, 6, 1], seed=12)
     perm = np.random.default_rng(13).permutation(6)
     img = model.visual_forward(imgs, params, SMALL_MODEL).data
@@ -120,9 +187,9 @@ def test_permuting_a_batch_permutes_its_rows():
 def test_embed_dataset_last_chunk_of_one_matches_oracle():
     n = model._EMBED_CHUNK + 1
     params = model.init_params(SMALL_MODEL, SMALL_DIMS, seed=14)
-    bundles, texts, imgs, txts = _batch(n, seed=15)
+    bundles, texts, _, whole, txts = _batch(n, seed=15)
     table = model.embed_dataset(bundles, texts, params, SMALL_MODEL, SMALL_DIMS)
-    want_img = np.stack([oracle.visual_forward(i, params, SMALL_MODEL).data for i in imgs])
+    want_img = np.stack([oracle.visual_forward(i, params, SMALL_MODEL).data for i in whole])
     want_txt = np.stack([oracle.text_forward(t, params).data for t in txts])
     assert table.image_embs.shape == want_img.shape
     assert table.text_embs.shape == want_txt.shape
@@ -135,7 +202,7 @@ def test_embed_dataset_last_chunk_of_one_matches_oracle():
 
 def test_embed_dataset_rejects_empty_inputs():
     params = model.init_params(SMALL_MODEL, SMALL_DIMS, seed=16)
-    bundles, texts, _, _ = _batch(2, seed=17)
+    bundles, texts, _, _, _ = _batch(2, seed=17)
     none = featureio.TextFeatureSet([], np.zeros(0, dtype=np.int64))
     for imgs, txts in (([], texts), (bundles, none)):
         with pytest.raises(ConfigError, match="at least one image and one sentence"):

@@ -200,6 +200,51 @@ def test_single_mode_train_over_a_hybrid_checkpoint_drops_its_marker(ds, tmp_pat
                               str(tmp_path / "alone"))
 
 
+@pytest.mark.parametrize("first, second", [("hybrid", "region"), ("region", "hybrid")])
+def test_train_removes_the_other_layout_and_only_its_files(ds, tmp_path, capsys,
+                                                          first, second):
+    """A single-mode run removes the member checkpoints of an earlier hybrid
+    run in the same --out, and a hybrid run the earlier top-level
+    checkpoint: each one's checkpoint.json and the tensor files it lists,
+    and no other file."""
+    out = tmp_path / "ck"
+    run_json(capsys, "train", "--data", str(ds), "--out", str(out), "--mode", first,
+             "--epochs", "1", "--batch-size", "8")
+    stale = [out / "region", out / "grid"] if first == "hybrid" else [out]
+    for d in stale:
+        (d / "notes.txt").write_text("kept")
+    run_json(capsys, "train", "--data", str(ds), "--out", str(out), "--mode", second,
+             "--epochs", "1", "--batch-size", "8")
+    for d in stale:
+        assert sorted(f.name for f in d.iterdir() if f.is_file()) == (
+            ["hybrid.json", "notes.txt"] if d == out else ["notes.txt"])
+    report = run_json(capsys, "eval", "--data", str(ds), "--ckpt", str(out))
+    assert report["mode"] == ("hybrid" if second == "hybrid" else "region")
+
+
+@pytest.mark.parametrize("layout, match", [
+    ("per-group-gpo", "unknown keys: per_group_gpo"),
+    ("whole-fc", "tensor list does not match model config"),
+])
+def test_checkpoint_layouts_no_longer_written_exit_one(ds, ckpt, tmp_path, capsys,
+                                                        layout, match):
+    """Checkpoints that stored the removed per-group pooling switch, or the
+    semantic-spatial FC whole as embed.ss_fc_w, are refused."""
+    old = tmp_path / "old"
+    shutil.copytree(ckpt, old)
+    doc = json.loads((old / "checkpoint.json").read_text())
+    if layout == "per-group-gpo":
+        doc["model"]["per_group_gpo"] = False
+    else:
+        blocks = ["embed.ss_fc_w_sem", "embed.ss_fc_w_spa"]
+        featureio.write_tensor(old / "embed.ss_fc_w.3sht", np.concatenate(
+            [featureio.read_tensor(old / (n + ".3sht")) for n in blocks], axis=1))
+        doc["tensors"] = sorted(set(doc["tensors"]) - set(blocks) | {"embed.ss_fc_w"})
+    (old / "checkpoint.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--data", str(ds), "--ckpt", str(old))
+    assert code == 1 and out == "" and match in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def hybrid_ckpt(ds, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "hybrid"

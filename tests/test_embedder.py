@@ -151,10 +151,8 @@ def test_prepared_path_equals_raw_composition(data, params):
     regions = Tensor(b.region_feats[None])
     vs = vsem.vsem_forward(regions, Tensor(b.seg_feat.mean(axis=(0, 1))[None]),
                            params.vsem, SMALL_MODEL.salience_mode)
-    pos = vspm.build_position_tensor(b.seg_map, SMALL_MODEL.pos_dim, SMALL_DIMS.C_s)
-    patches = ag.conv_patches(pos, SMALL_MODEL.conv_kh, SMALL_MODEL.conv_kw,
-                              SMALL_MODEL.conv_stride)
-    vp = vspm.vspm_forward(regions, Tensor(patches[None]), params.vspm, SMALL_MODEL)
+    patches, grid = vspm.build_position_tensor(b.seg_map, SMALL_MODEL, SMALL_DIMS.C_s)
+    vp = vspm.vspm_forward(regions, Tensor(patches[None]), grid, params.vspm, SMALL_MODEL)
     slow = embedder.fuse_visual(regions, vs.enhanced, vp.spatial, vs.seg_embed,
                                 params.embed, params.vspm.combine_proj)
     assert np.array_equal(fast.data, slow.data)
@@ -337,62 +335,6 @@ def _edit_checkpoint(ck, section, **keys):
     (ck / "checkpoint.json").write_text(json.dumps(doc))
 
 
-def test_checkpoint_with_legacy_per_group_key_loads_bitwise(tmp_path, data, params):
-    """Checkpoints written while per-group pooling existed store the switch."""
-    bundles, texts, _ = data
-    ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
-    _edit_checkpoint(ck, "model", per_group_gpo=False)
-    loaded, cfg, dims, _ = model.load_checkpoint(ck)
-    assert cfg == SMALL_MODEL
-    t1 = model.embed_dataset(bundles, texts, params, SMALL_MODEL, SMALL_DIMS)
-    t2 = model.embed_dataset(bundles, texts, loaded, cfg, dims)
-    assert np.array_equal(t1.image_embs, t2.image_embs)
-    assert np.array_equal(t1.text_embs, t2.text_embs)
-
-    _edit_checkpoint(ck, "model", per_group_gpo=True)
-    with pytest.raises(FormatError, match="per_group_gpo"):
-        model.load_checkpoint(ck)
-
-
-def _store_whole_ss_fc(ck, params):
-    """Rewrite the checkpoint ``ck`` of ``params`` as written before the
-    spatial rows were reassociated: the FC blocks as one embed.ss_fc_w."""
-    blocks = [n for n in ("embed.ss_fc_w_sem", "embed.ss_fc_w_spa") if n in params.named()]
-    whole = np.concatenate([params.named()[n].data for n in blocks], axis=1)
-    featureio.write_tensor(ck / "embed.ss_fc_w.3sht", whole)
-    for n in blocks:
-        (ck / (n + ".3sht")).unlink()
-    doc = json.loads((ck / "checkpoint.json").read_text())
-    doc["tensors"] = sorted(set(doc["tensors"]) - set(blocks) | {"embed.ss_fc_w"})
-    (ck / "checkpoint.json").write_text(json.dumps(doc))
-    return blocks, whole
-
-
-@pytest.mark.parametrize("use_vsem, use_vspm", [(True, True), (True, False), (False, True)],
-                         ids=["both", "vsem-only", "vspm-only"])
-def test_checkpoint_with_whole_ss_fc_loads_to_same_embeddings(tmp_path, data,
-                                                              use_vsem, use_vspm):
-    """Checkpoints written before the spatial rows were reassociated hold
-    the semantic-spatial FC whole, as a (D, D * branches) embed.ss_fc_w;
-    they load into its branch blocks, to the same embeddings."""
-    bundles, texts, _ = data
-    cfg = replace(SMALL_MODEL, use_vsem=use_vsem, use_vspm=use_vspm)
-    params = model.init_params(cfg, SMALL_DIMS, seed=23)
-    ck = model.save_checkpoint(tmp_path / "ck", params, cfg, SMALL_DIMS)
-    blocks, whole = _store_whole_ss_fc(ck, params)
-
-    loaded, cfg2, dims, _ = model.load_checkpoint(ck)
-    assert cfg2 == cfg
-    t1 = model.embed_dataset(bundles, texts, params, cfg, SMALL_DIMS)
-    t2 = model.embed_dataset(bundles, texts, loaded, cfg2, dims)
-    assert t1.image_embs.tobytes() == t2.image_embs.tobytes()
-    assert all(loaded.named()[n].data.flags["C_CONTIGUOUS"] for n in blocks)
-
-    featureio.write_tensor(ck / "embed.ss_fc_w.3sht", whole[:, 1:])
-    with pytest.raises(FormatError, match="embed.ss_fc_w_s.. has shape"):
-        model.load_checkpoint(ck)
-
-
 @pytest.mark.parametrize("use_vsem, use_vspm, layout", [
     (True, True, "split"), (True, False, "split"), (False, True, "split"),
     (True, True, "whole"), (True, False, "whole"), (False, True, "whole"),
@@ -403,13 +345,20 @@ def test_checkpoint_loads_without_random_draws(tmp_path, monkeypatch, use_vsem, 
                                                layout):
     """Loading allocates each parameter once, from its file: no random
     initialisation is drawn, and every array is float64, C-ordered, its
-    own and shared with no other parameter."""
+    own and shared with no other parameter.  A checkpoint that holds the
+    semantic-spatial FC whole, as one (D, D * branches) embed.ss_fc_w (the
+    layout before its branch blocks were split), is refused."""
     cfg = replace(SMALL_MODEL, use_vsem=use_vsem, use_vspm=use_vspm)
     params = model.init_params(cfg, SMALL_DIMS, seed=31)
     ck = model.save_checkpoint(tmp_path / "ck", params, cfg, SMALL_DIMS)
     want = {n: t.data for n, t in params.named().items()}
     if layout == "whole":
-        _store_whole_ss_fc(ck, params)
+        blocks = [n for n in want if n.startswith("embed.ss_fc_w_")]
+        featureio.write_tensor(ck / "embed.ss_fc_w.3sht",
+                               np.concatenate([want[n] for n in blocks], axis=1))
+        doc = json.loads((ck / "checkpoint.json").read_text())
+        doc["tensors"] = sorted(set(doc["tensors"]) - set(blocks) | {"embed.ss_fc_w"})
+        (ck / "checkpoint.json").write_text(json.dumps(doc))
     elif layout == "one-f32":
         want["embed.text_fc_w"] = want["embed.text_fc_w"].astype(np.float32)
         featureio.write_tensor(ck / "embed.text_fc_w.3sht", want["embed.text_fc_w"])
@@ -420,6 +369,10 @@ def test_checkpoint_loads_without_random_draws(tmp_path, monkeypatch, use_vsem, 
     monkeypatch.setattr(ag, "uniform_param", no_draws)
     with pytest.raises(AssertionError, match="drew"):
         model.init_params(cfg, SMALL_DIMS, seed=31)
+    if layout == "whole":
+        with pytest.raises(FormatError, match="tensor list does not match model config"):
+            model.load_checkpoint(ck)
+        return
     loaded = model.load_checkpoint(ck)[0].named()
     assert list(loaded) == list(want)
     for name, t in loaded.items():
@@ -433,6 +386,9 @@ def test_checkpoint_loads_without_random_draws(tmp_path, monkeypatch, use_vsem, 
 
 @pytest.mark.parametrize("section, keys, match", [
     ("model", {"gpo_heads": 2}, "unknown keys: gpo_heads"),
+    # the pooling switch checkpoints stored while per-group pooling existed
+    ("model", {"per_group_gpo": False}, "unknown keys: per_group_gpo"),
+    ("model", {"per_group_gpo": True}, "unknown keys: per_group_gpo"),
     ("dims", {"Z": 3, "A": 1}, "unknown keys: A, Z"),
     ("dims", {"K": "six"}, "dims.K"),
     ("dims", {"K": "6"}, "dims.K must be int"),
@@ -443,7 +399,8 @@ def test_checkpoint_loads_without_random_draws(tmp_path, monkeypatch, use_vsem, 
     ("model", {"attn_smooth": "4"}, "model.attn_smooth must be float"),
     ("model", {"salience_mode": 3}, "model.salience_mode must be str"),
     ("model", {"use_vsem": 1}, "model.use_vsem must be bool"),
-], ids=["model-unknown-key", "dims-unknown-keys", "dims-not-integer",
+], ids=["model-unknown-key", "model-per-group-gpo-off", "model-per-group-gpo-on",
+        "dims-unknown-keys", "dims-not-integer",
         "dims-int-is-numeric-str", "dims-int-is-float", "dims-int-is-bool",
         "model-int-is-str", "model-int-is-bool", "model-float-is-str",
         "model-str-is-int", "model-bool-is-int"])

@@ -1,5 +1,6 @@
 """Spatial enhancement tests: positional codes, refinement, attention."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from sshnet import autograd as ag
 from sshnet import vspm
 from sshnet.autograd import Tensor
-from sshnet.config import SMALL_DIMS, SMALL_MODEL
+from sshnet.config import FULL_MODEL, SMALL_DIMS, SMALL_MODEL
 from sshnet.errors import DataValidationError
 from test_autograd import conv2d_oracle
 
@@ -70,32 +71,45 @@ def positional_encode_grid_oracle(h, w, d):
 
 
 def test_positional_grid_is_cached_read_only_and_unchanged():
-    grid = vspm.positional_encode_grid(64, 64, 32)
-    assert vspm.positional_encode_grid(64, 64, 32) is grid
+    """Every image of one geometry gets the same read-only patches of the
+    grid, equal to those of the grid computed per image; its category
+    patches are its own."""
+    assert np.array_equal(vspm.positional_encode_grid(64, 64, 32),
+                          positional_encode_grid_oracle(64, 64, 32))
+    rng = np.random.default_rng(3)
+    seg_a, seg_b = rng.integers(0, 133, size=(2, 64, 64)).astype(np.uint16)
+    patches, grid = vspm.build_position_tensor(seg_a, FULL_MODEL, 133)
+    assert vspm.build_position_tensor(seg_b, FULL_MODEL, 133)[1] is grid
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
-        grid[0, 0, 0] = 1.0
-    assert np.array_equal(grid, positional_encode_grid_oracle(64, 64, 32))
-    seg_map = np.random.default_rng(3).integers(0, 133, size=(64, 64)).astype(np.uint16)
-    pos = vspm.build_position_tensor(seg_map, 32, 133)
-    assert pos.flags.writeable
-    assert np.array_equal(pos[:, :, :32], positional_encode_grid_oracle(64, 64, 32))
-    assert np.array_equal(pos[:, :, 32], seg_map / 133.0)
+        grid[0, 0] = 1.0
+    stack = np.concatenate([positional_encode_grid_oracle(64, 64, 32), np.zeros((64, 64, 1))],
+                           axis=2)
+    assert np.array_equal(grid, ag.conv_patches(stack, 8, 8, 8))
+    assert patches.flags.writeable
+    assert np.array_equal(patches, ag.conv_patches(seg_a[:, :, None] / 133.0, 8, 8, 8))
 
 
 def test_build_position_tensor_layout():
-    rng = np.random.default_rng(2)
-    seg_map = rng.integers(0, 16, size=(6, 4)).astype(np.uint16)
-    out = vspm.build_position_tensor(seg_map, d=8, num_categories=16)
-    assert out.shape == (6, 4, 9)
-    np.testing.assert_array_equal(out[:, :, :8], vspm.positional_encode_grid(6, 4, 8))
-    np.testing.assert_allclose(out[:, :, 8], seg_map / 16.0)
+    """The category patches are the category column of the whole (H, W,
+    d + 1) stack's im2col patches, and the grid patches the rest, with
+    that column zero."""
+    cfg = replace(SMALL_MODEL, pos_dim=8, conv_kh=3, conv_kw=2, conv_stride=1)
+    seg_map = np.random.default_rng(2).integers(0, 16, size=(6, 4)).astype(np.uint16)
+    patches, grid = vspm.build_position_tensor(seg_map, cfg, num_categories=16)
+    stack = np.concatenate([vspm.positional_encode_grid(6, 4, 8),
+                            seg_map[:, :, None] / 16.0], axis=2)
+    whole = ag.conv_patches(stack, 3, 2, 1).reshape(4 * 3, 3 * 2, 9)
+    assert patches.shape == (4 * 3, 3 * 2) and grid.shape == (4 * 3, 3 * 2 * 9)
+    assert np.array_equal(patches, whole[:, :, 8])
+    whole[:, :, 8] = 0.0
+    assert np.array_equal(grid, whole.reshape(grid.shape))
 
 
 def test_build_position_tensor_rejects_bad_categories():
     seg_map = np.array([[0, 17]], dtype=np.uint16)
     with pytest.raises(DataValidationError):
-        vspm.build_position_tensor(seg_map, d=4, num_categories=16)
+        vspm.build_position_tensor(seg_map, replace(SMALL_MODEL, conv_kh=1, conv_kw=1), 16)
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +123,25 @@ def setup():
     regions = rng.normal(size=(SMALL_DIMS.K, SMALL_DIMS.D_l))
     seg_map = rng.integers(0, SMALL_DIMS.C_s,
                            size=(SMALL_DIMS.H_I, SMALL_DIMS.W_I)).astype(np.uint16)
-    pos = vspm.build_position_tensor(seg_map, SMALL_MODEL.pos_dim, SMALL_DIMS.C_s)
+    pos = np.concatenate([vspm.positional_encode_grid(*seg_map.shape, SMALL_MODEL.pos_dim),
+                          seg_map[:, :, None] / SMALL_DIMS.C_s], axis=2)
     return p, regions, pos
 
 
 def im2col(pos, cfg=SMALL_MODEL):
-    """The patches of a position stack as a batch of one, as prepare_image
+    """A position stack's category patches as a batch of one, and the
+    patches of the stack with its category channel zero, as prepare_image
     builds them."""
-    return Tensor(ag.conv_patches(pos, cfg.conv_kh, cfg.conv_kw, cfg.conv_stride)[None])
+    window = (cfg.conv_kh, cfg.conv_kw, cfg.conv_stride)
+    grid = pos.copy()
+    grid[:, :, -1] = 0.0
+    return (Tensor(ag.conv_patches(pos[:, :, -1:], *window)[None]),
+            ag.conv_patches(grid, *window))
 
 
 def forward(regions, pos, p, cfg=SMALL_MODEL):
     """The branch on one image, as a batch of one."""
-    return vspm.vspm_forward(Tensor(regions[None]), im2col(pos, cfg), p, cfg)
+    return vspm.vspm_forward(Tensor(regions[None]), *im2col(pos, cfg), p, cfg)
 
 
 def attend(regions, refined, p, smooth):
@@ -135,13 +155,13 @@ def attend(regions, refined, p, smooth):
 def test_refine_positions_shape_and_linearity(setup):
     p, _, pos = setup
     patches = im2col(pos)
-    refined = vspm.refine_from_patches(patches, p)
+    refined = vspm.refine_from_patches(*patches, p)
     assert refined.shape == (1, 16, SMALL_MODEL.pos_channels)
     # conv with zero kernel leaves only the bias
     zero = vspm.VspmParams(
         conv_kernel=Tensor(np.zeros_like(p.conv_kernel.data)),
         conv_bias=p.conv_bias, query_proj=p.query_proj, combine_proj=p.combine_proj)
-    out = vspm.refine_from_patches(patches, zero)
+    out = vspm.refine_from_patches(*patches, zero)
     np.testing.assert_array_equal(out.data,
                                   np.broadcast_to(p.conv_bias.data, out.shape))
 
@@ -156,7 +176,7 @@ def test_refine_from_patches_bitwise_equal(setup):
     bias = rng.integers(-3, 4, size=p.conv_bias.shape).astype(np.float64)
     q = vspm.VspmParams(conv_kernel=Tensor(kernel), conv_bias=Tensor(bias),
                         query_proj=p.query_proj, combine_proj=p.combine_proj)
-    got = vspm.refine_from_patches(im2col(pos_q), q).data[0]
+    got = vspm.refine_from_patches(*im2col(pos_q), q).data[0]
     want = conv2d_oracle(pos_q, kernel, SMALL_MODEL.conv_stride, bias)
     assert np.array_equal(got, want.reshape(got.shape))
 
@@ -171,7 +191,6 @@ def test_attention_rows_sum_to_one(setup):
 
 def test_attention_lambda_zero_exactly_uniform(setup):
     p, regions, pos = setup
-    from dataclasses import replace
     cfg = replace(SMALL_MODEL, attn_smooth=0.0)
     out = forward(regions, pos, p, cfg)
     m = out.betas.data.shape[2]
@@ -250,7 +269,7 @@ def test_gradients_match_finite_differences(setup):
     w = Tensor(np.random.default_rng(13).normal(size=(1, 4, SMALL_MODEL.embed_dim)))
 
     def loss():
-        out = vspm.vspm_forward(rt, patches, p, SMALL_MODEL)
+        out = vspm.vspm_forward(rt, *patches, p, SMALL_MODEL)
         return (ag.linear(out.spatial, p.combine_proj) * w).sum()
 
     report = ag.grad_check(loss, ag.named_tensors(p, "vspm"), eps=1e-5, tol=1e-4, sample=40)
