@@ -13,6 +13,8 @@ with one BLAS thread, and hashes what it leaves behind:
 - the loss curves (float hex) and ``eval`` JSON of a hybrid checkpoint,
   and the ``ensemble-eval`` JSON of its ``region`` and ``grid`` members;
 - the ``eval`` JSON of an untrained model, ``--seed 3``;
+- the file list of one ``--out`` after ``train --epochs 1`` and again
+  after ``train --epochs 1 --no-vsem`` into it (``swap/files/...``);
 - a sampled ``gradcheck`` JSON with ``elapsed_s`` removed;
 - the full gradient-fidelity report (float hex);
 - ``rank_rows`` and ``ensemble_ranks`` of a seeded tie-heavy pair of
@@ -133,6 +135,12 @@ def digest(values) -> None:
                                               "--ckpt-a", hybrid / "region",
                                               "--ckpt-b", hybrid / "grid"))
         emit_json("eval/untrained", run("eval", "--data", data, "--seed", 3))
+
+        swap = tmp / "swap"
+        for name, flags in (("train", ()), ("train-no-vsem", ("--no-vsem",))):
+            run("train", "--data", data, "--out", swap, "--epochs", 1, "--batch-size", 8,
+                *flags)
+            emit("swap/files/" + name, "\n".join(sorted(f.name for f in swap.iterdir())))
 
     doc = run("gradcheck", "--seed", 5, "--batch", 3, "--sample", 4)
     del doc["elapsed_s"]

@@ -74,7 +74,7 @@ class Tensor:
         t = self
 
         def vjp(g):
-            return (np.full(t.data.shape, float(g)),) if t.requires_grad else (None,)
+            return (np.full(t.data.shape, float(g)),)
 
         return _make(t.data.sum(), (t,), vjp)
 
@@ -148,6 +148,9 @@ def named_tensors(params, prefix: str) -> dict[str, Tensor]:
 
 
 def _make(data, parents: tuple, vjp) -> Tensor:
+    """A tensor of ``data`` that records ``parents`` and ``vjp`` only while
+    gradients are enabled and some parent requires them, so a one-parent
+    VJP only runs for a parent that requires gradients."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -186,46 +189,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _elementwise(data, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
+    """Node of a broadcasting binary op: ``grad_a(g)`` and ``grad_b(g)``
+    are each operand's gradient before ``_unbroadcast`` sums it down to
+    the operand's shape; an operand that needs no gradient gets None."""
     def vjp(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
+        return (_unbroadcast(grad_a(g), a.data.shape) if a.requires_grad else None,
+                _unbroadcast(grad_b(g), b.data.shape) if b.requires_grad else None)
 
-    return _make(a.data + b.data, (a, b), vjp)
+    return _make(data, (a, b), vjp)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _elementwise(a.data + b.data, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _make(a.data - b.data, (a, b), vjp)
+    return _elementwise(a.data - b.data, a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _make(a.data * b.data, (a, b), vjp)
+    return _elementwise(a.data * b.data, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-            if b.requires_grad
-            else None,
-        )
-
-    return _make(a.data / b.data, (a, b), vjp)
+    return _elementwise(a.data / b.data, a, b, lambda g: g / b.data,
+                        lambda g: -g * a.data / (b.data * b.data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -279,7 +268,7 @@ def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
 
     def vjp(g):
-        return ((g * (1.0 - out_data * out_data)) if x.requires_grad else None,)
+        return (g * (1.0 - out_data * out_data),)
 
     return _make(out_data, (x,), vjp)
 
@@ -291,7 +280,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data = np.where(xd >= 0, 1.0, e) / (1.0 + e)
 
     def vjp(g):
-        return ((g * out_data * (1.0 - out_data)) if x.requires_grad else None,)
+        return (g * out_data * (1.0 - out_data),)
 
     return _make(out_data, (x,), vjp)
 
@@ -300,7 +289,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def vjp(g):
-        return ((g * mask) if x.requires_grad else None,)
+        return (g * mask,)
 
     return _make(np.where(mask, x.data, 0.0), (x,), vjp)
 
@@ -310,7 +299,7 @@ def relu(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     def vjp(g):
-        return (g.reshape(x.data.shape) if x.requires_grad else None,)
+        return (g.reshape(x.data.shape),)
 
     return _make(x.data.reshape(shape), (x,), vjp)
 
@@ -341,8 +330,6 @@ def take_rows(x: Tensor, idx) -> Tensor:
         raise ShapeError("take_rows expects a 1-D index array")
 
     def vjp(g):
-        if not x.requires_grad:
-            return (None,)
         gx = np.zeros(x.data.shape)
         np.add.at(gx, idx, g)
         return (gx,)
@@ -360,8 +347,6 @@ def diag(x: Tensor) -> Tensor:
         raise ShapeError("diag expects a square matrix, got %r" % (x.data.shape,))
 
     def vjp(g):
-        if not x.requires_grad:
-            return (None,)
         gx = np.zeros_like(x.data)
         np.fill_diagonal(gx, g)
         return (gx,)
@@ -390,8 +375,6 @@ def offdiag_max(x: Tensor, axis: int) -> Tensor:
         raise ShapeError("axis must be 0 or 1")
 
     def vjp(g):
-        if not x.requires_grad:
-            return (None,)
         gx = np.zeros_like(x.data)
         gx[pos] = g
         return (gx,)
@@ -480,8 +463,6 @@ def smoothed_softmax(c: Tensor, lam: float) -> Tensor:
     out_data = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        if not c.requires_grad:
-            return (None,)
         inner = (g * out_data).sum(axis=-1, keepdims=True)
         return (lam * out_data * (g - inner),)
 
@@ -497,8 +478,6 @@ def l2_normalize(x: Tensor) -> Tensor:
     out_data = xd / norm
 
     def vjp(g):
-        if not x.requires_grad:
-            return (None,)
         return ((g - _row_dots(g, out_data)[:, None] * out_data) / norm,)
 
     return _make(out_data, (x,), vjp)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,10 +79,7 @@ def _model_overrides(args) -> dict:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(margin=args.margin, lr=args.lr,
-                       weight_decay=args.weight_decay,
-                       batch_size=args.batch_size, epochs=args.epochs,
-                       seed=args.seed)
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _load(data_dir):
@@ -236,11 +233,12 @@ def cmd_bench(args) -> int:
     if args.mode in ("recompute", "both"):
         pool = featureio.random_bundles(dims, args.pool or 32, args.seed + 1)
         prepared = [model.prepare_image(b, dims, model_cfg) for b in pool]
-        setup = retrieval.RecomputeSetup(
-            model.init_params(model_cfg, dims, args.seed), model_cfg, prepared)
+        params = model.init_params(model_cfg, dims, args.seed)
         results["recompute"] = retrieval.bench_kpps(
             table, queries[:args.recompute_queries or 100], "recompute",
-            recompute=setup, top_k=args.top_k, trials=args.trials)
+            recompute=lambda qi: model.visual_forward(
+                [prepared[qi % len(prepared)]], params, model_cfg).data[0],
+            top_k=args.top_k, trials=args.trials)
     doc.update({k: v.to_dict() for k, v in results.items()})
     if len(results) == 2:
         doc["speedup"] = (results["precomputed"].kpps
@@ -300,11 +298,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--mode", choices=["region", "grid", "hybrid"],
                     default="region")
-    sp.add_argument("--epochs", type=int, default=25)
-    sp.add_argument("--batch-size", type=int, default=256)
-    sp.add_argument("--lr", type=float, default=5e-4)
-    sp.add_argument("--margin", type=float, default=0.2)
-    sp.add_argument("--weight-decay", type=float, default=1e-4)
+    for f in fields(TrainConfig):   # --margin ... --epochs; --seed comes from add()
+        if f.name != "seed":
+            sp.add_argument("--" + f.name.replace("_", "-"),
+                            type={"int": int, "float": float}[f.type], default=f.default)
     _add_model_flags(sp)
 
     sp = add("eval", cmd_eval, "evaluate retrieval recall", seed=None)

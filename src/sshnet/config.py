@@ -18,13 +18,14 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (boo
 
 def _from_dict(cls, d, what: str):
     """``cls(**d)``, after rejecting a non-object, any key that is not a
-    field of ``cls`` and any value whose JSON type does not fit its field."""
+    field of ``cls``, any field without a key, and any value whose JSON
+    type does not fit its field."""
     if not isinstance(d, dict):
         raise FormatError("%s must be a JSON object, got %r" % (what, type(d).__name__))
     types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(d) - set(types))
-    if unknown:
-        raise FormatError("%s has unknown keys: %s" % (what, ", ".join(unknown)))
+    for kind, keys in (("unknown", set(d) - set(types)), ("missing", set(types) - set(d))):
+        if keys:
+            raise FormatError("%s has %s keys: %s" % (what, kind, ", ".join(sorted(keys))))
     for key, v in d.items():
         if (not isinstance(v, _JSON_TYPES[types[key]])
                 or (isinstance(v, bool) and types[key] != "bool")):

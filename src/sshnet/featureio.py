@@ -332,36 +332,25 @@ def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
     manifest_path.unlink(missing_ok=True)
 
     maps = planted_maps(dims, seed)
+    planted = dict(zip(IMAGE_SHAPES, (maps.region, maps.grid, maps.seg)))
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    # blockwise category layout: each pixel inherits the dominant channel
+    # of the segmentation cell it falls in
+    cells = np.ix_(np.arange(dims.H_I) * dims.seg_h // dims.H_I,
+                   np.arange(dims.W_I) * dims.seg_w // dims.W_I)
 
     image_recs, sentence_recs = [], []
     for i in range(n_images):
         iid = "img_%05d" % i
         z = rng.standard_normal(LATENT_DIM)
-
-        regions = maps.region @ z + noise * rng.standard_normal((dims.K, dims.D_l))
-        grid = (maps.grid @ z + noise * rng.standard_normal(
-            (dims.grid_h * dims.grid_w, dims.D_l))).reshape(
-                dims.grid_h, dims.grid_w, dims.D_l)
-        seg_feat = (maps.seg @ z + noise * rng.standard_normal(
-            (dims.seg_h * dims.seg_w, dims.C_s))).reshape(
-                dims.seg_h, dims.seg_w, dims.C_s)
-        # blockwise category layout: each pixel inherits the dominant
-        # channel of the segmentation cell it falls in
-        cell_r = np.arange(dims.H_I) * dims.seg_h // dims.H_I
-        cell_c = np.arange(dims.W_I) * dims.seg_w // dims.W_I
-        dominant = seg_feat.argmax(axis=2)
-        seg_map = dominant[np.ix_(cell_r, cell_c)].astype(np.uint16)
-
-        rec = {"id": iid,
-               "region_feats": iid + ".regions.3sht",
-               "grid_feats": iid + ".grid.3sht",
-               "seg_feat": iid + ".segfeat.3sht",
-               "seg_map": iid + ".segmap.3sht"}
-        write_tensor(out_dir / rec["region_feats"], regions.astype(np.float32))
-        write_tensor(out_dir / rec["grid_feats"], grid.astype(np.float32))
-        write_tensor(out_dir / rec["seg_feat"], seg_feat.astype(np.float32))
-        write_tensor(out_dir / rec["seg_map"], seg_map)
+        arrs = {key: (m @ z + noise * rng.standard_normal(m.shape[:2])).reshape(
+            IMAGE_SHAPES[key](dims)) for key, m in planted.items()}
+        arrs["seg_map"] = arrs["seg_feat"].argmax(axis=2)[cells]
+        rec = {"id": iid}
+        for key, suffix in zip(IMAGE_SHAPES, ("regions", "grid", "segfeat", "segmap")):
+            rec[key] = "%s.%s.3sht" % (iid, suffix)
+            write_tensor(out_dir / rec[key],
+                         arrs[key].astype(np.uint16 if key == "seg_map" else np.float32))
         image_recs.append(rec)
 
         for c in range(captions_per_image):

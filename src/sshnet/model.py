@@ -173,12 +173,16 @@ def save_checkpoint(out_dir, params: ModelParams, cfg: ModelConfig,
     Every file is written to a temp file and renamed into place, and
     ``checkpoint.json`` is removed first and written last, so an
     interrupted save leaves no ``checkpoint.json`` describing tensors it
-    did not finish.
+    did not finish.  An older checkpoint there goes first with the tensor
+    files it lists (``remove_checkpoint``); an unreadable one, alone.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc_path = out_dir / "checkpoint.json"
-    doc_path.unlink(missing_ok=True)
+    try:
+        remove_checkpoint(out_dir)
+    except FormatError:
+        doc_path.unlink()
     named = params.named()
     for name, t in named.items():
         write_atomic(out_dir / (name + ".3sht"), write_tensor, t.data)

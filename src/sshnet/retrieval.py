@@ -8,10 +8,10 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import model as model_mod
 from .autograd import no_grad
 from .errors import BenchmarkWarning, ConfigError, ShapeError
 
@@ -254,15 +254,6 @@ def ensemble_eval(sim_a, sim_b, image_index, mode: str = "hybrid",
 
 
 @dataclass
-class RecomputeSetup:
-    """Everything needed to rebuild image embeddings at query time."""
-
-    params: object
-    model_cfg: object
-    prepared: list
-
-
-@dataclass
 class BenchResult:
     mode: str
     n_queries: int
@@ -286,7 +277,7 @@ def _top_k(table: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
 
 
 def bench_kpps(table, queries, mode: str = "precomputed", *,
-               recompute: RecomputeSetup | None = None, top_k: int = 10,
+               recompute: Callable[[int], np.ndarray] | None = None, top_k: int = 10,
                trials: int = 5, warmup: int = 3,
                timer=time.perf_counter) -> BenchResult:
     """Measure retrieval throughput in thousands of queries per second.
@@ -295,10 +286,11 @@ def bench_kpps(table, queries, mode: str = "precomputed", *,
     with one GEMM per block of ``_CHUNK_ROWS`` queries and returns each
     query's top k unordered (``argpartition``).  A one-row block goes to
     GEMV, which need not be bitwise equal to that row of a larger GEMM.
-    ``recompute`` answers one query at a time and re-runs a full visual
-    forward per query, modelling a pipeline that cannot cache candidate
-    embeddings.  Reports the median of ``trials`` timed runs after
-    ``warmup`` untimed queries.
+    ``recompute`` answers one query at a time, scoring one candidate by
+    ``recompute(qi)``: query ``qi``'s candidate embedding rebuilt under
+    ``no_grad`` (a full visual forward, say), modelling a pipeline that
+    cannot cache candidate embeddings.  Reports the median of ``trials``
+    timed runs after ``warmup`` untimed queries.
     """
     table = np.asarray(table, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -321,18 +313,14 @@ def bench_kpps(table, queries, mode: str = "precomputed", *,
         def answer(count):
             _top_k(table, queries[:count], k)
     elif mode == "recompute":
-        if recompute is None or not recompute.prepared:
-            raise ConfigError("recompute mode needs a RecomputeSetup with "
-                              "prepared images")
-        prepared = recompute.prepared
-        params, cfg = recompute.params, recompute.model_cfg
+        if recompute is None:
+            raise ConfigError("recompute mode needs a function giving each query's "
+                              "candidate embedding")
 
         def answer(count):
             for qi in range(count):
-                emb = model_mod.visual_forward(
-                    [prepared[qi % len(prepared)]], params, cfg).data[0]
                 scores = table @ queries[qi]
-                scores[qi % table.shape[0]] = emb @ queries[qi]
+                scores[qi % table.shape[0]] = recompute(qi) @ queries[qi]
                 np.argpartition(-scores, k - 1)[:k]
     else:
         raise ConfigError("mode must be 'precomputed' or 'recompute', got %r"

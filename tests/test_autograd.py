@@ -574,6 +574,52 @@ def test_no_grad_blocks_graph():
     assert y._vjp is None and not y.requires_grad
 
 
+# Every one-parent op; none of their VJPs checks requires_grad itself.
+ONE_PARENT_OPS = {
+    "Tensor.sum": lambda x: x.sum(),
+    "tanh": ag.tanh,
+    "sigmoid": ag.sigmoid,
+    "relu": ag.relu,
+    "reshape": lambda x: ag.reshape(x, (9,)),
+    "take_rows": lambda x: ag.take_rows(x, [2, 0, 2]),
+    "diag": ag.diag,
+    "offdiag_max": lambda x: ag.offdiag_max(x, axis=1),
+    "smoothed_softmax": lambda x: ag.smoothed_softmax(x, 2.0),
+    "l2_normalize": ag.l2_normalize,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PARENT_OPS))
+def test_one_parent_op_records_a_vjp_only_for_a_parent_needing_gradients(name):
+    """``_make`` records a VJP only while gradients are on and the parent
+    requires them, so a one-parent VJP never runs for a constant."""
+    op = ONE_PARENT_OPS[name]
+    data = np.random.default_rng(3).normal(size=(3, 3))
+    x = Tensor(data, requires_grad=True)
+    with ag.no_grad():
+        recorded = [op(Tensor(data)), op(x)]
+    recorded.append(op(Tensor(data)))
+    for out in recorded:
+        assert out._vjp is None and out._parents == () and not out.requires_grad
+    live = op(x)
+    assert live._vjp is not None and live._parents == (x,) and live.requires_grad
+    assert live._vjp(np.ones(live.shape))[0].shape == x.shape
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+def test_binary_op_gives_none_to_an_operand_needing_no_gradient(name):
+    """The elementwise node builder: each operand that requires gradients
+    gets one summed down to its own (broadcast) shape, any other None."""
+    rng = np.random.default_rng(4)
+    for a_grad, b_grad in ((True, False), (False, True), (True, True)):
+        a = Tensor(rng.uniform(1.0, 2.0, size=(2, 3)), requires_grad=a_grad)
+        b = Tensor(rng.uniform(1.0, 2.0, size=(1, 3)), requires_grad=b_grad)
+        ga, gb = getattr(ag, name)(a, b)._vjp(np.ones((2, 3)))
+        assert (ga is None) == (not a_grad) and (gb is None) == (not b_grad)
+        assert a_grad is False or ga.shape == (2, 3)
+        assert b_grad is False or gb.shape == (1, 3)
+
+
 def test_backward_requires_scalar():
     with pytest.raises(ShapeError):
         Tensor(np.ones(3), requires_grad=True).backward()

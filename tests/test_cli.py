@@ -222,6 +222,22 @@ def test_train_removes_the_other_layout_and_only_its_files(ds, tmp_path, capsys,
     assert report["mode"] == ("hybrid" if second == "hybrid" else "region")
 
 
+def test_train_over_another_branch_set_leaves_only_its_own_tensors(ds, tmp_path, capsys):
+    """A run into the --out of a run with more branches deletes the tensor
+    files the older checkpoint.json lists, and no other file."""
+    out = tmp_path / "ck"
+    run_json(capsys, "train", "--data", str(ds), "--out", str(out), "--epochs", "1",
+             "--batch-size", "8")
+    assert (out / "embed.ss_fc_w_sem.3sht").exists()
+    (out / "notes.txt").write_text("kept")
+    run_json(capsys, "train", "--data", str(ds), "--out", str(out), "--epochs", "1",
+             "--batch-size", "8", "--no-vsem")
+    listed = json.loads((out / "checkpoint.json").read_text())["tensors"]
+    assert sorted(f.name for f in out.iterdir()) == sorted(
+        ["checkpoint.json", "notes.txt"] + [name + ".3sht" for name in listed])
+    assert "embed.ss_fc_w_sem" not in listed
+
+
 @pytest.mark.parametrize("layout, match", [
     ("per-group-gpo", "unknown keys: per_group_gpo"),
     ("whole-fc", "tensor list does not match model config"),

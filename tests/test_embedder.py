@@ -435,8 +435,14 @@ def test_checkpoint_rejects_unreadable_document(tmp_path, params, text, match):
     ({"meta": [1]}, "meta must be a JSON object"),
     ({"format_version": None}, "missing key 'format_version'"),
     ({"format_version": 2}, "format_version 2 unsupported"),
+    ({"model": {k: v for k, v in SMALL_MODEL.to_dict().items()
+                if k not in ("attn_smooth", "salience_mode")}},
+     "model has missing keys: attn_smooth, salience_mode"),
+    ({"dims": {k: v for k, v in SMALL_DIMS.to_dict().items() if k != "word_dim"}},
+     "dims has missing keys: word_dim"),
 ], ids=["no-model", "no-dims", "no-tensors", "tensors-str", "tensors-dict",
-        "tensors-mixed", "meta-list", "no-format-version", "format-version-2"])
+        "tensors-mixed", "meta-list", "no-format-version", "format-version-2",
+        "model-missing-keys", "dims-missing-key"])
 def test_checkpoint_rejects_malformed_sections(tmp_path, params, edit, match):
     ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)
     doc = json.loads((ck / "checkpoint.json").read_text())
@@ -448,6 +454,14 @@ def test_checkpoint_rejects_malformed_sections(tmp_path, params, edit, match):
     (ck / "checkpoint.json").write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=match):
         model.load_checkpoint(ck)
+
+
+def test_save_over_an_unreadable_checkpoint_replaces_it(tmp_path, params):
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    (ck / "checkpoint.json").write_bytes(b"{bad")
+    model.save_checkpoint(ck, params, SMALL_MODEL, SMALL_DIMS)
+    assert list(model.load_checkpoint(ck)[0].named()) == list(params.named())
 
 
 VSEM_VSPM_NAMES = [

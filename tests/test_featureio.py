@@ -486,7 +486,10 @@ def test_load_rejects_tensor_file_names_that_are_not_strings(tmp_path, section, 
     ("format_version", 2, "format_version 2 unsupported"),
     ("format_version", "1", "format_version '1' unsupported"),
     ("dataset", None, "missing key 'dataset'"),
-], ids=["no-format-version", "format-version-2", "format-version-str", "no-dataset"])
+    ("dims", {k: v for k, v in SMALL_DIMS.to_dict().items() if k != "word_dim"},
+     "dims has missing keys: word_dim"),
+], ids=["no-format-version", "format-version-2", "format-version-str", "no-dataset",
+        "dims-missing-key"])
 def test_manifest_rejects_missing_key_or_unsupported_version(tmp_path, key, value, match):
     fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
     doc = json.loads((tmp_path / "manifest.json").read_text())

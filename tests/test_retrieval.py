@@ -1,4 +1,9 @@
 """Retrieval metrics against brute-force oracles, plus benchmark plumbing."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -613,8 +618,8 @@ def test_bench_precomputed_beats_recompute_at_desk_scale():
     queries = rng.normal(size=(120, SMALL_MODEL.embed_dim))
     pre = rt.bench_kpps(table, queries, "precomputed", trials=2, warmup=1)
     rec = rt.bench_kpps(table, queries, "recompute", trials=2, warmup=1,
-                        recompute=rt.RecomputeSetup(params, SMALL_MODEL,
-                                                    prepared))
+                        recompute=lambda qi: model.visual_forward(
+                            [prepared[qi % len(prepared)]], params, SMALL_MODEL).data[0])
     assert pre.kpps > rec.kpps
 
 
@@ -630,3 +635,14 @@ def _random_bundles(dims, n, seed):
             seg_map=rng.integers(0, dims.C_s, size=(dims.H_I, dims.W_I)),
         ))
     return out
+
+
+def test_importing_retrieval_leaves_the_model_unloaded():
+    """Ranking needs two embedding tables, never the model that made them."""
+    src = str(Path(rt.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys, sshnet.retrieval; "
+                               "print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    loaded = json.loads(out.stdout)
+    assert "sshnet.retrieval" in loaded and "sshnet.model" not in loaded
