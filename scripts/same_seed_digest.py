@@ -15,6 +15,9 @@ with one BLAS thread, and hashes what it leaves behind:
 - the ``eval`` JSON of an untrained model, ``--seed 3``;
 - the file list of one ``--out`` after ``train --epochs 1`` and again
   after ``train --epochs 1 --no-vsem`` into it (``swap/files/...``);
+- the region- and grid-mode image and caption embeddings of a
+  ``synth --dims full --images 4 --captions 2 --seed 7`` set under
+  ``init_params(FULL_MODEL, FULL_DIMS, seed=0)`` (``full/embed/...``);
 - a sampled ``gradcheck`` JSON with ``elapsed_s`` removed;
 - the full gradient-fidelity report (float hex);
 - ``rank_rows`` and ``ensemble_ranks`` of a seeded tie-heavy pair of
@@ -61,7 +64,7 @@ import numpy as np  # noqa: E402
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from sshnet import featureio, model, retrieval  # noqa: E402
+from sshnet import config, featureio, model, retrieval  # noqa: E402
 from sshnet.cli import main as cli_main  # noqa: E402
 
 
@@ -141,6 +144,17 @@ def digest(values) -> None:
             run("train", "--data", data, "--out", swap, "--epochs", 1, "--batch-size", 8,
                 *flags)
             emit("swap/files/" + name, "\n".join(sorted(f.name for f in swap.iterdir())))
+
+        full = tmp / "full"
+        run("synth", "--out", full, "--dims", "full", "--images", 4, "--captions", 2,
+            "--seed", 7)
+        bundles, texts, _ = featureio.load_dataset(full / "manifest.json")
+        dims, cfg = config.preset("full")
+        params = model.init_params(cfg, dims, seed=0)
+        for mode in ("region", "grid"):
+            table = model.embed_dataset(bundles, texts, params, cfg, dims, mode)
+            emit("full/embed/%s/images" % mode, table.image_embs.tobytes())
+            emit("full/embed/%s/texts" % mode, table.text_embs.tobytes())
 
     doc = run("gradcheck", "--seed", 5, "--batch", 3, "--sample", 4)
     del doc["elapsed_s"]

@@ -150,7 +150,7 @@ def embed_text(word_feats: Sequence[np.ndarray], p: EmbedParams) -> Tensor:
     """
     lengths = np.array([w.shape[0] for w in word_feats])
     order = np.argsort(lengths, kind="stable")
-    words = Tensor(np.concatenate([word_feats[i] for i in order]))
+    words = Tensor(np.concatenate([word_feats[i] for i in order], dtype=np.float64))
     h = ag.linear(words, p.text_fc_w) + p.text_fc_b
     sizes, counts = np.unique(lengths, return_counts=True)
     pooled, lo = [], 0

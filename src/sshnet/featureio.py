@@ -112,19 +112,19 @@ def read_tensor(path) -> np.ndarray:
 
 @dataclass
 class FeatureBundle:
-    """Pre-extracted visual features for one image."""
+    """Pre-extracted visual features for one image, as stored."""
 
-    region_feats: np.ndarray   # (K, D_l) float64
-    grid_feats: np.ndarray     # (grid_h, grid_w, D_l) float64
-    seg_feat: np.ndarray       # (seg_h, seg_w, C_s) float64
+    region_feats: np.ndarray   # (K, D_l) float
+    grid_feats: np.ndarray     # (grid_h, grid_w, D_l) float
+    seg_feat: np.ndarray       # (seg_h, seg_w, C_s) float
     seg_map: np.ndarray        # (H_I, W_I) integer categories in [0, C_s)
 
 
 @dataclass
 class TextFeatureSet:
-    """Per-sentence word features and their image assignment."""
+    """Per-sentence word features, as stored, and their image assignment."""
 
-    word_feats: list            # element i: (N_i, word_dim) float64
+    word_feats: list            # element i: (N_i, word_dim) float
     image_index: np.ndarray     # (num_sentences,) int
 
 
@@ -197,7 +197,8 @@ SENTENCE_KEYS = ("id", "image_index", "word_feats")
 
 
 def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Manifest]:
-    """Load and validate every tensor referenced by a manifest.
+    """Load and validate every tensor referenced by a manifest, each in its
+    stored dtype: float64 starts at ``Tensor`` and at the pooled mean.
 
     Raises FormatError naming the record when it lacks one of
     ``IMAGE_KEYS`` / ``SENTENCE_KEYS`` (naming the key), names a tensor
@@ -211,16 +212,15 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
     dims = manifest.dims
     dims.validate()
 
-    def _load(rel, item_id, as_float=True):
-        """The tensor file ``rel``, as float64 unless ``as_float`` is false."""
+    def _load(rel, item_id):
+        """The tensor file ``rel``, as stored."""
         if not isinstance(rel, str) or "\0" in rel:
             raise FormatError("%s: tensor file name must be a string, got %r"
                               % (item_id, rel))
         p = root / rel
         if not p.exists():
             raise DataValidationError("%s: missing tensor file %s" % (item_id, rel))
-        arr = read_tensor(p)
-        return arr.astype(np.float64) if as_float else arr
+        return read_tensor(p)
 
     def _require_keys(rec, kind, pos, keys):
         if not isinstance(rec, dict):
@@ -234,7 +234,7 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
     for pos, rec in enumerate(manifest.images):
         _require_keys(rec, "image", pos, IMAGE_KEYS)
         iid = rec["id"]
-        arrs = {key: _load(rec[key], iid, key != "seg_map") for key in IMAGE_SHAPES}
+        arrs = {key: _load(rec[key], iid) for key in IMAGE_SHAPES}
         for key, shape_of in IMAGE_SHAPES.items():
             if arrs[key].shape != (shape := shape_of(dims)):
                 raise DataValidationError("%s: %s shape %r, expected %r"

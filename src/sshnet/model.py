@@ -61,7 +61,7 @@ def _params(cfg: ModelConfig, dims: DimConfig, rng) -> ModelParams:
 
 @dataclass
 class PreparedImage:
-    regions: np.ndarray       # (K, D_l) constant
+    regions: np.ndarray       # (K, D_l) constant, as stored
     pooled_seg: np.ndarray    # (C_s,) constant
     pos_patches: np.ndarray   # (P, kh * kw) im2col rows of the category channel
     grid_patches: np.ndarray  # (P, kh * kw * (pos_dim + 1)) read-only, shared per geometry
@@ -76,7 +76,7 @@ def prepare_image(bundle: FeatureBundle, dims: DimConfig, cfg: ModelConfig,
     else:
         raise ConfigError("prepare_image mode must be 'region' or 'grid', got %r"
                           % (mode,))
-    return PreparedImage(regions, bundle.seg_feat.mean(axis=(0, 1)),
+    return PreparedImage(regions, bundle.seg_feat.mean(axis=(0, 1), dtype=np.float64),
                          *vspm.build_position_tensor(bundle.seg_map, cfg, dims.C_s))
 
 
@@ -96,7 +96,7 @@ def visual_forward(imgs: Sequence[PreparedImage], params: ModelParams,
     few ULPs (BLAS kernels depend on the row count), within 1e-12; the
     same batch always gives the same bytes.
     """
-    regions = Tensor(np.stack([img.regions for img in imgs]))
+    regions = Tensor(np.stack([img.regions for img in imgs], dtype=np.float64))
     pooled = Tensor(np.stack([img.pooled_seg for img in imgs]))
     semantic = spatial = None
     if cfg.use_vsem:

@@ -673,8 +673,8 @@ def test_grad_check_sampling_is_deterministic():
     def loss():
         return (ag.tanh(w) * Tensor(np.ones((6, 6)))).sum()
 
-    r1 = ag.grad_check(loss, {"w": w}, sample=10, sample_seed=3)
-    r2 = ag.grad_check(loss, {"w": w}, sample=10, sample_seed=3)
+    r1 = ag.grad_check(loss, {"w": w}, sample=10)
+    r2 = ag.grad_check(loss, {"w": w}, sample=10)
     assert r1 == r2 and r1.passed
 
 
@@ -705,9 +705,8 @@ def test_grad_check_fd_loss_replaces_only_the_differences():
         calls.append(name)
         return loss
 
-    plain = ag.grad_check(loss, {"a": a, "b": b}, sample=3, sample_seed=9)
-    split = ag.grad_check(loss, {"a": a, "b": b}, sample=3, sample_seed=9,
-                          fd_loss=fd_loss)
+    plain = ag.grad_check(loss, {"a": a, "b": b}, sample=3)
+    split = ag.grad_check(loss, {"a": a, "b": b}, sample=3, fd_loss=fd_loss)
     assert split == plain and plain.passed
     assert calls == ["a", "b"]
     # a difference loss that ignores b gives b a zero numeric gradient

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sshnet import autograd as ag
-from sshnet import embedder, featureio, model, vsem, vspm
+from sshnet import embedder, featureio, model, objective, vsem, vspm
 from sshnet.autograd import Tensor
-from sshnet.config import SMALL_DIMS, SMALL_MODEL
+from sshnet.config import SMALL_DIMS, SMALL_MODEL, preset
 from sshnet.errors import ConfigError, FormatError
 
 
@@ -149,13 +149,56 @@ def test_prepared_path_equals_raw_composition(data, params):
     fast = model.visual_forward([pi], params, SMALL_MODEL)
 
     regions = Tensor(b.region_feats[None])
-    vs = vsem.vsem_forward(regions, Tensor(b.seg_feat.mean(axis=(0, 1))[None]),
-                           params.vsem, SMALL_MODEL.salience_mode)
+    pooled = Tensor(b.seg_feat.mean(axis=(0, 1), dtype=np.float64)[None])
+    vs = vsem.vsem_forward(regions, pooled, params.vsem, SMALL_MODEL.salience_mode)
     patches, grid = vspm.build_position_tensor(b.seg_map, SMALL_MODEL, SMALL_DIMS.C_s)
     vp = vspm.vspm_forward(regions, Tensor(patches[None]), grid, params.vspm, SMALL_MODEL)
     slow = embedder.fuse_visual(regions, vs.enhanced, vp.spatial, vs.seg_embed,
                                 params.embed, params.vspm.combine_proj)
     assert np.array_equal(fast.data, slow.data)
+
+
+def _widened(bundles, texts):
+    """Copies of loaded bundles and sentences with every float array
+    converted to float64 up front."""
+    def wide(a):
+        return a.astype(np.float64) if a.dtype.kind == "f" else a
+
+    return ([featureio.FeatureBundle(**{k: wide(getattr(b, k)) for k in featureio.IMAGE_SHAPES})
+             for b in bundles],
+            featureio.TextFeatureSet([wide(w) for w in texts.word_feats], texts.image_index))
+
+
+STORED_DTYPES = {"region_feats": np.float32, "grid_feats": np.float32,
+                 "seg_feat": np.float32, "seg_map": np.uint16}
+
+
+@pytest.mark.parametrize("name, n_images", [("small", 6), ("full", 4)])
+def test_loaded_arrays_stay_as_stored_and_embed_as_float64(tmp_path, name, n_images):
+    """load_dataset hands back synth's float32 / uint16 arrays untouched,
+    and embedding them gives the bytes of embedding float64 copies."""
+    dims, cfg = preset(name)
+    featureio.synth_dataset(tmp_path, n_images=n_images, captions_per_image=2, seed=3,
+                            dims=dims)
+    bundles, texts, _ = featureio.load_dataset(tmp_path / "manifest.json")
+    for b in bundles:
+        assert {k: getattr(b, k).dtype for k in STORED_DTYPES} == STORED_DTYPES
+    assert {w.dtype for w in texts.word_feats} == {np.dtype(np.float32)}
+    wide = _widened(bundles, texts)
+    params = model.init_params(cfg, dims, seed=0)
+    for mode in ("region", "grid"):
+        got = model.embed_dataset(bundles, texts, params, cfg, dims, mode)
+        want = model.embed_dataset(*wide, params, cfg, dims, mode)
+        assert got.image_embs.tobytes() == want.image_embs.tobytes(), mode
+        assert got.text_embs.tobytes() == want.text_embs.tobytes(), mode
+
+
+def test_stored_arrays_train_like_float64_copies(data):
+    bundles, texts, _ = data
+    cfg = objective.TrainConfig(batch_size=4, epochs=3, seed=13)
+    got = objective.train(bundles, texts, SMALL_DIMS, SMALL_MODEL, cfg)
+    want = objective.train(*_widened(bundles, texts), SMALL_DIMS, SMALL_MODEL, cfg)
+    assert [v.hex() for v in got.loss_curve] == [v.hex() for v in want.loss_curve]
 
 
 # Largest gap allowed between a reassociated spatial FC row (or gradient)
