@@ -9,9 +9,11 @@ with one BLAS thread, and hashes what it leaves behind:
   each of its checkpoint tensors;
 - the bytes of every parameter after ``model.load_checkpoint`` of that
   checkpoint (``load/ckpt/...``);
-- the ``eval`` JSON of that checkpoint, on the whole set and ``--folds 2``;
+- the ``eval`` JSON and ``--pretty`` table of that checkpoint, on the
+  whole set and ``--folds 2``;
 - the loss curves (float hex) and ``eval`` JSON of a hybrid checkpoint,
-  and the ``ensemble-eval`` JSON of its ``region`` and ``grid`` members;
+  and the ``ensemble-eval`` JSON and ``--pretty`` table of its ``region``
+  and ``grid`` members;
 - the ``eval`` JSON of an untrained model, ``--seed 3``;
 - the file list of one ``--out`` after ``train --epochs 1`` and again
   after ``train --epochs 1 --no-vsem`` into it (``swap/files/...``);
@@ -68,13 +70,17 @@ from sshnet import config, featureio, model, retrieval  # noqa: E402
 from sshnet.cli import main as cli_main  # noqa: E402
 
 
-def run(*argv) -> dict:
+def run_text(*argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli_main([str(a) for a in argv])
     if code != 0:
         raise SystemExit("sshnet %s exited %d" % (" ".join(map(str, argv)), code))
-    return json.loads(out.getvalue())
+    return out.getvalue()
+
+
+def run(*argv) -> dict:
+    return json.loads(run_text(*argv))
 
 
 def hexes(values) -> str:
@@ -124,9 +130,10 @@ def digest(values) -> None:
             save(values, "train/" + f.stem, featureio.read_tensor(f))
         emit_loaded("ckpt", ckpt)
 
-        emit_json("eval/whole", run("eval", "--data", data, "--ckpt", ckpt))
-        emit_json("eval/folds2", run("eval", "--data", data, "--ckpt", ckpt,
-                                     "--folds", 2))
+        for name, flags in (("whole", ()), ("folds2", ("--folds", 2))):
+            argv = ("eval", "--data", data, "--ckpt", ckpt, *flags)
+            emit_json("eval/" + name, run(*argv))
+            emit("eval/%s/table" % name, run_text(*argv, "--pretty"))
 
         doc = run("train", "--data", data, "--out", hybrid, "--mode", "hybrid",
                   "--epochs", 3, "--batch-size", 8)
@@ -134,9 +141,10 @@ def digest(values) -> None:
             emit("hybrid/loss_curve/" + sub, hexes(doc["runs"][sub]["loss_curve"]))
             save(values, "hybrid/loss_curve/" + sub, doc["runs"][sub]["loss_curve"])
         emit_json("hybrid/eval", run("eval", "--data", data, "--ckpt", hybrid))
-        emit_json("hybrid/ensemble-eval", run("ensemble-eval", "--data", data,
-                                              "--ckpt-a", hybrid / "region",
-                                              "--ckpt-b", hybrid / "grid"))
+        argv = ("ensemble-eval", "--data", data, "--ckpt-a", hybrid / "region",
+                "--ckpt-b", hybrid / "grid")
+        emit_json("hybrid/ensemble-eval", run(*argv))
+        emit("hybrid/ensemble-eval/table", run_text(*argv, "--pretty"))
         emit_json("eval/untrained", run("eval", "--data", data, "--seed", 3))
 
         swap = tmp / "swap"

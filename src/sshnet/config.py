@@ -19,7 +19,7 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (boo
 def _from_dict(cls, d, what: str):
     """``cls(**d)``, after rejecting a non-object, any key that is not a
     field of ``cls``, any field without a key, and any value whose JSON
-    type does not fit its field."""
+    type does not fit its field; the constructor checks the values."""
     if not isinstance(d, dict):
         raise FormatError("%s must be a JSON object, got %r" % (what, type(d).__name__))
     types = {f.name: f.type for f in fields(cls)}
@@ -31,6 +31,12 @@ def _from_dict(cls, d, what: str):
                 or (isinstance(v, bool) and types[key] != "bool")):
             raise FormatError("%s.%s must be %s, got %r" % (what, key, types[key], v))
     return cls(**d)
+
+
+def _positive_ints(cfg, what: str):
+    for f in fields(cfg):
+        if f.type == "int" and getattr(cfg, f.name) < 1:
+            raise ConfigError("%s.%s must be >= 1" % (what, f.name))
 
 
 @dataclass(frozen=True)
@@ -48,10 +54,8 @@ class DimConfig:
     grid_w: int = 7
     word_dim: int = 768    # per-word text feature width
 
-    def validate(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ConfigError("dims.%s must be >= 1" % f.name)
+    def __post_init__(self):
+        _positive_ints(self, "dims")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -77,22 +81,23 @@ class ModelConfig:
     use_vsem: bool = True        # segmentation-guided semantic branch
     use_vspm: bool = True        # position-aware spatial branch
 
-    def validate(self, dims: DimConfig):
+    def __post_init__(self):
         if self.salience_mode not in ("sigmoid", "softmax"):
             raise ConfigError("salience_mode must be 'sigmoid' or 'softmax', got %r"
                               % (self.salience_mode,))
+        if not (math.isfinite(self.attn_smooth) and self.attn_smooth >= 0):
+            raise ConfigError("attn_smooth must be finite and non-negative, got %r"
+                              % (self.attn_smooth,))
+        _positive_ints(self, "model")
+
+    def validate(self, dims: DimConfig):
+        """The checks that need the dataset geometry as well."""
         if self.pos_channels * 4 > dims.C_s:
             raise ConfigError(
                 "pos_channels must satisfy pos_channels <= C_s / 4 "
                 "(%d > %d / 4)" % (self.pos_channels, dims.C_s))
-        if not (math.isfinite(self.attn_smooth) and self.attn_smooth >= 0):
-            raise ConfigError("attn_smooth must be finite and non-negative, got %r"
-                              % (self.attn_smooth,))
         if self.conv_kh > dims.H_I or self.conv_kw > dims.W_I:
             raise ConfigError("refinement kernel exceeds the segmentation map")
-        for f in fields(self):
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ConfigError("model.%s must be >= 1" % f.name)
 
     def to_dict(self) -> dict:
         return asdict(self)

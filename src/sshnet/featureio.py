@@ -210,7 +210,6 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
     manifest = load_manifest(manifest_path)
     root = manifest_path.parent
     dims = manifest.dims
-    dims.validate()
 
     def _load(rel, item_id):
         """The tensor file ``rel``, as stored."""
@@ -278,35 +277,23 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
 # synthetic data with planted shared-latent structure
 
 
-@dataclass
-class PlantedMaps:
-    """Fixed linear maps from the per-image latent to every feature family."""
-
-    region: np.ndarray    # (K, D_l, LATENT_DIM)
-    grid: np.ndarray      # (grid_h * grid_w, D_l, LATENT_DIM)
-    seg: np.ndarray       # (seg_h * seg_w, C_s, LATENT_DIM)
-    word: np.ndarray      # (max_words, word_dim, LATENT_DIM)
-
-
 MAX_WORDS = 12
 MIN_WORDS = 4
 LATENT_DIM = 32
 
 
-def planted_maps(dims: DimConfig, seed: int) -> PlantedMaps:
-    """The deterministic generator maps; tests reuse them as an oracle."""
+def planted_maps(dims: DimConfig, seed: int) -> dict[str, np.ndarray]:
+    """The deterministic generator's linear maps from the per-image latent,
+    one (*shape, LATENT_DIM) array per float array of ``IMAGE_SHAPES`` and
+    a (MAX_WORDS, word_dim, LATENT_DIM) one for ``"word_feats"``; tests
+    reuse them as an oracle."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     scale = 1.0 / np.sqrt(LATENT_DIM)
-
-    def draw(*shape):
-        return scale * rng.standard_normal(shape)
-
-    return PlantedMaps(
-        region=draw(dims.K, dims.D_l, LATENT_DIM),
-        grid=draw(dims.grid_h * dims.grid_w, dims.D_l, LATENT_DIM),
-        seg=draw(dims.seg_h * dims.seg_w, dims.C_s, LATENT_DIM),
-        word=draw(MAX_WORDS, dims.word_dim, LATENT_DIM),
-    )
+    shapes = {key: shape_of(dims) for key, shape_of in IMAGE_SHAPES.items()
+              if key != "seg_map"}
+    shapes["word_feats"] = (MAX_WORDS, dims.word_dim)
+    return {key: scale * rng.standard_normal((*shape, LATENT_DIM))
+            for key, shape in shapes.items()}
 
 
 def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
@@ -325,14 +312,13 @@ def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
         raise ConfigError("captions_per_image must be >= 1")
     if not (math.isfinite(noise) and noise >= 0):
         raise ConfigError("noise must be finite and non-negative, got %r" % (noise,))
-    dims.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
 
     maps = planted_maps(dims, seed)
-    planted = dict(zip(IMAGE_SHAPES, (maps.region, maps.grid, maps.seg)))
+    word_map = maps.pop("word_feats")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
     # blockwise category layout: each pixel inherits the dominant channel
     # of the segmentation cell it falls in
@@ -343,8 +329,8 @@ def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
     for i in range(n_images):
         iid = "img_%05d" % i
         z = rng.standard_normal(LATENT_DIM)
-        arrs = {key: (m @ z + noise * rng.standard_normal(m.shape[:2])).reshape(
-            IMAGE_SHAPES[key](dims)) for key, m in planted.items()}
+        arrs = {key: m @ z + noise * rng.standard_normal(m.shape[:-1])
+                for key, m in maps.items()}
         arrs["seg_map"] = arrs["seg_feat"].argmax(axis=2)[cells]
         rec = {"id": iid}
         for key, suffix in zip(IMAGE_SHAPES, ("regions", "grid", "segfeat", "segmap")):
@@ -356,7 +342,7 @@ def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
         for c in range(captions_per_image):
             sid = "sent_%05d_%d" % (i, c)
             n_words = int(rng.integers(MIN_WORDS, MAX_WORDS + 1))
-            words = (maps.word[:n_words] @ z
+            words = (word_map[:n_words] @ z
                      + noise * rng.standard_normal((n_words, dims.word_dim)))
             srec = {"id": sid, "image_index": i, "word_feats": sid + ".words.3sht"}
             write_tensor(out_dir / srec["word_feats"], words.astype(np.float32))
@@ -370,7 +356,6 @@ def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
 
 def random_bundles(dims: DimConfig, n: int, seed: int) -> list[FeatureBundle]:
     """Unstructured random features, for benchmarks and gradient checks."""
-    dims.validate()
     rng = np.random.default_rng(seed)
 
     def draw(key):

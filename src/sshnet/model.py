@@ -47,7 +47,6 @@ def init_params(cfg: ModelConfig, dims: DimConfig, seed: int) -> ModelParams:
 def _params(cfg: ModelConfig, dims: DimConfig, rng) -> ModelParams:
     """Drawn from ``rng``, or with ``rng`` None undrawn shells (``ag.uniform_init``)."""
     cfg.validate(dims)
-    dims.validate()
     return ModelParams(
         vsem=vsem.init_vsem_params(cfg, dims, rng),
         vspm=vspm.init_vspm_params(cfg, dims, rng),

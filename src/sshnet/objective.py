@@ -35,7 +35,7 @@ class TrainConfig:
     epochs: int = 25
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError("lr must be finite and > 0, got %r" % (self.lr,))
         for name in ("weight_decay", "margin"):
@@ -165,8 +165,6 @@ def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
     by epoch modulo its caption count.  ``epoch_callback(epoch, mean_loss,
     params)`` may return True to stop early.
     """
-    cfg.validate()
-    model_cfg.validate(dims)
     n_images = len(bundles)
     if n_images < 2:
         raise ConfigError("training needs at least 2 images")

@@ -125,6 +125,7 @@ def _recalls(ranks, ks, n_candidates: int) -> list:
 
 
 _CHUNK_ROWS = 256   # queries per block in _six and bench_kpps
+_WARMUP_QUERIES = 3   # untimed queries before bench_kpps times its trials
 
 
 def _six(image_index, sims, ks, keys_of=lambda sim: [sim]) -> list:
@@ -140,55 +141,37 @@ def _six(image_index, sims, ks, keys_of=lambda sim: [sim]) -> list:
     return six
 
 
-def rsum(recalls) -> float:
-    """Sum of the six recall percentages."""
-    vals = list(recalls)
-    if len(vals) != 6:
-        raise ConfigError("rsum expects six recall values, got %d" % len(vals))
-    return float(sum(vals))
-
-
 @dataclass
 class RetrievalReport:
-    """Six recalls plus their sum."""
+    """Recall@k of image, then sentence queries, at each of ``ks``."""
 
     mode: str
-    i2s_r1: float
-    i2s_r5: float
-    i2s_r10: float
-    s2i_r1: float
-    s2i_r5: float
-    s2i_r10: float
-    rsum: float
+    recall: list
+    ks: tuple = DEFAULT_KS
     extra: dict = field(default_factory=dict)
 
+    @property
+    def rsum(self) -> float:
+        return float(sum(self.recall))
+
     def recalls(self) -> tuple:
-        return (self.i2s_r1, self.i2s_r5, self.i2s_r10,
-                self.s2i_r1, self.s2i_r5, self.s2i_r10)
+        return tuple(self.recall)
 
     def to_dict(self) -> dict:
-        d = {
-            "mode": self.mode,
-            "i2s": {"r1": self.i2s_r1, "r5": self.i2s_r5, "r10": self.i2s_r10},
-            "s2i": {"r1": self.s2i_r1, "r5": self.s2i_r5, "r10": self.s2i_r10},
-            "rsum": self.rsum,
-        }
+        n = len(self.ks)
+        d = {"mode": self.mode}
+        for way, vals in (("i2s", self.recall[:n]), ("s2i", self.recall[n:])):
+            d[way] = {"r%d" % k: v for k, v in zip(self.ks, vals)}
+        d["rsum"] = self.rsum
         if self.extra:
             d["extra"] = self.extra
         return d
 
     def table(self) -> str:
-        head = ("mode      " "  i2s R@1  i2s R@5 i2s R@10"
-                "  s2i R@1  s2i R@5 s2i R@10     rSum")
-        row = "%-10s" % self.mode[:10]
-        for v in self.recalls():
-            row += " %8.1f" % v
-        row += " %8.1f" % self.rsum
-        return head + "\n" + row
-
-
-def _report(mode: str, six, **kw) -> RetrievalReport:
-    return RetrievalReport(mode, *six, rsum=rsum(six), **kw)
+        head = ["%s R@%d" % (way, k) for way in ("i2s", "s2i") for k in self.ks]
+        return ("%-10s" % "mode" + "".join(" %8s" % h for h in (*head, "rSum")) + "\n"
+                + "%-10s" % self.mode[:10]
+                + "".join(" %8.1f" % v for v in (*self.recall, self.rsum)))
 
 
 def evaluate(sim, image_index, mode: str = "region",
@@ -200,7 +183,7 @@ def evaluate(sim, image_index, mode: str = "region",
     no row is sorted.  An image query's ground truth is its best caption.
     """
     image_index, sim = _checked(image_index, sim)
-    return _report(mode, _six(image_index, [sim], ks))
+    return RetrievalReport(mode, _six(image_index, [sim], ks), ks)
 
 
 def fivefold_eval(sim, image_index, folds: int = 5, mode: str = "region",
@@ -213,7 +196,7 @@ def fivefold_eval(sim, image_index, folds: int = 5, mode: str = "region",
     if n % folds != 0:
         raise ConfigError("%d images do not divide into %d folds" % (n, folds))
     size = n // folds
-    acc = np.zeros(6)
+    acc = np.zeros(2 * len(ks))
     for f in range(folds):
         lo, hi = f * size, (f + 1) * size
         mask = (image_index >= lo) & (image_index < hi)
@@ -221,7 +204,7 @@ def fivefold_eval(sim, image_index, folds: int = 5, mode: str = "region",
             raise ConfigError("fold %d has no sentences" % f)
         acc += np.asarray(_six(image_index[mask] - lo,
                                [sim[lo:hi][:, mask]], ks))
-    return _report(mode, list(acc / folds), extra={"folds": folds})
+    return RetrievalReport(mode, list(acc / folds), ks, {"folds": folds})
 
 
 def ensemble_ranks(sim_a, sim_b) -> np.ndarray:
@@ -245,8 +228,8 @@ def ensemble_eval(sim_a, sim_b, image_index, mode: str = "hybrid",
     index) comes before the ground truth's.
     """
     image_index, a, b = _checked(image_index, sim_a, sim_b)
-    return _report(mode, _six(image_index, [a, b], ks, lambda a, b: [
-        -(_stable_ranks(a) + _stable_ranks(b)), a + b]))
+    return RetrievalReport(mode, _six(image_index, [a, b], ks, lambda a, b: [
+        -(_stable_ranks(a) + _stable_ranks(b)), a + b]), ks)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +261,7 @@ def _top_k(table: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
 
 def bench_kpps(table, queries, mode: str = "precomputed", *,
                recompute: Callable[[int], np.ndarray] | None = None, top_k: int = 10,
-               trials: int = 5, warmup: int = 3,
-               timer=time.perf_counter) -> BenchResult:
+               trials: int = 5, timer=time.perf_counter) -> BenchResult:
     """Measure retrieval throughput in thousands of queries per second.
 
     ``precomputed`` scores the queries against the cached embedding table
@@ -290,7 +272,7 @@ def bench_kpps(table, queries, mode: str = "precomputed", *,
     ``recompute(qi)``: query ``qi``'s candidate embedding rebuilt under
     ``no_grad`` (a full visual forward, say), modelling a pipeline that
     cannot cache candidate embeddings.  Reports the median of ``trials``
-    timed runs after ``warmup`` untimed queries.
+    timed runs after ``_WARMUP_QUERIES`` untimed queries.
     """
     table = np.asarray(table, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -327,7 +309,7 @@ def bench_kpps(table, queries, mode: str = "precomputed", *,
                           % (mode,))
 
     with no_grad():
-        answer(min(warmup, n_queries))
+        answer(min(_WARMUP_QUERIES, n_queries))
         per_trial = []
         for _ in range(trials):
             t0 = timer()

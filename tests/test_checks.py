@@ -5,11 +5,15 @@ against the other side's held embeddings; these tests hold it to the
 unsplit loss bit for bit and show it still catches a wrong VJP on either
 side.
 """
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sshnet import autograd as ag
-from sshnet import checks
+from sshnet import checks, featureio, objective, retrieval
+from sshnet.cli import main
 from sshnet.errors import ConfigError
 
 
@@ -93,3 +97,40 @@ def test_small_batch_rejected_before_inputs(monkeypatch, n_images):
     monkeypatch.setattr(checks.featureio, "random_bundles", boom)
     with pytest.raises(ConfigError, match="batch"):
         checks.full_loss_grad_check(n_images=n_images, sample=1)
+
+
+def _widening(read_tensor):
+    """``read_tensor`` handing float32 payloads back as float64."""
+    def read(path):
+        arr = read_tensor(path)
+        return arr.astype(np.float64) if arr.dtype == np.float32 else arr
+    return read
+
+
+# One broken invariant per probe: (module, attribute, wrapper of the real
+# function, the probe that must catch it).
+BREAKS = [
+    (objective, "triplet_loss", lambda real: lambda sim, margin: real(sim, margin) * 2.0,
+     "ranking_loss"),
+    (objective, "adamw_step", lambda real: lambda named, state, cfg: None,
+     "optimizer_decay"),
+    (featureio, "read_tensor", _widening, "tensor_roundtrip"),
+    (retrieval, "evaluate", lambda real: lambda *a, **kw: replace(
+        real(*a, **kw), recall=[v + 1.0 for v in real(*a, **kw).recall]),
+     "metric_oracle"),
+    (ag, "sigmoid", _skewed, "gradients_sampled"),
+]
+
+
+@pytest.mark.parametrize("module, name, breaks, probe", BREAKS,
+                         ids=[b[-1] for b in BREAKS])
+def test_selfcheck_fails_exactly_the_probe_of_a_broken_invariant(
+        monkeypatch, capsys, module, name, breaks, probe):
+    monkeypatch.setattr(module, name, breaks(getattr(module, name)))
+    out = checks.selfcheck()
+    assert out["passed"] is False
+    assert list(out["checks"]) == [n for n, _ in checks.CHECKS]
+    assert {n for n, r in out["checks"].items() if not r["ok"]} == {probe}
+    assert out["checks"][probe]["error"]
+    assert main(["selfcheck"]) == 2
+    assert json.loads(capsys.readouterr().out)["passed"] is False

@@ -413,10 +413,10 @@ def test_planted_latent_recoverable_sentence_to_image(tmp_path):
     bundles, texts, manifest = fio.load_dataset(tmp_path / "manifest.json")
     maps = fio.planted_maps(SMALL_DIMS, manifest.seed)
 
-    z_img = np.stack([lstsq_latent(maps.region, b.region_feats) for b in bundles])
+    z_img = np.stack([lstsq_latent(maps["region_feats"], b.region_feats) for b in bundles])
     hits = 0
     for words, gt in zip(texts.word_feats, texts.image_index):
-        z_txt = lstsq_latent(maps.word[: words.shape[0]], words)
+        z_txt = lstsq_latent(maps["word_feats"][: words.shape[0]], words)
         scores = z_img @ z_txt
         hits += int(np.argmax(scores) == gt)
     recall1 = 100.0 * hits / len(texts.word_feats)

@@ -284,13 +284,9 @@ def test_training_rejects_bad_configs(data):
     ("weight_decay", -1e-4), ("weight_decay", math.nan),
     ("margin", -0.2), ("margin", -math.inf), ("seed", -1),
 ])
-def test_train_config_rejects_bad_optimiser_values(data, field, value):
-    bundles, texts, _ = data
-    cfg = _small_train_cfg(**{field: value})
+def test_train_config_rejects_bad_optimiser_values(field, value):
     with pytest.raises(ConfigError, match=field):
-        cfg.validate()
-    with pytest.raises(ConfigError, match=field):
-        objective.train(bundles, texts, SMALL_DIMS, SMALL_MODEL, cfg)
+        _small_train_cfg(**{field: value})
 
 
 def test_training_rejects_captionless_image(data):

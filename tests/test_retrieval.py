@@ -180,14 +180,6 @@ def test_recall_rejects_bad_k_and_direction():
             rt.evaluate(sim, image_index, ks=ks)
 
 
-def test_rsum_frozen_values():
-    assert rt.rsum([0, 0, 0, 0, 0, 0]) == 0.0
-    assert rt.rsum([100] * 6) == 600.0
-    assert rt.rsum([83.1, 97.2, 99.3, 68.7, 92.4, 96.6]) == pytest.approx(537.3)
-    with pytest.raises(ConfigError):
-        rt.rsum([1, 2, 3])
-
-
 def test_evaluate_report_consistency():
     rng = np.random.default_rng(13)
     sim, image_index = random_instance(rng)
@@ -199,9 +191,34 @@ def test_evaluate_report_consistency():
         assert r10 == recall_oracle(sim, image_index, 10, d)
         assert 0 <= r1 <= r5 <= r10 <= 100
     d = report.to_dict()
-    assert d["i2s"]["r1"] == report.i2s_r1 and d["rsum"] == report.rsum
+    assert d["i2s"]["r1"] == report.recalls()[0] and d["rsum"] == report.rsum
     lines = report.table().splitlines()
     assert len(lines) == 2 and "rSum" in lines[0]
+
+
+def test_reports_label_recalls_with_their_ks():
+    rng = np.random.default_rng(23)
+    image_index = np.repeat(np.arange(12), 2)
+    sim, other = rng.uniform(-1, 1, size=(2, 12, 24))
+    ks = (1, 2, 3)
+    for report in (rt.evaluate(sim, image_index, ks=ks),
+                   rt.fivefold_eval(sim, image_index, folds=2, ks=ks),
+                   rt.ensemble_eval(sim, other, image_index, ks=ks)):
+        d = report.to_dict()
+        for way, vals in (("i2s", report.recalls()[:3]), ("s2i", report.recalls()[3:])):
+            assert d[way] == dict(zip(("r1", "r2", "r3"), vals))
+        assert report.table().splitlines()[0] == (
+            "mode        i2s R@1  i2s R@2  i2s R@3  s2i R@1  s2i R@2  s2i R@3     rSum")
+
+
+def test_default_table_is_frozen():
+    report = rt.RetrievalReport("region", [83.1, 97.2, 99.3, 68.7, 92.4, 96.6])
+    assert report.rsum == pytest.approx(537.3)
+    assert report.table() == (
+        "mode        i2s R@1  i2s R@5 i2s R@10  s2i R@1  s2i R@5 s2i R@10     rSum\n"
+        "region         83.1     97.2     99.3     68.7     92.4     96.6    537.3")
+    assert list(report.to_dict()) == ["mode", "i2s", "s2i", "rsum"]
+    assert report.to_dict()["s2i"] == {"r1": 68.7, "r5": 92.4, "r10": 96.6}
 
 
 def _bad_index_cases():
@@ -311,7 +328,7 @@ def test_two_folds_average():
         sim[i, i] = -2.0
         sim[i, (i + 1 - n) % n + n] = 1.0
     report = rt.fivefold_eval(sim, image_index, folds=2)
-    assert report.i2s_r1 == 50.0 and report.s2i_r1 == 50.0
+    assert report.recalls()[0] == 50.0 and report.recalls()[3] == 50.0
 
 
 def test_fivefold_matches_per_fold_oracle():
@@ -579,7 +596,7 @@ def test_bench_warns_on_few_queries():
     rng = np.random.default_rng(41)
     table = rng.normal(size=(20, 4))
     with pytest.warns(BenchmarkWarning):
-        rt.bench_kpps(table, rng.normal(size=(10, 4)), trials=1, warmup=0)
+        rt.bench_kpps(table, rng.normal(size=(10, 4)), trials=1)
 
 
 def test_bench_rejects_bad_mode_and_missing_setup():
@@ -616,8 +633,8 @@ def test_bench_precomputed_beats_recompute_at_desk_scale():
     rng = np.random.default_rng(47)
     table = rng.normal(size=(200, SMALL_MODEL.embed_dim))
     queries = rng.normal(size=(120, SMALL_MODEL.embed_dim))
-    pre = rt.bench_kpps(table, queries, "precomputed", trials=2, warmup=1)
-    rec = rt.bench_kpps(table, queries, "recompute", trials=2, warmup=1,
+    pre = rt.bench_kpps(table, queries, "precomputed", trials=2)
+    rec = rt.bench_kpps(table, queries, "recompute", trials=2,
                         recompute=lambda qi: model.visual_forward(
                             [prepared[qi % len(prepared)]], params, SMALL_MODEL).data[0])
     assert pre.kpps > rec.kpps
