@@ -12,8 +12,9 @@ with one BLAS thread, and hashes what it leaves behind:
 - the ``eval`` JSON and ``--pretty`` table of that checkpoint, on the
   whole set and ``--folds 2``;
 - the loss curves (float hex) and ``eval`` JSON of a hybrid checkpoint,
-  and the ``ensemble-eval`` JSON and ``--pretty`` table of its ``region``
-  and ``grid`` members;
+  its ``eval --folds 2`` JSON and ``--pretty`` table, and the
+  ``ensemble-eval`` JSON and ``--pretty`` table of its ``region`` and
+  ``grid`` members;
 - the ``eval`` JSON of an untrained model, ``--seed 3``;
 - the file list of one ``--out`` after ``train --epochs 1`` and again
   after ``train --epochs 1 --no-vsem`` into it (``swap/files/...``);
@@ -141,6 +142,9 @@ def digest(values) -> None:
             emit("hybrid/loss_curve/" + sub, hexes(doc["runs"][sub]["loss_curve"]))
             save(values, "hybrid/loss_curve/" + sub, doc["runs"][sub]["loss_curve"])
         emit_json("hybrid/eval", run("eval", "--data", data, "--ckpt", hybrid))
+        argv = ("eval", "--data", data, "--ckpt", hybrid, "--folds", 2)
+        emit_json("hybrid/eval/folds2", run(*argv))
+        emit("hybrid/eval/folds2/table", run_text(*argv, "--pretty"))
         argv = ("ensemble-eval", "--data", data, "--ckpt-a", hybrid / "region",
                 "--ckpt-b", hybrid / "grid")
         emit_json("hybrid/ensemble-eval", run(*argv))

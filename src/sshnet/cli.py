@@ -160,27 +160,24 @@ def _check_folds(n_images: int, folds: int = 1):
 
 
 def _report(bundles, texts, models, folds=1):
-    """Recalls of one ``(params, cfg, dims, mode)`` model, over ``folds``
-    contiguous folds, or of the rank-averaged fusion of two."""
+    """Recalls of one ``(params, cfg, dims, mode)`` model, or of the
+    rank-averaged fusion of two, over ``folds`` contiguous folds."""
     sims = []
     for params, cfg, dims, mode in models:
         table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=mode)
         sims.append(retrieval.similarity_matrix(table.image_embs, table.text_embs))
-    if len(sims) == 2:
-        return retrieval.ensemble_eval(*sims, table.image_index)
-    if folds != 1:
-        return retrieval.fivefold_eval(sims[0], table.image_index, folds=folds, mode=mode)
-    return retrieval.evaluate(sims[0], table.image_index, mode=mode)
+    return retrieval.report(sims, table.image_index, mode if len(sims) == 1 else "hybrid",
+                            folds)
 
 
 def cmd_eval(args) -> int:
     ckpt = Path(args.ckpt) if args.ckpt else None
     hybrid = ckpt is not None and (ckpt / "hybrid.json").exists()
     if ckpt is not None:
-        # the checkpoint fixes the model; a hybrid one is a whole-set ensemble
+        # the checkpoint fixes the model, and a hybrid one each member's mode
         ignored = list(_model_overrides(args)) + [flag for flag, given in (
-            ("--seed", args.seed is not None), ("--folds", hybrid and args.folds != 1),
-            ("--mode", hybrid and args.mode != "auto")) if given]
+            ("--seed", args.seed is not None), ("--mode", hybrid and args.mode != "auto"))
+            if given]
         if ignored:
             raise ConfigError("%s cannot apply to the %scheckpoint %s"
                               % (", ".join(ignored), "hybrid " if hybrid else "", ckpt))

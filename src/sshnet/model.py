@@ -172,16 +172,12 @@ def save_checkpoint(out_dir, params: ModelParams, cfg: ModelConfig,
     Every file is written to a temp file and renamed into place, and
     ``checkpoint.json`` is removed first and written last, so an
     interrupted save leaves no ``checkpoint.json`` describing tensors it
-    did not finish.  An older checkpoint there goes first with the tensor
-    files it lists (``remove_checkpoint``); an unreadable one, alone.
+    did not finish.  An older checkpoint there goes first
+    (``remove_checkpoint``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc_path = out_dir / "checkpoint.json"
-    try:
-        remove_checkpoint(out_dir)
-    except FormatError:
-        doc_path.unlink()
+    remove_checkpoint(out_dir)
     named = params.named()
     for name, t in named.items():
         write_atomic(out_dir / (name + ".3sht"), write_tensor, t.data)
@@ -192,7 +188,7 @@ def save_checkpoint(out_dir, params: ModelParams, cfg: ModelConfig,
         "tensors": sorted(named),
         "meta": meta or {},
     }
-    write_atomic(doc_path, Path.write_text, json.dumps(doc, indent=2) + "\n")
+    write_atomic(out_dir / "checkpoint.json", Path.write_text, json.dumps(doc, indent=2) + "\n")
     return out_dir
 
 
@@ -211,10 +207,14 @@ def _checkpoint_doc(ckpt_dir: Path) -> dict:
 
 def remove_checkpoint(ckpt_dir) -> None:
     """Delete ``checkpoint.json`` under ``ckpt_dir`` and the tensor files it
-    lists, and no other file; nothing without one."""
+    lists, and no other file; an unreadable one alone; nothing without one."""
     ckpt_dir = Path(ckpt_dir)
     if (ckpt_dir / "checkpoint.json").exists():
-        for name in _checkpoint_doc(ckpt_dir)["tensors"]:
+        try:
+            tensors = _checkpoint_doc(ckpt_dir)["tensors"]
+        except FormatError:
+            tensors = []
+        for name in tensors:
             (ckpt_dir / (name + ".3sht")).unlink(missing_ok=True)
         (ckpt_dir / "checkpoint.json").unlink()
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -58,14 +58,11 @@ def rank_rows(sim) -> np.ndarray:
 
     Runs of tied scores start where the sorted scores differ, which NaN
     would break; like every similarity here, ``sim`` must be finite and 2-D.
+    The default argsort is ~4x faster than a stable one; one lexsort of
+    (run, index) over the positions of tied runs (equal sorted neighbours)
+    puts ties back in index order.
     """
-    return _best_first(*_finite_2d("similarities", sim))
-
-
-def _best_first(scores: np.ndarray) -> np.ndarray:
-    """``rank_rows`` of finite scores.  The default argsort is ~4x faster
-    than a stable one; one lexsort of (run, index) over the positions of
-    tied runs (equal sorted neighbours) puts ties back in index order."""
+    scores, = _finite_2d("similarities", sim)
     order = np.argsort(-scores, axis=1)
     best_first = np.take_along_axis(scores, order, axis=1)
     same = np.pad(best_first[:, 1:] == best_first[:, :-1], ((0, 0), (1, 0)))  # tied to the left
@@ -77,7 +74,7 @@ def _best_first(scores: np.ndarray) -> np.ndarray:
 
 def _stable_ranks(scores: np.ndarray) -> np.ndarray:
     """Each candidate's position in its row's ``rank_rows`` order."""
-    order = _best_first(scores)
+    order = rank_rows(scores)
     ranks = np.empty(scores.shape)
     np.put_along_axis(ranks, order, np.arange(scores.shape[1])[None], axis=1)
     return ranks
@@ -116,29 +113,16 @@ def _ranks(keys, own) -> np.ndarray:
                     own.shape[1])
 
 
-def _recalls(ranks, ks, n_candidates: int) -> list:
-    """Recall@k percentages from each query's ground-truth rank."""
-    if not all(1 <= k <= n_candidates for k in ks):
-        raise ConfigError("every k must lie in [1, %d], the number of "
-                          "candidates; got %r" % (n_candidates, tuple(ks)))
-    return [100.0 * int(np.count_nonzero(ranks < k)) / len(ranks) for k in ks]
+def _keys(score, other=None) -> list:
+    """``_ranks`` keys of one block of queries: its scores, or with a second
+    model's block, the fusion's rank sum (fewer first), then summed score."""
+    if other is None:
+        return [score]
+    return [-(_stable_ranks(score) + _stable_ranks(other)), score + other]
 
 
-_CHUNK_ROWS = 256   # queries per block in _six and bench_kpps
+_CHUNK_ROWS = 256   # queries per block in report and bench_kpps
 _WARMUP_QUERIES = 3   # untimed queries before bench_kpps times its trials
-
-
-def _six(image_index, sims, ks, keys_of=lambda sim: [sim]) -> list:
-    """Recall@k of image, then sentence queries, in blocks of queries;
-    ``keys_of`` maps each similarity's block to its keys for ``_ranks``."""
-    own = image_index == np.arange(sims[0].shape[0])[:, None]
-    six = []
-    for rows, marks in ((sims, own), ([s.T for s in sims], own.T)):
-        ranks = [_ranks(keys_of(*(s[lo:lo + _CHUNK_ROWS] for s in rows)),
-                        marks[lo:lo + _CHUNK_ROWS])
-                 for lo in range(0, len(marks), _CHUNK_ROWS)]
-        six += _recalls(np.concatenate(ranks), ks, marks.shape[1])
-    return six
 
 
 @dataclass
@@ -174,37 +158,60 @@ class RetrievalReport:
                 + "".join(" %8.1f" % v for v in (*self.recall, self.rsum)))
 
 
+def report(sims, image_index, mode: str = "region", folds: int = 1,
+           ks=DEFAULT_KS) -> RetrievalReport:
+    """Recall@k of one similarity matrix, or of the rank-averaged fusion of
+    two, averaged over ``folds`` contiguous folds of the images.
+
+    Each query's ground truth is ranked by counting, per block of queries,
+    the candidates whose key comes first: a higher score, or for a fusion a
+    lower rank sum (``ensemble_ranks``' order), then a higher summed score;
+    a full tie goes to the lower index.  No row of one matrix is sorted.
+    An image query's ground truth is its best caption.  ``ks`` must be
+    strictly increasing integers no larger than any fold's candidates.
+    """
+    if not 1 <= len(sims) <= 2:
+        raise ConfigError("report ranks one similarity matrix or fuses two, got %d"
+                          % len(sims))
+    image_index, *sims = _checked(image_index, *sims)
+    n = sims[0].shape[0]
+    if folds < 1 or n % folds:
+        raise ConfigError("%d images do not divide into %d folds" % (n, folds))
+    size = n // folds
+    sentences = np.bincount(image_index // size, minlength=folds)
+    if not sentences.all():
+        raise ConfigError("fold %d has no sentences" % np.argmin(sentences))
+    top = min(size, sentences.min())
+    if not (len(ks) and all(isinstance(k, (int, np.integer)) for k in ks)
+            and all(lo < hi for lo, hi in zip((0, *ks), (*ks, top + 1)))):
+        raise ConfigError("every k must lie in [1, %d], the number of candidates, "
+                          "and ks must increase strictly; got %r" % (top, tuple(ks)))
+    acc = np.zeros(2 * len(ks))
+    for lo in range(0, n, size):
+        fold = (image_index >= lo) & (image_index < lo + size) if folds > 1 else slice(None)
+        part = [s[lo:lo + size][:, fold] for s in sims]
+        own = image_index[fold] == np.arange(lo, lo + size)[:, None]
+        six = []
+        for rows, marks in ((part, own), ([s.T for s in part], own.T)):
+            ranks = np.concatenate([
+                _ranks(_keys(*(s[q:q + _CHUNK_ROWS] for s in rows)), marks[q:q + _CHUNK_ROWS])
+                for q in range(0, len(marks), _CHUNK_ROWS)])
+            six += [100.0 * int(np.count_nonzero(ranks < k)) / len(ranks) for k in ks]
+        acc += six
+    return RetrievalReport(mode, (acc / folds).tolist(), tuple(ks),
+                           {"folds": folds} if folds > 1 else {})
+
+
 def evaluate(sim, image_index, mode: str = "region",
              ks=DEFAULT_KS) -> RetrievalReport:
-    """Recall@k for both directions over one similarity matrix.
-
-    Each query's ground truth is ranked by counting the candidates that
-    outrank it (a higher score, or the same score at a lower index), so
-    no row is sorted.  An image query's ground truth is its best caption.
-    """
-    image_index, sim = _checked(image_index, sim)
-    return RetrievalReport(mode, _six(image_index, [sim], ks), ks)
+    """Recall@k for both directions over one similarity matrix."""
+    return report([sim], image_index, mode, ks=ks)
 
 
 def fivefold_eval(sim, image_index, folds: int = 5, mode: str = "region",
                   ks=DEFAULT_KS) -> RetrievalReport:
     """Split images into contiguous folds, evaluate each, average recalls."""
-    image_index, sim = _checked(image_index, sim)
-    n = sim.shape[0]
-    if folds < 1:
-        raise ConfigError("folds must be >= 1")
-    if n % folds != 0:
-        raise ConfigError("%d images do not divide into %d folds" % (n, folds))
-    size = n // folds
-    acc = np.zeros(2 * len(ks))
-    for f in range(folds):
-        lo, hi = f * size, (f + 1) * size
-        mask = (image_index >= lo) & (image_index < hi)
-        if not mask.any():
-            raise ConfigError("fold %d has no sentences" % f)
-        acc += np.asarray(_six(image_index[mask] - lo,
-                               [sim[lo:hi][:, mask]], ks))
-    return RetrievalReport(mode, list(acc / folds), ks, {"folds": folds})
+    return replace(report([sim], image_index, mode, folds, ks), extra={"folds": folds})
 
 
 def ensemble_ranks(sim_a, sim_b) -> np.ndarray:
@@ -220,16 +227,9 @@ def ensemble_ranks(sim_a, sim_b) -> np.ndarray:
 
 def ensemble_eval(sim_a, sim_b, image_index, mode: str = "hybrid",
                   ks=DEFAULT_KS) -> RetrievalReport:
-    """Evaluate the rank-averaged fusion of two similarity matrices.
-
-    Gives the recalls of ``ensemble_ranks`` orders without building them:
-    per block of queries, it ranks every candidate under each model, then
-    counts the candidates whose key (rank sum, then summed score, then
-    index) comes before the ground truth's.
-    """
-    image_index, a, b = _checked(image_index, sim_a, sim_b)
-    return RetrievalReport(mode, _six(image_index, [a, b], ks, lambda a, b: [
-        -(_stable_ranks(a) + _stable_ranks(b)), a + b]), ks)
+    """Recall@k of the rank-averaged fusion of two similarity matrices:
+    the recalls of ``ensemble_ranks`` orders, without building them."""
+    return report([sim_a, sim_b], image_index, mode, ks=ks)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sshnet import featureio, model
+from sshnet import featureio, model, retrieval
 from sshnet.cli import build_parser, main
 from sshnet.config import FULL_DIMS, SMALL_DIMS
 
@@ -222,6 +222,22 @@ def test_train_removes_the_other_layout_and_only_its_files(ds, tmp_path, capsys,
     assert report["mode"] == ("hybrid" if second == "hybrid" else "region")
 
 
+@pytest.mark.parametrize("mode, stale", [("region", "region"), ("hybrid", ".")])
+def test_train_replaces_an_unreadable_checkpoint_of_the_other_layout(ds, tmp_path, capsys,
+                                                                    mode, stale):
+    """An unreadable checkpoint.json of the other layout in --out goes
+    alone: the run exits 0, prints its summary, and eval reads the new
+    checkpoint."""
+    out = tmp_path / "ck"
+    (out / stale).mkdir(parents=True, exist_ok=True)
+    (out / stale / "checkpoint.json").write_text("{not json")
+    doc = run_json(capsys, "train", "--data", str(ds), "--out", str(out), "--mode", mode,
+                   "--epochs", "1", "--batch-size", "8")
+    assert doc["mode"] == mode and ("runs" if mode == "hybrid" else "final_loss") in doc
+    assert not (out / stale / "checkpoint.json").exists()
+    assert run_json(capsys, "eval", "--data", str(ds), "--ckpt", str(out))["mode"] == mode
+
+
 def test_train_over_another_branch_set_leaves_only_its_own_tensors(ds, tmp_path, capsys):
     """A run into the --out of a run with more branches deletes the tensor
     files the older checkpoint.json lists, and no other file."""
@@ -273,16 +289,16 @@ def hybrid_ckpt(ds, tmp_path_factory):
     ("single", ["--seed", "1"], 1), ("single", ["--seed", "0"], 1),
     ("single", ["--salience", "softmax"], 1), ("single", ["--attn-smooth", "0"], 1),
     ("single", ["--embed-dim", "8"], 1), ("single", ["--no-vsem"], 1),
-    ("single", ["--no-vspm"], 1), ("hybrid", ["--folds", "2"], 1),
+    ("single", ["--no-vspm"], 1),
     ("hybrid", ["--mode", "grid"], 1), ("hybrid", ["--no-vspm", "--mode", "region"], 1),
     ("hybrid", [], 0),
 ], ids=["seed", "seed-0", "salience", "attn-smooth", "embed-dim", "no-vsem",
-        "no-vspm", "hybrid-folds", "hybrid-mode", "hybrid-two-flags", "hybrid-plain"])
+        "no-vspm", "hybrid-mode", "hybrid-two-flags", "hybrid-plain"])
 def test_eval_rejects_flags_the_checkpoint_ignores(ds, ckpt, hybrid_ckpt, capsys,
                                                    monkeypatch, kind, flags, code):
     """With --ckpt, the checkpoint fixes the model, and a hybrid checkpoint
-    is one whole-set ensemble: a flag that would change neither exits 1
-    naming it, before anything is embedded."""
+    each member's mode: a flag that would change neither exits 1 naming
+    it, before anything is embedded."""
     def embedded(*args, **kwargs):
         raise AssertionError("embedded before the flag check")
 
@@ -723,6 +739,22 @@ def flag_env(tmp_path_factory):
         assert main(["train", "--data", env["data"], "--out", env[key], "--mode", mode,
                      "--epochs", "1", "--batch-size", "8"]) == 0
     return env, {}
+
+
+def test_eval_averages_a_hybrid_checkpoint_over_folds(flag_env, capsys):
+    """eval --folds on a hybrid checkpoint averages the fused recalls over
+    the folds: retrieval.report over the two members' tables."""
+    env, _ = flag_env
+    doc = run_json(capsys, "eval", "--data", env["data"], "--ckpt", env["hybrid"],
+                   "--folds", "2")
+    assert doc["mode"] == "hybrid" and doc["extra"] == {"folds": 2}
+    bundles, texts, _ = featureio.load_dataset(Path(env["data"]) / "manifest.json")
+    sims = []
+    for sub in ("region", "grid"):
+        params, cfg, dims, _ = model.load_checkpoint(Path(env["hybrid"]) / sub)
+        table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=sub)
+        sims.append(retrieval.similarity_matrix(table.image_embs, table.text_embs))
+    assert doc == retrieval.report(sims, table.image_index, "hybrid", 2).to_dict()
 
 
 def _outcome(capsys, env, argv):

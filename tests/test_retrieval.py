@@ -163,12 +163,12 @@ def test_recall_handles_ties_deterministically():
 def test_recall_monotone_in_k(seed):
     rng = np.random.default_rng(seed)
     sim, image_index = random_instance(rng, max_images=15, max_caps=3)
-    prev = (0.0,) * 6
+    prev = (0.0,) * 2
     for k in range(1, sim.shape[0] + 1):     # every k both directions take
-        cur = rt.evaluate(sim, image_index, ks=(k, k, k)).recalls()
+        cur = rt.evaluate(sim, image_index, ks=(k,)).recalls()
         assert all(c >= p for c, p in zip(cur, prev))
         prev = cur
-    assert prev[3:] == (100.0,) * 3  # k == s2i candidate count always hits
+    assert prev[1] == 100.0  # k == s2i candidate count always hits
 
 
 def test_recall_rejects_bad_k_and_direction():
@@ -178,6 +178,24 @@ def test_recall_rejects_bad_k_and_direction():
     for ks in ((1, 2, 7), (1, 2, 4), (0, 1, 2)):
         with pytest.raises(ConfigError, match="every k"):
             rt.evaluate(sim, image_index, ks=ks)
+
+
+@pytest.mark.parametrize("ks", [(2, 2, 2), (1, 1), (10, 1), (1, 3, 2), (), (1, 2.5)],
+                         ids=["repeated", "doubled", "descending", "unsorted", "empty",
+                              "fractional"])
+def test_every_report_refuses_ks_that_do_not_increase_strictly(ks):
+    """A report labels each recall with its k, so ks must be strictly
+    increasing integers; repeated ones would merge their labels."""
+    rng = np.random.default_rng(37)
+    image_index = np.repeat(np.arange(12), 2)
+    sim, other = rng.uniform(-1, 1, size=(2, 12, 24))
+    for call in (lambda: rt.evaluate(sim, image_index, ks=ks),
+                 lambda: rt.fivefold_eval(sim, image_index, folds=2, ks=ks),
+                 lambda: rt.ensemble_eval(sim, other, image_index, ks=ks),
+                 lambda: rt.report([sim], image_index, ks=ks),
+                 lambda: rt.report([sim, other], image_index, folds=3, ks=ks)):
+        with pytest.raises(ConfigError, match="every k"):
+            call()
 
 
 def test_evaluate_report_consistency():
@@ -435,7 +453,7 @@ def test_one_order_matches_stable_sort_and_oracles(pair):
 def tied_rows(draw):
     """(n, m) scores, m == 1 included: small integers with +0.0 and -0.0
     mixed in, some rows wholly tied, and half the time the transposed
-    (non-contiguous) view of an (m, n) array, as ``_six`` passes s2i."""
+    (non-contiguous) view of an (m, n) array, as ``report`` passes s2i."""
     n, m = draw(st.integers(1, 10)), draw(st.integers(1, 10))
     cells = draw(st.lists(st.tuples(st.integers(-3, 3), st.booleans()),
                           min_size=n * m, max_size=n * m))
@@ -516,8 +534,8 @@ def test_outranking_counts_match_sorting_oracles_on_ties(inst, fracs):
     sim, sim_b, image_index = inst
     n, m = sim.shape
 
-    def three_ks(n_candidates):      # any k from 1 to the candidate count
-        return tuple(1 + int(f * (n_candidates - 1)) for f in sorted(fracs))
+    def three_ks(n_candidates):      # up to three ks from 1 to the candidate count
+        return tuple(sorted({1 + int(f * (n_candidates - 1)) for f in fracs}))
     with mock.patch.object(rt, "_CHUNK_ROWS", 3):   # several blocks per call
         for d in ("i2s", "s2i"):      # every k at once
             assert gt_ranks(sim, image_index, d) == \
@@ -542,15 +560,47 @@ def test_outranking_counts_match_sorting_oracles_on_ties(inst, fracs):
                              image_index[mask] - f * size))
             if any(sub_idx.size == 0 for _, sub_idx in subs):
                 with pytest.raises(ConfigError, match="no sentences"):
-                    rt.fivefold_eval(sim, image_index, folds=folds, ks=(1,) * 3)
+                    rt.fivefold_eval(sim, image_index, folds=folds, ks=(1,))
                 continue
             ks = three_ks(min(size, *(len(i) for _, i in subs)))
-            acc = np.zeros(6)
+            acc = np.zeros(2 * len(ks))
             for sub, sub_idx in subs:
                 acc += [recall_oracle(sub, sub_idx, k, d)
                         for d in ("i2s", "s2i") for k in ks]
             got = rt.fivefold_eval(sim, image_index, folds=folds, ks=ks)
             assert list(got.recalls()) == list(acc / folds)
+
+
+def test_fused_folds_match_the_per_fold_rank_average_oracle():
+    """``report`` of two matrices over f folds is the mean, fold by fold,
+    of the recalls read off brute-force mean-rank orders, for every f that
+    divides the images."""
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        sim, image_index = random_instance(rng, max_images=24, max_caps=3)
+        other = rng.uniform(-1, 1, size=sim.shape)
+        n = sim.shape[0]
+        for folds in (f for f in range(1, n + 1) if n % f == 0):
+            size = n // folds
+            ks = tuple(k for k in (1, 2, 5, 10) if k <= size)
+            acc = np.zeros(2 * len(ks))
+            for lo in range(0, n, size):
+                mask = (image_index >= lo) & (image_index < lo + size)
+                a, b = sim[lo:lo + size][:, mask], other[lo:lo + size][:, mask]
+                acc += recalls_from_orders(
+                    [ensemble_oracle_row(ra, rb) for ra, rb in zip(a, b)],
+                    [ensemble_oracle_row(ra, rb) for ra, rb in zip(a.T, b.T)],
+                    image_index[mask] - lo, ks)
+            got = rt.report([sim, other], image_index, "hybrid", folds, ks)
+            assert list(got.recalls()) == list(acc / folds)
+            assert got.to_dict().get("extra") == ({"folds": folds} if folds > 1 else None)
+
+
+def test_report_refuses_more_than_two_matrices():
+    sim = np.zeros((10, 10))
+    for sims in ([], [sim] * 3):
+        with pytest.raises(ConfigError, match="one similarity matrix or fuses two"):
+            rt.report(sims, np.arange(10))
 
 
 # ---------------------------------------------------------------------------
