@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checks, featureio, model, objective, retrieval
 from .config import preset
-from .errors import ConfigError, GradCheckError, SshnetError, TrainingError
+from .errors import ConfigError, FormatError, GradCheckError, SshnetError, TrainingError
 from .objective import TrainConfig
 
 
@@ -82,11 +82,10 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
-def _load(data_dir):
-    manifest_path = Path(data_dir)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / "manifest.json"
-    return featureio.load_dataset(manifest_path)
+def _manifest_path(data):
+    """An argparse type: ``--data``, a manifest or the directory holding it."""
+    path = Path(data)
+    return path / "manifest.json" if path.is_dir() else path
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +113,11 @@ def _train_one(bundles, texts, dims, model_cfg, cfg, mode, out_dir) -> dict:
 
 
 def cmd_train(args) -> int:
-    bundles, texts, manifest = _load(args.data)
+    manifest = featureio.load_manifest(args.data)
     model_cfg = _model_for(manifest.dims, args)
     cfg = _train_config(args)
+    bundles, texts, _ = featureio.load_dataset(
+        args.data, ("region", "grid") if args.mode == "hybrid" else (args.mode,))
     out = Path(args.out)
     doc = {"out": str(out), "mode": args.mode, "train": cfg.to_dict(),
            "model": model_cfg.to_dict()}
@@ -136,15 +137,16 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint(ckpt, dims, mode="auto"):
-    """Parameters, config, dims and resolved mode of a saved model, which
-    must have the dataset geometry ``dims``."""
+    """Parameters, config, dims and resolved mode of a saved model, which must
+    have the dataset geometry ``dims`` and save a mode of MODE_ARRAYS, or none."""
     params, cfg, ckpt_dims, meta = model.load_checkpoint(ckpt)
     if ckpt_dims != dims:
         raise ConfigError("checkpoint %s has geometry %s, the dataset %s"
                           % (ckpt, ckpt_dims.to_dict(), dims.to_dict()))
-    if mode == "auto":
-        mode = meta.get("mode", "region")
-    return params, cfg, dims, mode
+    saved = meta.get("mode", "region")
+    if not isinstance(saved, str) or saved not in featureio.MODE_ARRAYS:
+        raise FormatError("checkpoint %s has mode %r, not 'region' or 'grid'" % (ckpt, saved))
+    return params, cfg, dims, saved if mode == "auto" else mode
 
 
 def _check_folds(n_images: int, folds: int = 1):
@@ -159,9 +161,10 @@ def _check_folds(n_images: int, folds: int = 1):
                           "candidates" % (n_images, need, need))
 
 
-def _report(bundles, texts, models, folds=1):
-    """Recalls of one ``(params, cfg, dims, mode)`` model, or of the
-    rank-averaged fusion of two, over ``folds`` contiguous folds."""
+def _report(data, models, folds=1):
+    """Recalls of one ``(params, cfg, dims, mode)`` model, or the rank-averaged fusion
+    of two, over ``folds`` contiguous folds of ``data``, read for those modes alone."""
+    bundles, texts, _ = featureio.load_dataset(data, [mode for *_, mode in models])
     sims = []
     for params, cfg, dims, mode in models:
         table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=mode)
@@ -181,8 +184,8 @@ def cmd_eval(args) -> int:
         if ignored:
             raise ConfigError("%s cannot apply to the %scheckpoint %s"
                               % (", ".join(ignored), "hybrid " if hybrid else "", ckpt))
-    bundles, texts, manifest = _load(args.data)
-    _check_folds(len(bundles), args.folds)
+    manifest = featureio.load_manifest(args.data)
+    _check_folds(len(manifest.images), args.folds)
     if hybrid:
         models = [_checkpoint(ckpt / sub, manifest.dims) for sub in ("region", "grid")]
     elif ckpt is not None:
@@ -192,16 +195,16 @@ def cmd_eval(args) -> int:
         model_cfg = _model_for(manifest.dims, args)
         models = [(model.init_params(model_cfg, manifest.dims, args.seed or 0), model_cfg,
                    manifest.dims, "region" if args.mode == "auto" else args.mode)]
-    report = _report(bundles, texts, models, args.folds)
+    report = _report(args.data, models, args.folds)
     _emit(report.to_dict(), report.table(), args.pretty)
     return 0
 
 
 def cmd_ensemble_eval(args) -> int:
-    bundles, texts, manifest = _load(args.data)
-    _check_folds(len(bundles))
-    report = _report(bundles, texts, [_checkpoint(ckpt, manifest.dims)
-                                      for ckpt in (args.ckpt_a, args.ckpt_b)])
+    manifest = featureio.load_manifest(args.data)
+    _check_folds(len(manifest.images))
+    report = _report(args.data, [_checkpoint(ckpt, manifest.dims)
+                                 for ckpt in (args.ckpt_a, args.ckpt_b)])
     _emit(report.to_dict(), report.table(), args.pretty)
     return 0
 
@@ -291,7 +294,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--noise", type=float, default=0.05)
 
     sp = add("train", cmd_train, "train a joint embedding")
-    sp.add_argument("--data", required=True)
+    sp.add_argument("--data", required=True, type=_manifest_path)
     sp.add_argument("--out", required=True)
     sp.add_argument("--mode", choices=["region", "grid", "hybrid"],
                     default="region")
@@ -302,7 +305,7 @@ def build_parser() -> _Parser:
     _add_model_flags(sp)
 
     sp = add("eval", cmd_eval, "evaluate retrieval recall", seed=None)
-    sp.add_argument("--data", required=True)
+    sp.add_argument("--data", required=True, type=_manifest_path)
     sp.add_argument("--ckpt")
     sp.add_argument("--mode", choices=["auto", "region", "grid"],
                     default="auto")
@@ -312,7 +315,7 @@ def build_parser() -> _Parser:
 
     sp = add("ensemble-eval", cmd_ensemble_eval, "rank-average two checkpoints",
              seed=False)
-    sp.add_argument("--data", required=True)
+    sp.add_argument("--data", required=True, type=_manifest_path)
     sp.add_argument("--ckpt-a", required=True)
     sp.add_argument("--ckpt-b", required=True)
     sp.add_argument("--pretty", action="store_true")

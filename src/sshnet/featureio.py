@@ -114,8 +114,8 @@ def read_tensor(path) -> np.ndarray:
 class FeatureBundle:
     """Pre-extracted visual features for one image, as stored."""
 
-    region_feats: np.ndarray   # (K, D_l) float
-    grid_feats: np.ndarray     # (grid_h, grid_w, D_l) float
+    region_feats: np.ndarray   # (K, D_l) float; None when not loaded (MODE_ARRAYS)
+    grid_feats: np.ndarray     # (grid_h, grid_w, D_l) float; None when not loaded
     seg_feat: np.ndarray       # (seg_h, seg_w, C_s) float
     seg_map: np.ndarray        # (H_I, W_I) integer categories in [0, C_s)
 
@@ -152,8 +152,8 @@ class Manifest:
 
 def read_json_object(path, what: str, keys) -> dict:
     """The JSON object in the UTF-8 file ``path``; FormatError naming ``what``
-    unless it holds every key of ``keys`` and ``format_version`` equal to
-    ``FORMAT_VERSION``."""
+    unless it holds every key of ``keys`` and a ``format_version`` int (not
+    bool) equal to ``FORMAT_VERSION``."""
     try:
         doc = json.loads(Path(path).read_bytes().decode("utf-8"))
     except UnicodeDecodeError as e:
@@ -166,7 +166,7 @@ def read_json_object(path, what: str, keys) -> dict:
     for key in ("format_version", *keys):
         if key not in doc:
             raise FormatError("%s %s is missing key %r" % (what, path, key))
-    if doc["format_version"] != FORMAT_VERSION:
+    if type(doc["format_version"]) is not int or doc["format_version"] != FORMAT_VERSION:
         raise FormatError("%s %s: format_version %r unsupported"
                           % (what, path, doc["format_version"]))
     return doc
@@ -196,9 +196,58 @@ IMAGE_KEYS = ("id", *IMAGE_SHAPES)
 SENTENCE_KEYS = ("id", "image_index", "word_feats")
 
 
-def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Manifest]:
-    """Load and validate every tensor referenced by a manifest, each in its
-    stored dtype: float64 starts at ``Tensor`` and at the pooled mean.
+MODE_ARRAYS = {"region": "region_feats", "grid": "grid_feats"}   # what each mode embeds
+
+
+def _load(root, rel, item_id, read=True):
+    """The tensor file ``rel`` under ``root``, as stored; with ``read``
+    False only its name is checked, and the file is not opened."""
+    if not isinstance(rel, str) or "\0" in rel:
+        raise FormatError("%s: tensor file name must be a string, got %r" % (item_id, rel))
+    if read and not (root / rel).exists():
+        raise DataValidationError("%s: missing tensor file %s" % (item_id, rel))
+    return read_tensor(root / rel) if read else None
+
+
+def _require_keys(rec, kind, pos, keys):
+    if not isinstance(rec, dict):
+        raise FormatError("manifest %s %d is not an object" % (kind, pos))
+    for key in keys:
+        if key not in rec:
+            raise FormatError("manifest %s %s is missing key %r"
+                              % (kind, rec.get("id", "#%d" % pos), key))
+
+
+def load_image(rec, pos: int, root: Path, dims: DimConfig,
+               modes=tuple(MODE_ARRAYS)) -> FeatureBundle:
+    """The checked bundle of manifest image record ``pos``: every key and file
+    name is checked, but a mode's image array is read only if it is in ``modes``."""
+    _require_keys(rec, "image", pos, IMAGE_KEYS)
+    iid = rec["id"]
+    skip = set(MODE_ARRAYS.values()) - {MODE_ARRAYS[mode] for mode in modes}
+    arrs = {key: _load(root, rec[key], iid, key not in skip) for key in IMAGE_SHAPES}
+    for key, shape_of in IMAGE_SHAPES.items():
+        if key not in skip and arrs[key].shape != (shape := shape_of(dims)):
+            raise DataValidationError("%s: %s shape %r, expected %r"
+                                      % (iid, key, arrs[key].shape, shape))
+    seg_map = arrs.pop("seg_map")
+    if seg_map.dtype.kind not in "ui":
+        raise DataValidationError("%s: seg_map must be integer, got %r"
+                                  % (iid, seg_map.dtype))
+    if seg_map.max(initial=0) >= dims.C_s:
+        raise DataValidationError("%s: seg_map category %d outside [0, %d)"
+                                  % (iid, int(seg_map.max()), dims.C_s))
+    for key, arr in arrs.items():
+        if key not in skip and not np.isfinite(arr).all():
+            raise DataValidationError("%s: %s contains non-finite values" % (iid, key))
+    return FeatureBundle(**arrs, seg_map=seg_map)
+
+
+def load_dataset(manifest_path, modes=tuple(MODE_ARRAYS)
+                 ) -> tuple[list[FeatureBundle], TextFeatureSet, Manifest]:
+    """Load and validate the tensors a manifest references, each in its
+    stored dtype (float64 starts at ``Tensor`` and at the pooled mean); of
+    the image arrays, only those of ``modes`` (``load_image``).
 
     Raises FormatError naming the record when it lacks one of
     ``IMAGE_KEYS`` / ``SENTENCE_KEYS`` (naming the key), names a tensor
@@ -209,46 +258,8 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     root = manifest_path.parent
-    dims = manifest.dims
-
-    def _load(rel, item_id):
-        """The tensor file ``rel``, as stored."""
-        if not isinstance(rel, str) or "\0" in rel:
-            raise FormatError("%s: tensor file name must be a string, got %r"
-                              % (item_id, rel))
-        p = root / rel
-        if not p.exists():
-            raise DataValidationError("%s: missing tensor file %s" % (item_id, rel))
-        return read_tensor(p)
-
-    def _require_keys(rec, kind, pos, keys):
-        if not isinstance(rec, dict):
-            raise FormatError("manifest %s %d is not an object" % (kind, pos))
-        for key in keys:
-            if key not in rec:
-                raise FormatError("manifest %s %s is missing key %r"
-                                  % (kind, rec.get("id", "#%d" % pos), key))
-
-    bundles = []
-    for pos, rec in enumerate(manifest.images):
-        _require_keys(rec, "image", pos, IMAGE_KEYS)
-        iid = rec["id"]
-        arrs = {key: _load(rec[key], iid) for key in IMAGE_SHAPES}
-        for key, shape_of in IMAGE_SHAPES.items():
-            if arrs[key].shape != (shape := shape_of(dims)):
-                raise DataValidationError("%s: %s shape %r, expected %r"
-                                          % (iid, key, arrs[key].shape, shape))
-        seg_map = arrs.pop("seg_map")
-        if seg_map.dtype.kind not in "ui":
-            raise DataValidationError("%s: seg_map must be integer, got %r"
-                                      % (iid, seg_map.dtype))
-        if seg_map.max(initial=0) >= dims.C_s:
-            raise DataValidationError("%s: seg_map category %d outside [0, %d)"
-                                      % (iid, int(seg_map.max()), dims.C_s))
-        for key, arr in arrs.items():
-            if not np.isfinite(arr).all():
-                raise DataValidationError("%s: %s contains non-finite values" % (iid, key))
-        bundles.append(FeatureBundle(**arrs, seg_map=seg_map))
+    bundles = [load_image(rec, pos, root, manifest.dims, modes)
+               for pos, rec in enumerate(manifest.images)]
 
     word_feats, image_index = [], []
     for pos, rec in enumerate(manifest.sentences):
@@ -261,10 +272,10 @@ def load_dataset(manifest_path) -> tuple[list[FeatureBundle], TextFeatureSet, Ma
         if not 0 <= idx < len(bundles):
             raise DataValidationError("%s: image_index %d outside [0, %d)"
                                       % (sid, idx, len(bundles)))
-        words = _load(rec["word_feats"], sid)
-        if words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != dims.word_dim:
+        words = _load(root, rec["word_feats"], sid)
+        if words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != manifest.dims.word_dim:
             raise DataValidationError("%s: word_feats shape %r, expected (N>=1, %d)"
-                                      % (sid, words.shape, dims.word_dim))
+                                      % (sid, words.shape, manifest.dims.word_dim))
         if not np.isfinite(words).all():
             raise DataValidationError("%s: word_feats contains non-finite values" % (sid,))
         word_feats.append(words)

@@ -21,7 +21,7 @@ from . import embedder, vsem, vspm
 from .autograd import Tensor
 from .config import DimConfig, ModelConfig
 from .errors import ConfigError, FormatError
-from .featureio import (FORMAT_VERSION, FeatureBundle, TextFeatureSet,
+from .featureio import (FORMAT_VERSION, MODE_ARRAYS, FeatureBundle, TextFeatureSet,
                         read_json_object, read_tensor, write_atomic, write_tensor)
 
 
@@ -68,14 +68,10 @@ class PreparedImage:
 
 def prepare_image(bundle: FeatureBundle, dims: DimConfig, cfg: ModelConfig,
                   mode: str = "region") -> PreparedImage:
-    if mode == "region":
-        regions = bundle.region_feats
-    elif mode == "grid":
-        regions = bundle.grid_feats.reshape(-1, dims.D_l)
-    else:
-        raise ConfigError("prepare_image mode must be 'region' or 'grid', got %r"
-                          % (mode,))
-    return PreparedImage(regions, bundle.seg_feat.mean(axis=(0, 1), dtype=np.float64),
+    if not isinstance(mode, str) or mode not in MODE_ARRAYS:
+        raise ConfigError("prepare_image mode must be 'region' or 'grid', got %r" % (mode,))
+    return PreparedImage(getattr(bundle, MODE_ARRAYS[mode]).reshape(-1, dims.D_l),
+                         bundle.seg_feat.mean(axis=(0, 1), dtype=np.float64),
                          *vspm.build_position_tensor(bundle.seg_map, cfg, dims.C_s))
 
 

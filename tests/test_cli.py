@@ -341,6 +341,106 @@ def test_checkpoint_geometry_must_match_the_dataset(full_ds, ckpt, hybrid_ckpt, 
     assert str(SMALL_DIMS.to_dict()) in err and str(FULL_DIMS.to_dict()) in err
 
 
+def _without(ds, dest, key):
+    """A copy of the dataset ``ds`` with every image's ``key`` file deleted."""
+    shutil.copytree(ds, dest)
+    for rec in json.loads((dest / "manifest.json").read_text())["images"]:
+        (dest / rec[key]).unlink()
+    return dest
+
+
+@pytest.mark.parametrize("mode, other", [("region", "grid"), ("grid", "region")])
+def test_each_mode_reads_only_its_arrays(ds, tmp_path, capsys, mode, other):
+    """With every image's other-mode array deleted, eval and train of a mode
+    print what they print on the intact set; the other mode, and a hybrid
+    run, exit 1 on the first missing file."""
+    cut = _without(ds, tmp_path / "cut", featureio.MODE_ARRAYS[other])
+    flags = ["--mode", mode, "--seed", "3"]
+
+    def both(*argv):
+        """``argv`` run on the intact set and on the cut one, timing dropped."""
+        return [_untimed(run_json(capsys, *(a.format(data=d, out=tmp_path / ("ck-" + d.name))
+                                            for a in argv))) for d in (ds, cut)]
+
+    whole, part = both("eval", "--data", "{data}", *flags)
+    assert whole == part and whole["mode"] == mode
+    whole, part = both("train", "--data", "{data}", "--out", "{out}", "--epochs", "1",
+                       "--batch-size", "8", *flags)
+    assert whole.pop("out") != part.pop("out") and whole == part
+    whole, part = both("eval", "--data", "{data}", "--ckpt", str(tmp_path / "ck-ds"))
+    assert whole == part and whole["mode"] == mode
+    for argv in (["eval", "--mode", other],
+                 ["train", "--mode", "hybrid", "--out", str(tmp_path / "h")]):
+        code, out, err = run(capsys, argv[0], "--data", str(cut), *argv[1:])
+        assert code == 1 and out == "" and "missing tensor file" in err, err
+
+
+def test_a_skipped_array_still_needs_a_file_name(ds, tmp_path, capsys):
+    cut = _without(ds, tmp_path / "cut", "grid_feats")
+    doc = json.loads((cut / "manifest.json").read_text())
+    doc["images"][3]["grid_feats"] = 7
+    (cut / "manifest.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--data", str(cut))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "img_00003: tensor file name must be a string, got 7" in err
+
+
+@pytest.fixture
+def dataset_reads(monkeypatch):
+    """The dataset tensor files ``featureio.read_tensor`` opens, by path."""
+    reads, read = [], featureio.read_tensor
+    monkeypatch.setattr(featureio, "read_tensor",
+                        lambda path: reads.append(Path(path)) or read(path))
+    return reads
+
+
+def _bad_mode_ckpt(ckpt, dest, mode):
+    """A copy of ``ckpt`` whose ``meta.mode`` is ``mode`` (absent for ...)."""
+    shutil.copytree(ckpt, dest)
+    doc = json.loads((dest / "checkpoint.json").read_text())
+    del doc["meta"]["mode"]
+    if mode is not ...:
+        doc["meta"]["mode"] = mode
+    (dest / "checkpoint.json").write_text(json.dumps(doc))
+    return dest
+
+
+@pytest.mark.parametrize("kind", ["folds", "geometry", "geometry-hybrid",
+                                  "geometry-ensemble", "mode", "mode-ensemble"])
+def test_refusals_read_no_dataset_tensor(ds, full_ds, ckpt, hybrid_ckpt, tmp_path, capsys,
+                                         dataset_reads, kind):
+    """A refused fold split, a checkpoint of another geometry and a checkpoint
+    of no known mode each exit 1 before any dataset tensor is read."""
+    bad = _bad_mode_ckpt(ckpt, tmp_path / "bad", "hybrid") if "mode" in kind else None
+    data, argv = {
+        "folds": (ds, ["eval", "--ckpt", str(ckpt), "--folds", "5"]),
+        "geometry": (full_ds, ["eval", "--ckpt", str(ckpt)]),
+        "geometry-hybrid": (full_ds, ["eval", "--ckpt", str(hybrid_ckpt)]),
+        "geometry-ensemble": (full_ds, ["ensemble-eval", "--ckpt-a", str(hybrid_ckpt / "grid"),
+                                        "--ckpt-b", str(ckpt)]),
+        "mode": (ds, ["eval", "--ckpt", str(bad)]),
+        "mode-ensemble": (ds, ["ensemble-eval", "--ckpt-a", str(ckpt), "--ckpt-b", str(bad)]),
+    }[kind]
+    code, out, err = run(capsys, argv[0], "--data", str(data), *argv[1:])
+    assert code == 1 and out == "" and "Traceback" not in err, err
+    assert [p for p in dataset_reads if p.is_relative_to(data)] == []
+
+
+@pytest.mark.parametrize("mode", ["hybrid", "", ["region"], 3, None, ...],
+                         ids=["hybrid", "empty", "list", "int", "null", "absent"])
+def test_checkpoint_mode_is_checked_when_read(ds, ckpt, tmp_path, capsys, mode):
+    """A saved mode must be region or grid, and is region when absent; any
+    other exits 1 naming the checkpoint and the value, whatever --mode asks."""
+    bad = _bad_mode_ckpt(ckpt, tmp_path / "ck", mode)
+    for extra in ([], ["--mode", "grid"]):
+        code, out, err = run(capsys, "eval", "--data", str(ds), "--ckpt", str(bad), *extra)
+        if mode is ...:
+            assert code == 0 and json.loads(out)["mode"] == (extra[1] if extra else "region")
+        else:
+            assert code == 1 and out == "" and "Traceback" not in err
+            assert "checkpoint %s has mode %r" % (bad, mode) in err
+
+
 @pytest.mark.parametrize("command", ["eval", "train"])
 def test_dataset_geometry_without_a_preset_exits_one(tmp_path, capsys, command):
     odd = replace(SMALL_DIMS, K=5)

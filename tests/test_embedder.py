@@ -478,6 +478,8 @@ def test_checkpoint_rejects_unreadable_document(tmp_path, params, text, match):
     ({"meta": [1]}, "meta must be a JSON object"),
     ({"format_version": None}, "missing key 'format_version'"),
     ({"format_version": 2}, "format_version 2 unsupported"),
+    ({"format_version": True}, "format_version True unsupported"),
+    ({"format_version": 1.0}, "format_version 1.0 unsupported"),
     ({"model": {k: v for k, v in SMALL_MODEL.to_dict().items()
                 if k not in ("attn_smooth", "salience_mode")}},
      "model has missing keys: attn_smooth, salience_mode"),
@@ -485,6 +487,7 @@ def test_checkpoint_rejects_unreadable_document(tmp_path, params, text, match):
      "dims has missing keys: word_dim"),
 ], ids=["no-model", "no-dims", "no-tensors", "tensors-str", "tensors-dict",
         "tensors-mixed", "meta-list", "no-format-version", "format-version-2",
+        "format-version-bool", "format-version-float",
         "model-missing-keys", "dims-missing-key"])
 def test_checkpoint_rejects_malformed_sections(tmp_path, params, edit, match):
     ck = model.save_checkpoint(tmp_path / "ck", params, SMALL_MODEL, SMALL_DIMS)

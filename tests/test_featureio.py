@@ -217,6 +217,28 @@ def test_synth_shapes_and_ranges(synth_dir):
         assert words.shape[1] == d.word_dim
 
 
+@pytest.mark.parametrize("modes", [("region",), ("grid",), (), ("grid", "region")],
+                         ids=["region", "grid", "none", "both"])
+def test_load_reads_only_the_image_arrays_of_its_modes(synth_dir, monkeypatch, modes):
+    """Each mode's image array is read only when asked for, and is None
+    otherwise; every other array is the default load's."""
+    whole, texts, _ = fio.load_dataset(synth_dir / "manifest.json")
+    opened, read = [], fio.read_tensor
+    monkeypatch.setattr(fio, "read_tensor", lambda path: opened.append(path) or read(path))
+    part, part_texts, _ = fio.load_dataset(synth_dir / "manifest.json", modes)
+    kept = {key for mode, key in fio.MODE_ARRAYS.items() if mode in modes}
+    assert len(opened) == len(whole) * (2 + len(kept)) + len(texts.word_feats)
+    for a, b in zip(whole, part):
+        for key in fio.IMAGE_SHAPES:
+            got = getattr(b, key)
+            if key in fio.MODE_ARRAYS.values() and key not in kept:
+                assert got is None
+            else:
+                assert got.dtype == getattr(a, key).dtype
+                assert np.array_equal(got, getattr(a, key))
+    assert all(np.array_equal(a, b) for a, b in zip(texts.word_feats, part_texts.word_feats))
+
+
 def test_seg_map_consistent_with_seg_feat(synth_dir):
     """Blockwise layout: each pixel carries its cell's dominant channel."""
     bundles, _, _ = fio.load_dataset(synth_dir / "manifest.json")
@@ -485,11 +507,13 @@ def test_load_rejects_tensor_file_names_that_are_not_strings(tmp_path, section, 
     ("format_version", None, "missing key 'format_version'"),
     ("format_version", 2, "format_version 2 unsupported"),
     ("format_version", "1", "format_version '1' unsupported"),
+    ("format_version", True, "format_version True unsupported"),
+    ("format_version", 1.0, "format_version 1.0 unsupported"),
     ("dataset", None, "missing key 'dataset'"),
     ("dims", {k: v for k, v in SMALL_DIMS.to_dict().items() if k != "word_dim"},
      "dims has missing keys: word_dim"),
-], ids=["no-format-version", "format-version-2", "format-version-str", "no-dataset",
-        "dims-missing-key"])
+], ids=["no-format-version", "format-version-2", "format-version-str",
+        "format-version-bool", "format-version-float", "no-dataset", "dims-missing-key"])
 def test_manifest_rejects_missing_key_or_unsupported_version(tmp_path, key, value, match):
     fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
     doc = json.loads((tmp_path / "manifest.json").read_text())
