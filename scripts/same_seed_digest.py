@@ -26,6 +26,9 @@ with one BLAS thread, and hashes what it leaves behind:
 - ``rank_rows`` and ``ensemble_ranks`` of a seeded tie-heavy pair of
   40x200 similarities rounded to 0.1, and of its transpose, plus the
   pair's ``ensemble_eval`` JSON;
+- the same three of a seeded pair of 8x9000 similarities with planted
+  exact ties and 1-ULP neighbours, scores that share all but the last 14
+  bits of ``rank_rows``' packed sort keys (``ranking/wide/...``);
 - the per-check ``ok`` map of ``selfcheck --seed 0``.
 
 Two checkouts compute the same numbers when their outputs are equal:
@@ -182,13 +185,18 @@ def digest(values) -> None:
 
     rng = np.random.default_rng(12)
     a, b = (np.round(rng.uniform(-1, 1, size=(40, 200)), 1) for _ in range(2))
-    for name, (sa, sb) in (("pair", (a, b)), ("transpose", (a.T, b.T))):
+    wide = rng.uniform(-1, 1, size=(2, 8, 9000))
+    wide[..., ::3] = wide[..., 1::3]                        # exact ties
+    wide[..., 2::3] = np.nextafter(wide[..., 1::3], 2.0)    # 1-ULP neighbours
+    for name, (sa, sb) in (("pair", (a, b)), ("transpose", (a.T, b.T)), ("wide", wide)):
         for fn, order in (("rank_rows", retrieval.rank_rows(sa)),
                           ("ensemble_ranks", retrieval.ensemble_ranks(sa, sb))):
             emit("ranking/%s/%s" % (name, fn),
                  np.ascontiguousarray(order, dtype=np.int64).tobytes())
     emit_json("ranking/ensemble_eval", retrieval.ensemble_eval(
         a, b, np.repeat(np.arange(40), 5)).to_dict())
+    emit_json("ranking/wide/ensemble_eval", retrieval.ensemble_eval(
+        *wide, np.arange(9000) % 8, ks=(1, 2, 4)).to_dict())
 
     doc = run("selfcheck", "--seed", 0)
     emit_json("selfcheck/ok", {k: v["ok"] for k, v in doc["checks"].items()})

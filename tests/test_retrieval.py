@@ -478,6 +478,28 @@ def test_tie_order_is_the_stable_sort_bitwise(s):
     assert ranks.dtype == inverse.dtype and ranks.tobytes() == inverse.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8192, 8193])
+def test_scores_apart_only_in_the_index_bits_keep_the_stable_order(m):
+    """``rank_rows`` packs the column into the low ``(m - 1).bit_length()``
+    bits of each sort key, so scores a few ULPs apart share every other
+    bit.  Rows of such neighbours (``np.nextafter`` steps from aligned
+    values and from +0.0 and -0.0), with exact ties and wholly tied rows
+    mixed in, keep the stable sort's order, in C and transposed layouts."""
+    rng = np.random.default_rng(m)
+    base = rng.choice([-0.5, -0.0, 0.0, 0.25], size=(8, m))
+    ulps = rng.integers(0, 2 << (m - 1).bit_length(), size=base.shape)
+    s = (base.view(np.int64) + ulps).view(np.float64)   # ulps steps away from 0
+    step = np.nextafter(base[:2], rng.choice([-1.0, 1.0], size=(2, m)))
+    s[:2] = np.where(rng.integers(0, 2, size=(2, m)), step, base[:2])
+    s[2] = s[2, 0]
+    for sim in (s, np.ascontiguousarray(s.T).T, -s):
+        want = np.argsort(-sim, axis=1, kind="stable")
+        assert rt.rank_rows(sim).tobytes() == want.tobytes()
+        inverse = np.empty(sim.shape)
+        np.put_along_axis(inverse, want, np.arange(m)[None], axis=1)
+        assert rt._stable_ranks(sim).tobytes() == inverse.tobytes()
+
+
 def test_ensemble_eval_equals_plain_eval_when_models_agree():
     rng = np.random.default_rng(31)
     sim, image_index = random_instance(rng)
