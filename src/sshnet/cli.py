@@ -116,8 +116,9 @@ def cmd_train(args) -> int:
     manifest = featureio.load_manifest(args.data)
     model_cfg = _model_for(manifest.dims, args)
     cfg = _train_config(args)
+    objective.caption_lookup(manifest.image_index, len(manifest.images))
     bundles, texts, _ = featureio.load_dataset(
-        args.data, ("region", "grid") if args.mode == "hybrid" else (args.mode,))
+        manifest, ("region", "grid") if args.mode == "hybrid" else (args.mode,))
     out = Path(args.out)
     doc = {"out": str(out), "mode": args.mode, "train": cfg.to_dict(),
            "model": model_cfg.to_dict()}
@@ -149,28 +150,18 @@ def _checkpoint(ckpt, dims, mode="auto"):
     return params, cfg, dims, saved if mode == "auto" else mode
 
 
-def _check_folds(n_images: int, folds: int = 1):
-    """Refuse, before anything is embedded, folds ``evaluate`` would refuse."""
-    need = max(retrieval.DEFAULT_KS)   # recall@need ranks each fold's images
-    if folds > 1 and (n_images % folds or n_images // folds < need):
-        raise ConfigError("%d images in %d folds (--folds) give %.10g images per fold; "
-                          "recall@%d needs a whole number of at least %d candidates per "
-                          "fold" % (n_images, folds, n_images / folds, need, need))
-    if n_images < need:
-        raise ConfigError("%d images are too few: recall@%d needs at least %d "
-                          "candidates" % (n_images, need, need))
-
-
-def _report(data, models, folds=1):
-    """Recalls of one ``(params, cfg, dims, mode)`` model, or the rank-averaged fusion
-    of two, over ``folds`` contiguous folds of ``data``, read for those modes alone."""
-    bundles, texts, _ = featureio.load_dataset(data, [mode for *_, mode in models])
+def _report(manifest, models, pretty, folds=1) -> int:
+    """Print the recalls of one ``(params, cfg, dims, mode)`` model, or the rank-averaged
+    fusion of two, over ``folds`` folds of ``manifest``, read for those modes alone."""
+    bundles, texts, _ = featureio.load_dataset(manifest, [mode for *_, mode in models])
     sims = []
     for params, cfg, dims, mode in models:
         table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=mode)
         sims.append(retrieval.similarity_matrix(table.image_embs, table.text_embs))
-    return retrieval.report(sims, table.image_index, mode if len(sims) == 1 else "hybrid",
-                            folds)
+    report = retrieval.report(sims, table.image_index, mode if len(sims) == 1 else "hybrid",
+                              folds)
+    _emit(report.to_dict(), report.table(), pretty)
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -185,7 +176,7 @@ def cmd_eval(args) -> int:
             raise ConfigError("%s cannot apply to the %scheckpoint %s"
                               % (", ".join(ignored), "hybrid " if hybrid else "", ckpt))
     manifest = featureio.load_manifest(args.data)
-    _check_folds(len(manifest.images), args.folds)
+    retrieval.fold_size(manifest.image_index, len(manifest.images), args.folds)
     if hybrid:
         models = [_checkpoint(ckpt / sub, manifest.dims) for sub in ("region", "grid")]
     elif ckpt is not None:
@@ -195,18 +186,14 @@ def cmd_eval(args) -> int:
         model_cfg = _model_for(manifest.dims, args)
         models = [(model.init_params(model_cfg, manifest.dims, args.seed or 0), model_cfg,
                    manifest.dims, "region" if args.mode == "auto" else args.mode)]
-    report = _report(args.data, models, args.folds)
-    _emit(report.to_dict(), report.table(), args.pretty)
-    return 0
+    return _report(manifest, models, args.pretty, args.folds)
 
 
 def cmd_ensemble_eval(args) -> int:
     manifest = featureio.load_manifest(args.data)
-    _check_folds(len(manifest.images))
-    report = _report(args.data, [_checkpoint(ckpt, manifest.dims)
-                                 for ckpt in (args.ckpt_a, args.ckpt_b)])
-    _emit(report.to_dict(), report.table(), args.pretty)
-    return 0
+    retrieval.fold_size(manifest.image_index, len(manifest.images))
+    return _report(manifest, [_checkpoint(ckpt, manifest.dims)
+                              for ckpt in (args.ckpt_a, args.ckpt_b)], args.pretty)
 
 
 def _unit_rows(rng, n, d):

@@ -135,6 +135,11 @@ class Manifest:
     images: list                # [{"id", "region_feats", "grid_feats", "seg_feat", "seg_map"}]
     sentences: list             # [{"id", "image_index", "word_feats"}]
     seed: int | None = None
+    root: Path | None = None    # the directory its tensor file names are under
+
+    @property
+    def image_index(self) -> np.ndarray:   # as TextFeatureSet.image_index
+        return np.array([rec["image_index"] for rec in self.sentences], dtype=np.int64)
 
     def to_json(self) -> str:
         doc = {
@@ -173,18 +178,34 @@ def read_json_object(path, what: str, keys) -> dict:
 
 
 def load_manifest(path) -> Manifest:
+    """The manifest at ``path``, every record checked and no tensor read:
+    FormatError naming a record that lacks a key of ``IMAGE_KEYS`` /
+    ``SENTENCE_KEYS``, names a tensor file with anything but a string or
+    gives a non-integer ``image_index``; DataValidationError for an
+    ``image_index`` outside [0, images)."""
     doc = read_json_object(path, "manifest", ("dataset", "dims", "images", "sentences",
                                               "num_images", "num_sentences"))
     for key in ("images", "sentences"):
         if not isinstance(doc[key], list):
             raise FormatError("manifest %s must be a list, got %s"
                               % (key, type(doc[key]).__name__))
-        if doc["num_" + key] != len(doc[key]):
-            raise FormatError("manifest num_%s %r does not match its %d %s"
-                              % (key, doc["num_" + key], len(doc[key]), key))
-    return Manifest(dataset=doc["dataset"], dims=DimConfig.from_dict(doc["dims"]),
-                    images=doc["images"], sentences=doc["sentences"],
-                    seed=doc.get("seed"))
+        if type(doc["num_" + key]) is not int or doc["num_" + key] != len(doc[key]):
+            raise FormatError("manifest num_%s must be the int %d, the number of its %s; "
+                              "got %r" % (key, len(doc[key]), key, doc["num_" + key]))
+    dims = DimConfig.from_dict(doc["dims"])
+    for pos, rec in enumerate(doc["images"]):
+        _check_record(rec, "image", pos, IMAGE_KEYS, IMAGE_SHAPES)
+    for pos, rec in enumerate(doc["sentences"]):
+        _check_record(rec, "sentence", pos, SENTENCE_KEYS, ("word_feats",))
+        idx = rec["image_index"]
+        if type(idx) is not int:
+            raise FormatError("manifest sentence %s: image_index must be an integer, "
+                              "got %r" % (rec["id"], idx))
+        if not 0 <= idx < len(doc["images"]):
+            raise DataValidationError("%s: image_index %d outside [0, %d)"
+                                      % (rec["id"], idx, len(doc["images"])))
+    return Manifest(dataset=doc["dataset"], dims=dims, images=doc["images"],
+                    sentences=doc["sentences"], seed=doc.get("seed"), root=Path(path).parent)
 
 
 # manifest key of each stored image array -> its shape under a DimConfig
@@ -199,33 +220,36 @@ SENTENCE_KEYS = ("id", "image_index", "word_feats")
 MODE_ARRAYS = {"region": "region_feats", "grid": "grid_feats"}   # what each mode embeds
 
 
-def _load(root, rel, item_id, read=True):
-    """The tensor file ``rel`` under ``root``, as stored; with ``read``
-    False only its name is checked, and the file is not opened."""
-    if not isinstance(rel, str) or "\0" in rel:
-        raise FormatError("%s: tensor file name must be a string, got %r" % (item_id, rel))
-    if read and not (root / rel).exists():
-        raise DataValidationError("%s: missing tensor file %s" % (item_id, rel))
-    return read_tensor(root / rel) if read else None
-
-
-def _require_keys(rec, kind, pos, keys):
+def _check_record(rec, kind, pos, keys, files):
+    """FormatError unless record ``pos`` holds every key of ``keys`` and a
+    string name for each tensor file of ``files``."""
     if not isinstance(rec, dict):
         raise FormatError("manifest %s %d is not an object" % (kind, pos))
     for key in keys:
         if key not in rec:
             raise FormatError("manifest %s %s is missing key %r"
                               % (kind, rec.get("id", "#%d" % pos), key))
+    for key in files:
+        if not isinstance(rec[key], str) or "\0" in rec[key]:
+            raise FormatError("%s: tensor file name must be a string, got %r"
+                              % (rec["id"], rec[key]))
 
 
-def load_image(rec, pos: int, root: Path, dims: DimConfig,
-               modes=tuple(MODE_ARRAYS)) -> FeatureBundle:
-    """The checked bundle of manifest image record ``pos``: every key and file
-    name is checked, but a mode's image array is read only if it is in ``modes``."""
-    _require_keys(rec, "image", pos, IMAGE_KEYS)
+def _load(root, rel, item_id):
+    """The tensor file ``rel`` under ``root``, as stored."""
+    if not (root / rel).exists():
+        raise DataValidationError("%s: missing tensor file %s" % (item_id, rel))
+    return read_tensor(root / rel)
+
+
+def load_image(manifest: Manifest, pos: int, modes=tuple(MODE_ARRAYS)) -> FeatureBundle:
+    """The bundle of image record ``pos`` of a ``load_manifest`` manifest, its
+    tensors read and checked; a mode's image array only if it is in ``modes``."""
+    rec, dims = manifest.images[pos], manifest.dims
     iid = rec["id"]
     skip = set(MODE_ARRAYS.values()) - {MODE_ARRAYS[mode] for mode in modes}
-    arrs = {key: _load(root, rec[key], iid, key not in skip) for key in IMAGE_SHAPES}
+    arrs = {key: None if key in skip else _load(manifest.root, rec[key], iid)
+            for key in IMAGE_SHAPES}
     for key, shape_of in IMAGE_SHAPES.items():
         if key not in skip and arrs[key].shape != (shape := shape_of(dims)):
             raise DataValidationError("%s: %s shape %r, expected %r"
@@ -243,45 +267,27 @@ def load_image(rec, pos: int, root: Path, dims: DimConfig,
     return FeatureBundle(**arrs, seg_map=seg_map)
 
 
-def load_dataset(manifest_path, modes=tuple(MODE_ARRAYS)
+def load_dataset(manifest, modes=tuple(MODE_ARRAYS)
                  ) -> tuple[list[FeatureBundle], TextFeatureSet, Manifest]:
-    """Load and validate the tensors a manifest references, each in its
-    stored dtype (float64 starts at ``Tensor`` and at the pooled mean); of
-    the image arrays, only those of ``modes`` (``load_image``).
-
-    Raises FormatError naming the record when it lacks one of
-    ``IMAGE_KEYS`` / ``SENTENCE_KEYS`` (naming the key), names a tensor
-    file with anything but a string, or gives a non-integer
-    ``image_index``, and DataValidationError naming the offending item on
-    any shape, finiteness or category-range violation.
-    """
-    manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path)
-    root = manifest_path.parent
-    bundles = [load_image(rec, pos, root, manifest.dims, modes)
-               for pos, rec in enumerate(manifest.images)]
-
-    word_feats, image_index = [], []
-    for pos, rec in enumerate(manifest.sentences):
-        _require_keys(rec, "sentence", pos, SENTENCE_KEYS)
+    """Read and check the tensors of ``manifest``, a ``load_manifest``
+    manifest or its path, each in its stored dtype (float64 starts at
+    ``Tensor`` and at the pooled mean); of the image arrays, only those of
+    ``modes`` (``load_image``).  DataValidationError naming the item on a
+    missing file or any shape, finiteness or category-range violation."""
+    if not isinstance(manifest, Manifest):
+        manifest = load_manifest(manifest)
+    bundles = [load_image(manifest, pos, modes) for pos in range(len(manifest.images))]
+    word_feats = []
+    for rec in manifest.sentences:
         sid = rec["id"]
-        idx = rec["image_index"]
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise FormatError("manifest sentence %s: image_index must be an integer, "
-                              "got %r" % (sid, idx))
-        if not 0 <= idx < len(bundles):
-            raise DataValidationError("%s: image_index %d outside [0, %d)"
-                                      % (sid, idx, len(bundles)))
-        words = _load(root, rec["word_feats"], sid)
+        words = _load(manifest.root, rec["word_feats"], sid)
         if words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != manifest.dims.word_dim:
             raise DataValidationError("%s: word_feats shape %r, expected (N>=1, %d)"
                                       % (sid, words.shape, manifest.dims.word_dim))
         if not np.isfinite(words).all():
             raise DataValidationError("%s: word_feats contains non-finite values" % (sid,))
         word_feats.append(words)
-        image_index.append(idx)
-    texts = TextFeatureSet(word_feats, np.asarray(image_index, dtype=np.int64))
-    return bundles, texts, manifest
+    return bundles, TextFeatureSet(word_feats, manifest.image_index), manifest
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +366,7 @@ def synth_dataset(out_dir, n_images: int, captions_per_image: int, seed: int,
             sentence_recs.append(srec)
 
     manifest = Manifest(dataset="synthetic", dims=dims, images=image_recs,
-                        sentences=sentence_recs, seed=seed)
+                        sentences=sentence_recs, seed=seed, root=out_dir)
     write_atomic(manifest_path, Path.write_text, manifest.to_json())
     return manifest_path
 

@@ -148,10 +148,16 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def _caption_lookup(texts) -> dict[int, list[int]]:
+def caption_lookup(image_index, n_images: int) -> dict[int, list[int]]:
+    """Each image's sentence positions; ConfigError for < 2 images or one uncaptioned."""
+    if n_images < 2:
+        raise ConfigError("training needs at least 2 images")
     caps: dict[int, list[int]] = {}
-    for s, img in enumerate(texts.image_index):
+    for s, img in enumerate(image_index):
         caps.setdefault(int(img), []).append(s)
+    missing = [i for i in range(n_images) if not caps.get(i)]
+    if missing:
+        raise ConfigError("images without captions: %r" % (missing[:5],))
     return caps
 
 
@@ -166,12 +172,7 @@ def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
     params)`` may return True to stop early.
     """
     n_images = len(bundles)
-    if n_images < 2:
-        raise ConfigError("training needs at least 2 images")
-    caps = _caption_lookup(texts)
-    missing = [i for i in range(n_images) if not caps.get(i)]
-    if missing:
-        raise ConfigError("images without captions: %r" % (missing[:5],))
+    caps = caption_lookup(texts.image_index, n_images)
 
     params = model_mod.init_params(model_cfg, dims, cfg.seed)
     named = params.named()

@@ -89,21 +89,6 @@ def _stable_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks.reshape(n, m)
 
 
-def _checked(image_index, *sims):
-    """Finite, non-empty 2-D float similarities of one shape, after the
-    image of each sentence (column): 1-D integers in [0, images)."""
-    sims = _finite_2d("similarities", *sims, same_shape=True)
-    image_index, shape = np.asarray(image_index), sims[0].shape
-    if 0 in shape or image_index.shape != shape[1:]:
-        raise ShapeError("similarities %r must be non-empty and match image_index %r"
-                         % (shape, image_index.shape))
-    if not (np.issubdtype(image_index.dtype, np.integer)
-            and np.all((image_index >= 0) & (image_index < shape[0]))):
-        raise ConfigError("image_index must hold integers in [0, %d)"
-                          % shape[0])
-    return (image_index, *sims)
-
-
 def _ranks(keys, own) -> np.ndarray:
     """Per row, how many candidates come before the first, in key order,
     of the candidates ``own`` marks (past all of them if it marks none).
@@ -167,34 +152,55 @@ class RetrievalReport:
                 + "".join(" %8.1f" % v for v in (*self.recall, self.rsum)))
 
 
+def fold_size(image_index, n_images: int, folds: int = 1, ks=DEFAULT_KS) -> int:
+    """The images per fold of ``n_images`` images in ``folds`` contiguous folds,
+    sentence j showing image ``image_index[j]``; ConfigError unless those are
+    integers in [0, n_images), the folds divide the images, every fold has a
+    sentence, and ``ks`` rise strictly from 1 to at most a fold's candidates."""
+    image_index = np.asarray(image_index)
+    if not (np.issubdtype(image_index.dtype, np.integer)
+            and np.all((image_index >= 0) & (image_index < n_images))):
+        raise ConfigError("image_index must hold integers in [0, %d)" % n_images)
+    if folds < 1 or n_images % folds:
+        raise ConfigError("%d images do not divide into %d folds (--folds): the images "
+                          "per fold are a sentence's candidates" % (n_images, folds))
+    size = n_images // folds
+    sentences = np.bincount(image_index // max(size, 1), minlength=folds)
+    if not sentences.all():
+        raise ConfigError("fold %d has no sentences" % np.argmin(sentences))
+    top = min(size, sentences.min())
+    if not (len(ks) and all(isinstance(k, (int, np.integer)) for k in ks)
+            and all(lo < hi for lo, hi in zip((0, *ks), ks))):
+        raise ConfigError("every k must be a positive integer, and ks must increase "
+                          "strictly; got %r" % (tuple(ks),))
+    if ks[-1] > top:
+        raise ConfigError("every k must lie in [1, %d]: recall@%d needs %d candidates, but %d "
+                          "images in %d fold(s)%s give %d images per fold and at least %d "
+                          "sentences" % (top, ks[-1], ks[-1], n_images, folds,
+                                         " (--folds)" * (folds > 1), size, sentences.min()))
+    return size
+
+
 def report(sims, image_index, mode: str = "region", folds: int = 1,
            ks=DEFAULT_KS) -> RetrievalReport:
     """Recall@k of one similarity matrix, or of the rank-averaged fusion of
-    two, averaged over ``folds`` contiguous folds of the images.
+    two, averaged over the ``fold_size`` folds of the images.
 
     Each query's ground truth is ranked by counting, per block of queries,
     the candidates whose key comes first: a higher score, or for a fusion a
     lower rank sum (``ensemble_ranks``' order), then a higher summed score;
     a full tie goes to the lower index.  No row of one matrix is sorted.
-    An image query's ground truth is its best caption.  ``ks`` must be
-    strictly increasing integers no larger than any fold's candidates.
+    An image query's ground truth is its best caption.
     """
     if not 1 <= len(sims) <= 2:
         raise ConfigError("report ranks one similarity matrix or fuses two, got %d"
                           % len(sims))
-    image_index, *sims = _checked(image_index, *sims)
-    n = sims[0].shape[0]
-    if folds < 1 or n % folds:
-        raise ConfigError("%d images do not divide into %d folds" % (n, folds))
-    size = n // folds
-    sentences = np.bincount(image_index // size, minlength=folds)
-    if not sentences.all():
-        raise ConfigError("fold %d has no sentences" % np.argmin(sentences))
-    top = min(size, sentences.min())
-    if not (len(ks) and all(isinstance(k, (int, np.integer)) for k in ks)
-            and all(lo < hi for lo, hi in zip((0, *ks), (*ks, top + 1)))):
-        raise ConfigError("every k must lie in [1, %d], the number of candidates, "
-                          "and ks must increase strictly; got %r" % (top, tuple(ks)))
+    sims = _finite_2d("similarities", *sims, same_shape=True)
+    image_index, (n, m) = np.asarray(image_index), sims[0].shape
+    if 0 in (n, m) or image_index.shape != (m,):
+        raise ShapeError("similarities %r must be non-empty and match image_index %r"
+                         % ((n, m), image_index.shape))
+    size = fold_size(image_index, n, folds, ks)
     acc = np.zeros(2 * len(ks))
     for lo in range(0, n, size):
         fold = (image_index >= lo) & (image_index < lo + size) if folds > 1 else slice(None)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sshnet import featureio, model, retrieval
@@ -405,25 +405,116 @@ def _bad_mode_ckpt(ckpt, dest, mode):
     return dest
 
 
+def _recaptioned(ds, dest, keep):
+    """A copy of the dataset ``ds`` holding only the sentence records ``keep``
+    accepts."""
+    shutil.copytree(ds, dest)
+    doc = json.loads((dest / "manifest.json").read_text())
+    doc["sentences"] = [rec for rec in doc["sentences"] if keep(rec)]
+    doc["num_sentences"] = len(doc["sentences"])
+    (dest / "manifest.json").write_text(json.dumps(doc))
+    return dest
+
+
+@pytest.fixture(scope="module")
+def ds20(tmp_path_factory):
+    """20 images, one caption each: two folds of 10."""
+    out = tmp_path_factory.mktemp("cli") / "ds20"
+    assert main(["synth", "--out", str(out), "--images", "20", "--captions", "1",
+                 "--seed", "6"]) == 0
+    return out
+
+
 @pytest.mark.parametrize("kind", ["folds", "geometry", "geometry-hybrid",
-                                  "geometry-ensemble", "mode", "mode-ensemble"])
-def test_refusals_read_no_dataset_tensor(ds, full_ds, ckpt, hybrid_ckpt, tmp_path, capsys,
-                                         dataset_reads, kind):
-    """A refused fold split, a checkpoint of another geometry and a checkpoint
-    of no known mode each exit 1 before any dataset tensor is read."""
+                                  "geometry-ensemble", "mode", "mode-ensemble",
+                                  "empty-fold", "few-captions", "few-captions-ensemble",
+                                  "uncaptioned", "uncaptioned-hybrid"])
+def test_refusals_read_no_dataset_tensor(ds, ds20, full_ds, ckpt, hybrid_ckpt, tmp_path,
+                                         capsys, dataset_reads, kind):
+    """A refused fold split, a checkpoint of another geometry, a checkpoint
+    of no known mode, a fold without sentences, too few captions for
+    recall@10 and an image without a caption to train on each exit 1 before
+    any dataset tensor is read."""
     bad = _bad_mode_ckpt(ckpt, tmp_path / "bad", "hybrid") if "mode" in kind else None
-    data, argv = {
-        "folds": (ds, ["eval", "--ckpt", str(ckpt), "--folds", "5"]),
-        "geometry": (full_ds, ["eval", "--ckpt", str(ckpt)]),
-        "geometry-hybrid": (full_ds, ["eval", "--ckpt", str(hybrid_ckpt)]),
+    first_half = _recaptioned(ds20, tmp_path / "half", lambda rec: rec["image_index"] < 10)
+    five = _recaptioned(ds, tmp_path / "five",          # the first five captions
+                        lambda rec: rec["id"] < "sent_00002_1")
+    no_last = _recaptioned(ds, tmp_path / "no-last", lambda rec: rec["image_index"] < 11)
+    train_out = str(tmp_path / "out")
+    data, argv, message = {
+        "folds": (ds, ["eval", "--ckpt", str(ckpt), "--folds", "5"], "--folds"),
+        "geometry": (full_ds, ["eval", "--ckpt", str(ckpt)], "geometry"),
+        "geometry-hybrid": (full_ds, ["eval", "--ckpt", str(hybrid_ckpt)], "geometry"),
         "geometry-ensemble": (full_ds, ["ensemble-eval", "--ckpt-a", str(hybrid_ckpt / "grid"),
-                                        "--ckpt-b", str(ckpt)]),
-        "mode": (ds, ["eval", "--ckpt", str(bad)]),
-        "mode-ensemble": (ds, ["ensemble-eval", "--ckpt-a", str(ckpt), "--ckpt-b", str(bad)]),
+                                        "--ckpt-b", str(ckpt)], "geometry"),
+        "mode": (ds, ["eval", "--ckpt", str(bad)], "has mode"),
+        "mode-ensemble": (ds, ["ensemble-eval", "--ckpt-a", str(ckpt), "--ckpt-b", str(bad)],
+                          "has mode"),
+        "empty-fold": (first_half, ["eval", "--folds", "2"], "fold 1 has no sentences"),
+        "few-captions": (five, ["eval", "--ckpt", str(ckpt)], "every k must lie in [1, 5]"),
+        "few-captions-ensemble": (five, ["ensemble-eval", "--ckpt-a", str(ckpt), "--ckpt-b",
+                                         str(ckpt)], "every k must lie in [1, 5]"),
+        "uncaptioned": (no_last, ["train", "--out", train_out],
+                        "images without captions: [11]"),
+        "uncaptioned-hybrid": (no_last, ["train", "--out", train_out, "--mode", "hybrid"],
+                               "images without captions: [11]"),
     }[kind]
     code, out, err = run(capsys, argv[0], "--data", str(data), *argv[1:])
     assert code == 1 and out == "" and "Traceback" not in err, err
+    assert message in err
     assert [p for p in dataset_reads if p.is_relative_to(data)] == []
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ensemble-eval"])
+def test_each_command_reads_the_manifest_once(ds, ckpt, tmp_path, capsys, monkeypatch,
+                                              command):
+    reads, read = [], featureio.read_json_object
+    monkeypatch.setattr(featureio, "read_json_object",
+                        lambda path, *args: reads.append(Path(path)) or read(path, *args))
+    argv = {"train": ["--out", str(tmp_path / "out"), "--epochs", "1", "--batch-size", "8"],
+            "eval": ["--ckpt", str(ckpt)],
+            "ensemble-eval": ["--ckpt-a", str(ckpt), "--ckpt-b", str(ckpt)]}[command]
+    run_json(capsys, command, "--data", str(ds), *argv)
+    assert [p for p in reads if p.name == "manifest.json"] == [ds / "manifest.json"]
+
+
+def test_eval_refuses_only_before_it_reads(tmp_path, monkeypatch):
+    """Over layouts of 0-2 captions for each of 10-20 images and fold counts,
+    eval prints recalls exactly when every fold holds a whole number of at
+    least 10 images and at least 10 sentences, and otherwise exits 1 having
+    read no dataset tensor."""
+    assert main(["synth", "--out", str(tmp_path), "--images", "20", "--captions", "2",
+                 "--seed", "8"]) == 0
+    base = json.loads((tmp_path / "manifest.json").read_text())
+    reads, read = [], featureio.read_tensor
+    monkeypatch.setattr(featureio, "read_tensor", lambda path: reads.append(path) or read(path))
+    counter = iter(range(10**6))
+
+    @given(st.lists(st.integers(0, 2), min_size=10, max_size=20), st.integers(1, 4))
+    @example([1] * 20, 2)                  # two folds of 10 captioned images
+    @example([1] * 10 + [0] * 10, 2)       # the second fold has no sentences
+    @settings(max_examples=30, deadline=None)
+    def check(captions, folds):
+        n = len(captions)
+        doc = dict(base, images=base["images"][:n], num_images=n, sentences=[
+            rec for rec in base["sentences"]    # ids end in the caption number
+            if rec["image_index"] < n and int(rec["id"][-1]) < captions[rec["image_index"]]])
+        doc["num_sentences"] = len(doc["sentences"])
+        path = tmp_path / ("m%d.json" % next(counter))
+        path.write_text(json.dumps(doc))
+        size = n // folds
+        ok = n % folds == 0 and min(size, *(sum(captions[lo:lo + size])
+                                            for lo in range(0, n, size))) >= 10
+        reads.clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", "--data", str(path), "--folds=%d" % folds])
+        if ok:
+            assert code == 0 and "rsum" in json.loads(out.getvalue()), err.getvalue()
+        else:
+            assert code == 1 and reads == [] and out.getvalue() == "", err.getvalue()
+
+    check()
 
 
 @pytest.mark.parametrize("mode", ["hybrid", "", ["region"], 3, None, ...],

@@ -530,3 +530,50 @@ def test_manifest_rejects_invalid_utf8(tmp_path):
     (tmp_path / "manifest.json").write_bytes(b'{"dataset": "\xff"}')
     with pytest.raises(FormatError, match="UTF-8"):
         fio.load_dataset(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("key, value", [("num_images", 2.0), ("num_sentences", 2.0),
+                                        ("num_images", True), ("num_sentences", True)],
+                         ids=["images-float", "sentences-float", "images-bool",
+                              "sentences-bool"])
+def test_manifest_counts_must_be_ints(tmp_path, key, value):
+    """A count equal to its list's length but not an int (a float, or true
+    over one record) is refused, as a format_version that is not an int is."""
+    fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    section = key[len("num_"):]
+    doc[section] = doc[section][:int(value)]
+    doc[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="manifest %s must be the int %d" % (key, value)):
+        fio.load_manifest(tmp_path / "manifest.json")
+
+
+def test_every_record_is_checked_before_any_tensor_is_read(tmp_path, monkeypatch):
+    """load_manifest checks every record and opens no tensor file, so a bad
+    last sentence is refused before a corrupt first image is read."""
+    fio.synth_dataset(tmp_path, 2, 1, seed=3, dims=SMALL_DIMS)
+    (tmp_path / "img_00000.regions.3sht").write_bytes(b"junk")
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["sentences"][-1]["image_index"] = 2
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    opened = []
+    monkeypatch.setattr(fio, "read_tensor", opened.append)
+    for load in (fio.load_manifest, fio.load_dataset):
+        with pytest.raises(DataValidationError, match=r"sent_00001_0: image_index 2 outside"):
+            load(tmp_path / "manifest.json")
+    assert opened == []
+
+
+def test_load_dataset_takes_a_parsed_manifest(synth_dir, monkeypatch):
+    """A parsed manifest knows its directory and each sentence's image, and
+    load_dataset reads its tensors without parsing it again."""
+    manifest = fio.load_manifest(synth_dir / "manifest.json")
+    assert manifest.root == synth_dir
+    assert manifest.image_index.tolist() == [i for i in range(8) for _ in range(3)]
+    whole, texts, _ = fio.load_dataset(synth_dir / "manifest.json")
+    monkeypatch.setattr(fio, "read_json_object", lambda *args: pytest.fail("parsed again"))
+    bundles, got_texts, got = fio.load_dataset(manifest)
+    assert got is manifest
+    assert np.array_equal(got_texts.image_index, texts.image_index)
+    assert all(np.array_equal(a.seg_feat, b.seg_feat) for a, b in zip(whole, bundles))

@@ -289,6 +289,14 @@ def test_train_config_rejects_bad_optimiser_values(field, value):
         _small_train_cfg(**{field: value})
 
 
+def test_caption_lookup_is_the_caption_rule():
+    assert objective.caption_lookup(np.array([1, 0, 1]), 2) == {0: [1], 1: [0, 2]}
+    for index, n, match in (([0], 1, "at least 2 images"),
+                            ([0, 0, 2], 4, r"images without captions: \[1, 3\]")):
+        with pytest.raises(ConfigError, match=match):
+            objective.caption_lookup(np.array(index), n)
+
+
 def test_training_rejects_captionless_image(data):
     bundles, texts, _ = data
     clipped = featureio.TextFeatureSet(texts.word_feats[:-3],

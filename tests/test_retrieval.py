@@ -366,6 +366,38 @@ def test_fivefold_matches_per_fold_oracle():
     np.testing.assert_allclose(got.recalls(), acc / folds, rtol=0, atol=1e-12)
 
 
+@given(st.integers(1, 12), st.lists(st.integers(0, 11), max_size=30), st.integers(0, 5),
+       st.sampled_from([(1,), (1, 2), (1, 5, 10), (2, 3), (3, 3), (0, 1), ()]))
+@settings(max_examples=200, deadline=None)
+def test_report_refuses_exactly_what_fold_size_refuses(n, index, folds, ks):
+    """``fold_size`` is the one statement of the split and ks rule: on the
+    same layout, ``report`` refuses exactly when it does, with its message,
+    and otherwise averages over folds of its size."""
+    image_index = np.array([i % n for i in index], dtype=np.int64)
+    try:
+        size = rt.fold_size(image_index, n, folds, ks)
+    except ConfigError as e:
+        refused = str(e)
+    else:
+        refused = None
+        assert size * folds == n and size >= ks[-1]
+    if not len(image_index):
+        return                                  # report refuses an empty matrix first
+    sim = np.random.default_rng(n).uniform(-1, 1, size=(n, len(image_index)))
+    try:
+        rt.report([sim], image_index, folds=folds, ks=ks)
+    except ConfigError as e:
+        assert str(e) == refused
+    else:
+        assert refused is None
+
+
+def test_fold_size_checks_the_image_of_each_sentence():
+    for bad in (np.array([0, 3]), np.array([-1, 0]), np.array([0.0, 1.0])):
+        with pytest.raises(ConfigError, match=r"image_index must hold integers in \[0, 3\)"):
+            rt.fold_size(bad, 3, ks=(1,))
+
+
 def test_fivefold_rejects_non_divisible():
     sim = np.zeros((7, 7))
     with pytest.raises(ConfigError):
