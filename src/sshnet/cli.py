@@ -16,9 +16,18 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, featureio, model, objective, retrieval
-from .config import preset
+from .config import PRESETS, SALIENCE_MODES, either, preset
 from .errors import ConfigError, FormatError, GradCheckError, SshnetError, TrainingError
 from .objective import TrainConfig
+
+# flag -> (ModelConfig field, argparse keywords) of the model flags of ``train``
+# and untrained ``eval``; a flag not given parses to None
+MODEL_FLAGS = {"--salience": ("salience_mode", {"choices": SALIENCE_MODES}),
+               "--attn-smooth": ("attn_smooth", {"type": float}),
+               "--embed-dim": ("embed_dim", {"type": int}),
+               "--no-vsem": ("use_vsem", {"action": "store_false", "default": None}),
+               "--no-vspm": ("use_vspm", {"action": "store_false", "default": None})}
+HYBRID_MARKER = "hybrid.json"   # marks a hybrid checkpoint: one member per mode under it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,34 +57,26 @@ def _int_at_least(lo):
 
 
 def _model_for(dims, args):
-    """The model preset whose geometry the dataset has, with the model
-    flags applied."""
-    (small, _), (full, _) = presets = [preset("small"), preset("full")]
-    model_cfg = next((pm for pd, pm in presets if pd == dims), None)
+    """The model of the preset whose geometry the dataset has, with the
+    model flags applied."""
+    model_cfg = next((pm for pd, pm in PRESETS.values() if pd == dims), None)
     if model_cfg is None:
-        raise ConfigError("dataset geometry %s matches neither the small preset %s nor "
-                          "the full preset %s" % (dims.to_dict(), small.to_dict(),
-                                                  full.to_dict()))
+        presets = " nor ".join("the %s preset %s" % (name, pd.to_dict())
+                               for name, (pd, _) in PRESETS.items())
+        raise ConfigError("dataset geometry %s matches neither %s" % (dims.to_dict(), presets))
     return replace(model_cfg, **dict(_model_overrides(args).values()))
-
-
-def _add_model_flags(sp):
-    """The model overrides shared by ``train`` and untrained ``eval``."""
-    sp.add_argument("--salience", choices=["sigmoid", "softmax"])
-    sp.add_argument("--attn-smooth", type=float)
-    sp.add_argument("--embed-dim", type=int)
-    sp.add_argument("--no-vsem", action="store_true")
-    sp.add_argument("--no-vspm", action="store_true")
 
 
 def _model_overrides(args) -> dict:
     """``flag -> (ModelConfig field, value)`` for each model flag given."""
-    return {flag: (field, value) for flag, field, value in (
-        ("--salience", "salience_mode", args.salience),
-        ("--attn-smooth", "attn_smooth", args.attn_smooth),
-        ("--embed-dim", "embed_dim", args.embed_dim),
-        ("--no-vsem", "use_vsem", False if args.no_vsem else None),
-        ("--no-vspm", "use_vspm", False if args.no_vspm else None)) if value is not None}
+    return {flag: (field, getattr(args, field)) for flag, (field, _) in MODEL_FLAGS.items()
+            if getattr(args, field) is not None}
+
+
+def _refuse(target, given):
+    """ConfigError for the flags of ``given`` (flag -> value) whose value is not None."""
+    if flags := [flag for flag, value in given.items() if value is not None]:
+        raise ConfigError("%s cannot apply to %s" % (", ".join(flags), target))
 
 
 def _train_config(args) -> TrainConfig:
@@ -117,46 +118,47 @@ def cmd_train(args) -> int:
     model_cfg = _model_for(manifest.dims, args)
     cfg = _train_config(args)
     objective.caption_lookup(manifest.image_index, len(manifest.images))
-    bundles, texts, _ = featureio.load_dataset(
-        manifest, ("region", "grid") if args.mode == "hybrid" else (args.mode,))
+    modes = tuple(featureio.MODE_ARRAYS) if args.mode == "hybrid" else (args.mode,)
+    bundles, texts, _ = featureio.load_dataset(manifest, modes)
     out = Path(args.out)
     doc = {"out": str(out), "mode": args.mode, "train": cfg.to_dict(),
            "model": model_cfg.to_dict()}
     if args.mode == "hybrid":
         doc["runs"] = {sub: _train_one(bundles, texts, manifest.dims, model_cfg, cfg,
-                                       sub, out / sub) for sub in ("region", "grid")}
-        (out / "hybrid.json").write_text(json.dumps({"mode": "hybrid"}))
+                                       sub, out / sub) for sub in modes}
+        (out / HYBRID_MARKER).write_text(json.dumps({"mode": "hybrid"}))
         model.remove_checkpoint(out)   # an older single-mode layout
     else:
         doc.update(_train_one(bundles, texts, manifest.dims, model_cfg, cfg,
                               args.mode, out))
-        (out / "hybrid.json").unlink(missing_ok=True)   # else eval reads an older hybrid
-        for sub in ("region", "grid"):
+        (out / HYBRID_MARKER).unlink(missing_ok=True)   # else eval reads an older hybrid
+        for sub in featureio.MODE_ARRAYS:
             model.remove_checkpoint(out / sub)
     _emit(doc)
     return 0
 
 
 def _checkpoint(ckpt, dims, mode="auto"):
-    """Parameters, config, dims and resolved mode of a saved model, which must
-    have the dataset geometry ``dims`` and save a mode of MODE_ARRAYS, or none."""
+    """Parameters, config and resolved mode of a saved model, which must have
+    the dataset geometry ``dims`` and save a mode of MODE_ARRAYS, or none."""
     params, cfg, ckpt_dims, meta = model.load_checkpoint(ckpt)
     if ckpt_dims != dims:
         raise ConfigError("checkpoint %s has geometry %s, the dataset %s"
                           % (ckpt, ckpt_dims.to_dict(), dims.to_dict()))
     saved = meta.get("mode", "region")
     if not isinstance(saved, str) or saved not in featureio.MODE_ARRAYS:
-        raise FormatError("checkpoint %s has mode %r, not 'region' or 'grid'" % (ckpt, saved))
-    return params, cfg, dims, saved if mode == "auto" else mode
+        raise FormatError("checkpoint %s has mode %r, not %s"
+                          % (ckpt, saved, either(featureio.MODE_ARRAYS)))
+    return params, cfg, saved if mode == "auto" else mode
 
 
 def _report(manifest, models, pretty, folds=1) -> int:
-    """Print the recalls of one ``(params, cfg, dims, mode)`` model, or the rank-averaged
+    """Print the recalls of one ``(params, cfg, mode)`` model, or the rank-averaged
     fusion of two, over ``folds`` folds of ``manifest``, read for those modes alone."""
     bundles, texts, _ = featureio.load_dataset(manifest, [mode for *_, mode in models])
     sims = []
-    for params, cfg, dims, mode in models:
-        table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=mode)
+    for params, cfg, mode in models:
+        table = model.embed_dataset(bundles, texts, params, cfg, manifest.dims, mode=mode)
         sims.append(retrieval.similarity_matrix(table.image_embs, table.text_embs))
     report = retrieval.report(sims, table.image_index, mode if len(sims) == 1 else "hybrid",
                               folds)
@@ -166,26 +168,23 @@ def _report(manifest, models, pretty, folds=1) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = Path(args.ckpt) if args.ckpt else None
-    hybrid = ckpt is not None and (ckpt / "hybrid.json").exists()
+    hybrid = ckpt is not None and (ckpt / HYBRID_MARKER).exists()
     if ckpt is not None:
         # the checkpoint fixes the model, and a hybrid one each member's mode
-        ignored = list(_model_overrides(args)) + [flag for flag, given in (
-            ("--seed", args.seed is not None), ("--mode", hybrid and args.mode != "auto"))
-            if given]
-        if ignored:
-            raise ConfigError("%s cannot apply to the %scheckpoint %s"
-                              % (", ".join(ignored), "hybrid " if hybrid else "", ckpt))
+        _refuse("the %scheckpoint %s" % ("hybrid " if hybrid else "", ckpt),
+                {**_model_overrides(args), "--seed": args.seed,
+                 "--mode": args.mode if hybrid and args.mode != "auto" else None})
     manifest = featureio.load_manifest(args.data)
     retrieval.fold_size(manifest.image_index, len(manifest.images), args.folds)
     if hybrid:
-        models = [_checkpoint(ckpt / sub, manifest.dims) for sub in ("region", "grid")]
+        models = [_checkpoint(ckpt / sub, manifest.dims) for sub in featureio.MODE_ARRAYS]
     elif ckpt is not None:
         models = [_checkpoint(ckpt, manifest.dims, args.mode)]
     else:
         # untrained evaluation: seed-initialised parameters
         model_cfg = _model_for(manifest.dims, args)
         models = [(model.init_params(model_cfg, manifest.dims, args.seed or 0), model_cfg,
-                   manifest.dims, "region" if args.mode == "auto" else args.mode)]
+                   "region" if args.mode == "auto" else args.mode)]
     return _report(manifest, models, args.pretty, args.folds)
 
 
@@ -202,11 +201,9 @@ def _unit_rows(rng, n, d):
 
 
 def cmd_bench(args) -> int:
-    ignored = [flag for flag, value in (("--pool", args.pool),
-                                        ("--recompute-queries", args.recompute_queries))
-               if value is not None and args.mode == "precomputed"]
-    if ignored:
-        raise ConfigError("%s cannot apply to bench --mode precomputed" % ", ".join(ignored))
+    if args.mode == "precomputed":
+        _refuse("bench --mode precomputed",
+                {"--pool": args.pool, "--recompute-queries": args.recompute_queries})
     dims, model_cfg = preset(args.dims)
     rng = np.random.default_rng(args.seed)
     table = _unit_rows(rng, args.images, model_cfg.embed_dim)
@@ -235,10 +232,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.dims == "default":
-        dims, cfg = checks.GRADCHECK_DIMS, checks.GRADCHECK_MODEL
-    else:
-        dims, cfg = preset(args.dims)
+    dims, cfg = {"default": (checks.GRADCHECK_DIMS, checks.GRADCHECK_MODEL),
+                 **PRESETS}[args.dims]
     if args.embed_dim is not None:
         cfg = replace(cfg, embed_dim=args.embed_dim)
     res = checks.full_loss_grad_check(dims, cfg, n_images=args.batch,
@@ -273,31 +268,33 @@ def build_parser() -> _Parser:
             sp.add_argument("--seed", type=_int_at_least(0), default=seed)
         return sp
 
+    def add_model_flags(sp):
+        for flag, (field, keywords) in MODEL_FLAGS.items():
+            sp.add_argument(flag, dest=field, **keywords)
+
     sp = add("synth", cmd_synth, "write a planted synthetic dataset")
     sp.add_argument("--out", required=True)
     sp.add_argument("--images", type=int, default=64)
     sp.add_argument("--captions", type=int, default=5)
-    sp.add_argument("--dims", choices=["small", "full"], default="small")
+    sp.add_argument("--dims", choices=list(PRESETS), default="small")
     sp.add_argument("--noise", type=float, default=0.05)
 
     sp = add("train", cmd_train, "train a joint embedding")
     sp.add_argument("--data", required=True, type=_manifest_path)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--mode", choices=["region", "grid", "hybrid"],
-                    default="region")
+    sp.add_argument("--mode", choices=[*featureio.MODE_ARRAYS, "hybrid"], default="region")
     for f in fields(TrainConfig):   # --margin ... --epochs; --seed comes from add()
         if f.name != "seed":
             sp.add_argument("--" + f.name.replace("_", "-"),
                             type={"int": int, "float": float}[f.type], default=f.default)
-    _add_model_flags(sp)
+    add_model_flags(sp)
 
     sp = add("eval", cmd_eval, "evaluate retrieval recall", seed=None)
     sp.add_argument("--data", required=True, type=_manifest_path)
     sp.add_argument("--ckpt")
-    sp.add_argument("--mode", choices=["auto", "region", "grid"],
-                    default="auto")
+    sp.add_argument("--mode", choices=["auto", *featureio.MODE_ARRAYS], default="auto")
     sp.add_argument("--folds", type=_int_at_least(1), default=1)
-    _add_model_flags(sp)
+    add_model_flags(sp)
     sp.add_argument("--pretty", action="store_true")
 
     sp = add("ensemble-eval", cmd_ensemble_eval, "rank-average two checkpoints",
@@ -310,7 +307,7 @@ def build_parser() -> _Parser:
     sp = add("bench", cmd_bench, "measure retrieval throughput")
     sp.add_argument("--mode", choices=["precomputed", "recompute", "both"],
                     default="both")
-    sp.add_argument("--dims", choices=["small", "full"], default="full")
+    sp.add_argument("--dims", choices=list(PRESETS), default="full")
     sp.add_argument("--images", type=_int_at_least(1), default=1000)
     sp.add_argument("--queries", type=_int_at_least(1), default=1000)
     # recompute only; 100 and 32 when not given
@@ -320,8 +317,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=5)
 
     sp = add("gradcheck", cmd_gradcheck, "finite-difference check of the full loss")
-    sp.add_argument("--dims", choices=["default", "small", "full"],
-                    default="default")
+    sp.add_argument("--dims", choices=["default", *PRESETS], default="default")
     sp.add_argument("--batch", type=int, default=4)
     sp.add_argument("--eps", type=float, default=1e-5)
     sp.add_argument("--tol", type=float, default=1e-4)
@@ -339,13 +335,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (TrainingError, GradCheckError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        with np.errstate(all="ignore"):   # a non-finite value is reported by its typed check
+            return args.func(args)
     except (SshnetError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (TrainingError, GradCheckError)) else 1
 
 
 if __name__ == "__main__":

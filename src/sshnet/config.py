@@ -12,6 +12,14 @@ from dataclasses import dataclass, asdict, fields
 from .errors import ConfigError, FormatError
 
 
+SALIENCE_MODES = ("sigmoid", "softmax")   # how vsem squashes region cosines
+
+
+def either(names) -> str:
+    """The quoted names of a vocabulary, for a message: "'a' or 'b'"."""
+    return " or ".join(map(repr, names))
+
+
 # JSON types accepted per annotated field type; a bool is never an int.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
@@ -76,15 +84,15 @@ class ModelConfig:
     conv_kw: int = 8
     conv_stride: int = 8
     attn_smooth: float = 4.0     # smoothing factor of the spatial attention
-    salience_mode: str = "sigmoid"   # or "softmax"
+    salience_mode: str = "sigmoid"   # one of SALIENCE_MODES
     gpo_size: int = 64           # learned pooling table length (max set size)
     use_vsem: bool = True        # segmentation-guided semantic branch
     use_vspm: bool = True        # position-aware spatial branch
 
     def __post_init__(self):
-        if self.salience_mode not in ("sigmoid", "softmax"):
-            raise ConfigError("salience_mode must be 'sigmoid' or 'softmax', got %r"
-                              % (self.salience_mode,))
+        if self.salience_mode not in SALIENCE_MODES:
+            raise ConfigError("salience_mode must be %s, got %r"
+                              % (either(SALIENCE_MODES), self.salience_mode))
         if not (math.isfinite(self.attn_smooth) and self.attn_smooth >= 0):
             raise ConfigError("attn_smooth must be finite and non-negative, got %r"
                               % (self.attn_smooth,))
@@ -116,9 +124,10 @@ SMALL_MODEL = ModelConfig(embed_dim=64, pos_dim=8, pos_channels=4,
                           conv_kh=4, conv_kw=4, conv_stride=4)
 
 
+PRESETS = {"small": (SMALL_DIMS, SMALL_MODEL), "full": (FULL_DIMS, FULL_MODEL)}
+
+
 def preset(name: str) -> tuple[DimConfig, ModelConfig]:
-    if name == "full":
-        return FULL_DIMS, FULL_MODEL
-    if name == "small":
-        return SMALL_DIMS, SMALL_MODEL
-    raise ConfigError("unknown preset %r (expected 'small' or 'full')" % (name,))
+    if name not in PRESETS:
+        raise ConfigError("unknown preset %r (expected %s)" % (name, either(PRESETS)))
+    return PRESETS[name]

@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from . import embedder, vsem, vspm
 from .autograd import Tensor
-from .config import DimConfig, ModelConfig
+from .config import DimConfig, ModelConfig, either
 from .errors import ConfigError, FormatError
 from .featureio import (FORMAT_VERSION, MODE_ARRAYS, FeatureBundle, TextFeatureSet,
                         read_json_object, read_tensor, write_atomic, write_tensor)
@@ -69,7 +69,7 @@ class PreparedImage:
 def prepare_image(bundle: FeatureBundle, dims: DimConfig, cfg: ModelConfig,
                   mode: str = "region") -> PreparedImage:
     if not isinstance(mode, str) or mode not in MODE_ARRAYS:
-        raise ConfigError("prepare_image mode must be 'region' or 'grid', got %r" % (mode,))
+        raise ConfigError("prepare_image mode must be %s, got %r" % (either(MODE_ARRAYS), mode))
     return PreparedImage(getattr(bundle, MODE_ARRAYS[mode]).reshape(-1, dims.D_l),
                          bundle.seg_feat.mean(axis=(0, 1), dtype=np.float64),
                          *vspm.build_position_tensor(bundle.seg_map, cfg, dims.C_s))

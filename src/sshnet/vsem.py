@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .config import DimConfig, ModelConfig
+from .config import SALIENCE_MODES, DimConfig, ModelConfig, either
 from .errors import ConfigError
 
 
@@ -66,16 +66,12 @@ def salience_weights(seg_embed: Tensor, projected: Tensor,
     sigmoid mode squashes each scaled cosine independently; softmax mode
     normalises them across an image's regions with smoothing factor 1.
     """
+    if mode not in SALIENCE_MODES:
+        raise ConfigError("salience mode must be %s, got %r" % (either(SALIENCE_MODES), mode))
     b, d = seg_embed.shape
     cos = ag.cosine_rows(ag.reshape(seg_embed, (b, 1, d)), projected)
     scaled = cos * (1.0 / math.sqrt(d))
-    if mode == "sigmoid":
-        out = ag.sigmoid(scaled)
-    elif mode == "softmax":
-        out = ag.smoothed_softmax(scaled, 1.0)
-    else:
-        raise ConfigError("salience mode must be 'sigmoid' or 'softmax', got %r"
-                          % (mode,))
+    out = ag.sigmoid(scaled) if mode == "sigmoid" else ag.smoothed_softmax(scaled, 1.0)
     return ag.reshape(out, projected.shape[:2])
 
 

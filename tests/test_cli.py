@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sshnet import featureio, model, retrieval
+from sshnet import config, featureio, model, retrieval
 from sshnet.cli import build_parser, main
-from sshnet.config import FULL_DIMS, SMALL_DIMS
+from sshnet.config import FULL_DIMS, SMALL_DIMS, SMALL_MODEL
 
 
 def run(capsys, *argv):
@@ -543,6 +546,26 @@ def test_dataset_geometry_without_a_preset_exits_one(tmp_path, capsys, command):
     assert "small preset" in err and "full preset" in err
 
 
+def test_a_preset_added_to_the_table_reaches_every_command(tmp_path, capsys, monkeypatch):
+    """config.PRESETS is the one list of presets: a third geometry put in it
+    is a --dims choice of synth, and train and untrained eval find its model
+    by the dataset's geometry; a geometry of no preset names all three."""
+    tiny_dims, tiny_model = replace(SMALL_DIMS, K=5, D_l=32), replace(SMALL_MODEL, embed_dim=32)
+    monkeypatch.setitem(config.PRESETS, "tiny", (tiny_dims, tiny_model))
+    data = str(tmp_path / "tiny")
+    doc = run_json(capsys, "synth", "--out", data, "--dims", "tiny", "--images", "10",
+                   "--captions", "1")
+    assert doc["dims"] == tiny_dims.to_dict()
+    doc = run_json(capsys, "train", "--data", data, "--out", str(tmp_path / "ck"),
+                   "--epochs", "1", "--batch-size", "8")
+    assert doc["model"] == tiny_model.to_dict()
+    assert run_json(capsys, "eval", "--data", data)["mode"] == "region"
+    featureio.synth_dataset(tmp_path / "odd", 10, 1, 0, replace(tiny_dims, K=4))
+    code, out, err = run(capsys, "eval", "--data", str(tmp_path / "odd"))
+    assert code == 1 and out == ""
+    assert err.index("small preset") < err.index("full preset") < err.index("tiny preset")
+
+
 def test_ensemble_eval_self_pair_matches_single(ds, ckpt, capsys):
     single = run_json(capsys, "eval", "--data", str(ds), "--ckpt", str(ckpt))
     double = run_json(capsys, "ensemble-eval", "--data", str(ds),
@@ -727,6 +750,7 @@ def _boundary_argv(ds, out):
 
 
 @pytest.mark.filterwarnings("ignore::sshnet.errors.BenchmarkWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_values_exit_cleanly(ds, tmp_path_factory):
     """Counts, folds, smoothing, optimiser floats and seeds at and past
     their limits end in a documented exit code, never an uncaught
@@ -734,6 +758,8 @@ def test_boundary_values_exit_cleanly(ds, tmp_path_factory):
     out = tmp_path_factory.mktemp("boundary") / "ckpt"
 
     @given(_boundary_argv(ds, out))
+    @example(["train", "--data", str(ds), "--out", str(out), "--epochs", "1",
+              "--batch-size", "8", "--lr=1e300"])   # overflows: exit 2, no warning
     @settings(max_examples=40, deadline=None)
     def check(argv):
         err = io.StringIO()
@@ -746,6 +772,20 @@ def test_boundary_values_exit_cleanly(ds, tmp_path_factory):
             assert code == 1, argv
 
     check()
+
+
+def test_a_refused_run_prints_only_its_error_line(tmp_path):
+    """A run whose arithmetic overflows is refused by its typed non-finite
+    check: exit 2, and stderr is the one error line, no numpy warning."""
+    assert main(["synth", "--out", str(tmp_path / "ds"), "--images", "12",
+                 "--seed", "1"]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    got = subprocess.run([sys.executable, "-m", "sshnet.cli", "train", "--data",
+                          str(tmp_path / "ds"), "--out", str(tmp_path / "ck"), "--lr=1e300",
+                          "--epochs", "2", "--batch-size", "8"],
+                         capture_output=True, text=True, env=env)
+    assert got.returncode == 2 and got.stdout == ""
+    assert got.stderr == "error: non-finite gradient in vsem.seg_fc_w\n"
 
 
 def test_bad_checkpoint_or_manifest_exits_one_without_traceback(ds, ckpt, tmp_path, capsys):
@@ -799,7 +839,7 @@ def _mutate(root, target, action):
     path.write_text(json.dumps(doc))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mutated_inputs_exit_cleanly(ds, ckpt, tmp_path_factory):
     """Manifests and checkpoints with deleted keys, retyped values or
     truncated files end eval and train in 0, 1 or 2, never a traceback."""
@@ -902,13 +942,18 @@ FLAG_CASES = {
 }
 
 
-def _parser_flags():
-    """(command, flag) for every optional flag of every subcommand."""
+def _parser_actions():
+    """(command, action) for every optional flag of every subcommand."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return [(name, action.option_strings[0]) for name, sp in sub.choices.items()
+    return [(name, action) for name, sp in sub.choices.items()
             for action in sp._actions if action.option_strings and not action.required
             and not isinstance(action, argparse._HelpAction)]
+
+
+def _parser_flags():
+    """(command, flag) for every optional flag of every subcommand."""
+    return [(name, action.option_strings[0]) for name, action in _parser_actions()]
 
 
 def _untimed(doc):
@@ -958,6 +1003,24 @@ def _outcome(capsys, env, argv):
     except ValueError:
         pass                                   # a --pretty table
     return code, stdout, err, dir_digest(out) if out.exists() else None
+
+
+def test_parser_choices_come_from_their_tables(monkeypatch):
+    """--dims, --mode and --salience list config.PRESETS,
+    featureio.MODE_ARRAYS and config.SALIENCE_MODES, entries added to a
+    table included."""
+    monkeypatch.setitem(config.PRESETS, "tiny", config.PRESETS["small"])
+    monkeypatch.setitem(featureio.MODE_ARRAYS, "patch", "grid_feats")
+    choices = {(name, action.option_strings[0]): list(action.choices)
+               for name, action in _parser_actions() if action.choices}
+    presets, modes = list(config.PRESETS), list(featureio.MODE_ARRAYS)
+    assert choices == {("synth", "--dims"): presets, ("bench", "--dims"): presets,
+                       ("gradcheck", "--dims"): ["default", *presets],
+                       ("train", "--mode"): [*modes, "hybrid"],
+                       ("eval", "--mode"): ["auto", *modes],
+                       ("bench", "--mode"): ["precomputed", "recompute", "both"],
+                       ("train", "--salience"): list(config.SALIENCE_MODES),
+                       ("eval", "--salience"): list(config.SALIENCE_MODES)}
 
 
 def test_flag_cases_cover_the_parser():
