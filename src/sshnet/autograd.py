@@ -11,9 +11,9 @@ differences.
 
 Ops that act on sets take a batch of them as the first axis (``matmul``,
 ``cosine_rows``, ``sort_pool``, ``l2_normalize``), and ``linear`` runs all
-rows of (..., d_in) as one GEMM.  All math is float64.  Broadcasting is
-supported only as far as the listed operations need it (bias rows,
-per-row scaling, scalar division).
+rows of (..., d_in), a single row included, as one GEMM.  All math is
+float64.  Broadcasting is supported only as far as the listed operations
+need it (bias rows, per-row scaling, scalar division).
 """
 from __future__ import annotations
 
@@ -61,10 +61,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -114,9 +110,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, as_tensor(other))
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
 
     def __repr__(self):
         return "Tensor(shape=%r, requires_grad=%r)" % (self.shape, self.requires_grad)
@@ -240,13 +233,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """``x @ w.T`` for rows x (..., d_in) and a weight w (d_out, d_in).
 
-    The leading axes of x are flattened into one GEMM over all rows.  The
-    weight gradient is formed as ``g.T @ x`` over those rows, so it comes
-    out C-contiguous in the weight's own layout.
+    The leading axes of x (none for a single row) are flattened into one
+    GEMM over all rows.  The weight gradient is formed as ``g.T @ x`` over
+    those rows, so it comes out C-contiguous in the weight's own layout.
     """
     xd, wd = x.data, w.data
-    if xd.ndim < 2 or wd.ndim != 2:
-        raise ShapeError("linear expects x of rank >= 2 and a rank-2 w, got %d and %d"
+    if xd.ndim < 1 or wd.ndim != 2:
+        raise ShapeError("linear expects x of rank >= 1 and a rank-2 w, got %d and %d"
                          % (xd.ndim, wd.ndim))
     if xd.shape[-1] != wd.shape[1]:
         raise ShapeError("linear input widths differ: %r vs %r" % (xd.shape, wd.shape))
@@ -324,10 +317,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def take_rows(x: Tensor, idx) -> Tensor:
-    """Rows ``x[idx]`` of x (n, ...); the gradient scatter-adds back."""
+    """Rows ``x[idx]`` of x (n, ...), idx of any shape; the gradient scatter-adds back."""
     idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("take_rows expects a 1-D index array")
 
     def vjp(g):
         gx = np.zeros(x.data.shape)

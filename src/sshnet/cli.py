@@ -70,7 +70,7 @@ def _model_for(dims, args):
 def _model_overrides(args) -> dict:
     """``flag -> (ModelConfig field, value)`` for each model flag given."""
     return {flag: (field, getattr(args, field)) for flag, (field, _) in MODEL_FLAGS.items()
-            if getattr(args, field) is not None}
+            if getattr(args, field, None) is not None}
 
 
 def _refuse(target, given):
@@ -119,8 +119,10 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     objective.caption_lookup(manifest.image_index, len(manifest.images))
     modes = tuple(featureio.MODE_ARRAYS) if args.mode == "hybrid" else (args.mode,)
-    bundles, texts, _ = featureio.load_dataset(manifest, modes)
     out = Path(args.out)
+    for d in (out, *(out / sub for sub in modes if args.mode == "hybrid")):
+        d.mkdir(parents=True, exist_ok=True)   # an unusable --out fails before any read
+    bundles, texts, _ = featureio.load_dataset(manifest, modes)
     doc = {"out": str(out), "mode": args.mode, "train": cfg.to_dict(),
            "model": model_cfg.to_dict()}
     if args.mode == "hybrid":
@@ -234,8 +236,7 @@ def cmd_bench(args) -> int:
 def cmd_gradcheck(args) -> int:
     dims, cfg = {"default": (checks.GRADCHECK_DIMS, checks.GRADCHECK_MODEL),
                  **PRESETS}[args.dims]
-    if args.embed_dim is not None:
-        cfg = replace(cfg, embed_dim=args.embed_dim)
+    cfg = replace(cfg, **dict(_model_overrides(args).values()))
     res = checks.full_loss_grad_check(dims, cfg, n_images=args.batch,
                                       seed=args.seed, eps=args.eps,
                                       tol=args.tol, sample=args.sample)
@@ -322,7 +323,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--eps", type=float, default=1e-5)
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.add_argument("--sample", type=int)
-    sp.add_argument("--embed-dim", type=int)
+    field, keywords = MODEL_FLAGS[flag := "--embed-dim"]   # the one model flag it takes
+    sp.add_argument(flag, dest=field, **keywords)
 
     add("selfcheck", cmd_selfcheck, "run the invariant battery")
     return p

@@ -97,12 +97,11 @@ def resolve_pool_weights(table: Tensor, n: int) -> Tensor:
         raise ConfigError("cannot pool an empty set")
     if n == 1:
         return Tensor(np.ones(1))
-    raw = ag.linear(ag.reshape(table, (1, table_len)),
-                    Tensor(_interp_matrix(n, table_len)))
+    raw = ag.linear(table, Tensor(_interp_matrix(n, table_len)))
     total = raw.sum()
     if abs(float(total.data)) < 1e-9:
         raise ConfigError("pooling weights sum to ~0; table is degenerate")
-    return ag.reshape(ag.div(raw, total), (n,))
+    return ag.div(raw, total)
 
 
 def gpo_pool(rows: Tensor, table: Tensor) -> Tensor:
@@ -131,7 +130,7 @@ def fuse_visual(regions: Tensor, semantic: Tensor | None, spatial: Tensor | None
     groups = [ag.linear(regions, p.img_proj)]
     fc = [ag.linear(semantic, p.ss_fc_w_sem)] if semantic is not None else []
     if spatial is not None:
-        lift = ag.matmul(ag.reshape(p.ss_fc_w_spa, (1, d, d)), ag.reshape(combine_proj, (1, d, -1)))
+        lift = ag.matmul(ag.reshape(p.ss_fc_w_spa, (1, d, d)), combine_proj)
         fc.append(ag.linear(spatial, ag.reshape(lift, (d, -1))))
     if fc:
         groups.append(sum(fc[1:], fc[0]) + p.ss_fc_b)
@@ -155,7 +154,7 @@ def embed_text(word_feats: Sequence[np.ndarray], p: EmbedParams) -> Tensor:
     sizes, counts = np.unique(lengths, return_counts=True)
     pooled, lo = [], 0
     for n, b in zip(sizes.tolist(), counts.tolist()):
-        rows = ag.take_rows(h, np.arange(lo, lo + n * b))
-        pooled.append(gpo_pool(ag.reshape(rows, (b, n, h.shape[1])), p.gpo_text))
+        pooled.append(gpo_pool(ag.take_rows(h, np.arange(lo, lo + n * b).reshape(b, n)),
+                               p.gpo_text))
         lo += n * b
     return ag.l2_normalize(ag.take_rows(ag.concat(pooled, axis=0), np.argsort(order)))

@@ -142,6 +142,25 @@ def test_linear_flattens_leading_axes():
         assert np.array_equal(got[i], matmul_oracle(x[i], w.T))
 
 
+def test_linear_single_row_equals_the_one_row_matrix():
+    """A (d_in,) row takes the (1, d_in) path: value and both gradients
+    bitwise equal, each in its operand's shape."""
+    rng = np.random.default_rng(15)
+    row, w, g = rng.normal(size=5), rng.normal(size=(3, 5)), rng.normal(size=3)
+    results = []
+    for x_data, g_out in ((row, g), (row[None, :], g[None, :])):
+        x, wt = Tensor(x_data, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ag.linear(x, wt)
+        (out * Tensor(g_out)).sum().backward()
+        results.append((out.data, x.grad, wt.grad))
+    (v, gx, gw), (v1, gx1, gw1) = results
+    assert v.shape == (3,) and gx.shape == (5,)
+    assert v.tobytes() == v1.tobytes() and gx.tobytes() == gx1.tobytes()
+    assert gw.tobytes() == gw1.tobytes()
+    with pytest.raises(ShapeError):
+        ag.linear(Tensor(1.0), Tensor(np.ones((3, 1))))
+
+
 def conv_patches_oracle(x, kh, kw, stride):
     """Window-by-window im2col: row i * wo + j is window (i, j) raveled."""
     h, w, c = x.shape
@@ -443,6 +462,22 @@ def test_take_rows_gathers_and_scatters_back():
     np.testing.assert_array_equal(x.grad, [[1.0] * 3, [0.0] * 3, [0.0] * 3, [2.0] * 3])
 
 
+def test_take_rows_with_a_2d_index_equals_the_flat_gather_reshaped():
+    """A (b, n) index gathers (b, n, ...) rows, and repeated indices
+    scatter-add back, bitwise as the 1-D index's gather reshaped."""
+    rng = np.random.default_rng(16)
+    data, idx = rng.normal(size=(5, 3)), np.array([[4, 0, 4], [2, 4, 1]])
+    g = rng.normal(size=(2, 3, 3))
+    x2, x1 = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+    out2 = ag.take_rows(x2, idx)
+    out1 = ag.reshape(ag.take_rows(x1, idx.ravel()), (2, 3, 3))
+    assert out2.data.shape == (2, 3, 3) and out2.data.tobytes() == out1.data.tobytes()
+    for x, out in ((x2, out2), (x1, out1)):
+        (out * Tensor(g)).sum().backward()
+    assert x2.grad.tobytes() == x1.grad.tobytes()
+    np.testing.assert_allclose(x2.grad[4], g[0, 0] + g[0, 2] + g[1, 1])
+
+
 # ---------------------------------------------------------------------------
 # backward: every primitive against finite differences across random seeds
 
@@ -483,8 +518,11 @@ PRIMITIVE_BUILDERS = {
     "reshape": _builder([(2, 6)], lambda ps: ag.reshape(ps[0], (3, 4)), (3, 4)),
     "linear": _builder([(3, 4), (2, 4)], lambda ps: ag.linear(ps[0], ps[1]), (3, 2)),
     "linear_batched": _builder([(2, 3, 4), (2, 4)], lambda ps: ag.linear(ps[0], ps[1]), (2, 3, 2)),
+    "linear_row": _builder([(4,), (2, 4)], lambda ps: ag.linear(ps[0], ps[1]), (2,)),
     "concat": _builder([(2, 3), (4, 3)], lambda ps: ag.concat(ps, axis=0), (6, 3)),
     "take_rows": _builder([(5, 3)], lambda ps: ag.take_rows(ps[0], [4, 0, 4, 2]), (4, 3)),
+    "take_rows_2d": _builder([(5, 3)], lambda ps: ag.take_rows(ps[0], [[4, 0], [4, 2]]),
+                             (2, 2, 3)),
     "diag": _builder([(4, 4)], lambda ps: ag.diag(ps[0]), (4,)),
     "conv2d": _builder([(2, 4, 4), (2, 2, 3, 3), (3,)],
                        lambda ps: vspm.refine_from_patches(

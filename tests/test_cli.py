@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sshnet import config, featureio, model, retrieval
+from sshnet import cli, config, featureio, model, retrieval
 from sshnet.cli import build_parser, main
 from sshnet.config import FULL_DIMS, SMALL_DIMS, SMALL_MODEL
 
@@ -431,19 +431,22 @@ def ds20(tmp_path_factory):
 @pytest.mark.parametrize("kind", ["folds", "geometry", "geometry-hybrid",
                                   "geometry-ensemble", "mode", "mode-ensemble",
                                   "empty-fold", "few-captions", "few-captions-ensemble",
-                                  "uncaptioned", "uncaptioned-hybrid"])
+                                  "uncaptioned", "uncaptioned-hybrid", "out-is-a-file",
+                                  "out-is-a-file-hybrid"])
 def test_refusals_read_no_dataset_tensor(ds, ds20, full_ds, ckpt, hybrid_ckpt, tmp_path,
                                          capsys, dataset_reads, kind):
     """A refused fold split, a checkpoint of another geometry, a checkpoint
     of no known mode, a fold without sentences, too few captions for
-    recall@10 and an image without a caption to train on each exit 1 before
-    any dataset tensor is read."""
+    recall@10, an image without a caption to train on and a ``--out`` that
+    is a file each exit 1 before any dataset tensor is read."""
     bad = _bad_mode_ckpt(ckpt, tmp_path / "bad", "hybrid") if "mode" in kind else None
     first_half = _recaptioned(ds20, tmp_path / "half", lambda rec: rec["image_index"] < 10)
     five = _recaptioned(ds, tmp_path / "five",          # the first five captions
                         lambda rec: rec["id"] < "sent_00002_1")
     no_last = _recaptioned(ds, tmp_path / "no-last", lambda rec: rec["image_index"] < 11)
     train_out = str(tmp_path / "out")
+    out_file = tmp_path / "out-file"
+    out_file.write_text("")
     data, argv, message = {
         "folds": (ds, ["eval", "--ckpt", str(ckpt), "--folds", "5"], "--folds"),
         "geometry": (full_ds, ["eval", "--ckpt", str(ckpt)], "geometry"),
@@ -461,6 +464,9 @@ def test_refusals_read_no_dataset_tensor(ds, ds20, full_ds, ckpt, hybrid_ckpt, t
                         "images without captions: [11]"),
         "uncaptioned-hybrid": (no_last, ["train", "--out", train_out, "--mode", "hybrid"],
                                "images without captions: [11]"),
+        "out-is-a-file": (ds, ["train", "--out", str(out_file)], "File exists"),
+        "out-is-a-file-hybrid": (ds, ["train", "--out", str(out_file), "--mode", "hybrid"],
+                                 "File exists"),
     }[kind]
     code, out, err = run(capsys, argv[0], "--data", str(data), *argv[1:])
     assert code == 1 and out == "" and "Traceback" not in err, err
@@ -659,6 +665,15 @@ def test_gradcheck_embed_dim_applies_to_default_dims(capsys):
     assert doc["n_params"] < base["n_params"]
 
 
+def test_gradcheck_embed_dim_is_the_model_flag_of_the_table(capsys, monkeypatch):
+    """gradcheck registers --embed-dim from cli.MODEL_FLAGS, so a change to
+    the table's entry reaches its parser."""
+    field, keywords = cli.MODEL_FLAGS["--embed-dim"]
+    monkeypatch.setitem(cli.MODEL_FLAGS, "--embed-dim", (field, {**keywords, "choices": [8]}))
+    code, out, err = run(capsys, "gradcheck", "--sample", "1", "--embed-dim", "12")
+    assert code == 1 and out == "" and "invalid choice: 12" in err
+
+
 def test_selfcheck(capsys):
     doc = run_json(capsys, "selfcheck")
     assert doc["passed"] is True
@@ -802,6 +817,21 @@ def test_bad_checkpoint_or_manifest_exits_one_without_traceback(ds, ckpt, tmp_pa
     (bad_ds / "manifest.json").write_text(json.dumps(doc))
     code, out, err = run(capsys, "eval", "--data", str(bad_ds), "--ckpt", str(ckpt))
     assert code == 1 and "image_index" in err and "Traceback" not in err
+
+
+def test_eval_refuses_a_checkpoint_it_cannot_load(ds, ckpt, tmp_path, capsys):
+    """A directory without checkpoint.json, and a checkpoint tensor of
+    another shape than its config gives, each exit 1 with one error line."""
+    empty, reshaped = tmp_path / "empty", tmp_path / "reshaped"
+    empty.mkdir()
+    shutil.copytree(ckpt, reshaped)
+    expected = featureio.read_tensor(ckpt / "embed.img_proj.3sht").shape
+    featureio.write_tensor(reshaped / "embed.img_proj.3sht", np.zeros((3, 3)))
+    for path, line in ((empty, "no checkpoint.json under %s" % empty),
+                       (reshaped, "checkpoint tensor embed.img_proj has shape (3, 3), "
+                                  "expected %r" % (expected,))):
+        code, out, err = run(capsys, "eval", "--data", str(ds), "--ckpt", str(path))
+        assert (code, out, err) == (1, "", "error: %s\n" % line)
 
 
 # Values a mutation puts in place of a JSON value: every JSON type, and

@@ -323,6 +323,26 @@ def test_batches_never_mix_captions_of_one_image(data, monkeypatch):
     assert seen == [4, 4]
 
 
+def test_a_trailing_single_pair_is_skipped(data, monkeypatch):
+    """A leftover batch of one pair has no in-batch negative: it is not
+    trained on, and each epoch's mean loss is over the pairs that were."""
+    bundles, texts, _ = data
+    seen = []
+    orig = objective.triplet_loss
+
+    def spy(sim, margin):
+        loss = orig(sim, margin)
+        seen.append((sim.shape[0], float(loss.data)))
+        return loss
+
+    monkeypatch.setattr(objective, "triplet_loss", spy)
+    res = objective.train(bundles, texts, SMALL_DIMS, SMALL_MODEL,
+                          _small_train_cfg(batch_size=7, epochs=2))
+    # 8 images, batch 7 -> one batch of 7 per epoch; the eighth image is left out
+    assert [n for n, _ in seen] == [7, 7]
+    assert res.loss_curve == [loss / 7 for _, loss in seen]
+
+
 def test_full_batch_gradients_match_finite_differences(data):
     """End-to-end loss gradient over a 3-image batch, sampled coordinates."""
     from dataclasses import replace
