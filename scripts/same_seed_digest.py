@@ -16,6 +16,11 @@ with one BLAS thread, and hashes what it leaves behind:
   ``ensemble-eval`` JSON and ``--pretty`` table of its ``region`` and
   ``grid`` members;
 - the ``eval`` JSON of an untrained model, ``--seed 3``;
+- on ``synth --dims small --images 301 --captions 3 --seed 5``, counts
+  that are not multiples of 8 and exceed a ranking block of 256 queries:
+  the untrained ``eval --seed 3`` JSON, whole and ``--folds 7``, and the
+  ``eval`` JSON of a hybrid checkpoint after ``train --epochs 1``
+  (``odd/...``);
 - the file list of one ``--out`` after ``train --epochs 1`` and again
   after ``train --epochs 1 --no-vsem`` into it (``swap/files/...``);
 - the region- and grid-mode image and caption embeddings of a
@@ -153,6 +158,16 @@ def digest(values) -> None:
         emit_json("hybrid/ensemble-eval", run(*argv))
         emit("hybrid/ensemble-eval/table", run_text(*argv, "--pretty"))
         emit_json("eval/untrained", run("eval", "--data", data, "--seed", 3))
+
+        odd, odd_hybrid = tmp / "odd", tmp / "odd-hybrid"
+        run("synth", "--out", odd, "--dims", "small", "--images", 301, "--captions", 3,
+            "--seed", 5)
+        for name, flags in (("whole", ()), ("folds7", ("--folds", 7))):
+            emit_json("odd/eval/untrained/" + name, run("eval", "--data", odd, "--seed", 3,
+                                                        *flags))
+        run("train", "--data", odd, "--out", odd_hybrid, "--mode", "hybrid", "--epochs", 1,
+            "--batch-size", 8)
+        emit_json("odd/hybrid/eval", run("eval", "--data", odd, "--ckpt", odd_hybrid))
 
         swap = tmp / "swap"
         for name, flags in (("train", ()), ("train-no-vsem", ("--no-vsem",))):

@@ -158,11 +158,11 @@ def _report(manifest, models, pretty, folds=1) -> int:
     """Print the recalls of one ``(params, cfg, mode)`` model, or the rank-averaged
     fusion of two, over ``folds`` folds of ``manifest``, read for those modes alone."""
     bundles, texts, _ = featureio.load_dataset(manifest, [mode for *_, mode in models])
-    sims = []
+    tables = []
     for params, cfg, mode in models:
         table = model.embed_dataset(bundles, texts, params, cfg, manifest.dims, mode=mode)
-        sims.append(retrieval.similarity_matrix(table.image_embs, table.text_embs))
-    report = retrieval.report(sims, table.image_index, mode if len(sims) == 1 else "hybrid",
+        tables.append((table.image_embs, table.text_embs))
+    report = retrieval.report(tables, table.image_index, mode if len(tables) == 1 else "hybrid",
                               folds)
     _emit(report.to_dict(), report.table(), pretty)
     return 0

@@ -22,18 +22,21 @@ DEFAULT_KS = (1, 5, 10)
 # similarity
 
 
-def _finite_2d(what: str, *arrays, same_shape: bool = False) -> list:
-    """``arrays`` as float64; ShapeError naming ``what`` unless each is 2-D
-    and finite and, with ``same_shape``, all have one shape."""
+def _finite_2d(what: str, *arrays) -> list:
+    """``arrays`` as float64; ShapeError naming ``what`` unless each is 2-D and finite."""
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    if same_shape and len({a.shape for a in arrays}) > 1:
-        wrong = "must have one shape"
-    elif not all(a.ndim == 2 and np.isfinite(a).all() for a in arrays):
-        wrong = "must be finite and 2-D"
-    else:
-        return arrays
-    raise ShapeError("%s %s, got shapes %s"
-                     % (what, wrong, " and ".join(repr(a.shape) for a in arrays)))
+    if not all(a.ndim == 2 and np.isfinite(a).all() for a in arrays):
+        raise ShapeError("%s must be finite and 2-D, got shapes %s"
+                         % (what, " and ".join(repr(a.shape) for a in arrays)))
+    return arrays
+
+
+def _tables(img_embs, txt_embs) -> list:
+    """Both tables as float64; ShapeError unless finite, 2-D and equally wide."""
+    img, txt = _finite_2d("embeddings", img_embs, txt_embs)
+    if img.shape[1] != txt.shape[1]:
+        raise ShapeError("embedding widths differ: %d vs %d" % (img.shape[1], txt.shape[1]))
+    return [img, txt]
 
 
 def similarity_matrix(img_embs, txt_embs) -> np.ndarray:
@@ -42,10 +45,7 @@ def similarity_matrix(img_embs, txt_embs) -> np.ndarray:
     One GEMM: deterministic for the same inputs, and within 1e-12 of a
     double-loop dot product on unit rows.
     """
-    img, txt = _finite_2d("embeddings", img_embs, txt_embs)
-    if img.shape[1] != txt.shape[1]:
-        raise ShapeError("embedding widths differ: %d vs %d"
-                         % (img.shape[1], txt.shape[1]))
+    img, txt = _tables(img_embs, txt_embs)
     return img @ txt.T
 
 
@@ -107,12 +107,15 @@ def _ranks(keys, own) -> np.ndarray:
                     own.shape[1])
 
 
-def _keys(score, other=None) -> list:
-    """``_ranks`` keys of one block of queries: its scores, or with a second
-    model's block, the fusion's rank sum (fewer first), then summed score."""
-    if other is None:
+def _keys(q, *ways) -> list:
+    """``_ranks`` keys of queries ``q``: the scores of one model's (scores, None)
+    or (queries, candidates) tables, whose GEMM is checked as finite tables can
+    overflow, or for two models, their rank sum (fewer first), then summed score."""
+    score, *other = [x[q] if y is None else _finite_2d("similarities", x[q] @ y.T)[0]
+                     for x, y in ways]
+    if not other:
         return [score]
-    return [-(_stable_ranks(score) + _stable_ranks(other)), score + other]
+    return [-(_stable_ranks(score) + _stable_ranks(other[0])), score + other[0]]
 
 
 _CHUNK_ROWS = 256   # queries per block in report and bench_kpps
@@ -181,36 +184,42 @@ def fold_size(image_index, n_images: int, folds: int = 1, ks=DEFAULT_KS) -> int:
     return size
 
 
-def report(sims, image_index, mode: str = "region", folds: int = 1,
+def report(models, image_index, mode: str = "region", folds: int = 1,
            ks=DEFAULT_KS) -> RetrievalReport:
-    """Recall@k of one similarity matrix, or of the rank-averaged fusion of
-    two, averaged over the ``fold_size`` folds of the images.
+    """Recall@k of one model's ``(image_embs, text_embs)`` tables, or of the
+    rank-averaged fusion of two models', averaged over ``fold_size`` folds.
 
-    Each query's ground truth is ranked by counting, per block of queries,
-    the candidates whose key comes first: a higher score, or for a fusion a
-    lower rank sum (``ensemble_ranks``' order), then a higher summed score;
-    a full tie goes to the lower index.  No row of one matrix is sorted.
-    An image query's ground truth is its best caption.
+    Each block of ``_CHUNK_ROWS`` queries is scored by one GEMM per model and
+    direction (no N x M score matrix is formed); each ground truth, an image's
+    best caption or a sentence's image, is ranked by counting the candidates
+    whose key comes first: a higher score, or for a fusion a lower rank sum
+    (``ensemble_ranks``' order), then a higher summed score, then lower index.
     """
-    if not 1 <= len(sims) <= 2:
-        raise ConfigError("report ranks one similarity matrix or fuses two, got %d"
-                          % len(sims))
-    sims = _finite_2d("similarities", *sims, same_shape=True)
-    image_index, (n, m) = np.asarray(image_index), sims[0].shape
-    if 0 in (n, m) or image_index.shape != (m,):
-        raise ShapeError("similarities %r must be non-empty and match image_index %r"
-                         % ((n, m), image_index.shape))
+    if not 1 <= len(models) <= 2:
+        raise ConfigError("report ranks one model or fuses two, got %d" % len(models))
+    return _recalls([_tables(*tables) for tables in models], image_index, mode, folds, ks)
+
+
+def _recalls(models, image_index, mode, folds, ks) -> RetrievalReport:
+    """The one ranking loop, of ``report``'s checked ``[image, text]`` tables,
+    or of the matrix wrappers' checked similarity matrices, sliced per block."""
+    shapes = {x.shape if isinstance(x, np.ndarray) else (len(x[0]), len(x[1])) for x in models}
+    image_index, (n, m) = np.asarray(image_index), min(shapes)
+    if len(shapes) > 1 or 0 in (n, m) or image_index.shape != (m,):
+        raise ShapeError("similarities %s must be non-empty and match image_index %r"
+                         % (" and ".join(map(repr, sorted(shapes))), image_index.shape))
     size = fold_size(image_index, n, folds, ks)
     acc = np.zeros(2 * len(ks))
     for lo in range(0, n, size):
         fold = (image_index >= lo) & (image_index < lo + size) if folds > 1 else slice(None)
-        part = [s[lo:lo + size][:, fold] for s in sims]
+        part = [(x[lo:lo + size][:, fold], None) if isinstance(x, np.ndarray)
+                else (x[0][lo:lo + size], x[1][fold]) for x in models]
         own = image_index[fold] == np.arange(lo, lo + size)[:, None]
         six = []
-        for rows, marks in ((part, own), ([s.T for s in part], own.T)):
-            ranks = np.concatenate([
-                _ranks(_keys(*(s[q:q + _CHUNK_ROWS] for s in rows)), marks[q:q + _CHUNK_ROWS])
-                for q in range(0, len(marks), _CHUNK_ROWS)])
+        for way, marks in ((part, own),
+                           ([(x.T, y) if y is None else (y, x) for x, y in part], own.T)):
+            blocks = [slice(q, q + _CHUNK_ROWS) for q in range(0, len(marks), _CHUNK_ROWS)]
+            ranks = np.concatenate([_ranks(_keys(q, *way), marks[q]) for q in blocks])
             six += [100.0 * int(np.count_nonzero(ranks < k)) / len(ranks) for k in ks]
         acc += six
     return RetrievalReport(mode, (acc / folds).tolist(), tuple(ks),
@@ -220,13 +229,14 @@ def report(sims, image_index, mode: str = "region", folds: int = 1,
 def evaluate(sim, image_index, mode: str = "region",
              ks=DEFAULT_KS) -> RetrievalReport:
     """Recall@k for both directions over one similarity matrix."""
-    return report([sim], image_index, mode, ks=ks)
+    return _recalls(_finite_2d("similarities", sim), image_index, mode, 1, ks)
 
 
 def fivefold_eval(sim, image_index, folds: int = 5, mode: str = "region",
                   ks=DEFAULT_KS) -> RetrievalReport:
     """Split images into contiguous folds, evaluate each, average recalls."""
-    return replace(report([sim], image_index, mode, folds, ks), extra={"folds": folds})
+    return replace(_recalls(_finite_2d("similarities", sim), image_index, mode, folds, ks),
+                   extra={"folds": folds})
 
 
 def ensemble_ranks(sim_a, sim_b) -> np.ndarray:
@@ -236,7 +246,9 @@ def ensemble_ranks(sim_a, sim_b) -> np.ndarray:
     same way); ties break toward the higher summed similarity, then, as
     ``lexsort`` is stable, the lower index.
     """
-    a, b = _finite_2d("similarities", sim_a, sim_b, same_shape=True)
+    a, b = _finite_2d("similarities", sim_a, sim_b)
+    if a.shape != b.shape:
+        raise ShapeError("similarities must have one shape, got %r and %r" % (a.shape, b.shape))
     return np.lexsort((-(a + b), _stable_ranks(a) + _stable_ranks(b)), axis=1)
 
 
@@ -244,7 +256,7 @@ def ensemble_eval(sim_a, sim_b, image_index, mode: str = "hybrid",
                   ks=DEFAULT_KS) -> RetrievalReport:
     """Recall@k of the rank-averaged fusion of two similarity matrices:
     the recalls of ``ensemble_ranks`` orders, without building them."""
-    return report([sim_a, sim_b], image_index, mode, ks=ks)
+    return _recalls(_finite_2d("similarities", sim_a, sim_b), image_index, mode, 1, ks)
 
 
 # ---------------------------------------------------------------------------

@@ -1015,12 +1015,59 @@ def test_eval_averages_a_hybrid_checkpoint_over_folds(flag_env, capsys):
                    "--folds", "2")
     assert doc["mode"] == "hybrid" and doc["extra"] == {"folds": 2}
     bundles, texts, _ = featureio.load_dataset(Path(env["data"]) / "manifest.json")
-    sims = []
+    tables = []
     for sub in ("region", "grid"):
         params, cfg, dims, _ = model.load_checkpoint(Path(env["hybrid"]) / sub)
         table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=sub)
-        sims.append(retrieval.similarity_matrix(table.image_embs, table.text_embs))
-    assert doc == retrieval.report(sims, table.image_index, "hybrid", 2).to_dict()
+        tables.append((table.image_embs, table.text_embs))
+    assert doc == retrieval.report(tables, table.image_index, "hybrid", 2).to_dict()
+
+
+def test_eval_and_ensemble_eval_form_no_similarity_matrix(flag_env, capsys, monkeypatch):
+    """eval (plain, --folds 2, hybrid) and ensemble-eval rank straight from
+    the embedding tables: with ``similarity_matrix`` refusing every call,
+    each prints the recalls of the matrix wrappers over the whole matrices."""
+    env, _ = flag_env
+    bundles, texts, _ = featureio.load_dataset(Path(env["data"]) / "manifest.json")
+
+    def whole(ckpt, mode):
+        params, cfg, dims, _ = model.load_checkpoint(ckpt)
+        table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=mode)
+        return retrieval.similarity_matrix(table.image_embs, table.text_embs)
+
+    idx = np.asarray(texts.image_index)
+    sim = whole(env["ckpt"], "region")
+    pair = [whole(Path(env["hybrid"]) / sub, sub) for sub in ("region", "grid")]
+    want = [(("eval", "--ckpt", env["ckpt"]), retrieval.evaluate(sim, idx)),
+            (("eval", "--ckpt", env["ckpt"], "--folds", "2"),
+             retrieval.fivefold_eval(sim, idx, folds=2)),
+            (("eval", "--ckpt", env["hybrid"]), retrieval.ensemble_eval(*pair, idx)),
+            (("ensemble-eval", "--ckpt-a", str(Path(env["hybrid"]) / "region"),
+              "--ckpt-b", str(Path(env["hybrid"]) / "grid")),
+             retrieval.ensemble_eval(*pair, idx))]
+
+    def refuse(*_):
+        raise AssertionError("a command formed a whole similarity matrix")
+
+    monkeypatch.setattr(retrieval, "similarity_matrix", refuse)
+    for argv, report in want:
+        assert run_json(capsys, *argv, "--data", env["data"]) == report.to_dict()
+
+
+def test_eval_refuses_embeddings_whose_scores_overflow(flag_env, capsys, monkeypatch):
+    """Finite embeddings whose products overflow exit 1 with the finiteness
+    error, as the whole similarity matrix of them does."""
+    env, _ = flag_env
+    embed = model.embed_dataset
+
+    def huge(*args, **kwargs):
+        table = embed(*args, **kwargs)
+        return replace(table, image_embs=table.image_embs * 1e200,
+                       text_embs=table.text_embs * 1e200)
+
+    monkeypatch.setattr(model, "embed_dataset", huge)
+    code, out, err = run(capsys, "eval", "--data", env["data"], "--ckpt", env["ckpt"])
+    assert (code, out) == (1, "") and "must be finite" in err
 
 
 def _outcome(capsys, env, argv):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -189,11 +190,12 @@ def test_every_report_refuses_ks_that_do_not_increase_strictly(ks):
     rng = np.random.default_rng(37)
     image_index = np.repeat(np.arange(12), 2)
     sim, other = rng.uniform(-1, 1, size=(2, 12, 24))
+    tables = [(rng.normal(size=(12, 4)), rng.normal(size=(24, 4))) for _ in range(2)]
     for call in (lambda: rt.evaluate(sim, image_index, ks=ks),
                  lambda: rt.fivefold_eval(sim, image_index, folds=2, ks=ks),
                  lambda: rt.ensemble_eval(sim, other, image_index, ks=ks),
-                 lambda: rt.report([sim], image_index, ks=ks),
-                 lambda: rt.report([sim, other], image_index, folds=3, ks=ks)):
+                 lambda: rt.report(tables[:1], image_index, ks=ks),
+                 lambda: rt.report(tables, image_index, folds=3, ks=ks)):
         with pytest.raises(ConfigError, match="every k"):
             call()
 
@@ -382,10 +384,11 @@ def test_report_refuses_exactly_what_fold_size_refuses(n, index, folds, ks):
         refused = None
         assert size * folds == n and size >= ks[-1]
     if not len(image_index):
-        return                                  # report refuses an empty matrix first
-    sim = np.random.default_rng(n).uniform(-1, 1, size=(n, len(image_index)))
+        return                                  # report refuses an empty table first
+    rng = np.random.default_rng(n)
+    tables = rng.uniform(-1, 1, size=(n, 3)), rng.uniform(-1, 1, size=(len(image_index), 3))
     try:
-        rt.report([sim], image_index, folds=folds, ks=ks)
+        rt.report([tables], image_index, folds=folds, ks=ks)
     except ConfigError as e:
         assert str(e) == refused
     else:
@@ -626,14 +629,18 @@ def test_outranking_counts_match_sorting_oracles_on_ties(inst, fracs):
 
 
 def test_fused_folds_match_the_per_fold_rank_average_oracle():
-    """``report`` of two matrices over f folds is the mean, fold by fold,
-    of the recalls read off brute-force mean-rank orders, for every f that
-    divides the images."""
+    """``report`` of two models' tables over f folds is the mean, fold by
+    fold, of the recalls read off brute-force mean-rank orders of their
+    scores, for every f that divides the images.  Small-integer tables make
+    every score exact, whatever the GEMM's blocking, and tie often."""
     rng = np.random.default_rng(41)
     for _ in range(6):
-        sim, image_index = random_instance(rng, max_images=24, max_caps=3)
-        other = rng.uniform(-1, 1, size=sim.shape)
-        n = sim.shape[0]
+        _, image_index = random_instance(rng, max_images=24, max_caps=3)
+        n, tables = image_index[-1] + 1, []
+        for width in rng.integers(1, 5, size=2):
+            tables.append(tuple(rng.integers(-2, 3, size=(rows, width)).astype(float)
+                                for rows in (n, len(image_index))))
+        sim, other = (img @ txt.T for img, txt in tables)
         for folds in (f for f in range(1, n + 1) if n % f == 0):
             size = n // folds
             ks = tuple(k for k in (1, 2, 5, 10) if k <= size)
@@ -645,16 +652,106 @@ def test_fused_folds_match_the_per_fold_rank_average_oracle():
                     [ensemble_oracle_row(ra, rb) for ra, rb in zip(a, b)],
                     [ensemble_oracle_row(ra, rb) for ra, rb in zip(a.T, b.T)],
                     image_index[mask] - lo, ks)
-            got = rt.report([sim, other], image_index, "hybrid", folds, ks)
+            got = rt.report(tables, image_index, "hybrid", folds, ks)
             assert list(got.recalls()) == list(acc / folds)
             assert got.to_dict().get("extra") == ({"folds": folds} if folds > 1 else None)
 
 
 def test_report_refuses_more_than_two_matrices():
-    sim = np.zeros((10, 10))
-    for sims in ([], [sim] * 3):
-        with pytest.raises(ConfigError, match="one similarity matrix or fuses two"):
-            rt.report(sims, np.arange(10))
+    tables = (np.zeros((10, 2)), np.zeros((10, 2)))
+    for models in ([], [tables] * 3):
+        with pytest.raises(ConfigError, match="one model or fuses two"):
+            rt.report(models, np.arange(10))
+
+
+def unit_table(rng, rows, width):
+    table = rng.normal(size=(rows, width))
+    return table / np.linalg.norm(table, axis=1, keepdims=True)
+
+
+@given(st.sampled_from([257, 301, 513]), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.data())
+@settings(max_examples=12, deadline=None)
+def test_report_from_tables_equals_the_whole_matrices(n, caps, seed, data):
+    """Recalls ranked from two models' tables, one block of queries at a
+    time, equal those of the matrix wrappers over ``similarity_matrix``,
+    single and fused, over every fold, and each score block ranked is
+    within 1e-15 of the whole product's rows or columns.  Nothing is
+    asserted bitwise: a GEMM's blocking, and GEMV for a one-row block, may
+    round a block apart from the whole product."""
+    folds = data.draw(st.sampled_from([f for f in (1, 3, 7, 19) if n % f == 0]))
+    rng = np.random.default_rng(seed)
+    image_index = rng.permutation(np.repeat(np.arange(n), caps))
+    tables = [(unit_table(rng, n, width), unit_table(rng, len(image_index), width))
+              for width in rng.choice([8, 33, 64], size=2)]
+    sims = [rt.similarity_matrix(*pair) for pair in tables]
+    blocks, rank = [], rt._ranks
+    with mock.patch.object(rt, "_ranks", lambda keys, own: blocks.append(keys[0])
+                           or rank(keys, own)):
+        single = rt.report(tables[:1], image_index, folds=folds)
+    fused = rt.report(tables, image_index, "hybrid", folds)
+    assert single.recalls() == rt.fivefold_eval(sims[0], image_index, folds).recalls()
+
+    size, want, acc = n // folds, [], np.zeros(6)
+    for lo in range(0, n, size):
+        mask = (image_index >= lo) & (image_index < lo + size)
+        part = [sim[lo:lo + size][:, mask] for sim in sims]
+        acc += rt.ensemble_eval(*part, image_index[mask] - lo).recalls()
+        for way in (part[0], part[0].T):
+            want += [way[q:q + rt._CHUNK_ROWS] for q in range(0, len(way), rt._CHUNK_ROWS)]
+    assert fused.recalls() == tuple((acc / folds).tolist())
+    assert [b.shape for b in blocks] == [w.shape for w in want]
+    assert max(np.abs(b - w).max() for b, w in zip(blocks, want)) <= 1e-15
+
+
+def test_report_from_tables_peaks_below_one_whole_matrix():
+    """Ranking 600 images against 3000 captions from their (600, 64) and
+    (3000, 64) tables allocates less at its peak than the (600, 3000)
+    float64 similarity matrix it never forms."""
+    rng = np.random.default_rng(29)
+    tables = unit_table(rng, 600, 64), unit_table(rng, 3000, 64)
+    image_index = np.arange(3000) % 600
+    tracemalloc.start()
+    try:
+        rt.report([tables], image_index, folds=2)
+        rt.report([tables], image_index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 3000 * 8
+
+
+def test_report_refuses_bad_tables():
+    """Each model's tables must be finite, 2-D and equally wide, both
+    models must rank the same images and captions, and none may be empty."""
+    rng = np.random.default_rng(31)
+    img, txt, idx = rng.normal(size=(4, 3)), rng.normal(size=(8, 3)), np.arange(8) % 4
+    nan = img.copy()
+    nan[2, 1] = np.nan
+    for models, match in (([(nan, txt)], "finite"), ([(img, txt[0])], "finite"),
+                          ([(img, txt[:, :2])], "widths differ"),
+                          ([(img, txt), (img[:3], txt)], "non-empty"),
+                          ([(img, txt), (img, txt[:7])], "non-empty"),
+                          ([(img[:0], txt)], "non-empty")):
+        with pytest.raises(ShapeError, match=match):
+            rt.report(models, idx)
+
+
+@pytest.mark.parametrize("fused", [False, True])
+def test_report_refuses_scores_that_overflow(fused):
+    """Finite tables can still multiply past the float64 range: the block
+    that holds the overflowing score is refused, as the parent's whole
+    similarity matrix of the same tables is."""
+    rng = np.random.default_rng(47)
+    img, txt = unit_table(rng, 300, 8), unit_table(rng, 600, 8)
+    img[280] *= 1e200
+    txt[7] *= 1e200
+    idx = np.arange(600) % 300
+    with np.errstate(over="ignore"):
+        for call in (lambda: rt.report([(img, txt)] * (1 + fused), idx),
+                     lambda: rt.evaluate(rt.similarity_matrix(img, txt), idx)):
+            with pytest.raises(ShapeError, match="finite"):
+                call()
 
 
 # ---------------------------------------------------------------------------
