@@ -34,6 +34,10 @@ with one BLAS thread, and hashes what it leaves behind:
 - the same three of a seeded pair of 8x9000 similarities with planted
   exact ties and 1-ULP neighbours, scores that share all but the last 14
   bits of ``rank_rows``' packed sort keys (``ranking/wide/...``);
+- the ``report`` JSON of one model's seeded 300x16 image and 900x16
+  caption tables and of two models' fusion, whole and ``folds=2``, with
+  copied image and caption rows, so the GEMM gives exact ties
+  (``ranking/report/...``);
 - the per-check ``ok`` map of ``selfcheck --seed 0``.
 
 Two checkouts compute the same numbers when their outputs are equal:
@@ -212,6 +216,16 @@ def digest(values) -> None:
         a, b, np.repeat(np.arange(40), 5)).to_dict())
     emit_json("ranking/wide/ensemble_eval", retrieval.ensemble_eval(
         *wide, np.arange(9000) % 8, ks=(1, 2, 4)).to_dict())
+    img, txt = rng.normal(size=(2, 300, 16)), rng.normal(size=(2, 900, 16))
+    img[:, 20:30] = img[:, :10]                 # copies in one fold and across folds
+    img[:, 150:160] = img[:, 10:20]
+    txt[:, 600:660] = txt[:, 30:90]
+    caption_image = rng.permutation(np.repeat(np.arange(300), 3))
+    for name, models in (("single", [(img[0], txt[0])]), ("fused", list(zip(img, txt)))):
+        for folds in (1, 2):
+            emit_json("ranking/report/%s/folds%d" % (name, folds), retrieval.report(
+                models, caption_image, "hybrid" if len(models) == 2 else "region",
+                folds).to_dict())
 
     doc = run("selfcheck", "--seed", 0)
     emit_json("selfcheck/ok", {k: v["ok"] for k, v in doc["checks"].items()})

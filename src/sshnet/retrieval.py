@@ -62,17 +62,21 @@ def rank_rows(sim) -> np.ndarray:
     ``(m - 1).bit_length()`` bits.  A row where sorted neighbours share
     their high bits but not their score (unequal scores that differ only in
     the dropped bits) is sorted again by the stable argsort.  ``sim`` must
-    be finite and 2-D.
+    be 2-D and finite, as the ends of each sorted row show.
     """
-    scores, = _finite_2d("similarities", sim)
-    bits = (scores.shape[1] - 1).bit_length()
+    scores = np.asarray(sim, dtype=np.float64)
+    if scores.ndim != 2:
+        _finite_2d("similarities", scores)      # raises its ShapeError
+    bits = ((m := scores.shape[1]) - 1).bit_length()
     keys = np.subtract(0.0, scores, order="C").view(np.int64)
     keys ^= (keys >> 63) & 0x7FFFFFFFFFFFFFFF
     keys &= -1 << bits
-    keys |= np.arange(scores.shape[1])
+    keys |= np.arange(m)
     keys.sort(axis=1)
-    rows, cols = np.nonzero((keys[:, 1:] ^ keys[:, :-1]) >> bits == 0)
+    rows, cols = np.divmod(np.flatnonzero((keys[:, 1:] ^ keys[:, :-1]) >> bits == 0), m - 1)
     keys &= (1 << bits) - 1
+    if not np.isfinite(np.take_along_axis(scores, keys[:, ::m - 1 or 1], axis=1)).all():
+        _finite_2d("similarities", scores)      # raises its ShapeError
     clash = scores[rows, keys[rows, cols]] != scores[rows, keys[rows, cols + 1]]
     again = np.unique(rows[clash])
     keys[again] = np.argsort(-scores[again], axis=1, kind="stable")
@@ -80,42 +84,46 @@ def rank_rows(sim) -> np.ndarray:
 
 
 def _stable_ranks(scores: np.ndarray) -> np.ndarray:
-    """Each candidate's position in its row's ``rank_rows`` order (float64)."""
+    """Each candidate's position in its row's ``rank_rows`` order (int32)."""
     order = rank_rows(scores)
     n, m = order.shape
     order += np.arange(n)[:, None] * m
-    ranks = np.empty(n * m)
-    ranks[order] = np.arange(m)
+    ranks = np.empty(n * m, dtype=np.int32)
+    ranks[order] = np.arange(m, dtype=np.int32)
     return ranks.reshape(n, m)
 
 
-def _ranks(keys, own) -> np.ndarray:
-    """Per row, how many candidates come before the first, in key order,
-    of the candidates ``own`` marks (past all of them if it marks none).
-    ``keys`` are (rows, candidates) arrays compared in turn, higher first;
-    a full tie goes to the lower column, as in ``rank_rows``."""
-    best = own.copy()
-    for key in keys:
-        best &= key == key.max(axis=1, where=best, initial=-np.inf,
-                               keepdims=True)
-    col = best.argmax(axis=1)[:, None]
-    before = np.arange(own.shape[1]) < col
-    for key in reversed(keys):
-        gt = np.take_along_axis(key, col, axis=1)
-        before = (key > gt) | ((key == gt) & before)
-    return np.where(own.any(axis=1), np.count_nonzero(before, axis=1),
-                    own.shape[1])
+def _ranks(keys, rows, cols) -> np.ndarray:
+    """Per row of a block, how many candidates come before its best ground
+    truth of the (row, column) pairs ``rows, cols`` in the block (past all if
+    none).  ``keys``: a score (higher first) or integer rank sum (fewer first),
+    then arrays whose sum, higher first, breaks its ties, read only where it
+    ties; then the lower column, as in ``rank_rows``."""
+    (first, *later), fewer = keys, keys[0].dtype.kind == "i"
+    n, m = first.shape
+    rows, cols = np.compress((rows >= 0) & (rows < n), [rows, cols], axis=1)
+    g, tie = first[rows, cols], sum((k[rows, cols] for k in later), np.zeros(len(rows)))
+    order = np.lexsort((cols, -tie, g if fewer else -g, rows))
+    best = order[np.diff(rows[order], prepend=-1) != 0]     # each row's first pair
+    at, at_tie, at_col = np.zeros(n, first.dtype), np.zeros(n), np.zeros(n, np.intp)
+    at[rows[best]], at_tie[rows[best]], at_col[rows[best]] = g[best], tie[best], cols[best]
+    ahead = np.count_nonzero(first < at[:, None] if fewer else first > at[:, None], axis=1)
+    tr, tc = np.divmod(np.flatnonzero(first == at[:, None]), m)
+    t, gt = sum((k[tr, tc] for k in later), np.zeros(len(tr))), at_tie[tr]
+    ahead += np.bincount(tr[(t > gt) | (t == gt) & (tc < at_col[tr])], minlength=n)
+    return np.where(np.bincount(rows, minlength=n) > 0, ahead, m)
 
 
 def _keys(q, *ways) -> list:
-    """``_ranks`` keys of queries ``q``: the scores of one model's (scores, None)
-    or (queries, candidates) tables, whose GEMM is checked as finite tables can
-    overflow, or for two models, their rank sum (fewer first), then summed score."""
-    score, *other = [x[q] if y is None else _finite_2d("similarities", x[q] @ y.T)[0]
-                     for x, y in ways]
+    """``_ranks`` keys of queries ``q``: one model's scores from (scores, None) or
+    (queries, candidates) tables, whose GEMM is checked as finite tables can overflow,
+    or two models' integer rank sum and both scores (``rank_rows`` checks a block)."""
+    score, *other = [x[q] if y is None else x[q] @ y.T for x, y in ways]
     if not other:
-        return [score]
-    return [-(_stable_ranks(score) + _stable_ranks(other[0])), score + other[0]]
+        return [score] if ways[0][1] is None else _finite_2d("similarities", score)
+    ranks = _stable_ranks(score)
+    ranks += _stable_ranks(other[0])
+    return [ranks, score, other[0]]
 
 
 _CHUNK_ROWS = 256   # queries per block in report and bench_kpps
@@ -190,10 +198,10 @@ def report(models, image_index, mode: str = "region", folds: int = 1,
     rank-averaged fusion of two models', averaged over ``fold_size`` folds.
 
     Each block of ``_CHUNK_ROWS`` queries is scored by one GEMM per model and
-    direction (no N x M score matrix is formed); each ground truth, an image's
-    best caption or a sentence's image, is ranked by counting the candidates
-    whose key comes first: a higher score, or for a fusion a lower rank sum
-    (``ensemble_ranks``' order), then a higher summed score, then lower index.
+    direction (no N x M matrix or mask); each ground truth, an image's best
+    caption or a sentence's image by index, is ranked by counting the candidates
+    ahead: a higher score, or a fusion's lower integer rank sum (``ensemble_ranks``'
+    order), then, read only at its ties, a higher summed score, then lower index.
     """
     if not 1 <= len(models) <= 2:
         raise ConfigError("report ranks one model or fuses two, got %d" % len(models))
@@ -201,8 +209,8 @@ def report(models, image_index, mode: str = "region", folds: int = 1,
 
 
 def _recalls(models, image_index, mode, folds, ks) -> RetrievalReport:
-    """The one ranking loop, of ``report``'s checked ``[image, text]`` tables,
-    or of the matrix wrappers' checked similarity matrices, sliced per block."""
+    """The one ranking loop, over ``report``'s checked tables or the wrappers' checked
+    matrices, block by block; ground truths are (image, caption) index pairs."""
     shapes = {x.shape if isinstance(x, np.ndarray) else (len(x[0]), len(x[1])) for x in models}
     image_index, (n, m) = np.asarray(image_index), min(shapes)
     if len(shapes) > 1 or 0 in (n, m) or image_index.shape != (m,):
@@ -214,12 +222,12 @@ def _recalls(models, image_index, mode, folds, ks) -> RetrievalReport:
         fold = (image_index >= lo) & (image_index < lo + size) if folds > 1 else slice(None)
         part = [(x[lo:lo + size][:, fold], None) if isinstance(x, np.ndarray)
                 else (x[0][lo:lo + size], x[1][fold]) for x in models]
-        own = image_index[fold] == np.arange(lo, lo + size)[:, None]
+        pairs = (img := image_index[fold].astype(np.intp) - lo), np.arange(len(img))
         six = []
-        for way, marks in ((part, own),
-                           ([(x.T, y) if y is None else (y, x) for x, y in part], own.T)):
-            blocks = [slice(q, q + _CHUNK_ROWS) for q in range(0, len(marks), _CHUNK_ROWS)]
-            ranks = np.concatenate([_ranks(_keys(q, *way), marks[q]) for q in blocks])
+        for way, (rows, cols) in ((part, pairs), ([(x.T, y) if y is None else (y, x)
+                                                   for x, y in part], pairs[::-1])):
+            ranks = np.concatenate([_ranks(_keys(slice(q, q + _CHUNK_ROWS), *way), rows - q, cols)
+                                    for q in range(0, len(way[0][0]), _CHUNK_ROWS)])
             six += [100.0 * int(np.count_nonzero(ranks < k)) / len(ranks) for k in ks]
         acc += six
     return RetrievalReport(mode, (acc / folds).tolist(), tuple(ks),
@@ -282,7 +290,7 @@ def _top_k(table: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     top = np.empty((queries.shape[0], k), dtype=np.intp)
     for lo in range(0, queries.shape[0], _CHUNK_ROWS):
         scores = queries[lo:lo + _CHUNK_ROWS] @ table.T
-        top[lo:lo + _CHUNK_ROWS] = np.argpartition(-scores, k - 1, axis=1)[:, :k]
+        top[lo:lo + _CHUNK_ROWS] = np.argpartition(scores, -k, axis=1)[:, -k:]
     return top
 
 

@@ -62,10 +62,10 @@ def gt_rank_oracle(sim, image_index, direction):
 
 def gt_ranks(sim, image_index, direction):
     """``rt._ranks`` in one direction: what every recall@k is read from."""
-    own = image_index == np.arange(sim.shape[0])[:, None]
+    pairs = np.asarray(image_index), np.arange(len(image_index))   # (image, caption)
     if direction == "s2i":
-        sim, own = sim.T, own.T
-    return rt._ranks([sim], own).tolist()
+        sim, pairs = sim.T, pairs[::-1]
+    return rt._ranks([sim], *pairs).tolist()
 
 
 def ensemble_oracle_row(sa, sb):
@@ -505,7 +505,7 @@ def tied_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_tie_order_is_the_stable_sort_bitwise(s):
     want = np.argsort(-s, axis=1, kind="stable")
-    inverse = np.empty(s.shape)
+    inverse = np.empty(s.shape, dtype=np.int32)
     np.put_along_axis(inverse, want, np.arange(s.shape[1])[None], axis=1)
     got = rt.rank_rows(s)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -530,9 +530,30 @@ def test_scores_apart_only_in_the_index_bits_keep_the_stable_order(m):
     for sim in (s, np.ascontiguousarray(s.T).T, -s):
         want = np.argsort(-sim, axis=1, kind="stable")
         assert rt.rank_rows(sim).tobytes() == want.tobytes()
-        inverse = np.empty(sim.shape)
+        inverse = np.empty(sim.shape, dtype=np.int32)
         np.put_along_axis(inverse, want, np.arange(m)[None], axis=1)
         assert rt._stable_ranks(sim).tobytes() == inverse.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8193])
+def test_rank_rows_refuses_a_non_finite_score_anywhere(m):
+    """``rank_rows`` checks only the two ends of each sorted row: either
+    infinity and a NaN of either sign and any payload sort past every finite
+    score, the largest finite magnitudes included, wherever they sit, in C
+    and transposed layouts."""
+    rng = np.random.default_rng(m)
+    base = rng.uniform(-1, 1, size=(3, m))
+    base[0, -1], base[2, 0] = np.finfo(np.float64).max, -np.finfo(np.float64).max
+    assert rt.rank_rows(base).tobytes() == np.argsort(-base, axis=1, kind="stable").tobytes()
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF0000000000001], dtype=np.uint64).view(np.float64)
+    for bad in (np.inf, -np.inf, *nans):
+        for row, col in ((0, 0), (1, m // 2), (2, m - 1)):
+            sim = base.copy()
+            sim[row, col] = bad
+            for layout in (sim, np.ascontiguousarray(sim.T).T):
+                with pytest.raises(ShapeError, match="finite"), np.errstate(invalid="ignore"):
+                    rt.rank_rows(layout)        # negating a signaling NaN warns
 
 
 def test_ensemble_eval_equals_plain_eval_when_models_agree():
@@ -657,6 +678,72 @@ def test_fused_folds_match_the_per_fold_rank_average_oracle():
             assert got.to_dict().get("extra") == ({"folds": folds} if folds > 1 else None)
 
 
+@st.composite
+def tie_heavy_layout(draw):
+    """A block size of 1-4 queries, 1-3 folds whose image counts sit on either
+    side of a multiple of it, 0-3 captions per image in shuffled order (some
+    images have none, every fold has one), and two (images, captions) score
+    matrices from a seed: halves in [-1.5, 1.5], a fifth of them -0.0, most
+    nonzero ones moved one ULP either way, and a copied row and column each."""
+    chunk, folds = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    size = max(1, chunk * draw(st.integers(1, 2)) + draw(st.integers(-1, 1)))
+    counts = draw(st.lists(st.integers(0, 3), min_size=folds * size, max_size=folds * size))
+    for lo in range(0, folds * size, size):
+        counts[lo + draw(st.integers(0, size - 1))] += 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    image_index = rng.permutation(np.repeat(np.arange(folds * size), counts))
+    sims = []
+    for _ in range(2):
+        s = rng.integers(-3, 4, size=(folds * size, len(image_index))) / 2.0
+        s[rng.random(s.shape) < 0.2] = -0.0
+        ulp = (s != 0) & (rng.random(s.shape) < 0.6)
+        s[ulp] = np.nextafter(s[ulp], rng.choice([-2.0, 2.0], size=ulp.sum()))
+        s[rng.integers(len(s))] = s[rng.integers(len(s))]
+        s[:, rng.integers(s.shape[1])] = s[:, rng.integers(s.shape[1])]
+        sims.append(s)
+    return chunk, folds, image_index, sims
+
+
+def oracle_recalls(sims, image_index, ks):
+    """Recalls read off brute-force full orders: ``rank_oracle`` of one
+    model's scores, ``ensemble_oracle_row`` of two."""
+    if len(sims) == 1:
+        return recalls_from_orders([rank_oracle(row) for row in sims[0]],
+                                   [rank_oracle(col) for col in sims[0].T], image_index, ks)
+    a, b = sims
+    return recalls_from_orders([ensemble_oracle_row(x, y) for x, y in zip(a, b)],
+                               [ensemble_oracle_row(x, y) for x, y in zip(a.T, b.T)],
+                               image_index, ks)
+
+
+@given(tie_heavy_layout())
+@settings(max_examples=150, deadline=None)
+def test_every_recall_equals_the_sorting_oracles_on_ties(layout):
+    """``report`` of one model's tables and of two, ``evaluate``,
+    ``fivefold_eval`` and ``ensemble_eval`` give, at every k up to a fold's
+    candidates, in both directions, the recalls of brute-force full orders,
+    averaged fold by fold.  The image tables are one-hot rows, so each GEMM
+    block is exactly its rows or columns of the drawn scores."""
+    chunk, folds, image_index, sims = layout
+    n = sims[0].shape[0]
+    size, want = n // folds, {1: 0.0, 2: 0.0}
+    masks = [(image_index >= lo) & (image_index < lo + size) for lo in range(0, n, size)]
+    ks = tuple(range(1, min(size, *(mask.sum() for mask in masks)) + 1))
+    for lo, mask in zip(range(0, n, size), masks):
+        for count in want:
+            want[count] += np.array(oracle_recalls([s[lo:lo + size][:, mask] for s in sims[:count]],
+                                                   image_index[mask] - lo, ks))
+    want = {count: (acc / folds).tolist() for count, acc in want.items()}
+    tables = [(np.eye(n), s.T.copy()) for s in sims]
+    with mock.patch.object(rt, "_CHUNK_ROWS", chunk):
+        assert list(rt.report(tables[:1], image_index, folds=folds, ks=ks).recalls()) == want[1]
+        assert list(rt.report(tables, image_index, "hybrid", folds, ks).recalls()) == want[2]
+        assert list(rt.fivefold_eval(sims[0], image_index, folds, ks=ks).recalls()) == want[1]
+        if folds == 1:
+            assert list(rt.evaluate(sims[0], image_index, ks=ks).recalls()) == want[1]
+            assert list(rt.ensemble_eval(*sims, image_index, ks=ks).recalls()) == want[2]
+
+
 def test_report_refuses_more_than_two_matrices():
     tables = (np.zeros((10, 2)), np.zeros((10, 2)))
     for models in ([], [tables] * 3):
@@ -686,8 +773,8 @@ def test_report_from_tables_equals_the_whole_matrices(n, caps, seed, data):
               for width in rng.choice([8, 33, 64], size=2)]
     sims = [rt.similarity_matrix(*pair) for pair in tables]
     blocks, rank = [], rt._ranks
-    with mock.patch.object(rt, "_ranks", lambda keys, own: blocks.append(keys[0])
-                           or rank(keys, own)):
+    with mock.patch.object(rt, "_ranks", lambda keys, rows, cols: blocks.append(keys[0])
+                           or rank(keys, rows, cols)):
         single = rt.report(tables[:1], image_index, folds=folds)
     fused = rt.report(tables, image_index, "hybrid", folds)
     assert single.recalls() == rt.fivefold_eval(sims[0], image_index, folds).recalls()
