@@ -38,6 +38,11 @@ with one BLAS thread, and hashes what it leaves behind:
   caption tables and of two models' fusion, whole and ``folds=2``, with
   copied image and caption rows, so the GEMM gives exact ties
   (``ranking/report/...``);
+- ``ensemble_ranks`` of a seeded 40x9000 pair rounded to 0.1 with copied
+  rows and columns, and of its transpose, and the fused ``report`` JSON,
+  whole and ``folds=2``, of seeded small-integer 300x16 image and 3000x16
+  caption tables with copied rows: blocks that span several of
+  ``_rank_sum``'s tiles (``ranking/tiles/...``);
 - the per-check ``ok`` map of ``selfcheck --seed 0``.
 
 Two checkouts compute the same numbers when their outputs are equal:
@@ -226,6 +231,19 @@ def digest(values) -> None:
             emit_json("ranking/report/%s/folds%d" % (name, folds), retrieval.report(
                 models, caption_image, "hybrid" if len(models) == 2 else "region",
                 folds).to_dict())
+    rng = np.random.default_rng(29)             # tables wider than one _rank_sum tile
+    a, b = (np.round(rng.uniform(-1, 1, size=(40, 9000)), 1) for _ in range(2))
+    a[:, 4500:5000], b[20:40] = a[:, :500], b[:20]
+    for name, (sa, sb) in (("pair", (a, b)), ("transpose", (a.T, b.T))):
+        emit("ranking/tiles/%s/ensemble_ranks" % name, np.ascontiguousarray(
+            retrieval.ensemble_ranks(sa, sb), dtype=np.int64).tobytes())
+    img, txt = rng.integers(-2, 3, size=(2, 300, 16)), rng.integers(-2, 3, size=(2, 3000, 16))
+    img[:, 200:240], txt[:, 2000:2300] = img[:, :40], txt[:, :300]
+    caption_image = rng.permutation(np.repeat(np.arange(300), 10))
+    for folds in (1, 2):
+        emit_json("ranking/tiles/report/fused/folds%d" % folds, retrieval.report(
+            list(zip(img.astype(np.float64), txt.astype(np.float64))), caption_image,
+            "hybrid", folds).to_dict())
 
     doc = run("selfcheck", "--seed", 0)
     emit_json("selfcheck/ok", {k: v["ok"] for k, v in doc["checks"].items()})

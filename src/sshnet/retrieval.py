@@ -68,7 +68,8 @@ def rank_rows(sim) -> np.ndarray:
     if scores.ndim != 2:
         _finite_2d("similarities", scores)      # raises its ShapeError
     bits = ((m := scores.shape[1]) - 1).bit_length()
-    keys = np.subtract(0.0, scores, order="C").view(np.int64)
+    with np.errstate(invalid="ignore"):     # a signaling NaN is refused below, not warned
+        keys = np.subtract(0.0, scores, order="C").view(np.int64)
     keys ^= (keys >> 63) & 0x7FFFFFFFFFFFFFFF
     keys &= -1 << bits
     keys |= np.arange(m)
@@ -83,14 +84,15 @@ def rank_rows(sim) -> np.ndarray:
     return keys
 
 
-def _stable_ranks(scores: np.ndarray) -> np.ndarray:
-    """Each candidate's position in its row's ``rank_rows`` order (int32)."""
-    order = rank_rows(scores)
-    n, m = order.shape
-    order += np.arange(n)[:, None] * m
-    ranks = np.empty(n * m, dtype=np.int32)
-    ranks[order] = np.arange(m, dtype=np.int32)
-    return ranks.reshape(n, m)
+def _rank_sum(*blocks) -> np.ndarray:
+    """Each candidate's ``rank_rows`` position summed over one or two score blocks (int32)."""
+    (n, m), sums = blocks[0].shape, np.zeros(blocks[0].size, dtype=np.int32)
+    for lo in range(0, n, step := max(_TILE // max(m, 1), 1)):
+        for block in blocks:
+            order = rank_rows(block[lo:lo + step])
+            order += np.arange(lo, lo + len(order))[:, None] * m
+            sums[order] += np.arange(m, dtype=np.int32)
+    return sums.reshape(n, m)
 
 
 def _ranks(keys, rows, cols) -> np.ndarray:
@@ -117,16 +119,15 @@ def _ranks(keys, rows, cols) -> np.ndarray:
 def _keys(q, *ways) -> list:
     """``_ranks`` keys of queries ``q``: one model's scores from (scores, None) or
     (queries, candidates) tables, whose GEMM is checked as finite tables can overflow,
-    or two models' integer rank sum and both scores (``rank_rows`` checks a block)."""
+    or two models' ``_rank_sum``, as ``ensemble_ranks`` sorts by, and both scores."""
     score, *other = [x[q] if y is None else x[q] @ y.T for x, y in ways]
     if not other:
         return [score] if ways[0][1] is None else _finite_2d("similarities", score)
-    ranks = _stable_ranks(score)
-    ranks += _stable_ranks(other[0])
-    return [ranks, score, other[0]]
+    return [_rank_sum(score, *other), score, *other]
 
 
 _CHUNK_ROWS = 256   # queries per block in report and bench_kpps
+_TILE = 2 ** 16     # candidates ranked at once by _rank_sum: keys and temporaries stay in L2
 _WARMUP_QUERIES = 3   # untimed queries before bench_kpps times its trials
 
 
@@ -200,8 +201,9 @@ def report(models, image_index, mode: str = "region", folds: int = 1,
     Each block of ``_CHUNK_ROWS`` queries is scored by one GEMM per model and
     direction (no N x M matrix or mask); each ground truth, an image's best
     caption or a sentence's image by index, is ranked by counting the candidates
-    ahead: a higher score, or a fusion's lower integer rank sum (``ensemble_ranks``'
-    order), then, read only at its ties, a higher summed score, then lower index.
+    ahead: a higher score, or a fusion's lower integer ``_rank_sum`` (the key of
+    ``ensemble_ranks``, formed ``_TILE`` candidates at a time), then, read only at
+    its ties, a higher summed score, then lower index.
     """
     if not 1 <= len(models) <= 2:
         raise ConfigError("report ranks one model or fuses two, got %d" % len(models))
@@ -248,16 +250,13 @@ def fivefold_eval(sim, image_index, folds: int = 5, mode: str = "region",
 
 
 def ensemble_ranks(sim_a, sim_b) -> np.ndarray:
-    """Fuse two models' rankings per query by averaging rank positions.
-
-    Candidates are re-sorted by mean rank (the rank sum orders them the
-    same way); ties break toward the higher summed similarity, then, as
-    ``lexsort`` is stable, the lower index.
-    """
+    """Fuse two models' rankings per query by averaging rank positions: candidates go
+    by ``_rank_sum`` (as by mean rank), ties to the higher summed similarity, then, as
+    ``lexsort`` is stable, to the lower index; ``report``'s fused recalls use this key."""
     a, b = _finite_2d("similarities", sim_a, sim_b)
     if a.shape != b.shape:
         raise ShapeError("similarities must have one shape, got %r and %r" % (a.shape, b.shape))
-    return np.lexsort((-(a + b), _stable_ranks(a) + _stable_ranks(b)), axis=1)
+    return np.lexsort((-(a + b), _rank_sum(a, b)), axis=1)
 
 
 def ensemble_eval(sim_a, sim_b, image_index, mode: str = "hybrid",

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -509,7 +510,7 @@ def test_tie_order_is_the_stable_sort_bitwise(s):
     np.put_along_axis(inverse, want, np.arange(s.shape[1])[None], axis=1)
     got = rt.rank_rows(s)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    ranks = rt._stable_ranks(s)
+    ranks = rt._rank_sum(s)
     assert ranks.dtype == inverse.dtype and ranks.tobytes() == inverse.tobytes()
 
 
@@ -532,7 +533,43 @@ def test_scores_apart_only_in_the_index_bits_keep_the_stable_order(m):
         assert rt.rank_rows(sim).tobytes() == want.tobytes()
         inverse = np.empty(sim.shape, dtype=np.int32)
         np.put_along_axis(inverse, want, np.arange(m)[None], axis=1)
-        assert rt._stable_ranks(sim).tobytes() == inverse.tobytes()
+        assert rt._rank_sum(sim).tobytes() == inverse.tobytes()
+
+
+@st.composite
+def rank_sum_blocks(draw):
+    """One or two (n, m) blocks of a few values (+0.0 and -0.0 among them),
+    each C or the transposed view of an (m, n) array, as ``_recalls`` hands
+    s2i blocks.  m = 8193 puts a few rows in each tile of ``_TILE`` candidates,
+    so 40 rows straddle several tiles; m = 2**17 + 1 gives each row its own."""
+    m = draw(st.sampled_from([0, 1, 2, 7, 300, 8193, 2 ** 17 + 1]))
+    n = draw(st.integers(0, 40 if m < 2 ** 17 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = [rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(n, m))
+              for _ in range(draw(st.integers(1, 2)))]
+    return [np.ascontiguousarray(b.T).T if draw(st.booleans()) else b for b in blocks]
+
+
+@given(rank_sum_blocks())
+@example([np.zeros((0, 0))])
+@example([np.zeros((0, 4))] * 2)
+@example([np.zeros((4, 0))] * 2)
+@example([np.tile(np.arange(8193.0) % 3, (40, 1)),
+          np.tile(np.arange(8193.0) % 5, (40, 1)).T.copy().T])
+@example([np.tile(np.arange(2 ** 17 + 1.0) % 7, (3, 1))] * 2)
+@settings(max_examples=60, deadline=None)
+def test_rank_sum_is_the_sum_of_stable_inverse_permutations(blocks):
+    """``_rank_sum`` of one block or two equals, bitwise and as int32, the sum of
+    each block's inverse stable-argsort permutation, whatever the tiling."""
+    n, m = blocks[0].shape
+    want = np.zeros((n, m), dtype=np.int32)
+    for s in blocks:
+        inverse = np.empty((n, m), dtype=np.int32)
+        np.put_along_axis(inverse, np.argsort(-s, axis=1, kind="stable"),
+                          np.arange(m, dtype=np.int32)[None], axis=1)
+        want += inverse
+    got = rt._rank_sum(*blocks)
+    assert got.dtype == np.int32 and got.shape == (n, m) and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 8193])
@@ -540,7 +577,8 @@ def test_rank_rows_refuses_a_non_finite_score_anywhere(m):
     """``rank_rows`` checks only the two ends of each sorted row: either
     infinity and a NaN of either sign and any payload sort past every finite
     score, the largest finite magnitudes included, wherever they sit, in C
-    and transposed layouts."""
+    and transposed layouts, with no warning before the error (negating a
+    signaling NaN raises the invalid flag)."""
     rng = np.random.default_rng(m)
     base = rng.uniform(-1, 1, size=(3, m))
     base[0, -1], base[2, 0] = np.finfo(np.float64).max, -np.finfo(np.float64).max
@@ -552,8 +590,9 @@ def test_rank_rows_refuses_a_non_finite_score_anywhere(m):
             sim = base.copy()
             sim[row, col] = bad
             for layout in (sim, np.ascontiguousarray(sim.T).T):
-                with pytest.raises(ShapeError, match="finite"), np.errstate(invalid="ignore"):
-                    rt.rank_rows(layout)        # negating a signaling NaN warns
+                with pytest.raises(ShapeError, match="finite"), warnings.catch_warnings():
+                    warnings.simplefilter("error")      # no warning comes first
+                    rt.rank_rows(layout)
 
 
 def test_ensemble_eval_equals_plain_eval_when_models_agree():
