@@ -25,7 +25,10 @@ with one BLAS thread, and hashes what it leaves behind:
   after ``train --epochs 1 --no-vsem`` into it (``swap/files/...``);
 - the region- and grid-mode image and caption embeddings of a
   ``synth --dims full --images 4 --captions 2 --seed 7`` set under
-  ``init_params(FULL_MODEL, FULL_DIMS, seed=0)`` (``full/embed/...``);
+  ``init_params(FULL_MODEL, FULL_DIMS, seed=0)`` (``full/embed/...``), the
+  loss curve (float hex) of one epoch of ``objective.train`` on that set,
+  batch 4 (``full/train/...``), and the region- and grid-mode embeddings of
+  a 9-image set, an embedding chunk of 8 and one of 1 (``full/embed9/...``);
 - a sampled ``gradcheck`` JSON with ``elapsed_s`` removed;
 - the full gradient-fidelity report (float hex);
 - ``rank_rows`` and ``ensemble_ranks`` of a seeded tie-heavy pair of
@@ -84,7 +87,7 @@ import numpy as np  # noqa: E402
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from sshnet import config, featureio, model, retrieval  # noqa: E402
+from sshnet import config, featureio, model, objective, retrieval  # noqa: E402
 from sshnet.cli import main as cli_main  # noqa: E402
 
 
@@ -194,6 +197,15 @@ def digest(values) -> None:
             table = model.embed_dataset(bundles, texts, params, cfg, dims, mode)
             emit("full/embed/%s/images" % mode, table.image_embs.tobytes())
             emit("full/embed/%s/texts" % mode, table.text_embs.tobytes())
+        res = objective.train(bundles, texts, dims, cfg,
+                              objective.TrainConfig(batch_size=4, epochs=1))
+        emit("full/train/loss_curve", hexes(res.loss_curve))
+        run("synth", "--out", tmp / "full9", "--dims", "full", "--images", 9,
+            "--captions", 1, "--seed", 9)
+        bundles, texts, _ = featureio.load_dataset(tmp / "full9" / "manifest.json")
+        for mode in ("region", "grid"):
+            table = model.embed_dataset(bundles, texts, params, cfg, dims, mode)
+            emit("full/embed9/%s/images" % mode, table.image_embs.tobytes())
 
     doc = run("gradcheck", "--seed", 5, "--batch", 3, "--sample", 4)
     del doc["elapsed_s"]

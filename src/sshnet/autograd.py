@@ -377,22 +377,22 @@ def offdiag_max(x: Tensor, axis: int) -> Tensor:
 # convolution
 
 def conv_patches(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """im2col for valid-mode convolution: (ho * wo, kh * kw * c) patches.
+    """im2col for valid-mode convolution: (..., h, w, c) -> (..., ho * wo, kh * kw * c).
 
-    patches[r] is the flattened (kh, kw, c) window for output position r in
-    row-major order.  A strided window view plus one copy: the values are
-    the input's own, so the result is exact.
+    patches[..., r, :] is the flattened (kh, kw, c) window for output
+    position r in row-major order.  A strided window view plus one copy:
+    the values are the input's own, so the result is exact.
     """
-    h, w, c = x.shape
+    *lead, h, w, c = x.shape
     if kh > h or kw > w:
         raise ShapeError("kernel %dx%d larger than input %dx%d" % (kh, kw, h, w))
     if stride < 1:
         raise ShapeError("stride must be >= 1")
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    win = sliding_window_view(x, (kh, kw), axis=(0, 1))[::stride, ::stride]
-    # (ho, wo, c, kh, kw) -> (ho, wo, kh, kw, c) rows
-    patches = win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, kh * kw * c)
+    win = sliding_window_view(x, (kh, kw), axis=(-3, -2))[..., ::stride, ::stride, :, :, :]
+    # (..., ho, wo, c, kh, kw) -> (..., ho, wo, kh, kw, c) rows
+    patches = np.moveaxis(win, -3, -1).reshape(*lead, ho * wo, kh * kw * c)
     return np.ascontiguousarray(patches, dtype=np.float64)
 
 
@@ -516,6 +516,16 @@ class GradReport:
     passed: bool
 
 
+def check_grad_settings(eps: float, tol: float, sample: int | None) -> None:
+    """ConfigError unless ``grad_check`` can run with these settings."""
+    if not (1e-7 <= eps <= 1e-3):
+        raise ConfigError("eps must lie in [1e-7, 1e-3], got %r" % (eps,))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError("tol must be finite and > 0, got %r" % (tol,))
+    if sample is not None and sample < 1:
+        raise ConfigError("sample must be >= 1, got %r" % (sample,))
+
+
 def grad_check(
     loss_fn: Callable[[], Tensor],
     params: dict[str, Tensor],
@@ -533,12 +543,7 @@ def grad_check(
     ``fd_loss(name)``, if given, is the loss tensor ``name``'s central
     differences run instead, equal to ``loss_fn`` while only it moves.
     """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ConfigError("eps must lie in [1e-7, 1e-3], got %r" % (eps,))
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError("tol must be finite and > 0, got %r" % (tol,))
-    if sample is not None and sample < 1:
-        raise ConfigError("sample must be >= 1, got %r" % (sample,))
+    check_grad_settings(eps, tol, sample)
     with no_grad():
         f_a = float(loss_fn().data)
         f_b = float(loss_fn().data)

@@ -68,11 +68,11 @@ def full_loss_grad_check(dims: DimConfig = GRADCHECK_DIMS,
     """
     if n_images < 2:
         raise ConfigError("gradcheck needs a batch of >= 2 images, got %r" % (n_images,))
-    bundles = featureio.random_bundles(dims, n_images, seed + 1)
+    ag.check_grad_settings(eps, tol, sample)
+    batch = model.prepare_image(featureio.random_bundles(dims, n_images, seed + 1), dims, cfg)
     texts = featureio.random_texts(dims, n_images, 1, seed + 2)
     params = model.init_params(cfg, dims, seed)
-    prepped = [model.prepare_image(b, dims, cfg) for b in bundles]
-    visual = functools.partial(model.visual_forward, prepped, params, cfg)
+    visual = functools.partial(model.visual_forward, batch, params, cfg)
     text = functools.partial(model.text_forward, texts.word_feats, params)
 
     def loss(v, t):

@@ -218,12 +218,12 @@ def cmd_bench(args) -> int:
             trials=args.trials)
     if args.mode in ("recompute", "both"):
         pool = featureio.random_bundles(dims, args.pool or 32, args.seed + 1)
-        prepared = [model.prepare_image(b, dims, model_cfg) for b in pool]
+        prepared = [model.prepare_image([b], dims, model_cfg) for b in pool]
         params = model.init_params(model_cfg, dims, args.seed)
         results["recompute"] = retrieval.bench_kpps(
             table, queries[:args.recompute_queries or 100], "recompute",
             recompute=lambda qi: model.visual_forward(
-                [prepared[qi % len(prepared)]], params, model_cfg).data[0],
+                prepared[qi % len(prepared)], params, model_cfg).data[0],
             top_k=args.top_k, trials=args.trials)
     doc.update({k: v.to_dict() for k, v in results.items()})
     if len(results) == 2:

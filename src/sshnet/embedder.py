@@ -14,7 +14,6 @@ the other modality, so both sides can be precomputed offline.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,16 +70,13 @@ def _interp_matrix(n: int, table_len: int) -> np.ndarray:
     Computed once per (n, table_len) and returned read-only: every set of
     the same size shares one matrix.
     """
+    ranks = np.arange(n)
+    x = ranks * (table_len - 1) / (n - 1)
+    lo = np.floor(x).astype(np.intp)
+    frac = x - lo
     mat = np.zeros((n, table_len))
-    for r in range(n):
-        x = r * (table_len - 1) / (n - 1)
-        lo = int(math.floor(x))
-        frac = x - lo
-        if frac == 0.0 or lo >= table_len - 1:
-            mat[r, min(lo, table_len - 1)] = 1.0
-        else:
-            mat[r, lo] = 1.0 - frac
-            mat[r, lo + 1] = frac
+    mat[ranks, lo] = 1.0 - frac
+    mat[ranks, np.minimum(lo + 1, table_len - 1)] += frac
     mat.flags.writeable = False
     return mat
 

@@ -1,11 +1,12 @@
-"""Model assembly: parameters, prepared images, batch-major forwards.
+"""Model assembly: parameters, prepared batches, batch-major forwards.
 
-``prepare_image`` hoists everything that never changes during training out
-of the per-step graph: the pooled segmentation vector, and the im2col
-patches of the position stack (``vspm.build_position_tensor``: the image's
-own, and the shared grid's).  ``visual_forward`` embeds a batch of prepared
-images and ``text_forward`` a batch of the loader's (n_i, word_dim) word
-arrays, each on one tape, with the batch as the first axis of every tensor.
+``prepare_image`` turns a batch of stored images into what the visual tape
+reads and training never changes: float64 regions, pooled segmentation
+vectors, and the im2col patches of the position stacks
+(``vspm.build_position_tensor``: each image's own, and the shared grid's).
+``visual_forward`` embeds a prepared batch and ``text_forward`` a batch of
+the loader's (n_i, word_dim) word arrays, each on one tape, with the batch
+as the first axis of every tensor.
 """
 from __future__ import annotations
 
@@ -55,44 +56,43 @@ def _params(cfg: ModelConfig, dims: DimConfig, rng) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# prepared images
+# prepared batches
 
 
 @dataclass
-class PreparedImage:
-    regions: np.ndarray       # (K, D_l) constant, as stored
-    pooled_seg: np.ndarray    # (C_s,) constant
-    pos_patches: np.ndarray   # (P, kh * kw) im2col rows of the category channel
+class PreparedBatch:
+    regions: np.ndarray       # (B, K, D_l) float64
+    pooled_seg: np.ndarray    # (B, C_s) mean of each seg_feat
+    pos_patches: np.ndarray   # (B, P, kh * kw) im2col rows of each category channel
     grid_patches: np.ndarray  # (P, kh * kw * (pos_dim + 1)) read-only, shared per geometry
 
 
-def prepare_image(bundle: FeatureBundle, dims: DimConfig, cfg: ModelConfig,
-                  mode: str = "region") -> PreparedImage:
+def prepare_image(bundles: Sequence[FeatureBundle], dims: DimConfig, cfg: ModelConfig,
+                  mode: str = "region") -> PreparedBatch:
+    """What ``visual_forward`` reads of images of one geometry, row i from ``bundles[i]``."""
     if not isinstance(mode, str) or mode not in MODE_ARRAYS:
         raise ConfigError("prepare_image mode must be %s, got %r" % (either(MODE_ARRAYS), mode))
-    return PreparedImage(getattr(bundle, MODE_ARRAYS[mode]).reshape(-1, dims.D_l),
-                         bundle.seg_feat.mean(axis=(0, 1), dtype=np.float64),
-                         *vspm.build_position_tensor(bundle.seg_map, cfg, dims.C_s))
+    regions = np.stack([getattr(b, MODE_ARRAYS[mode]) for b in bundles], dtype=np.float64)
+    seg_feats = np.stack([b.seg_feat for b in bundles])
+    seg_maps = np.stack([b.seg_map for b in bundles])
+    return PreparedBatch(regions.reshape(len(bundles), -1, dims.D_l),
+                         seg_feats.mean(axis=(1, 2), dtype=np.float64),
+                         *vspm.build_position_tensor(seg_maps, cfg, dims.C_s))
 
 
 # ---------------------------------------------------------------------------
 # forwards
 
 
-def visual_forward(imgs: Sequence[PreparedImage], params: ModelParams,
-                   cfg: ModelConfig) -> Tensor:
-    """Unit-norm joint embeddings (B, D) of B prepared images, row i for
-    image i, from one tape over the whole batch.
+def visual_forward(batch: PreparedBatch, params: ModelParams, cfg: ModelConfig) -> Tensor:
+    """Unit-norm joint embeddings (B, D) of a prepared batch, row i for
+    image i, from one tape: every projection is one GEMM over all B * K rows.
 
-    The batch's regions, pooled segmentation vectors and category patches
-    are stacked (all share one geometry), so every projection runs as one
-    GEMM over all B * K rows.
     A row can differ from the same image embedded in another batch by a
     few ULPs (BLAS kernels depend on the row count), within 1e-12; the
     same batch always gives the same bytes.
     """
-    regions = Tensor(np.stack([img.regions for img in imgs], dtype=np.float64))
-    pooled = Tensor(np.stack([img.pooled_seg for img in imgs]))
+    regions, pooled = Tensor(batch.regions), Tensor(batch.pooled_seg)
     semantic = spatial = None
     if cfg.use_vsem:
         vsem_out = vsem.vsem_forward(regions, pooled, params.vsem, cfg.salience_mode)
@@ -100,8 +100,7 @@ def visual_forward(imgs: Sequence[PreparedImage], params: ModelParams,
     else:
         seg_embed = vsem.seg_embed_from_pooled(pooled, params.vsem)
     if cfg.use_vspm:
-        patches = Tensor(np.stack([img.pos_patches for img in imgs]))
-        spatial = vspm.vspm_forward(regions, patches, imgs[0].grid_patches,
+        spatial = vspm.vspm_forward(regions, Tensor(batch.pos_patches), batch.grid_patches,
                                     params.vspm, cfg).spatial
     return embedder.fuse_visual(regions, semantic, spatial, seg_embed, params.embed,
                                 params.vspm.combine_proj)
@@ -145,7 +144,7 @@ def embed_dataset(bundles: list[FeatureBundle], texts: TextFeatureSet,
     img_rows, txt_rows = [], []
     with ag.no_grad():
         for lo in range(0, len(bundles), _EMBED_CHUNK):
-            chunk = [prepare_image(b, dims, cfg, mode) for b in bundles[lo:lo + _EMBED_CHUNK]]
+            chunk = prepare_image(bundles[lo:lo + _EMBED_CHUNK], dims, cfg, mode)
             img_rows.append(visual_forward(chunk, params, cfg).data)
         for lo in range(0, len(words), _EMBED_CHUNK):
             txt_rows.append(text_forward(words[lo:lo + _EMBED_CHUNK], params).data)

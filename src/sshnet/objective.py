@@ -164,7 +164,7 @@ def caption_lookup(image_index, n_images: int) -> dict[int, list[int]]:
 def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
           cfg: TrainConfig, mode: str = "region",
           epoch_callback=None) -> TrainResult:
-    """Train a joint embedding on prepared features.
+    """Train a joint embedding on stored features, each batch prepared as it forms.
 
     Deterministic given (seed, configs, dataset): the sampler is a seeded
     permutation per epoch, and each image contributes the caption indexed
@@ -176,7 +176,6 @@ def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
 
     params = model_mod.init_params(model_cfg, dims, cfg.seed)
     named = params.named()
-    prepped = [model_mod.prepare_image(b, dims, model_cfg, mode) for b in bundles]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
     state = AdamWState()
 
@@ -193,16 +192,16 @@ def train(bundles, texts, dims: DimConfig, model_cfg: ModelConfig,
             if batch.shape[0] < 2:
                 continue  # a single leftover pair has no in-batch negative
             params.zero_grad()
-            img_embs = model_mod.visual_forward([prepped[i] for i in batch],
-                                                params, model_cfg)
+            imgs = model_mod.prepare_image([bundles[i] for i in batch], dims, model_cfg, mode)
+            img_embs = model_mod.visual_forward(imgs, params, model_cfg)
             txt_embs = model_mod.text_forward(
                 [texts.word_feats[caps[i][epoch % len(caps[i])]] for i in batch], params)
             loss = triplet_loss(ag.linear(img_embs, txt_embs), cfg.margin)
             loss.backward()
             total_loss += float(loss.data)
-            # the step's tape holds every batch activation: free it before
-            # the update and the next step's forward
-            del img_embs, txt_embs, loss
+            # the step's tape holds every batch activation: free it and the
+            # prepared batch before the update and the next step's forward
+            del imgs, img_embs, txt_embs, loss
             adamw_step(named, state, cfg)
             total_pairs += int(batch.shape[0])
         mean_loss = total_loss / max(total_pairs, 1)

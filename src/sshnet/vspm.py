@@ -5,7 +5,7 @@ row-major index plus one normalised category channel; a strided valid
 convolution (no nonlinearity) condenses that stack into a small grid of
 refined position vectors.  Regions attend over the refined grid with a
 smoothed softmax of cosines and the attended context is recombined with
-the projected region.  Every function past the position stack takes a
+the projected region.  Every function from the position stack on takes a
 batch of images as the first axis.
 """
 from __future__ import annotations
@@ -70,22 +70,22 @@ def _grid_patches(h: int, w: int, d: int, kh: int, kw: int, stride: int) -> np.n
     return patches
 
 
-def build_position_tensor(seg_map: np.ndarray, cfg: ModelConfig,
+def build_position_tensor(seg_maps: np.ndarray, cfg: ModelConfig,
                           num_categories: int) -> tuple[np.ndarray, np.ndarray]:
-    """One image's position stack, pos_dim sinusoid channels then the
+    """A batch's position stacks, each pos_dim sinusoid channels then the
     constant category channel seg_map / num_categories, as im2col patches
-    split by channel: the image's own (P, kh * kw) category patches, and
-    the shared (P, kh * kw * (pos_dim + 1)) patches of the stack with a
-    zero category channel."""
-    if seg_map.ndim != 2:
-        raise DataValidationError("seg_map must be (H, W), got %r" % (seg_map.shape,))
-    if seg_map.min(initial=0) < 0 or seg_map.max(initial=0) >= num_categories:
+    split by channel: each image's own category patches, (B, P, kh * kw)
+    from the (B, H, W) maps, and the shared (P, kh * kw * (pos_dim + 1))
+    patches of the stack with a zero category channel."""
+    if seg_maps.ndim != 3:
+        raise DataValidationError("seg_maps must be (B, H, W), got %r" % (seg_maps.shape,))
+    if seg_maps.min(initial=0) < 0 or seg_maps.max(initial=0) >= num_categories:
         raise DataValidationError(
             "seg_map categories outside [0, %d)" % (num_categories,))
     window = (cfg.conv_kh, cfg.conv_kw, cfg.conv_stride)
-    category = (seg_map.astype(np.float64) / num_categories)[:, :, None]
+    category = (seg_maps.astype(np.float64) / num_categories)[..., None]
     return (ag.conv_patches(category, *window),
-            _grid_patches(*seg_map.shape, cfg.pos_dim, *window))
+            _grid_patches(*seg_maps.shape[1:], cfg.pos_dim, *window))
 
 
 def refine_from_patches(patches: Tensor, grid: np.ndarray, p: VspmParams) -> Tensor:
@@ -125,7 +125,7 @@ def spatial_combine(context: Tensor, queries: Tensor) -> Tensor:
 def vspm_forward(regions: Tensor, patches: Tensor, grid: np.ndarray, p: VspmParams,
                  cfg: ModelConfig) -> VspmOutput:
     """Full spatial branch for a batch: regions (B, K, D_l) and the
-    position patches of ``build_position_tensor``, stacked per image."""
+    position patches of ``build_position_tensor``."""
     refined = refine_from_patches(patches, grid, p)
     queries = project_queries(regions, p)
     betas, context = spatial_attention(queries, refined, cfg.attn_smooth)

@@ -11,12 +11,12 @@ against it, values and gradients, to 1e-12.  Parameters are the package's
 own ``ModelParams``, so both sides read and accumulate into the same leaves.
 """
 import math
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from sshnet import autograd as ag
-from sshnet import embedder, model, objective, vspm
+from sshnet import embedder, objective, vspm
 from sshnet.autograd import Tensor, _make
 from sshnet.errors import ConfigError
 
@@ -151,15 +151,18 @@ def vsem_forward(regions, pooled, p, mode):
 
 
 def prepare_image(bundle, dims, cfg, mode="region"):
-    """``model.prepare_image`` with ``pos_patches`` the (P, kh * kw *
-    (pos_dim + 1)) im2col patches of the whole position stack: d sinusoid
-    channels, then the category channel seg_map / C_s."""
+    """One image's arrays as the model reads them: its mode's regions
+    (K, D_l) and pooled seg_feat (C_s,) as float64, and as ``pos_patches``
+    the (P, kh * kw * (pos_dim + 1)) im2col patches of its whole position
+    stack: d sinusoid channels, then the category channel seg_map / C_s."""
     h, w = bundle.seg_map.shape
     stack = np.concatenate([vspm.positional_encode_grid(h, w, cfg.pos_dim),
                             bundle.seg_map[:, :, None] / dims.C_s], axis=2)
-    return replace(model.prepare_image(bundle, dims, cfg, mode), grid_patches=None,
-                   pos_patches=ag.conv_patches(stack, cfg.conv_kh, cfg.conv_kw,
-                                               cfg.conv_stride))
+    regions = {"region": bundle.region_feats, "grid": bundle.grid_feats}[mode]
+    return SimpleNamespace(
+        regions=regions.reshape(-1, dims.D_l).astype(np.float64),
+        pooled_seg=bundle.seg_feat.mean(axis=(0, 1), dtype=np.float64),
+        pos_patches=ag.conv_patches(stack, cfg.conv_kh, cfg.conv_kw, cfg.conv_stride))
 
 
 def vspm_forward(regions, patches, p, cfg):

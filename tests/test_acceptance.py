@@ -261,11 +261,11 @@ def test_throughput_precompute_speedup():
     pre = retrieval.bench_kpps(table, queries, "precomputed", trials=5)
     pool = featureio.random_bundles(FULL_DIMS, 32, 5)
     params = model.init_params(FULL_MODEL, FULL_DIMS, 5)
-    prepared = [model.prepare_image(b, FULL_DIMS, FULL_MODEL) for b in pool]
+    prepared = [model.prepare_image([b], FULL_DIMS, FULL_MODEL) for b in pool]
     rec = retrieval.bench_kpps(
         table, queries[:100], "recompute", trials=5,
         recompute=lambda qi: model.visual_forward(
-            [prepared[qi % len(prepared)]], params, FULL_MODEL).data[0])
+            prepared[qi % len(prepared)], params, FULL_MODEL).data[0])
     ratio = pre.kpps / rec.kpps
     ok = ratio >= 10.0
     verdict("throughput-speedup", ok,

@@ -180,9 +180,12 @@ def test_conv_patches_bitwise_equals_loop_oracle(seed):
     h, w = rng.integers(1, 9, size=2)
     kh, kw = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
     stride = int(rng.integers(1, 4))
-    x = rng.normal(size=(h, w, int(rng.integers(1, 4))))
+    lead = tuple(rng.integers(1, 4, size=int(rng.integers(0, 3))))
+    x = rng.normal(size=(*lead, h, w, int(rng.integers(1, 4))))
     got = ag.conv_patches(x, kh, kw, stride)
-    want = conv_patches_oracle(x, kh, kw, stride)
+    want = np.stack([conv_patches_oracle(xi, kh, kw, stride)
+                     for xi in x.reshape(-1, *x.shape[-3:])])
+    want = want.reshape(*lead, *want.shape[1:])
     assert got.shape == want.shape
     assert got.flags["C_CONTIGUOUS"] and got.dtype == np.float64
     assert np.array_equal(got, want)
@@ -583,8 +586,8 @@ def test_backward_gives_each_leaf_its_own_gradient():
     # the whole small-preset training loss: every parameter's gradient owns
     # its C-ordered data and overlaps no other gradient and no parameter
     params = model.init_params(SMALL_MODEL, SMALL_DIMS, seed=4)
-    imgs = [model.prepare_image(b, SMALL_DIMS, SMALL_MODEL)
-            for b in featureio.random_bundles(SMALL_DIMS, 3, 5)]
+    imgs = model.prepare_image(featureio.random_bundles(SMALL_DIMS, 3, 5), SMALL_DIMS,
+                               SMALL_MODEL)
     words = featureio.random_texts(SMALL_DIMS, 3, 1, 6).word_feats
     sim = ag.linear(model.visual_forward(imgs, params, SMALL_MODEL),
                     model.text_forward(words, params))

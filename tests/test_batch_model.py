@@ -20,11 +20,11 @@ TOL = 1e-12
 
 
 def _batch(n, mode="region", cfg=SMALL_MODEL, seed=0, captions=1):
-    """Bundles, texts, the model's prepared images, the oracle's, and the
-    word arrays of ``n`` random images."""
+    """Bundles, texts, the model's prepared batch, the oracle's prepared
+    images, and the word arrays of ``n`` random images."""
     bundles = featureio.random_bundles(SMALL_DIMS, n, seed + 1)
     texts = featureio.random_texts(SMALL_DIMS, n, captions, seed + 2)
-    imgs = [model.prepare_image(b, SMALL_DIMS, cfg, mode) for b in bundles]
+    imgs = model.prepare_image(bundles, SMALL_DIMS, cfg, mode)
     whole = [oracle.prepare_image(b, SMALL_DIMS, cfg, mode) for b in bundles]
     return bundles, texts, imgs, whole, texts.word_feats
 
@@ -107,14 +107,14 @@ def test_factored_refinement_matches_whole_stack_convolution(geometry):
     p = params.vspm
     p.conv_bias.data = rng.normal(size=cfg.pos_channels)
     bundles = featureio.random_bundles(dims, 3, 19)
-    imgs = [model.prepare_image(b, dims, cfg) for b in bundles]
+    imgs = model.prepare_image(bundles, dims, cfg)
     whole = [oracle.prepare_image(b, dims, cfg) for b in bundles]
     regions = np.stack([b.region_feats for b in bundles])
 
     def factored():
         """(refined, betas, lifted spatial rows), each flattened per image."""
-        patches = Tensor(np.stack([i.pos_patches for i in imgs]))
-        out = vspm.vspm_forward(Tensor(regions), patches, imgs[0].grid_patches, p, cfg)
+        out = vspm.vspm_forward(Tensor(regions), Tensor(imgs.pos_patches), imgs.grid_patches,
+                                p, cfg)
         parts = (out.refined, out.betas, ag.linear(out.spatial, p.combine_proj))
         return [ag.reshape(t, (3, -1)) for t in parts]
 
@@ -137,19 +137,48 @@ def test_factored_refinement_matches_whole_stack_convolution(geometry):
 
 
 def test_prepared_images_hold_only_their_own_position_patches():
-    """Each prepared image keeps its (P, kh * kw) category patches alone;
-    the grid's patches are one read-only array per geometry."""
+    """A prepared batch keeps its (B, P, kh * kw) category patches alone;
+    the grid's patches are one read-only array per geometry, shared by
+    every batch."""
     for dims, cfg, nbytes in ((SMALL_DIMS, SMALL_MODEL, 2048), (FULL_DIMS, FULL_MODEL, 32768)):
         bundles = featureio.random_bundles(dims, 3, 20)
-        imgs = [model.prepare_image(b, dims, cfg, mode)
-                for b, mode in zip(bundles, ("region", "grid", "region"))]
+        first = model.prepare_image(bundles[:2], dims, cfg, "region")
+        second = model.prepare_image(bundles[2:], dims, cfg, "grid")
         n_pos = (dims.H_I // cfg.conv_stride) * (dims.W_I // cfg.conv_stride)
         assert nbytes == n_pos * cfg.conv_kh * cfg.conv_kw * 8
-        assert all(i.pos_patches.nbytes == nbytes for i in imgs)
-        assert all(i.grid_patches is imgs[0].grid_patches for i in imgs)
-        assert not imgs[0].grid_patches.flags.writeable
-        assert imgs[0].grid_patches.shape == (n_pos, cfg.conv_kh * cfg.conv_kw
-                                              * (cfg.pos_dim + 1))
+        for batch, size in ((first, 2), (second, 1)):
+            assert batch.pos_patches.shape == (size, n_pos, cfg.conv_kh * cfg.conv_kw)
+            assert batch.pos_patches.nbytes == size * nbytes
+        assert second.grid_patches is first.grid_patches
+        assert not first.grid_patches.flags.writeable
+        assert first.grid_patches.shape == (n_pos, cfg.conv_kh * cfg.conv_kw
+                                            * (cfg.pos_dim + 1))
+
+
+@pytest.mark.parametrize("mode", ["region", "grid"])
+@pytest.mark.parametrize("size", [1, 3, 8])
+def test_prepared_batch_is_each_images_own_preparation_stacked(mode, size):
+    """Row i of a prepared batch is image i prepared alone by the oracle,
+    bitwise: its regions and pooled vector, and the category columns of its
+    whole-stack patches; the shared grid is those patches with the category
+    columns zero."""
+    for dims, cfg in (GEOMETRIES["full"], GEOMETRIES["overlap"]):
+        bundles = featureio.random_bundles(dims, size, 21 + size)
+        for b in bundles:   # float32, as ``synth`` stores them
+            b.region_feats, b.grid_feats, b.seg_feat = (
+                a.astype(np.float32) for a in (b.region_feats, b.grid_feats, b.seg_feat))
+        batch = model.prepare_image(bundles, dims, cfg, mode)
+        whole = [oracle.prepare_image(b, dims, cfg, mode) for b in bundles]
+        cin = cfg.pos_dim + 1
+        for got, want in ((batch.regions, [w.regions for w in whole]),
+                          (batch.pooled_seg, [w.pooled_seg for w in whole]),
+                          (batch.pos_patches, [w.pos_patches[:, cin - 1::cin] for w in whole])):
+            want = np.stack(want)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for w in whole:
+            w.pos_patches[:, cin - 1::cin] = 0.0
+            assert batch.grid_patches.tobytes() == w.pos_patches.tobytes()
 
 
 def _sentences(lengths, seed=7):
@@ -173,11 +202,12 @@ def test_text_rows_come_back_in_input_order_for_mixed_lengths():
 
 def test_permuting_a_batch_permutes_its_rows():
     params = model.init_params(SMALL_MODEL, SMALL_DIMS, seed=10)
-    _, _, imgs, _, _ = _batch(6, seed=11)
+    bundles, _, imgs, _, _ = _batch(6, seed=11)
     txts = _sentences([4, 1, 9, 4, 6, 1], seed=12)
     perm = np.random.default_rng(13).permutation(6)
     img = model.visual_forward(imgs, params, SMALL_MODEL).data
-    img_p = model.visual_forward([imgs[i] for i in perm], params, SMALL_MODEL).data
+    img_p = model.visual_forward(model.prepare_image([bundles[i] for i in perm], SMALL_DIMS,
+                                                     SMALL_MODEL), params, SMALL_MODEL).data
     assert np.abs(img_p - img[perm]).max() <= TOL
     txt = model.text_forward(txts, params).data
     txt_p = model.text_forward([txts[i] for i in perm], params).data

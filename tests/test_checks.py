@@ -99,6 +99,17 @@ def test_small_batch_rejected_before_inputs(monkeypatch, n_images):
         checks.full_loss_grad_check(n_images=n_images, sample=1)
 
 
+@pytest.mark.parametrize("setting, match", [({"eps": 1.0}, "eps"), ({"tol": 0.0}, "tol"),
+                                            ({"sample": 0}, "sample")])
+def test_bad_settings_rejected_before_inputs(monkeypatch, setting, match):
+    def boom(*a, **k):
+        raise AssertionError("inputs built before the settings were checked")
+
+    monkeypatch.setattr(checks.featureio, "random_bundles", boom)
+    with pytest.raises(ConfigError, match=match):
+        checks.full_loss_grad_check(**setting)
+
+
 def _widening(read_tensor):
     """``read_tensor`` handing float32 payloads back as float64."""
     def read(path):

@@ -1,5 +1,6 @@
 """Embedder and model assembly tests."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,29 @@ def test_interp_matrix_is_cached_read_only_and_shared():
     assert mat[0, 0] == 1.0 and mat[-1, -1] == 1.0
 
 
+def interp_matrix_oracle(n, table_len):
+    """Rank by rank: rank r sits at table position r * (table_len - 1) / (n - 1)."""
+    mat = np.zeros((n, table_len))
+    for r in range(n):
+        x = r * (table_len - 1) / (n - 1)
+        lo = int(math.floor(x))
+        frac = x - lo
+        if frac == 0.0 or lo >= table_len - 1:
+            mat[r, min(lo, table_len - 1)] = 1.0
+        else:
+            mat[r, lo] = 1.0 - frac
+            mat[r, lo + 1] = frac
+    return mat
+
+
+@pytest.mark.parametrize("table_len", [1, 2, 3, 8, 64, 65])
+def test_interp_matrix_bitwise_equals_rank_loop_oracle(table_len):
+    for n in (*range(2, 140), 199, 255, 256, 257, 399):
+        got = embedder._interp_matrix.__wrapped__(n, table_len)   # past the cache
+        assert got.shape == (n, table_len)
+        assert got.tobytes() == interp_matrix_oracle(n, table_len).tobytes(), n
+
+
 def test_gpo_degenerate_table_rejected():
     with pytest.raises(ConfigError, match="degenerate"):
         embedder.gpo_pool(Tensor(np.ones((1, 4, 3))), Tensor(np.zeros(16)))
@@ -101,8 +125,8 @@ def params():
 
 def test_image_embedding_unit_norm(data, params):
     bundles, texts, _ = data
-    pi = model.prepare_image(bundles[0], SMALL_DIMS, SMALL_MODEL)
-    emb = model.visual_forward([pi], params, SMALL_MODEL)
+    pi = model.prepare_image(bundles[:1], SMALL_DIMS, SMALL_MODEL)
+    emb = model.visual_forward(pi, params, SMALL_MODEL)
     assert np.linalg.norm(emb.data) == pytest.approx(1.0, abs=1e-9)
     assert emb.shape == (1, SMALL_MODEL.embed_dim)
 
@@ -123,20 +147,20 @@ def _pooled_set_sizes(monkeypatch):
 def test_fused_set_has_2k_plus_1_rows(data, params, monkeypatch):
     bundles, _, _ = data
     sizes = _pooled_set_sizes(monkeypatch)
-    pi = model.prepare_image(bundles[0], SMALL_DIMS, SMALL_MODEL)
-    model.visual_forward([pi], params, SMALL_MODEL)
+    pi = model.prepare_image(bundles[:1], SMALL_DIMS, SMALL_MODEL)
+    model.visual_forward(pi, params, SMALL_MODEL)
     assert sizes == [2 * SMALL_DIMS.K + 1]
 
 
 def test_region_permutation_leaves_embedding_unchanged(data, params):
     bundles, _, _ = data
     b = bundles[1]
-    pi = model.prepare_image(b, SMALL_DIMS, SMALL_MODEL)
-    emb = model.visual_forward([pi], params, SMALL_MODEL)
+    pi = model.prepare_image([b], SMALL_DIMS, SMALL_MODEL)
+    emb = model.visual_forward(pi, params, SMALL_MODEL)
     perm = np.random.default_rng(2).permutation(SMALL_DIMS.K)
     b2 = featureio.FeatureBundle(b.region_feats[perm], b.grid_feats,
                                  b.seg_feat, b.seg_map)
-    emb2 = model.visual_forward([model.prepare_image(b2, SMALL_DIMS, SMALL_MODEL)],
+    emb2 = model.visual_forward(model.prepare_image([b2], SMALL_DIMS, SMALL_MODEL),
                                 params, SMALL_MODEL)
     np.testing.assert_allclose(emb2.data, emb.data, atol=1e-12)
 
@@ -145,14 +169,14 @@ def test_prepared_path_equals_raw_composition(data, params):
     """The cached-patch fast path must agree bitwise with the public ops."""
     bundles, _, _ = data
     b = bundles[2]
-    pi = model.prepare_image(b, SMALL_DIMS, SMALL_MODEL)
-    fast = model.visual_forward([pi], params, SMALL_MODEL)
+    pi = model.prepare_image([b], SMALL_DIMS, SMALL_MODEL)
+    fast = model.visual_forward(pi, params, SMALL_MODEL)
 
     regions = Tensor(b.region_feats[None])
     pooled = Tensor(b.seg_feat.mean(axis=(0, 1), dtype=np.float64)[None])
     vs = vsem.vsem_forward(regions, pooled, params.vsem, SMALL_MODEL.salience_mode)
-    patches, grid = vspm.build_position_tensor(b.seg_map, SMALL_MODEL, SMALL_DIMS.C_s)
-    vp = vspm.vspm_forward(regions, Tensor(patches[None]), grid, params.vspm, SMALL_MODEL)
+    patches, grid = vspm.build_position_tensor(b.seg_map[None], SMALL_MODEL, SMALL_DIMS.C_s)
+    vp = vspm.vspm_forward(regions, Tensor(patches), grid, params.vspm, SMALL_MODEL)
     slow = embedder.fuse_visual(regions, vs.enhanced, vp.spatial, vs.seg_embed,
                                 params.embed, params.vspm.combine_proj)
     assert np.array_equal(fast.data, slow.data)
@@ -263,8 +287,8 @@ def test_branch_toggles_change_row_count(data, monkeypatch):
                 replace(SMALL_MODEL, use_vsem=False, use_vspm=False)):
         p = model.init_params(cfg, SMALL_DIMS, seed=3)
         sizes.clear()
-        pi = model.prepare_image(bundles[0], SMALL_DIMS, cfg)
-        emb = model.visual_forward([pi], p, cfg)
+        pi = model.prepare_image(bundles[:1], SMALL_DIMS, cfg)
+        emb = model.visual_forward(pi, p, cfg)
         assert np.linalg.norm(emb.data) == pytest.approx(1.0, abs=1e-9)
         expect = 2 * SMALL_DIMS.K + 1 if embedder.n_ss_branches(cfg) else SMALL_DIMS.K + 1
         assert sizes == [expect]
@@ -539,11 +563,11 @@ def test_end_to_end_gradients(data):
     bundles, texts, _ = data
     cfg = replace(SMALL_MODEL, embed_dim=16)
     p = model.init_params(cfg, SMALL_DIMS, seed=11)
-    pi = model.prepare_image(bundles[0], SMALL_DIMS, cfg)
+    pi = model.prepare_image(bundles[:1], SMALL_DIMS, cfg)
     w = Tensor(np.random.default_rng(1).normal(size=(1, cfg.embed_dim)))
 
     def loss():
-        vi = model.visual_forward([pi], p, cfg)
+        vi = model.visual_forward(pi, p, cfg)
         tx = model.text_forward(texts.word_feats[:1], p)
         return (vi * w).sum() + (tx * w).sum() + (vi * tx).sum()
 

@@ -349,7 +349,7 @@ def test_full_batch_gradients_match_finite_differences(data):
     bundles, texts, _ = data
     cfg = replace(SMALL_MODEL, embed_dim=16)
     params = model.init_params(cfg, SMALL_DIMS, seed=3)
-    prepped = [model.prepare_image(b, SMALL_DIMS, cfg) for b in bundles[:3]]
+    prepped = model.prepare_image(bundles[:3], SMALL_DIMS, cfg)
     words = texts.word_feats[:24:3][:3]
 
     def loss():

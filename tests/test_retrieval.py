@@ -955,7 +955,7 @@ def test_bench_precomputed_beats_recompute_at_desk_scale():
 
     bundles = _random_bundles(SMALL_DIMS, n=4, seed=43)
     params = model.init_params(SMALL_MODEL, SMALL_DIMS, seed=43)
-    prepared = [model.prepare_image(b, SMALL_DIMS, SMALL_MODEL)
+    prepared = [model.prepare_image([b], SMALL_DIMS, SMALL_MODEL)
                 for b in bundles]
     rng = np.random.default_rng(47)
     table = rng.normal(size=(200, SMALL_MODEL.embed_dim))
@@ -963,7 +963,7 @@ def test_bench_precomputed_beats_recompute_at_desk_scale():
     pre = rt.bench_kpps(table, queries, "precomputed", trials=2)
     rec = rt.bench_kpps(table, queries, "recompute", trials=2,
                         recompute=lambda qi: model.visual_forward(
-                            [prepared[qi % len(prepared)]], params, SMALL_MODEL).data[0])
+                            prepared[qi % len(prepared)], params, SMALL_MODEL).data[0])
     assert pre.kpps > rec.kpps
 
 

@@ -77,7 +77,7 @@ def test_positional_grid_is_cached_read_only_and_unchanged():
     assert np.array_equal(vspm.positional_encode_grid(64, 64, 32),
                           positional_encode_grid_oracle(64, 64, 32))
     rng = np.random.default_rng(3)
-    seg_a, seg_b = rng.integers(0, 133, size=(2, 64, 64)).astype(np.uint16)
+    seg_a, seg_b = rng.integers(0, 133, size=(2, 1, 64, 64)).astype(np.uint16)
     patches, grid = vspm.build_position_tensor(seg_a, FULL_MODEL, 133)
     assert vspm.build_position_tensor(seg_b, FULL_MODEL, 133)[1] is grid
     assert not grid.flags.writeable
@@ -87,7 +87,7 @@ def test_positional_grid_is_cached_read_only_and_unchanged():
                            axis=2)
     assert np.array_equal(grid, ag.conv_patches(stack, 8, 8, 8))
     assert patches.flags.writeable
-    assert np.array_equal(patches, ag.conv_patches(seg_a[:, :, None] / 133.0, 8, 8, 8))
+    assert np.array_equal(patches[0], ag.conv_patches(seg_a[0, :, :, None] / 133.0, 8, 8, 8))
 
 
 def test_build_position_tensor_layout():
@@ -95,21 +95,25 @@ def test_build_position_tensor_layout():
     d + 1) stack's im2col patches, and the grid patches the rest, with
     that column zero."""
     cfg = replace(SMALL_MODEL, pos_dim=8, conv_kh=3, conv_kw=2, conv_stride=1)
-    seg_map = np.random.default_rng(2).integers(0, 16, size=(6, 4)).astype(np.uint16)
-    patches, grid = vspm.build_position_tensor(seg_map, cfg, num_categories=16)
-    stack = np.concatenate([vspm.positional_encode_grid(6, 4, 8),
-                            seg_map[:, :, None] / 16.0], axis=2)
-    whole = ag.conv_patches(stack, 3, 2, 1).reshape(4 * 3, 3 * 2, 9)
-    assert patches.shape == (4 * 3, 3 * 2) and grid.shape == (4 * 3, 3 * 2 * 9)
-    assert np.array_equal(patches, whole[:, :, 8])
-    whole[:, :, 8] = 0.0
-    assert np.array_equal(grid, whole.reshape(grid.shape))
+    seg_maps = np.random.default_rng(2).integers(0, 16, size=(3, 6, 4)).astype(np.uint16)
+    patches, grid = vspm.build_position_tensor(seg_maps, cfg, num_categories=16)
+    assert patches.shape == (3, 4 * 3, 3 * 2) and grid.shape == (4 * 3, 3 * 2 * 9)
+    for seg_map, own in zip(seg_maps, patches):
+        stack = np.concatenate([vspm.positional_encode_grid(6, 4, 8),
+                                seg_map[:, :, None] / 16.0], axis=2)
+        whole = ag.conv_patches(stack, 3, 2, 1).reshape(4 * 3, 3 * 2, 9)
+        assert np.array_equal(own, whole[:, :, 8])
+        whole[:, :, 8] = 0.0
+        assert np.array_equal(grid, whole.reshape(grid.shape))
 
 
 def test_build_position_tensor_rejects_bad_categories():
-    seg_map = np.array([[0, 17]], dtype=np.uint16)
-    with pytest.raises(DataValidationError):
-        vspm.build_position_tensor(seg_map, replace(SMALL_MODEL, conv_kh=1, conv_kw=1), 16)
+    seg_maps = np.array([[[0, 15]], [[0, 17]]], dtype=np.uint16)
+    cfg = replace(SMALL_MODEL, conv_kh=1, conv_kw=1)
+    with pytest.raises(DataValidationError, match="categories outside"):
+        vspm.build_position_tensor(seg_maps, cfg, 16)
+    with pytest.raises(DataValidationError, match=r"\(B, H, W\)"):
+        vspm.build_position_tensor(seg_maps[0], cfg, 16)
 
 
 # ---------------------------------------------------------------------------
