@@ -46,6 +46,11 @@ with one BLAS thread, and hashes what it leaves behind:
   whole and ``folds=2``, of seeded small-integer 300x16 image and 3000x16
   caption tables with copied rows: blocks that span several of
   ``_rank_sum``'s tiles (``ranking/tiles/...``);
+- the fused ``report`` JSON of two models' seeded planted tables, 512x16
+  images and 2560x16 captions (each an image's row plus noise) with copied
+  image and caption rows, where most query rows are counted within the
+  two models' prefixes and about a tenth sort every candidate; how many
+  take each path goes to stderr (``ranking/select/...``);
 - the per-check ``ok`` map of ``selfcheck --seed 0``.
 
 Two checkouts compute the same numbers when their outputs are equal:
@@ -81,6 +86,7 @@ import sys  # noqa: E402
 import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -256,6 +262,19 @@ def digest(values) -> None:
         emit_json("ranking/tiles/report/fused/folds%d" % folds, retrieval.report(
             list(zip(img.astype(np.float64), txt.astype(np.float64))), caption_image,
             "hybrid", folds).to_dict())
+    rng = np.random.default_rng(31)             # planted: most rows end within the prefixes
+    img = rng.normal(size=(2, 512, 16))
+    caption_image = rng.permutation(np.repeat(np.arange(512), 5))
+    txt = img[:, caption_image] + rng.normal(size=(2, 2560, 16))
+    img[:, 100:110], txt[:, 1000:1020] = img[:, :10], txt[:, :20]
+    sorted_rows, rank_sum = [], retrieval._rank_sum
+    with mock.patch.object(retrieval, "_rank_sum",
+                           lambda *x: sorted_rows.append(len(x[0])) or rank_sum(*x)):
+        emit_json("ranking/select/report/fused", retrieval.report(
+            list(zip(img, txt)), caption_image, "hybrid").to_dict())
+    print("ranking/select/report/fused: %d of %d query rows sort every candidate, %d are "
+          "counted within prefixes" % (sum(sorted_rows), 3072, 3072 - sum(sorted_rows)),
+          file=sys.stderr)
 
     doc = run("selfcheck", "--seed", 0)
     emit_json("selfcheck/ok", {k: v["ok"] for k, v in doc["checks"].items()})

@@ -95,15 +95,50 @@ def _rank_sum(*blocks) -> np.ndarray:
     return sums.reshape(n, m)
 
 
+def _prefix(x, at, k) -> tuple:
+    """Rows ``at`` (scores ``x``) of a block's first ``k`` in ``rank_rows`` order: keys ``row * m
+    + column`` ascending, positions and a key-to-position function, 2 m if absent or unsure."""
+    step, m = max(_TILE // x.shape[1], 1), x.shape[1]
+    top = np.concatenate([np.sort(np.argpartition(x[at[lo:lo + step]], m - k, axis=1)[:, m - k:])
+                          for lo in range(0, len(at), step)] + [np.empty((0, k), np.intp)])
+    sure = (near := x[at[:, None], top]) > (near.min(1, keepdims=True) if k < m else -np.inf)
+    sure &= np.count_nonzero(sure, axis=1, keepdims=True) >= k - 1   # k-th tied inside: none sure
+    np.put_along_axis(pos := np.empty_like(top), rank_rows(near), np.arange(k), axis=1)
+    keys, pos = at[:, None] * m + top, np.where(sure, pos, 2 * m)
+    flat, last = np.append(keys, np.iinfo(np.intp).max), np.append(pos, 2 * m)  # a key past all
+    return keys, pos, lambda q: np.where(flat[i := np.searchsorted(flat, q)] == q, last[i], 2 * m)
+
+
+def _select(a, b, rows, cols) -> np.ndarray:
+    """``_ranks`` of two models' blocks by ``_rank_sum``: a row whose best ground truth sums under
+    ``_SELECT_CAP`` counts within a's and b's ``_prefix`` (no other can pass it); others sort."""
+    (n, m), k = a.shape, min(_SELECT_CAP + 1, a.shape[1])
+    ranks, todo, low = np.full(n, m), np.bincount(rows, minlength=n) > 0, 0
+    for x in (a, b):    # candidates above all of a row's ground truths, in a plus in b, are at
+        np.maximum.at(top := np.full(n, -np.inf), rows, x[rows, cols])   # most its best rank sum
+        low = low + np.count_nonzero(x > top[:, None], axis=1)
+    q = np.flatnonzero(low < (lim := k - 1 if k < m else 2 * m))     # rows that may be counted
+    near, pos, in_a = _prefix(a, q, k)
+    hit = (ga := in_a(want := rows * m + cols)) < 2 * m
+    in_b = _prefix(b, np.unique(rows[hit]), k)[2]
+    sub = _ranks([pos + in_b(near), a[near // m, near % m], b[near // m, near % m]],
+                 np.searchsorted(q, rows[hit]), np.searchsorted(near.ravel(), want[hit]) % k)
+    ok = np.unique(rows[ga + in_b(want) < lim])
+    ranks[ok], todo[ok] = sub[np.searchsorted(q, ok)], False
+    f = np.s_[:] if todo.all() else todo        # all rows sort: the block itself, uncopied
+    ranks[f] = _ranks([_rank_sum(a[f], b[f]), a[f], b[f]], (todo.cumsum() * todo - 1)[rows], cols)
+    return ranks
+
+
 def _ranks(keys, rows, cols) -> np.ndarray:
-    """Per row of a block, how many candidates come before its best ground
-    truth of the (row, column) pairs ``rows, cols`` in the block (past all if
-    none).  ``keys``: a score (higher first) or integer rank sum (fewer first),
-    then arrays whose sum, higher first, breaks its ties, read only where it
-    ties; then the lower column, as in ``rank_rows``."""
+    """Per block row, how many candidates precede its best ground truth of pairs ``rows, cols``
+    (all if none).  ``keys``: a score (higher first), two models' scores (``_select``), or an
+    int rank sum (fewer first) then arrays whose sum, higher first, breaks ties; then column."""
     (first, *later), fewer = keys, keys[0].dtype.kind == "i"
     n, m = first.shape
     rows, cols = np.compress((rows >= 0) & (rows < n), [rows, cols], axis=1)
+    if len(keys) == 2:
+        return _select(*keys, rows, cols)
     g, tie = first[rows, cols], sum((k[rows, cols] for k in later), np.zeros(len(rows)))
     order = np.lexsort((cols, -tie, g if fewer else -g, rows))
     best = order[np.diff(rows[order], prepend=-1) != 0]     # each row's first pair
@@ -117,17 +152,14 @@ def _ranks(keys, rows, cols) -> np.ndarray:
 
 
 def _keys(q, *ways) -> list:
-    """``_ranks`` keys of queries ``q``: one model's scores from (scores, None) or
-    (queries, candidates) tables, whose GEMM is checked as finite tables can overflow,
-    or two models' ``_rank_sum``, as ``ensemble_ranks`` sorts by, and both scores."""
-    score, *other = [x[q] if y is None else x[q] @ y.T for x, y in ways]
-    if not other:
-        return [score] if ways[0][1] is None else _finite_2d("similarities", score)
-    return [_rank_sum(score, *other), score, *other]
+    """Queries ``q``'s ``_ranks`` keys: scores per (scores, None) or checked GEMM of tables."""
+    scores = [x[q] if y is None else x[q] @ y.T for x, y in ways]
+    return scores if ways[0][1] is None else _finite_2d("similarities", *scores)
 
 
 _CHUNK_ROWS = 256   # queries per block in report and bench_kpps
 _TILE = 2 ** 16     # candidates ranked at once by _rank_sum: keys and temporaries stay in L2
+_SELECT_CAP = 64    # fused rows whose ground truth's rank sum is under this skip the full sort
 _WARMUP_QUERIES = 3   # untimed queries before bench_kpps times its trials
 
 
@@ -198,12 +230,10 @@ def report(models, image_index, mode: str = "region", folds: int = 1,
     """Recall@k of one model's ``(image_embs, text_embs)`` tables, or of the
     rank-averaged fusion of two models', averaged over ``fold_size`` folds.
 
-    Each block of ``_CHUNK_ROWS`` queries is scored by one GEMM per model and
-    direction (no N x M matrix or mask); each ground truth, an image's best
-    caption or a sentence's image by index, is ranked by counting the candidates
-    ahead: a higher score, or a fusion's lower integer ``_rank_sum`` (the key of
-    ``ensemble_ranks``, formed ``_TILE`` candidates at a time), then, read only at
-    its ties, a higher summed score, then lower index.
+    Each block of ``_CHUNK_ROWS`` queries is scored by one checked GEMM per model and direction
+    (no N x M matrix or mask); each ground truth (an image's best caption or a sentence's image,
+    by index) is ranked by counting the candidates ahead: a higher score or a fusion's lower rank
+    sum (``_select``), then a higher summed score, then the lower index.
     """
     if not 1 <= len(models) <= 2:
         raise ConfigError("report ranks one model or fuses two, got %d" % len(models))

@@ -783,6 +783,62 @@ def test_every_recall_equals_the_sorting_oracles_on_ties(layout):
             assert list(rt.ensemble_eval(*sims, image_index, ks=ks).recalls()) == want[2]
 
 
+@st.composite
+def fused_blocks(draw):
+    """Two models' score blocks and their ground-truth (row, column) pairs, in i2s shape
+    (images x captions: a row's ground truths are its 0-4 captions) or s2i shape (captions
+    x images: one each), C or the transposed view of a C array.  Scores are uniform, or
+    planted (each ground truth raised by a drawn amount in each model, so rank sums fall
+    on both sides of any cap), rounded to 0.1 with -0.0 for half the zeros, and one column
+    is copied over a third of the others, so ties straddle a prefix's cut."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    images = draw(st.integers(2, 12))
+    image_index = np.concatenate([np.repeat(np.arange(images), rng.integers(0, 5, images)),
+                                  [0, 1]])
+    image_index, planted = rng.permutation(image_index), draw(st.booleans())
+    captions = len(image_index)
+    sims = []
+    for _ in range(2):
+        s = rng.uniform(-1, 1, size=(images, captions))
+        if planted:
+            s[image_index, np.arange(captions)] += rng.uniform(0, 2, size=captions)
+        s = np.round(s, 1)
+        s[(s == 0) & (rng.random(s.shape) < 0.5)] = -0.0
+        s[:, rng.random(captions) < 1 / 3] = s[:, [rng.integers(captions)]]
+        sims.append(s)
+    pairs = image_index, np.arange(captions)
+    if draw(st.booleans()):
+        sims, pairs = [s.T for s in sims], pairs[::-1]
+    if draw(st.booleans()):
+        sims = [np.ascontiguousarray(s.T).T for s in sims]
+    return sims, pairs
+
+
+@given(fused_blocks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fused_ranks_agree_on_the_prefix_and_the_sorting_path(block, data):
+    """``_ranks`` of two models' score blocks gives each row its best ground truth's
+    position in ``ensemble_ranks`` order (the candidate count if it has none), whether a
+    cap of 0 sends every row with a ground truth to the whole ``_rank_sum``, a cap of m
+    sends none, or a cap in between splits the rows; and the caps send exactly those.
+    The cap in between is a ground truth's rank sum, or one more, where a prefix's last
+    place decides whether a candidate ties it."""
+    (a, b), (rows, cols) = block
+    n, m = a.shape
+    order = rt.ensemble_ranks(a, b)
+    want = [next((pos for pos, c in enumerate(order[row]) if c in set(cols[rows == row])), m)
+            for row in range(n)]
+    sums = sum(np.argsort(np.argsort(-s, axis=1, kind="stable"), axis=1) for s in (a, b))
+    middle = data.draw(st.sampled_from(sums[rows, cols].tolist())) + data.draw(st.integers(0, 1))
+    sorted_rows, rank_sum = [], rt._rank_sum
+    for cap, sorts in ((0, np.unique(rows).size), (m, 0), (middle, None)):
+        sorted_rows.clear()
+        with mock.patch.object(rt, "_SELECT_CAP", cap), mock.patch.object(
+                rt, "_rank_sum", lambda *x: sorted_rows.append(len(x[0])) or rank_sum(*x)):
+            assert rt._ranks([a, b], rows, cols).tolist() == want
+        assert sorts is None or sum(sorted_rows) == sorts
+
+
 def test_report_refuses_more_than_two_matrices():
     tables = (np.zeros((10, 2)), np.zeros((10, 2)))
     for models in ([], [tables] * 3):
