@@ -48,8 +48,8 @@ with one BLAS thread, and hashes what it leaves behind:
   ``_rank_sum``'s tiles (``ranking/tiles/...``);
 - the fused ``report`` JSON of two models' seeded planted tables, 512x16
   images and 2560x16 captions (each an image's row plus noise) with copied
-  image and caption rows, where most query rows are counted within the
-  two models' prefixes and about a tenth sort every candidate; how many
+  image and caption rows, where most query rows are ranked from the two
+  models' prefixes and about a tenth sort every candidate; how many
   take each path goes to stderr (``ranking/select/...``);
 - the per-check ``ok`` map of ``selfcheck --seed 0``.
 
@@ -268,12 +268,15 @@ def digest(values) -> None:
     txt = img[:, caption_image] + rng.normal(size=(2, 2560, 16))
     img[:, 100:110], txt[:, 1000:1020] = img[:, :10], txt[:, :20]
     sorted_rows, rank_sum = [], retrieval._rank_sum
-    with mock.patch.object(retrieval, "_rank_sum",
-                           lambda *x: sorted_rows.append(len(x[0])) or rank_sum(*x)):
+
+    def counted(*blocks, **where):      # every row of the blocks, or the ``rows`` asked for
+        sorted_rows.append(len(where.get("rows", blocks[0])))
+        return rank_sum(*blocks, **where)
+    with mock.patch.object(retrieval, "_rank_sum", counted):
         emit_json("ranking/select/report/fused", retrieval.report(
             list(zip(img, txt)), caption_image, "hybrid").to_dict())
     print("ranking/select/report/fused: %d of %d query rows sort every candidate, %d are "
-          "counted within prefixes" % (sum(sorted_rows), 3072, 3072 - sum(sorted_rows)),
+          "ranked from prefixes" % (sum(sorted_rows), 3072, 3072 - sum(sorted_rows)),
           file=sys.stderr)
 
     doc = run("selfcheck", "--seed", 0)

@@ -84,61 +84,75 @@ def rank_rows(sim) -> np.ndarray:
     return keys
 
 
-def _rank_sum(*blocks) -> np.ndarray:
-    """Each candidate's ``rank_rows`` position summed over one or two score blocks (int32)."""
-    (n, m), sums = blocks[0].shape, np.zeros(blocks[0].size, dtype=np.int32)
-    for lo in range(0, n, step := max(_TILE // max(m, 1), 1)):
-        for block in blocks:
-            order = rank_rows(block[lo:lo + step])
-            order += np.arange(lo, lo + len(order))[:, None] * m
-            sums[order] += np.arange(m, dtype=np.int32)
-    return sums.reshape(n, m)
+def _rank_sum(*blocks, rows=None, sums=None) -> np.ndarray:
+    """Each candidate's ``rank_rows`` position summed over one or two score blocks (int32), set
+    in ``rows`` (all by default) of ``sums`` (a new array by default); other rows are left."""
+    n, m = blocks[0].shape
+    rows = np.arange(n) if rows is None else rows
+    sums = np.empty((n, m), dtype=np.int32) if sums is None else sums
+    for lo in range(0, len(rows), step := max(_TILE // max(m, 1), 1)):
+        at = rows[lo:lo + step]
+        tile = slice(at[0], at[-1] + 1) if at[-1] - at[0] < len(at) else at  # a run: no copy
+        first, *more = (rank_rows(block[tile]) + at[:, None] * m for block in blocks)
+        sums.reshape(-1)[first] = np.arange(m, dtype=np.int32)
+        for order in more:
+            sums.reshape(-1)[order] += np.arange(m, dtype=np.int32)
+    return sums
 
 
 def _prefix(x, at, k) -> tuple:
-    """Rows ``at`` (scores ``x``) of a block's first ``k`` in ``rank_rows`` order: keys ``row * m
-    + column`` ascending, positions and a key-to-position function, 2 m if absent or unsure."""
-    step, m = max(_TILE // x.shape[1], 1), x.shape[1]
-    top = np.concatenate([np.sort(np.argpartition(x[at[lo:lo + step]], m - k, axis=1)[:, m - k:])
-                          for lo in range(0, len(at), step)] + [np.empty((0, k), np.intp)])
-    sure = (near := x[at[:, None], top]) > (near.min(1, keepdims=True) if k < m else -np.inf)
-    sure &= np.count_nonzero(sure, axis=1, keepdims=True) >= k - 1   # k-th tied inside: none sure
-    np.put_along_axis(pos := np.empty_like(top), rank_rows(near), np.arange(k), axis=1)
-    keys, pos = at[:, None] * m + top, np.where(sure, pos, 2 * m)
-    flat, last = np.append(keys, np.iinfo(np.intp).max), np.append(pos, 2 * m)  # a key past all
-    return keys, pos, lambda q: np.where(flat[i := np.searchsorted(flat, q)] == q, last[i], 2 * m)
+    """The columns of rows ``at`` of score block ``x`` that hold their first ``k`` candidates in
+    ``rank_rows`` order, and each one's place in that order (k - 1 where it is unsure)."""
+    m = x.shape[1]
+    top = np.empty((len(at), k), dtype=np.intp)
+    for lo in range(0, len(at), step := max(_TILE // m, 1)):
+        top[lo:lo + step] = np.sort(np.argpartition(x[at[lo:lo + step]], m - k, axis=1)[:, m - k:])
+    near = x[at[:, None], top]     # columns ascending, so rank_rows breaks ties as on the row
+    place = np.argsort(rank_rows(near), axis=1)
+    # Places 0..k-2 are exact when the k-th score is below the other k - 1 (or the prefix is
+    # the whole row): then no candidate outside the prefix ties or beats them.
+    sure = np.count_nonzero(near == near.min(axis=1, keepdims=True), axis=1) == 1
+    return top, np.where(sure[:, None] | (k == m), place, k - 1)
 
 
-def _select(a, b, rows, cols) -> np.ndarray:
-    """``_ranks`` of two models' blocks by ``_rank_sum``: a row whose best ground truth sums under
-    ``_SELECT_CAP`` counts within a's and b's ``_prefix`` (no other can pass it); others sort."""
+def _select(keys, rows, cols) -> np.ndarray:
+    """``_ranks`` of the fusion of two models' score blocks ``keys``, ordered as ``ensemble_ranks``
+    orders them.  A row whose best ground truth's rank sum is under ``_SELECT_CAP`` is ranked on
+    sums read from each model's ``_prefix``; every other row on its whole ``_rank_sum``."""
+    a, b = keys
     (n, m), k = a.shape, min(_SELECT_CAP + 1, a.shape[1])
-    ranks, todo, low = np.full(n, m), np.bincount(rows, minlength=n) > 0, 0
-    for x in (a, b):    # candidates above all of a row's ground truths, in a plus in b, are at
-        np.maximum.at(top := np.full(n, -np.inf), rows, x[rows, cols])   # most its best rank sum
-        low = low + np.count_nonzero(x > top[:, None], axis=1)
-    q = np.flatnonzero(low < (lim := k - 1 if k < m else 2 * m))     # rows that may be counted
-    near, pos, in_a = _prefix(a, q, k)
-    hit = (ga := in_a(want := rows * m + cols)) < 2 * m
-    in_b = _prefix(b, np.unique(rows[hit]), k)[2]
-    sub = _ranks([pos + in_b(near), a[near // m, near % m], b[near // m, near % m]],
-                 np.searchsorted(q, rows[hit]), np.searchsorted(near.ravel(), want[hit]) % k)
-    ok = np.unique(rows[ga + in_b(want) < lim])
-    ranks[ok], todo[ok] = sub[np.searchsorted(q, ok)], False
-    f = np.s_[:] if todo.all() else todo        # all rows sort: the block itself, uncopied
-    ranks[f] = _ranks([_rank_sum(a[f], b[f]), a[f], b[f]], (todo.cumsum() * todo - 1)[rows], cols)
-    return ranks
+    rows, cols = np.compress((rows >= 0) & (rows < n), [rows, cols], axis=1)
+    # A candidate passes a ground truth of rank sum F only from places <= F in both models.
+    # Places 0..k-2 are exact and any other reads k - 1, so a ground truth whose sum reads under
+    # k - 1 has its true sum, and so has every candidate that could pass it: its row is counted
+    # exactly.  Other rows sort in full.  A prefix that is the whole row is exact throughout.
+    lim = k - 1 if k < m else 2 * m
+    # every ground truth of a row has the candidates above all of them in a ahead of it
+    peak = np.full(n, -np.inf)
+    np.maximum.at(peak, rows, a[rows, cols])
+    low = np.count_nonzero(a > peak[:, None], axis=1)
+    q = np.flatnonzero(low < lim)
+    sums = np.zeros((n, m), dtype=np.int32)
+    sums[q] = 2 * (k - 1)
+    for x in (a, b):
+        top, place = _prefix(x, q, k)
+        sums[q[:, None], top] += place - (k - 1)
+    best = np.full(n, lim)
+    np.minimum.at(best, rows, sums[rows, cols])
+    left = (low[rows] >= lim) | (best[rows] >= lim)
+    _rank_sum(a, b, rows=np.unique(rows[left]), sums=sums)
+    return _ranks([sums, a, b], rows, cols)
 
 
 def _ranks(keys, rows, cols) -> np.ndarray:
-    """Per block row, how many candidates precede its best ground truth of pairs ``rows, cols``
-    (all if none).  ``keys``: a score (higher first), two models' scores (``_select``), or an
-    int rank sum (fewer first) then arrays whose sum, higher first, breaks ties; then column."""
+    """Per row of a block, how many candidates come before its best ground
+    truth of the (row, column) pairs ``rows, cols`` in the block (past all if
+    none).  ``keys``: a score (higher first) or integer rank sum (fewer first),
+    then arrays whose sum, higher first, breaks its ties, read only where it
+    ties; then the lower column, as in ``rank_rows``."""
     (first, *later), fewer = keys, keys[0].dtype.kind == "i"
     n, m = first.shape
     rows, cols = np.compress((rows >= 0) & (rows < n), [rows, cols], axis=1)
-    if len(keys) == 2:
-        return _select(*keys, rows, cols)
     g, tie = first[rows, cols], sum((k[rows, cols] for k in later), np.zeros(len(rows)))
     order = np.lexsort((cols, -tie, g if fewer else -g, rows))
     best = order[np.diff(rows[order], prepend=-1) != 0]     # each row's first pair
@@ -152,7 +166,8 @@ def _ranks(keys, rows, cols) -> np.ndarray:
 
 
 def _keys(q, *ways) -> list:
-    """Queries ``q``'s ``_ranks`` keys: scores per (scores, None) or checked GEMM of tables."""
+    """The score blocks of queries ``q``, one per model: sliced from (scores, None), or the
+    GEMM of (queries, candidates) tables, checked as finite tables can overflow."""
     scores = [x[q] if y is None else x[q] @ y.T for x, y in ways]
     return scores if ways[0][1] is None else _finite_2d("similarities", *scores)
 
@@ -230,10 +245,13 @@ def report(models, image_index, mode: str = "region", folds: int = 1,
     """Recall@k of one model's ``(image_embs, text_embs)`` tables, or of the
     rank-averaged fusion of two models', averaged over ``fold_size`` folds.
 
-    Each block of ``_CHUNK_ROWS`` queries is scored by one checked GEMM per model and direction
-    (no N x M matrix or mask); each ground truth (an image's best caption or a sentence's image,
-    by index) is ranked by counting the candidates ahead: a higher score or a fusion's lower rank
-    sum (``_select``), then a higher summed score, then the lower index.
+    Each block of ``_CHUNK_ROWS`` queries is scored by one checked GEMM per
+    model and direction (no N x M matrix or mask); each ground truth, an
+    image's best caption or a sentence's image by index, is ranked by counting
+    the candidates ahead: a higher score, or a fusion's lower integer rank sum
+    (the key of ``ensemble_ranks``, read by ``_select`` from each model's first
+    candidates where that is exact and from ``_rank_sum`` elsewhere), then,
+    read only at its ties, a higher summed score, then lower index.
     """
     if not 1 <= len(models) <= 2:
         raise ConfigError("report ranks one model or fuses two, got %d" % len(models))
@@ -249,7 +267,7 @@ def _recalls(models, image_index, mode, folds, ks) -> RetrievalReport:
         raise ShapeError("similarities %s must be non-empty and match image_index %r"
                          % (" and ".join(map(repr, sorted(shapes))), image_index.shape))
     size = fold_size(image_index, n, folds, ks)
-    acc = np.zeros(2 * len(ks))
+    acc, rank = np.zeros(2 * len(ks)), (_ranks, _select)[len(models) - 1]
     for lo in range(0, n, size):
         fold = (image_index >= lo) & (image_index < lo + size) if folds > 1 else slice(None)
         part = [(x[lo:lo + size][:, fold], None) if isinstance(x, np.ndarray)
@@ -258,7 +276,7 @@ def _recalls(models, image_index, mode, folds, ks) -> RetrievalReport:
         six = []
         for way, (rows, cols) in ((part, pairs), ([(x.T, y) if y is None else (y, x)
                                                    for x, y in part], pairs[::-1])):
-            ranks = np.concatenate([_ranks(_keys(slice(q, q + _CHUNK_ROWS), *way), rows - q, cols)
+            ranks = np.concatenate([rank(_keys(slice(q, q + _CHUNK_ROWS), *way), rows - q, cols)
                                     for q in range(0, len(way[0][0]), _CHUNK_ROWS)])
             six += [100.0 * int(np.count_nonzero(ranks < k)) / len(ranks) for k in ks]
         acc += six

@@ -817,7 +817,7 @@ def fused_blocks(draw):
 @given(fused_blocks(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_fused_ranks_agree_on_the_prefix_and_the_sorting_path(block, data):
-    """``_ranks`` of two models' score blocks gives each row its best ground truth's
+    """``_select`` of two models' score blocks gives each row its best ground truth's
     position in ``ensemble_ranks`` order (the candidate count if it has none), whether a
     cap of 0 sends every row with a ground truth to the whole ``_rank_sum``, a cap of m
     sends none, or a cap in between splits the rows; and the caps send exactly those.
@@ -831,11 +831,14 @@ def test_fused_ranks_agree_on_the_prefix_and_the_sorting_path(block, data):
     sums = sum(np.argsort(np.argsort(-s, axis=1, kind="stable"), axis=1) for s in (a, b))
     middle = data.draw(st.sampled_from(sums[rows, cols].tolist())) + data.draw(st.integers(0, 1))
     sorted_rows, rank_sum = [], rt._rank_sum
+
+    def counted(*blocks, **where):
+        sorted_rows.append(len(where["rows"]))
+        return rank_sum(*blocks, **where)
     for cap, sorts in ((0, np.unique(rows).size), (m, 0), (middle, None)):
         sorted_rows.clear()
-        with mock.patch.object(rt, "_SELECT_CAP", cap), mock.patch.object(
-                rt, "_rank_sum", lambda *x: sorted_rows.append(len(x[0])) or rank_sum(*x)):
-            assert rt._ranks([a, b], rows, cols).tolist() == want
+        with mock.patch.object(rt, "_SELECT_CAP", cap), mock.patch.object(rt, "_rank_sum", counted):
+            assert rt._select([a, b], rows, cols).tolist() == want
         assert sorts is None or sum(sorted_rows) == sorts
 
 
