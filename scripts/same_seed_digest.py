@@ -12,9 +12,11 @@ with one BLAS thread, and hashes what it leaves behind:
 - the ``eval`` JSON and ``--pretty`` table of that checkpoint, on the
   whole set and ``--folds 2``;
 - the loss curves (float hex) and ``eval`` JSON of a hybrid checkpoint,
-  its ``eval --folds 2`` JSON and ``--pretty`` table, and the
-  ``ensemble-eval`` JSON and ``--pretty`` table of its ``region`` and
-  ``grid`` members;
+  its ``eval --folds 2`` JSON and ``--pretty`` table, and the JSON and
+  ``--pretty`` table of ``eval`` with its ``region`` and ``grid`` members
+  as two ``--ckpt`` (``hybrid/ensemble-eval...``, named for the
+  ``ensemble-eval`` command that printed them in older checkouts, so
+  ``--parent`` still compares them);
 - the ``eval`` JSON of an untrained model, ``--seed 3``;
 - on ``synth --dims small --images 301 --captions 3 --seed 5``, counts
   that are not multiples of 8 and exceed a ranking block of 256 queries:
@@ -171,8 +173,7 @@ def digest(values) -> None:
         argv = ("eval", "--data", data, "--ckpt", hybrid, "--folds", 2)
         emit_json("hybrid/eval/folds2", run(*argv))
         emit("hybrid/eval/folds2/table", run_text(*argv, "--pretty"))
-        argv = ("ensemble-eval", "--data", data, "--ckpt-a", hybrid / "region",
-                "--ckpt-b", hybrid / "grid")
+        argv = ("eval", "--data", data, "--ckpt", hybrid / "region", "--ckpt", hybrid / "grid")
         emit_json("hybrid/ensemble-eval", run(*argv))
         emit("hybrid/ensemble-eval/table", run_text(*argv, "--pretty"))
         emit_json("eval/untrained", run("eval", "--data", data, "--seed", 3))

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Subcommands: synth, train, eval, ensemble-eval, bench, gradcheck,
-selfcheck.  Machine-readable JSON goes to stdout (tables with --pretty);
-exit codes are 0 on success, 1 for validation problems, 2 for runtime
-failures.  All randomness sits behind --seed.
+Subcommands: synth, train, eval, bench, gradcheck, selfcheck.  ``eval``
+ranks one model or the rank-averaged fusion of two: one ``--ckpt``, two,
+or a hybrid checkpoint, which counts as its members.  Machine-readable
+JSON goes to stdout (tables with --pretty); exit codes are 0 on success,
+1 for validation problems, 2 for runtime failures.  All randomness sits
+behind --seed.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ MODEL_FLAGS = {"--salience": ("salience_mode", {"choices": SALIENCE_MODES}),
                "--no-vsem": ("use_vsem", {"action": "store_false", "default": None}),
                "--no-vspm": ("use_vspm", {"action": "store_false", "default": None})}
 HYBRID_MARKER = "hybrid.json"   # marks a hybrid checkpoint: one member per mode under it
+RECOMPUTE_POOL, RECOMPUTE_QUERIES = 32, 100   # bench's recompute images and queries
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,12 +74,6 @@ def _model_overrides(args) -> dict:
     """``flag -> (ModelConfig field, value)`` for each model flag given."""
     return {flag: (field, getattr(args, field)) for flag, (field, _) in MODEL_FLAGS.items()
             if getattr(args, field, None) is not None}
-
-
-def _refuse(target, given):
-    """ConfigError for the flags of ``given`` (flag -> value) whose value is not None."""
-    if flags := [flag for flag, value in given.items() if value is not None]:
-        raise ConfigError("%s cannot apply to %s" % (", ".join(flags), target))
 
 
 def _train_config(args) -> TrainConfig:
@@ -154,7 +151,7 @@ def _checkpoint(ckpt, dims, mode="auto"):
     return params, cfg, saved if mode == "auto" else mode
 
 
-def _report(manifest, models, pretty, folds=1) -> int:
+def _report(manifest, models, pretty, folds) -> int:
     """Print the recalls of one ``(params, cfg, mode)`` model, or the rank-averaged
     fusion of two, over ``folds`` folds of ``manifest``, read for those modes alone."""
     bundles, texts, _ = featureio.load_dataset(manifest, [mode for *_, mode in models])
@@ -169,19 +166,23 @@ def _report(manifest, models, pretty, folds=1) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = Path(args.ckpt) if args.ckpt else None
-    hybrid = ckpt is not None and (ckpt / HYBRID_MARKER).exists()
-    if ckpt is not None:
-        # the checkpoint fixes the model, and a hybrid one each member's mode
-        _refuse("the %scheckpoint %s" % ("hybrid " if hybrid else "", ckpt),
-                {**_model_overrides(args), "--seed": args.seed,
-                 "--mode": args.mode if hybrid and args.mode != "auto" else None})
+    # one model ranks alone and two fuse; a hybrid checkpoint counts as its members
+    paths = [member for ckpt in map(Path, args.ckpt or ())
+             for member in ([ckpt / sub for sub in featureio.MODE_ARRAYS]
+                            if (ckpt / HYBRID_MARKER).exists() else [ckpt])]
+    if len(paths) > 2:
+        raise ConfigError("eval ranks one model or fuses two, but --ckpt gives %d: %s"
+                          % (len(paths), ", ".join(map(str, paths))))
+    # the checkpoints fix the models, and a fusion each member's mode
+    ignored = {**_model_overrides(args), "--seed": args.seed,
+               "--mode": args.mode if len(paths) > 1 and args.mode != "auto" else None}
+    if paths and (flags := [flag for flag, value in ignored.items() if value is not None]):
+        raise ConfigError("%s cannot apply to the checkpoint%s %s" % (
+            ", ".join(flags), "s" * (len(paths) > 1), " and ".join(map(str, paths))))
     manifest = featureio.load_manifest(args.data)
     retrieval.fold_size(manifest.image_index, len(manifest.images), args.folds)
-    if hybrid:
-        models = [_checkpoint(ckpt / sub, manifest.dims) for sub in featureio.MODE_ARRAYS]
-    elif ckpt is not None:
-        models = [_checkpoint(ckpt, manifest.dims, args.mode)]
+    if paths:
+        models = [_checkpoint(path, manifest.dims, args.mode) for path in paths]
     else:
         # untrained evaluation: seed-initialised parameters
         model_cfg = _model_for(manifest.dims, args)
@@ -190,22 +191,12 @@ def cmd_eval(args) -> int:
     return _report(manifest, models, args.pretty, args.folds)
 
 
-def cmd_ensemble_eval(args) -> int:
-    manifest = featureio.load_manifest(args.data)
-    retrieval.fold_size(manifest.image_index, len(manifest.images))
-    return _report(manifest, [_checkpoint(ckpt, manifest.dims)
-                              for ckpt in (args.ckpt_a, args.ckpt_b)], args.pretty)
-
-
 def _unit_rows(rng, n, d):
     rows = rng.standard_normal((n, d))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def cmd_bench(args) -> int:
-    if args.mode == "precomputed":
-        _refuse("bench --mode precomputed",
-                {"--pool": args.pool, "--recompute-queries": args.recompute_queries})
     dims, model_cfg = preset(args.dims)
     rng = np.random.default_rng(args.seed)
     table = _unit_rows(rng, args.images, model_cfg.embed_dim)
@@ -217,11 +208,11 @@ def cmd_bench(args) -> int:
             table, queries, "precomputed", top_k=args.top_k,
             trials=args.trials)
     if args.mode in ("recompute", "both"):
-        pool = featureio.random_bundles(dims, args.pool or 32, args.seed + 1)
+        pool = featureio.random_bundles(dims, RECOMPUTE_POOL, args.seed + 1)
         prepared = [model.prepare_image([b], dims, model_cfg) for b in pool]
         params = model.init_params(model_cfg, dims, args.seed)
         results["recompute"] = retrieval.bench_kpps(
-            table, queries[:args.recompute_queries or 100], "recompute",
+            table, queries[:RECOMPUTE_QUERIES], "recompute",
             recompute=lambda qi: model.visual_forward(
                 prepared[qi % len(prepared)], params, model_cfg).data[0],
             top_k=args.top_k, trials=args.trials)
@@ -261,12 +252,10 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, about, seed=0):
-        """A subcommand whose --seed defaults to ``seed``; ``False`` leaves
-        out the flag."""
+        """A subcommand whose --seed defaults to ``seed``."""
         sp = sub.add_parser(name, help=about)
         sp.set_defaults(func=fn)
-        if seed is not False:
-            sp.add_argument("--seed", type=_int_at_least(0), default=seed)
+        sp.add_argument("--seed", type=_int_at_least(0), default=seed)
         return sp
 
     def add_model_flags(sp):
@@ -292,17 +281,10 @@ def build_parser() -> _Parser:
 
     sp = add("eval", cmd_eval, "evaluate retrieval recall", seed=None)
     sp.add_argument("--data", required=True, type=_manifest_path)
-    sp.add_argument("--ckpt")
+    sp.add_argument("--ckpt", action="append")   # twice: fuse the two models
     sp.add_argument("--mode", choices=["auto", *featureio.MODE_ARRAYS], default="auto")
     sp.add_argument("--folds", type=_int_at_least(1), default=1)
     add_model_flags(sp)
-    sp.add_argument("--pretty", action="store_true")
-
-    sp = add("ensemble-eval", cmd_ensemble_eval, "rank-average two checkpoints",
-             seed=False)
-    sp.add_argument("--data", required=True, type=_manifest_path)
-    sp.add_argument("--ckpt-a", required=True)
-    sp.add_argument("--ckpt-b", required=True)
     sp.add_argument("--pretty", action="store_true")
 
     sp = add("bench", cmd_bench, "measure retrieval throughput")
@@ -311,9 +293,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--dims", choices=list(PRESETS), default="full")
     sp.add_argument("--images", type=_int_at_least(1), default=1000)
     sp.add_argument("--queries", type=_int_at_least(1), default=1000)
-    # recompute only; 100 and 32 when not given
-    sp.add_argument("--recompute-queries", type=_int_at_least(1))
-    sp.add_argument("--pool", type=_int_at_least(1))
     sp.add_argument("--top-k", type=int, default=10)
     sp.add_argument("--trials", type=int, default=5)
 

@@ -131,16 +131,15 @@ def test_eval_small_fold_rejected(ds, ckpt, capsys):
                          ids=["0", "-2", "non-dividing", "fold-below-10", "ensemble-8"])
 def test_eval_rejects_nonpositive_folds(ds, ckpt, tmp_path, capsys, monkeypatch, folds):
     """A fold split recall@10 cannot rank exits 1 naming --folds, before
-    anything is embedded; ensemble-eval, which has no --folds, names the
-    image count of its one fold, the whole set."""
+    anything is embedded; a fused pair of checkpoints without --folds names
+    the image count of its one fold, the whole set."""
     def embedded(*args, **kwargs):
         raise AssertionError("embedded before the fold check")
 
     if folds is None:
         small = tmp_path / "ds8"
         run_json(capsys, "synth", "--out", str(small), "--images", "8", "--captions", "1")
-        argv = ["ensemble-eval", "--data", str(small), "--ckpt-a", str(ckpt),
-                "--ckpt-b", str(ckpt)]
+        argv = ["eval", "--data", str(small), "--ckpt", str(ckpt), "--ckpt", str(ckpt)]
     else:
         argv = ["eval", "--data", str(ds), "--folds=" + folds]
     monkeypatch.setattr(model, "embed_dataset", embedded)
@@ -183,9 +182,8 @@ def test_hybrid_train_and_eval(ds, tmp_path, capsys):
     assert (out / "hybrid.json").exists()
     report = run_json(capsys, "eval", "--data", str(ds), "--ckpt", str(out))
     assert report["mode"] == "hybrid"
-    assert report == run_json(capsys, "ensemble-eval", "--data", str(ds),
-                              "--ckpt-a", str(out / "region"),
-                              "--ckpt-b", str(out / "grid"))
+    assert report == run_json(capsys, "eval", "--data", str(ds),
+                              "--ckpt", str(out / "region"), "--ckpt", str(out / "grid"))
 
 
 def test_single_mode_train_over_a_hybrid_checkpoint_drops_its_marker(ds, tmp_path, capsys):
@@ -288,27 +286,33 @@ def hybrid_ckpt(ds, tmp_path_factory):
     return out
 
 
+def _ckpt_flags(*paths):
+    """One ``--ckpt`` per path."""
+    return [arg for path in paths for arg in ("--ckpt", str(path))]
+
+
 @pytest.mark.parametrize("kind, flags, code", [
     ("single", ["--seed", "1"], 1), ("single", ["--seed", "0"], 1),
     ("single", ["--salience", "softmax"], 1), ("single", ["--attn-smooth", "0"], 1),
     ("single", ["--embed-dim", "8"], 1), ("single", ["--no-vsem"], 1),
     ("single", ["--no-vspm"], 1),
     ("hybrid", ["--mode", "grid"], 1), ("hybrid", ["--no-vspm", "--mode", "region"], 1),
-    ("hybrid", [], 0),
+    ("hybrid", [], 0), ("pair", ["--seed", "0"], 1), ("pair", [], 0),
 ], ids=["seed", "seed-0", "salience", "attn-smooth", "embed-dim", "no-vsem",
-        "no-vspm", "hybrid-mode", "hybrid-two-flags", "hybrid-plain"])
+        "no-vspm", "hybrid-mode", "hybrid-two-flags", "hybrid-plain", "pair-seed",
+        "pair-plain"])
 def test_eval_rejects_flags_the_checkpoint_ignores(ds, ckpt, hybrid_ckpt, capsys,
                                                    monkeypatch, kind, flags, code):
     """With --ckpt, the checkpoint fixes the model, and a hybrid checkpoint
-    each member's mode: a flag that would change neither exits 1 naming
-    it, before anything is embedded."""
+    or a pair of checkpoints each member's mode: a flag that would change
+    neither exits 1 naming it, before anything is embedded."""
     def embedded(*args, **kwargs):
         raise AssertionError("embedded before the flag check")
 
     if code:
         monkeypatch.setattr(model, "embed_dataset", embedded)
-    path = hybrid_ckpt if kind == "hybrid" else ckpt
-    got, out, err = run(capsys, "eval", "--data", str(ds), "--ckpt", str(path), *flags)
+    paths = {"single": [ckpt], "hybrid": [hybrid_ckpt], "pair": [ckpt, hybrid_ckpt / "grid"]}
+    got, out, err = run(capsys, "eval", "--data", str(ds), *_ckpt_flags(*paths[kind]), *flags)
     assert got == code, err
     if code:
         assert out == "" and "cannot apply" in err
@@ -334,9 +338,8 @@ def test_checkpoint_geometry_must_match_the_dataset(full_ds, ckpt, hybrid_ckpt, 
         raise AssertionError("embedded before the geometry check")
 
     path = hybrid_ckpt if kind == "eval-hybrid" else ckpt
-    argv = (["eval", "--data", str(full_ds), "--ckpt", str(path)] if kind != "ensemble-eval"
-            else ["ensemble-eval", "--data", str(full_ds), "--ckpt-a", str(ckpt),
-                  "--ckpt-b", str(ckpt)])
+    paths = [path] if kind != "ensemble-eval" else [ckpt, ckpt]   # a fused pair
+    argv = ["eval", "--data", str(full_ds), *_ckpt_flags(*paths)]
     monkeypatch.setattr(model, "embed_dataset", embedded)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "", err
@@ -430,15 +433,17 @@ def ds20(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", ["folds", "geometry", "geometry-hybrid",
                                   "geometry-ensemble", "mode", "mode-ensemble",
+                                  "three-models", "hybrid-and-one", "mode-pair",
                                   "empty-fold", "few-captions", "few-captions-ensemble",
                                   "uncaptioned", "uncaptioned-hybrid", "out-is-a-file",
                                   "out-is-a-file-hybrid"])
 def test_refusals_read_no_dataset_tensor(ds, ds20, full_ds, ckpt, hybrid_ckpt, tmp_path,
                                          capsys, dataset_reads, kind):
     """A refused fold split, a checkpoint of another geometry, a checkpoint
-    of no known mode, a fold without sentences, too few captions for
-    recall@10, an image without a caption to train on and a ``--out`` that
-    is a file each exit 1 before any dataset tensor is read."""
+    of no known mode, more than two models, ``--mode`` on a fused pair, a
+    fold without sentences, too few captions for recall@10, an image
+    without a caption to train on and a ``--out`` that is a file each exit
+    1 before any dataset tensor is read."""
     bad = _bad_mode_ckpt(ckpt, tmp_path / "bad", "hybrid") if "mode" in kind else None
     first_half = _recaptioned(ds20, tmp_path / "half", lambda rec: rec["image_index"] < 10)
     five = _recaptioned(ds, tmp_path / "five",          # the first five captions
@@ -451,15 +456,18 @@ def test_refusals_read_no_dataset_tensor(ds, ds20, full_ds, ckpt, hybrid_ckpt, t
         "folds": (ds, ["eval", "--ckpt", str(ckpt), "--folds", "5"], "--folds"),
         "geometry": (full_ds, ["eval", "--ckpt", str(ckpt)], "geometry"),
         "geometry-hybrid": (full_ds, ["eval", "--ckpt", str(hybrid_ckpt)], "geometry"),
-        "geometry-ensemble": (full_ds, ["ensemble-eval", "--ckpt-a", str(hybrid_ckpt / "grid"),
-                                        "--ckpt-b", str(ckpt)], "geometry"),
+        "geometry-ensemble": (full_ds, ["eval", *_ckpt_flags(hybrid_ckpt / "grid", ckpt)],
+                              "geometry"),
         "mode": (ds, ["eval", "--ckpt", str(bad)], "has mode"),
-        "mode-ensemble": (ds, ["ensemble-eval", "--ckpt-a", str(ckpt), "--ckpt-b", str(bad)],
-                          "has mode"),
+        "mode-ensemble": (ds, ["eval", *_ckpt_flags(ckpt, bad)], "has mode"),
+        "three-models": (ds, ["eval", *_ckpt_flags(ckpt, ckpt, ckpt)], "--ckpt gives 3"),
+        "hybrid-and-one": (ds, ["eval", *_ckpt_flags(hybrid_ckpt, ckpt)], "--ckpt gives 3"),
+        "mode-pair": (ds, ["eval", *_ckpt_flags(ckpt, ckpt), "--mode", "grid"],
+                      "--mode cannot apply"),
         "empty-fold": (first_half, ["eval", "--folds", "2"], "fold 1 has no sentences"),
         "few-captions": (five, ["eval", "--ckpt", str(ckpt)], "every k must lie in [1, 5]"),
-        "few-captions-ensemble": (five, ["ensemble-eval", "--ckpt-a", str(ckpt), "--ckpt-b",
-                                         str(ckpt)], "every k must lie in [1, 5]"),
+        "few-captions-ensemble": (five, ["eval", *_ckpt_flags(ckpt, ckpt)],
+                                  "every k must lie in [1, 5]"),
         "uncaptioned": (no_last, ["train", "--out", train_out],
                         "images without captions: [11]"),
         "uncaptioned-hybrid": (no_last, ["train", "--out", train_out, "--mode", "hybrid"],
@@ -480,10 +488,11 @@ def test_each_command_reads_the_manifest_once(ds, ckpt, tmp_path, capsys, monkey
     reads, read = [], featureio.read_json_object
     monkeypatch.setattr(featureio, "read_json_object",
                         lambda path, *args: reads.append(Path(path)) or read(path, *args))
-    argv = {"train": ["--out", str(tmp_path / "out"), "--epochs", "1", "--batch-size", "8"],
-            "eval": ["--ckpt", str(ckpt)],
-            "ensemble-eval": ["--ckpt-a", str(ckpt), "--ckpt-b", str(ckpt)]}[command]
-    run_json(capsys, command, "--data", str(ds), *argv)
+    argv = {"train": ["train", "--out", str(tmp_path / "out"), "--epochs", "1",
+                      "--batch-size", "8"],
+            "eval": ["eval", *_ckpt_flags(ckpt)],
+            "ensemble-eval": ["eval", *_ckpt_flags(ckpt, ckpt)]}[command]   # a fused pair
+    run_json(capsys, *argv, "--data", str(ds))
     assert [p for p in reads if p.name == "manifest.json"] == [ds / "manifest.json"]
 
 
@@ -574,36 +583,31 @@ def test_a_preset_added_to_the_table_reaches_every_command(tmp_path, capsys, mon
 
 def test_ensemble_eval_self_pair_matches_single(ds, ckpt, capsys):
     single = run_json(capsys, "eval", "--data", str(ds), "--ckpt", str(ckpt))
-    double = run_json(capsys, "ensemble-eval", "--data", str(ds),
-                      "--ckpt-a", str(ckpt), "--ckpt-b", str(ckpt))
+    double = run_json(capsys, "eval", "--data", str(ds), *_ckpt_flags(ckpt, ckpt))
     assert double["i2s"] == single["i2s"] and double["s2i"] == single["s2i"]
     assert double["mode"] == "hybrid"
 
 
 def test_bench_small_quick(capsys):
     doc = run_json(capsys, "bench", "--dims", "small", "--images", "64",
-                   "--queries", "120", "--recompute-queries", "100",
-                   "--pool", "2", "--trials", "1", "--top-k", "5")
+                   "--queries", "120", "--trials", "1", "--top-k", "5")
     assert doc["precomputed"]["kpps"] > 0
     assert doc["recompute"]["kpps"] > 0
     assert doc["speedup"] == pytest.approx(
         doc["precomputed"]["kpps"] / doc["recompute"]["kpps"])
 
 
-BENCH_SMALL = ("bench", "--dims", "small", "--pool", "2", "--images", "16",
-               "--queries", "8", "--recompute-queries", "4", "--trials", "1")
+BENCH_SMALL = ("bench", "--dims", "small", "--images", "16", "--queries", "8",
+               "--trials", "1")
 
 
 @pytest.mark.parametrize("arg, match", [
     ("--queries=0", "--queries"),
-    ("--recompute-queries=0", "--recompute-queries"),
     ("--images=0", "--images"),
     ("--trials=0", "trials"),
     ("--top-k=0", "top_k"),
     ("--top-k=-3", "top_k"),
-    ("--pool=0", "--pool"),
-], ids=["queries-0", "recompute-queries-0", "images-0", "trials-0", "top-k-0",
-        "top-k-negative", "pool-0"])
+], ids=["queries-0", "images-0", "trials-0", "top-k-0", "top-k-negative"])
 def test_bench_rejects_empty_or_meaningless_counts(capsys, arg, match):
     code, out, err = run(capsys, *BENCH_SMALL, arg)
     assert code == 1 and match in err and out == ""
@@ -611,20 +615,19 @@ def test_bench_rejects_empty_or_meaningless_counts(capsys, arg, match):
 
 @pytest.mark.filterwarnings("ignore::sshnet.errors.BenchmarkWarning")
 def test_bench_pool_applies_to_recompute_only(capsys, monkeypatch):
-    """--pool sizes the recompute pool (32 when not given) and is refused
-    with --mode precomputed; --recompute-queries defaults to 100."""
+    """Recompute cycles through a pool of 32 random images and times the
+    first 100 queries; --mode precomputed draws no pool."""
     sizes = []
     draw = featureio.random_bundles
     monkeypatch.setattr(featureio, "random_bundles",
                         lambda dims, n, seed: sizes.append(n) or draw(dims, n, seed))
     base = ["bench", "--dims", "small", "--images", "16", "--trials", "1"]
-    code, out, err = run(capsys, *base, "--queries", "8", "--mode", "precomputed",
-                         "--pool", "2")
-    assert code == 1 and out == "" and "--pool" in err and "--mode precomputed" in err
+    run_json(capsys, *base, "--queries", "8", "--mode", "precomputed")
+    assert sizes == []
     doc = run_json(capsys, *base, "--queries", "120", "--mode", "recompute")
     assert sizes == [32] and doc["recompute"]["n_queries"] == 100
-    run_json(capsys, *base, "--queries", "8", "--mode", "recompute", "--pool", "3")
-    assert sizes == [32, 3]
+    doc = run_json(capsys, *base, "--queries", "8", "--mode", "recompute")
+    assert sizes == [32, 32] and doc["recompute"]["n_queries"] == 8
 
 
 def test_gradcheck_sampled_passes(capsys):
@@ -683,6 +686,8 @@ def test_selfcheck(capsys):
 def test_bad_usage_exits_one(ds, capsys, tmp_path):
     assert run(capsys, "train", "--data", str(ds))[0] == 1      # missing --out
     assert run(capsys, "no-such-command")[0] == 1
+    code, _, err = run(capsys, "ensemble-eval", "--data", str(ds))   # eval fuses two --ckpt
+    assert code == 1 and "invalid choice: 'ensemble-eval'" in err
     assert run(capsys, "synth", "--out", str(tmp_path / "x"),
                "--images", "4", "--wat")[0] == 1
     code, _, err = run(capsys, "eval", "--data", str(tmp_path / "missing"))
@@ -727,24 +732,21 @@ def test_negative_seed_is_a_usage_error(ds, tmp_path, capsys, index):
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("train", "--dims", "small"), ("eval", "--dims", "small"),
-    ("ensemble-eval", "--seed", "0")])
-def test_flags_that_cannot_change_a_result_are_unknown(ds, ckpt, tmp_path, capsys,
-                                                       command, flag, value):
-    """Geometry comes from the manifest, and ensemble-eval draws nothing."""
-    argv = {"train": ["--out", str(tmp_path / "c")],
-            "ensemble-eval": ["--ckpt-a", str(ckpt), "--ckpt-b", str(ckpt)]}.get(command, [])
+    ("train", "--dims", "small"), ("eval", "--dims", "small")])
+def test_flags_that_cannot_change_a_result_are_unknown(ds, tmp_path, capsys, command, flag,
+                                                       value):
+    """Geometry comes from the manifest."""
+    argv = {"train": ["--out", str(tmp_path / "c")]}.get(command, [])
     code, out, err = run(capsys, command, "--data", str(ds), *argv, flag, value)
     assert code == 1 and out == "" and "unrecognized arguments: " + flag in err
 
 
-BENCH_COUNTS = ("--queries", "--recompute-queries", "--images", "--trials",
-                "--top-k")
+BENCH_COUNTS = ("--queries", "--images", "--trials", "--top-k")
 
 
 def _boundary_argv(ds, out):
     bench = st.tuples(*[st.integers(-3, 12) for _ in BENCH_COUNTS]).map(
-        lambda vals: ["bench", "--dims", "small", "--pool", "2"]
+        lambda vals: ["bench", "--dims", "small"]
         + ["%s=%d" % kv for kv in zip(BENCH_COUNTS, vals)])
     folds = st.integers(-3, 13).map(
         lambda n: ["eval", "--data", str(ds), "--folds=%d" % n])
@@ -923,8 +925,6 @@ def test_mutated_inputs_exit_cleanly(ds, ckpt, tmp_path_factory):
 
 # Flags whose values reach only timed work: the test cannot see them.
 TIMING_ONLY = {
-    ("bench", "--pool"): "the images one recompute query cycles through; printed only "
-                         "through timing",
     ("bench", "--top-k"): "the size of each query's timed top-k selection, which is not "
                           "printed",
     ("bench", "--seed"): "draws the random table, queries and pool that are timed",
@@ -937,9 +937,14 @@ TRAIN = ["train", "--data", "{data}", "--out", "{out}", "--epochs", "1",
 EVAL = ["eval", "--data", "{data}"]
 EVAL_CKPT = EVAL + ["--ckpt", "{ckpt}"]
 EVAL_HYBRID = EVAL + ["--ckpt", "{hybrid}"]
+EVAL_PAIR = EVAL_CKPT + ["--ckpt", "{hybrid}/grid"]
 MODEL_FLAGS = {"--salience": ["softmax"], "--attn-smooth": ["1"], "--embed-dim": ["8"],
                "--no-vsem": [], "--no-vspm": []}
 GRADCHECK = ["gradcheck", "--sample", "1"]
+
+# Flags of an eval of a fused checkpoint pair, labelled "ensemble-eval" as
+# in the tests above; eval takes them, so the parser lists them under "eval".
+PAIR_FLAGS = [("ensemble-eval", "--pretty")]
 
 # (command, flag) -> [(base argv, what the other run adds to it)]
 FLAG_CASES = {
@@ -952,19 +957,16 @@ FLAG_CASES = {
     **{("train", flag): [(TRAIN, [flag, *value])] for flag, value in MODEL_FLAGS.items()},
     **{("eval", flag): [(EVAL, [flag, *value]), (EVAL_CKPT, [flag, *value])]
        for flag, value in MODEL_FLAGS.items()},
-    ("eval", "--ckpt"): [(EVAL, ["--ckpt", "{ckpt}"]), (EVAL_CKPT, ["--ckpt", "{hybrid}"])],
-    **{("eval", flag): [(base, [flag, value]) for base in (EVAL, EVAL_CKPT, EVAL_HYBRID)]
+    ("eval", "--ckpt"): [(EVAL, ["--ckpt", "{ckpt}"]), (EVAL_CKPT, ["--ckpt", "{hybrid}"]),
+                         (EVAL_CKPT, ["--ckpt", "{hybrid}/grid"])],
+    **{("eval", flag): [(base, [flag, value])
+                        for base in (EVAL, EVAL_CKPT, EVAL_HYBRID, EVAL_PAIR)]
        for flag, value in (("--mode", "grid"), ("--folds", "2"), ("--seed", "1"))},
-    ("eval", "--pretty"): [(EVAL, ["--pretty"]), (EVAL_HYBRID, ["--pretty"])],
-    ("ensemble-eval", "--pretty"): [(["ensemble-eval", "--data", "{data}", "--ckpt-a",
-                                      "{ckpt}", "--ckpt-b", "{hybrid}/grid"], ["--pretty"])],
+    ("eval", "--pretty"): [(base, ["--pretty"]) for base in (EVAL, EVAL_HYBRID)],
+    **{case: [(EVAL_PAIR, ["--pretty"])] for case in PAIR_FLAGS},
     **{("bench", flag): [(list(BENCH_SMALL), [flag, value])] for flag, value in (
         ("--mode", "recompute"), ("--dims", "full"), ("--images", "17"),
         ("--queries", "9"), ("--trials", "2"))},
-    ("bench", "--recompute-queries"): [
-        (list(BENCH_SMALL), ["--recompute-queries", "5"]),
-        (["bench", "--dims", "small", "--images", "16", "--queries", "8", "--trials", "1",
-          "--mode", "precomputed"], ["--recompute-queries", "5"])],
     **{("gradcheck", flag): [(GRADCHECK, [flag, value])] for flag, value in (
         ("--dims", "small"), ("--batch", "3"), ("--eps", "1e-6"), ("--tol", "1e-13"),
         ("--sample", "2"), ("--embed-dim", "8"), ("--seed", "1"))},
@@ -1008,23 +1010,27 @@ def flag_env(tmp_path_factory):
 
 
 def test_eval_averages_a_hybrid_checkpoint_over_folds(flag_env, capsys):
-    """eval --folds on a hybrid checkpoint averages the fused recalls over
-    the folds: retrieval.report over the two members' tables."""
+    """eval --folds on a hybrid checkpoint, or on its two members given as
+    two --ckpt, averages the fused recalls over the folds: retrieval.report
+    over the two members' tables."""
     env, _ = flag_env
     doc = run_json(capsys, "eval", "--data", env["data"], "--ckpt", env["hybrid"],
                    "--folds", "2")
     assert doc["mode"] == "hybrid" and doc["extra"] == {"folds": 2}
+    members = [Path(env["hybrid"]) / sub for sub in ("region", "grid")]
+    assert doc == run_json(capsys, "eval", "--data", env["data"], "--folds", "2",
+                           *_ckpt_flags(*members))
     bundles, texts, _ = featureio.load_dataset(Path(env["data"]) / "manifest.json")
     tables = []
-    for sub in ("region", "grid"):
-        params, cfg, dims, _ = model.load_checkpoint(Path(env["hybrid"]) / sub)
-        table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=sub)
+    for member in members:
+        params, cfg, dims, _ = model.load_checkpoint(member)
+        table = model.embed_dataset(bundles, texts, params, cfg, dims, mode=member.name)
         tables.append((table.image_embs, table.text_embs))
     assert doc == retrieval.report(tables, table.image_index, "hybrid", 2).to_dict()
 
 
 def test_eval_and_ensemble_eval_form_no_similarity_matrix(flag_env, capsys, monkeypatch):
-    """eval (plain, --folds 2, hybrid) and ensemble-eval rank straight from
+    """eval (plain, --folds 2, hybrid, a pair of checkpoints) ranks straight from
     the embedding tables: with ``similarity_matrix`` refusing every call,
     each prints the recalls of the matrix wrappers over the whole matrices."""
     env, _ = flag_env
@@ -1037,14 +1043,13 @@ def test_eval_and_ensemble_eval_form_no_similarity_matrix(flag_env, capsys, monk
 
     idx = np.asarray(texts.image_index)
     sim = whole(env["ckpt"], "region")
-    pair = [whole(Path(env["hybrid"]) / sub, sub) for sub in ("region", "grid")]
+    members = [Path(env["hybrid"]) / sub for sub in ("region", "grid")]
+    pair = [whole(member, member.name) for member in members]
     want = [(("eval", "--ckpt", env["ckpt"]), retrieval.evaluate(sim, idx)),
             (("eval", "--ckpt", env["ckpt"], "--folds", "2"),
              retrieval.fivefold_eval(sim, idx, folds=2)),
             (("eval", "--ckpt", env["hybrid"]), retrieval.ensemble_eval(*pair, idx)),
-            (("ensemble-eval", "--ckpt-a", str(Path(env["hybrid"]) / "region"),
-              "--ckpt-b", str(Path(env["hybrid"]) / "grid")),
-             retrieval.ensemble_eval(*pair, idx))]
+            (("eval", *_ckpt_flags(*members)), retrieval.ensemble_eval(*pair, idx))]
 
     def refuse(*_):
         raise AssertionError("a command formed a whole similarity matrix")
@@ -1103,12 +1108,14 @@ def test_parser_choices_come_from_their_tables(monkeypatch):
 def test_flag_cases_cover_the_parser():
     flags = set(_parser_flags())
     assert set(TIMING_ONLY) <= flags
-    assert set(FLAG_CASES) <= flags, "cases for flags the parser no longer has"
+    assert set(FLAG_CASES) - set(PAIR_FLAGS) <= flags, \
+        "cases for flags the parser no longer has"
+    assert {("eval", flag) for _, flag in PAIR_FLAGS} <= flags
 
 
 @pytest.mark.filterwarnings("ignore::sshnet.errors.BenchmarkWarning")
-@pytest.mark.parametrize("command, flag", [cf for cf in _parser_flags()
-                                           if cf not in TIMING_ONLY],
+@pytest.mark.parametrize("command, flag", [*(cf for cf in _parser_flags()
+                                             if cf not in TIMING_ONLY), *PAIR_FLAGS],
                          ids=lambda v: v)
 def test_every_flag_changes_the_result_or_is_refused(flag_env, capsys, command, flag):
     """Run once at the base value and once at another valid one: stdout
