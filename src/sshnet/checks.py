@@ -181,7 +181,8 @@ def _check_metric_oracle(rng):
     for _ in range(5):
         n = int(rng.integers(10, 20))
         caps = int(rng.integers(1, 4))
-        sim = rng.uniform(-1, 1, size=(n, n * caps))
+        img, txt = rng.integers(-3, 4, size=(n, 3)), rng.integers(-3, 4, size=(n * caps, 3))
+        sim = img @ txt.T       # integers: every score exact, ties included
         image_index = np.repeat(np.arange(n), caps)
         want = []
         for queries, hit in ((sim, lambda q, c: image_index[c] == q),
@@ -191,7 +192,7 @@ def _check_metric_oracle(rng):
             want += [100.0 * sum(any(hit(q, c) for c in order[:k])
                                  for q, order in enumerate(orders)) / len(orders)
                      for k in retrieval.DEFAULT_KS]
-        if retrieval.evaluate(sim, image_index).recalls() != tuple(want):
+        if retrieval.report([(img, txt)], image_index).recalls() != tuple(want):
             raise SshnetError("recall disagrees with the sort oracle")
 
 

@@ -32,8 +32,13 @@ def _finite_2d(what: str, *arrays) -> list:
 
 
 def _tables(img_embs, txt_embs) -> list:
-    """Both tables as float64; ShapeError unless finite, 2-D and equally wide."""
-    img, txt = _finite_2d("embeddings", img_embs, txt_embs)
+    """Both tables as float64; ShapeError unless 2-D, equally wide and so small that every score,
+    and every sum of two, is finite: width x max|x| x max|y| under ``_LIMIT`` (NaN, inf fail)."""
+    img, txt = (np.asarray(a, dtype=np.float64) for a in (img_embs, txt_embs))
+    x, y = (float(np.maximum(a.max(initial=0.0), -a.min(initial=0.0))) for a in (img, txt))
+    if not (img.ndim == txt.ndim == 2 and img.shape[1] * x * y < _LIMIT):
+        raise ShapeError("embeddings must be finite and 2-D, width x max|x| x max|y| < %.4g; got "
+                         "%r, %r, peaks %.4g, %.4g" % (_LIMIT, img.shape, txt.shape, x, y))
     if img.shape[1] != txt.shape[1]:
         raise ShapeError("embedding widths differ: %d vs %d" % (img.shape[1], txt.shape[1]))
     return [img, txt]
@@ -42,8 +47,8 @@ def _tables(img_embs, txt_embs) -> list:
 def similarity_matrix(img_embs, txt_embs) -> np.ndarray:
     """Pairwise dot products between unit embeddings, (N, D) x (M, D) -> (N, M).
 
-    One GEMM: deterministic for the same inputs, and within 1e-12 of a
-    double-loop dot product on unit rows.
+    One GEMM of tables that pass ``_tables``, so no score is infinite:
+    deterministic, and within 1e-12 of a double-loop dot product on unit rows.
     """
     img, txt = _tables(img_embs, txt_embs)
     return img @ txt.T
@@ -165,17 +170,11 @@ def _ranks(keys, rows, cols) -> np.ndarray:
     return np.where(np.bincount(rows, minlength=n) > 0, ahead, m)
 
 
-def _keys(q, *ways) -> list:
-    """The score blocks of queries ``q``, one per model: sliced from (scores, None), or the
-    GEMM of (queries, candidates) tables, checked as finite tables can overflow."""
-    scores = [x[q] if y is None else x[q] @ y.T for x, y in ways]
-    return scores if ways[0][1] is None else _finite_2d("similarities", *scores)
-
-
 _CHUNK_ROWS = 256   # queries per block in report and bench_kpps
 _TILE = 2 ** 16     # candidates ranked at once by _rank_sum: keys and temporaries stay in L2
 _SELECT_CAP = 64    # fused rows whose ground truth's rank sum is under this skip the full sort
 _WARMUP_QUERIES = 3   # untimed queries before bench_kpps times its trials
+_LIMIT = np.finfo(np.float64).max / 4   # _tables' bound on any score: a sum of two stays finite
 
 
 @dataclass
@@ -245,13 +244,13 @@ def report(models, image_index, mode: str = "region", folds: int = 1,
     """Recall@k of one model's ``(image_embs, text_embs)`` tables, or of the
     rank-averaged fusion of two models', averaged over ``fold_size`` folds.
 
-    Each block of ``_CHUNK_ROWS`` queries is scored by one checked GEMM per
-    model and direction (no N x M matrix or mask); each ground truth, an
-    image's best caption or a sentence's image by index, is ranked by counting
-    the candidates ahead: a higher score, or a fusion's lower integer rank sum
-    (the key of ``ensemble_ranks``, read by ``_select`` from each model's first
-    candidates where that is exact and from ``_rank_sum`` elsewhere), then,
-    read only at its ties, a higher summed score, then lower index.
+    Each block of ``_CHUNK_ROWS`` queries is scored by one GEMM per model and
+    direction, finite as ``_tables`` bounds the tables (no N x M matrix or mask); each
+    ground truth, an image's best caption or a sentence's image by index, is ranked by
+    counting the candidates ahead: a higher score, or a fusion's lower integer rank
+    sum (the key of ``ensemble_ranks``, read by ``_select`` from each model's first
+    candidates where that is exact and from ``_rank_sum`` elsewhere), then, read only
+    at its ties, a higher summed score, then lower index.
     """
     if not 1 <= len(models) <= 2:
         raise ConfigError("report ranks one model or fuses two, got %d" % len(models))
@@ -259,8 +258,8 @@ def report(models, image_index, mode: str = "region", folds: int = 1,
 
 
 def _recalls(models, image_index, mode, folds, ks) -> RetrievalReport:
-    """The one ranking loop, over ``report``'s checked tables or the wrappers' checked
-    matrices, block by block; ground truths are (image, caption) index pairs."""
+    """The one ranking loop over ``report``'s checked tables or the wrappers' checked matrices,
+    each block a plain GEMM or slice; ground truths are (image, caption) index pairs."""
     shapes = {x.shape if isinstance(x, np.ndarray) else (len(x[0]), len(x[1])) for x in models}
     image_index, (n, m) = np.asarray(image_index), min(shapes)
     if len(shapes) > 1 or 0 in (n, m) or image_index.shape != (m,):
@@ -276,8 +275,10 @@ def _recalls(models, image_index, mode, folds, ks) -> RetrievalReport:
         six = []
         for way, (rows, cols) in ((part, pairs), ([(x.T, y) if y is None else (y, x)
                                                    for x, y in part], pairs[::-1])):
-            ranks = np.concatenate([rank(_keys(slice(q, q + _CHUNK_ROWS), *way), rows - q, cols)
-                                    for q in range(0, len(way[0][0]), _CHUNK_ROWS)])
+            ranks = np.concatenate([
+                rank([x[q:q + _CHUNK_ROWS] if y is None else x[q:q + _CHUNK_ROWS] @ y.T
+                      for x, y in way], rows - q, cols)
+                for q in range(0, len(way[0][0]), _CHUNK_ROWS)])
             six += [100.0 * int(np.count_nonzero(ranks < k)) / len(ranks) for k in ks]
         acc += six
     return RetrievalReport(mode, (acc / folds).tolist(), tuple(ks),
@@ -353,14 +354,10 @@ def bench_kpps(table, queries, mode: str = "precomputed", *,
     ``recompute`` answers one query at a time, scoring one candidate by
     ``recompute(qi)``: query ``qi``'s candidate embedding rebuilt under
     ``no_grad`` (a full visual forward, say), modelling a pipeline that
-    cannot cache candidate embeddings.  Reports the median of ``trials``
-    timed runs after ``_WARMUP_QUERIES`` untimed queries.
+    cannot cache candidate embeddings.  Reports the median of ``trials`` timed
+    runs after ``_WARMUP_QUERIES`` untimed queries, on tables that pass ``_tables``.
     """
-    table = np.asarray(table, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
-    if table.ndim != 2 or queries.ndim != 2 or table.shape[1] != queries.shape[1]:
-        raise ShapeError("table %r and queries %r are incompatible"
-                         % (table.shape, queries.shape))
+    table, queries = _tables(table, queries)
     if table.shape[0] < 1 or queries.shape[0] < 1:
         raise ConfigError("bench needs at least one candidate and one query, "
                           "got %d and %d" % (table.shape[0], queries.shape[0]))

@@ -126,7 +126,7 @@ BREAKS = [
     (objective, "adamw_step", lambda real: lambda named, state, cfg: None,
      "optimizer_decay"),
     (featureio, "read_tensor", _widening, "tensor_roundtrip"),
-    (retrieval, "evaluate", lambda real: lambda *a, **kw: replace(
+    (retrieval, "report", lambda real: lambda *a, **kw: replace(
         real(*a, **kw), recall=[v + 1.0 for v in real(*a, **kw).recall]),
      "metric_oracle"),
     (ag, "sigmoid", _skewed, "gradients_sampled"),

@@ -924,9 +924,9 @@ def test_report_refuses_bad_tables():
 
 @pytest.mark.parametrize("fused", [False, True])
 def test_report_refuses_scores_that_overflow(fused):
-    """Finite tables can still multiply past the float64 range: the block
-    that holds the overflowing score is refused, as the parent's whole
-    similarity matrix of the same tables is."""
+    """Finite tables can still multiply past the float64 range: ``_tables``
+    refuses them from their peaks before any score is formed, in ``report``
+    as in ``similarity_matrix``."""
     rng = np.random.default_rng(47)
     img, txt = unit_table(rng, 300, 8), unit_table(rng, 600, 8)
     img[280] *= 1e200
@@ -937,6 +937,81 @@ def test_report_refuses_scores_that_overflow(fused):
                      lambda: rt.evaluate(rt.similarity_matrix(img, txt), idx)):
             with pytest.raises(ShapeError, match="finite"):
                 call()
+
+
+def edge_tables(rng, n, caps):
+    """Two models' (n, 7) image and (n * caps, 7) caption tables of integers in
+    [-3, 3] times 2**508, with rows of 3s and -3s: width x max|x| x max|y| and
+    the largest scores are +-63 * 2**1016, 1.6% under ``_LIMIT``, and every
+    score is an exact multiple of 2**1016."""
+    out = []
+    for rows in ((n, n * caps),) * 2:
+        img, txt = (rng.integers(-3, 4, size=(r, 7)) * 2.0 ** 508 for r in rows)
+        img[0] = txt[0] = 3 * 2.0 ** 508
+        txt[1] = -img[0]
+        out.append((img, txt))
+    return out
+
+
+def test_tables_at_the_edge_of_the_score_bound():
+    """Just under ``_LIMIT``, where a score nears a quarter of the float64
+    range, one model and a fusion rank from tables, whole and in two folds, as
+    the matrix wrappers do.  Just over it, where no score overflows, ``report``,
+    ``similarity_matrix`` and ``bench_kpps`` refuse the tables before ranking."""
+    rng = np.random.default_rng(67)
+    n, folds = 40, 2
+    (img, txt), other = tables = edge_tables(rng, n, 3)
+    assert 0.98 * rt._LIMIT < 7 * (3 * 2.0 ** 508) ** 2 < rt._LIMIT
+    image_index = rng.permutation(np.repeat(np.arange(n), 3))
+    sims = [rt.similarity_matrix(*pair) for pair in tables]
+    assert [s.max() for s in sims] == [-s.min() for s in sims] == [63 * 2.0 ** 1016] * 2
+    assert rt.report(tables[:1], image_index).recalls() == \
+        rt.evaluate(sims[0], image_index).recalls()
+    assert rt.report(tables[:1], image_index, folds=folds).recalls() == \
+        rt.fivefold_eval(sims[0], image_index, folds).recalls()
+    assert rt.report(tables, image_index).recalls() == \
+        rt.ensemble_eval(*sims, image_index).recalls()
+    size, acc = n // folds, np.zeros(6)
+    for lo in range(0, n, size):
+        mask = (image_index >= lo) & (image_index < lo + size)
+        acc += rt.ensemble_eval(*(s[lo:lo + size][:, mask] for s in sims),
+                                image_index[mask] - lo).recalls()
+    assert rt.report(tables, image_index, folds=folds).recalls() == tuple((acc / folds).tolist())
+
+    over = img.copy()
+    over[0, 0] *= 1.02
+    assert rt._LIMIT < 7 * 3 * 1.02 * 3 * 2.0 ** 1016 < 1.01 * rt._LIMIT
+    assert np.isfinite(2 * (over @ txt.T)).all()    # nothing overflows, yet it is refused
+
+    def ranked(*args):
+        raise AssertionError("ranked tables that exceed the bound")
+
+    with mock.patch.object(rt, "_ranks", ranked), mock.patch.object(rt, "_select", ranked):
+        for call in (lambda: rt.report([(over, txt)], image_index),
+                     lambda: rt.report([other, (over, txt)], image_index, folds=folds),
+                     lambda: rt.report([(txt, over)], np.arange(n)),
+                     lambda: rt.similarity_matrix(over, txt),
+                     lambda: rt.bench_kpps(txt, over)):
+            with pytest.raises(ShapeError, match="must be finite"):
+                call()
+
+
+def test_report_scans_no_score_block():
+    """``report`` checks each model's tables where they enter: ``_finite_2d``
+    sees no score block it forms, for one model or two, whole or in folds."""
+    rng = np.random.default_rng(71)
+    tables = [(unit_table(rng, 300, 8), unit_table(rng, 600, 8)) for _ in range(2)]
+    image_index, seen, real = np.arange(600) % 300, [], rt._finite_2d
+
+    def spy(what, *arrays):
+        seen.extend(np.shape(a) for a in arrays)
+        return real(what, *arrays)
+
+    with mock.patch.object(rt, "_finite_2d", spy):
+        for models in (tables[:1], tables):
+            for folds in (1, 2):
+                rt.report(models, image_index, folds=folds)
+    assert set(seen) <= {(300, 8), (600, 8)}
 
 
 # ---------------------------------------------------------------------------
@@ -976,6 +1051,22 @@ def test_chunked_top_k_equals_per_query_argpartition():
         assert len(set(scores.tolist())) == n_cand
         assert set(got.tolist()) == \
             set(np.argpartition(-scores, k - 1)[:k].tolist())
+
+
+def test_bench_refuses_non_finite_tables():
+    """A NaN in the table or an inf in the queries is refused before any query
+    is timed, by the same rule as ``report``'s tables."""
+    rng = np.random.default_rng(73)
+    table, queries = rng.normal(size=(50, 8)), rng.normal(size=(120, 8))
+    nan, inf = table.copy(), queries.copy()
+    nan[7, 3], inf[11, 5] = np.nan, np.inf
+
+    def timer():
+        raise AssertionError("timed a non-finite table")
+
+    for args in ((nan, queries), (table, inf)):
+        with pytest.raises(ShapeError, match="must be finite"):
+            rt.bench_kpps(*args, timer=timer)
 
 
 def test_bench_warns_on_few_queries():
